@@ -5,7 +5,8 @@ shipped before the fast-path overhaul:
 
 * :func:`reference_build_trees` — Algorithm 1 with the per-turn
   ``parents_for_step`` rescan and the full (2, 3, None) route-limit ladder
-  on every network;
+  on every network, with the seed §III-C3 switch search
+  (one BFS per probe) on switched fabrics;
 * :func:`reference_run` — the simulator inner loop with per-hop
   ``topo.link()`` lookups, unconditional channel argmin, and the separate
   sum/max passes for the ideal delivery time;
@@ -44,10 +45,79 @@ from ..network.simulator import (
     MessageTiming,
     SimulationResult,
 )
-from ..topology.base import LinkKey, Topology
+from ..topology.base import (
+    Allocation,
+    AllocationGraph,
+    IndirectAllocationGraph,
+    LinkKey,
+    Topology,
+)
 
 
 # -- construction (seed build_trees) ---------------------------------------------
+
+
+class _SeedIndirectAllocationGraph(AllocationGraph):
+    """The seed §III-C3 switch search, frozen.
+
+    One BFS per (parent, uplink, route limit), rebuilding the parent's
+    attach list through ``is_switch`` and copying the path list at every
+    step.  The golden battery compares the optimized allocator against
+    this one, so it must never be edited for speed.
+    """
+
+    def find_child(self, parent, eligible, max_route_len=None):
+        topo = self.topology
+        attach_keys = [
+            (parent, v)
+            for v in topo.neighbors_cached(parent)
+            if topo.is_switch(v)
+        ]
+        for first_key in attach_keys:
+            if self.remaining(first_key) <= 0:
+                continue
+            start_switch = first_key[1]
+            frontier: List[Tuple[int, List[LinkKey]]] = [(start_switch, [first_key])]
+            visited = {start_switch}
+            while frontier:
+                next_frontier: List[Tuple[int, List[LinkKey]]] = []
+                for switch, path in frontier:
+                    if max_route_len is not None and len(path) + 1 > max_route_len:
+                        continue
+                    child = self._eject(switch, path, eligible)
+                    if child is not None:
+                        route = path + [(switch, child)]
+                        for key in route:
+                            self._consume(key)
+                        return Allocation(parent, child, route)
+                    for nxt in topo.neighbors_cached(switch):
+                        if not topo.is_switch(nxt) or nxt in visited:
+                            continue
+                        key = (switch, nxt)
+                        if self.remaining(key) - path.count(key) > 0:
+                            visited.add(nxt)
+                            next_frontier.append((nxt, path + [key]))
+                frontier = next_frontier
+        return None
+
+    def _eject(self, switch, path, eligible):
+        topo = self.topology
+        for child in topo.neighbors_cached(switch):
+            if topo.is_switch(child):
+                continue
+            if not eligible(child):
+                continue
+            if self.remaining((switch, child)) > 0:
+                return child
+        return None
+
+
+def _seed_allocation_graph(topology: Topology) -> AllocationGraph:
+    """A step's allocator, with the frozen seed search on switched fabrics."""
+    alloc = topology.allocation_graph()
+    if isinstance(alloc, IndirectAllocationGraph):
+        return _SeedIndirectAllocationGraph(topology)
+    return alloc
 
 
 def reference_build_trees(
@@ -63,7 +133,7 @@ def reference_build_trees(
     step = 0
     while not all(tree.complete for tree in trees):
         step += 1
-        alloc = topology.allocation_graph()
+        alloc = _seed_allocation_graph(topology)
         progress = True
         while progress:
             progress = False

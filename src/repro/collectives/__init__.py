@@ -34,6 +34,7 @@ from .serialization import (
     schedule_to_dict,
 )
 from .ring2d import ring2d_allreduce
+from .streaming import compile_multitree
 from .schedule import ChunkRange, CommOp, OpKind, Schedule
 from .validate import ExecutionResult, ScheduleError, execute, verify_allreduce
 from .variants import (
@@ -72,13 +73,40 @@ def build_schedule(algorithm: str, topology: Topology, **kwargs) -> Schedule:
         return builder(topology, **kwargs)
     start = time.perf_counter()
     schedule = builder(topology, **kwargs)
-    elapsed = time.perf_counter() - start
+    _record_build(registry, algorithm, topology, time.perf_counter() - start,
+                  schedule.num_steps, len(schedule.ops))
+    return schedule
+
+
+def compile_algorithm(algorithm: str, topology: Topology) -> CompiledSchedule:
+    """Build the named algorithm on ``topology`` in compiled form.
+
+    MultiTree streams its flat forest straight into CSR columns
+    (:func:`~repro.collectives.streaming.compile_multitree`), skipping
+    the ``Schedule`` → ``CommOp`` detour; the result is ``==`` to
+    ``compile_schedule(build_schedule("multitree", topology))``.  Every
+    other algorithm compiles its schedule IR.  Both routes record the
+    same ``schedule.*`` metrics as :func:`build_schedule`.
+    """
+    if algorithm != "multitree":
+        return compile_schedule(build_schedule(algorithm, topology))
+    start = time.perf_counter()
+    compiled = compile_multitree(topology)
+    registry = get_registry()
+    if registry is not None:
+        _record_build(registry, algorithm, topology,
+                      time.perf_counter() - start, compiled.num_steps,
+                      len(compiled))
+    return compiled
+
+
+def _record_build(registry, algorithm: str, topology: Topology,
+                  elapsed: float, steps: int, ops: int) -> None:
     labels = {"algorithm": algorithm, "topology": topology.name}
     registry.counter("schedule.builds", **labels).inc()
     registry.histogram("schedule.build_time", **labels).observe(elapsed)
-    registry.gauge("schedule.steps", **labels).set(schedule.num_steps)
-    registry.gauge("schedule.ops", **labels).set(len(schedule.ops))
-    return schedule
+    registry.gauge("schedule.steps", **labels).set(steps)
+    registry.gauge("schedule.ops", **labels).set(ops)
 
 
 __all__ = [
@@ -95,6 +123,7 @@ __all__ = [
     "ChunkRange",
     "CommOp",
     "CompiledSchedule",
+    "compile_algorithm",
     "compile_schedule",
     "load_compiled",
     "save_compiled",

@@ -289,10 +289,6 @@ def build_forest(
         )
         masks = [array(mcode, mask_template) for _ in range(n)]
         perm_pi = [0] * n
-    else:
-        eligibility = [
-            (lambda c, _m=member[root]: not _m[c]) for root in range(n)
-        ]
 
     while complete_trees < n:
         step += 1
@@ -401,7 +397,8 @@ def build_forest(
                         stalled[root] = 1  # cannot reconnect this step
         else:
             alloc = topology.allocation_graph()  # fresh G' for this step
-            find_child = alloc.find_child
+            turn = alloc.turn
+            spent = alloc.spent
             # The allocator advertises which route-length limits are worth
             # probing: (2, 3, None) on switch-based networks — the
             # same-switch / one-inter-switch-hop / unbounded ladder of
@@ -425,7 +422,10 @@ def build_forest(
                 for root in turn_order:
                     if counts[root] == n or stalled[root]:
                         continue
-                    eligible = eligibility[root]
+                    # One probe per turn: nothing is consumed before its
+                    # successful call, so it may share search state
+                    # across the ladder's rungs.
+                    probe = turn(member[root])
                     order = orders[root]
                     bound = snap_len[root]
                     cur = cursors[root]
@@ -434,9 +434,13 @@ def build_forest(
                         limit = limits[li]
                         i = cur[li]
                         while i < bound:  # line 9
-                            found = find_child(order[i], eligible, limit)
-                            if found is not None:
-                                break
+                            parent = order[i]
+                            # A parent with every uplink spent fails any
+                            # probe: skipping it changes nothing.
+                            if not spent[parent]:
+                                found = probe(parent, limit)
+                                if found is not None:
+                                    break
                             i += 1
                         cur[li] = i
                         if found is not None:

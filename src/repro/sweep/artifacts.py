@@ -443,15 +443,19 @@ class ArtifactStore:
     ) -> CompiledSchedule:
         """Load the artifact, or build + compile + persist it on a miss.
 
-        ``builder`` maps ``(algorithm, topology) -> Schedule`` and
-        defaults to :func:`repro.collectives.build_schedule`.
+        ``builder`` maps ``(algorithm, topology) -> Schedule``; without
+        one the miss compiles through
+        :func:`repro.collectives.compile_algorithm`.
         """
         compiled = self.get(topology, algorithm)
         if compiled is not None:
             return compiled
         if builder is None:
-            from ..collectives import build_schedule as builder
-        compiled = compile_schedule(builder(algorithm, topology))
+            from ..collectives import compile_algorithm
+
+            compiled = compile_algorithm(algorithm, topology)
+        else:
+            compiled = compile_schedule(builder(algorithm, topology))
         self.put(compiled)
         return compiled
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..analysis.metrics import BandwidthSweep, SweepPoint
-from ..collectives import build_schedule
+from ..collectives import build_schedule, compile_algorithm
 from ..collectives.schedule import Schedule
 from ..metrics.registry import MetricsRegistry, collecting, get_registry
 from ..network.flowcontrol import FlowControl, MessageBased, PacketBased
@@ -382,15 +382,12 @@ def _run_job(job, cache, artifacts, job_span) -> BandwidthSweep:
     if sweep is None:
         if artifacts is not None:
             schedule = artifacts.get_or_compile(topology, algorithm)
+        elif job.engine == "lockstep-vec":
+            # The batched fast path consumes the compiled CSR form, which
+            # gives points == the object IR (tests/test_streaming.py).
+            schedule = compile_algorithm(algorithm, topology)
         else:
             schedule = build_schedule(algorithm, topology)
-            if job.engine == "lockstep-vec":
-                # The batched fast path consumes the compiled CSR form;
-                # compiling in-memory is cheap next to simulation and
-                # bit-identical (tests/test_artifacts.py pins that).
-                from ..collectives.compiled import compile_schedule
-
-                schedule = compile_schedule(schedule)
         sweep = sweep_bandwidth_cached(
             schedule, job.sizes, fc, job.lockstep, cache, label, job.engine,
             keys=keys,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Default link parameters from Table III of the paper.
 DEFAULT_BANDWIDTH = 16e9  # bytes per second
@@ -256,6 +256,37 @@ class Topology:
             result = cache[vertex] = tuple(self._neighbors.get(vertex, ()))
         return result
 
+    def switch_tables(self) -> "SwitchTables":
+        """Memoized §III-C3 adjacency, split by vertex kind.
+
+        Indexed by vertex id, each entry a tuple of ``(link key, vertex)``
+        pairs in construction order: ``uplinks[node]`` are the node's
+        links into switches, ``down[switch]`` the switch's links to
+        compute nodes and ``across[switch]`` its links to other switches.
+        The switch search walks these instead of re-splitting a
+        neighbor list with :meth:`is_switch` on every visit.
+        """
+        tables = self.__dict__.get("_switch_tables")
+        if tables is None:
+            count = self.num_vertices
+            uplinks: List[Tuple[Tuple[LinkKey, int], ...]] = [()] * count
+            down: List[Tuple[Tuple[LinkKey, int], ...]] = [()] * count
+            across: List[Tuple[Tuple[LinkKey, int], ...]] = [()] * count
+            for v in range(count):
+                nbrs = self.neighbors_cached(v)
+                to_switch = tuple(((v, u), u) for u in nbrs if self.is_switch(u))
+                if self.is_switch(v):
+                    across[v] = to_switch
+                    down[v] = tuple(
+                        ((v, u), u) for u in nbrs if not self.is_switch(u)
+                    )
+                else:
+                    uplinks[v] = to_switch
+            tables = self.__dict__["_switch_tables"] = SwitchTables(
+                tuple(uplinks), tuple(down), tuple(across)
+            )
+        return tables
+
     # -- misc -------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -265,6 +296,15 @@ class Topology:
             self.num_switches,
             len(self._links),
         )
+
+
+class SwitchTables(NamedTuple):
+    """Per-vertex adjacency of a switched topology (see
+    :meth:`Topology.switch_tables`)."""
+
+    uplinks: Tuple[Tuple[Tuple[LinkKey, int], ...], ...]
+    down: Tuple[Tuple[Tuple[LinkKey, int], ...], ...]
+    across: Tuple[Tuple[Tuple[LinkKey, int], ...], ...]
 
 
 @dataclass
@@ -291,6 +331,11 @@ class AllocationGraph:
         # whole-graph LinkSpec walk (plus the ``links`` property's dict
         # copy) per time step — this runs once per MultiTree step.
         self._capacity: Dict[LinkKey, int] = topology.capacity_template()
+        #: ``spent[node]`` is set once every link a search could start on
+        #: from ``node`` is used up for this step; the node then fails
+        #: every probe, so construction skips it without probing.
+        #: Allocators that do not track this leave it all zero.
+        self.spent = bytearray(topology.num_nodes)
 
     def remaining(self, key: LinkKey) -> int:
         return self._capacity.get(key, 0)
@@ -331,6 +376,30 @@ class AllocationGraph:
         """
         raise NotImplementedError
 
+    def turn(self, joined: Sequence[int]) -> "Probe":
+        """A child probe for one tree's turn of Algorithm 1.
+
+        ``joined[node]`` is truthy for nodes already in the tree.  The
+        returned ``probe(parent, max_route_len=None)`` behaves exactly
+        like :meth:`find_child` with the complementary eligibility.  A
+        turn consumes capacity only in its one successful probe, so an
+        allocator may reuse search state across the turn's probes;
+        take a fresh probe for every turn.
+        """
+        find_child = self.find_child
+
+        def eligible(node: int) -> bool:
+            return not joined[node]
+
+        def probe(parent: int, max_route_len: Optional[int] = None):
+            return find_child(parent, eligible, max_route_len)
+
+        return probe
+
+
+#: ``probe(parent, max_route_len=None) -> Optional[Allocation]``.
+Probe = Callable[..., Optional[Allocation]]
+
 
 class DirectAllocationGraph(AllocationGraph):
     """Allocator for direct networks: children are physical neighbors."""
@@ -366,6 +435,13 @@ class IndirectAllocationGraph(AllocationGraph):
     switches through remaining switch-to-switch capacity.  All capacity on
     the successful path — node-to-switch, the traversed switch-to-switch
     links, and the final switch-to-node link — is consumed.
+
+    A route limit of ``L`` links admits ejection from switches at most
+    ``L - 2`` levels from the start switch, so a bounded search is a
+    prefix of the unbounded one.  :meth:`turn` exploits that: one
+    resumable search per (parent, uplink) answers every rung of the
+    route-limit ladder within a turn, extended level by level as the
+    limit grows.
     """
 
     def find_child(
@@ -374,49 +450,99 @@ class IndirectAllocationGraph(AllocationGraph):
         eligible: Callable[[int], bool],
         max_route_len: Optional[int] = None,
     ) -> Optional[Allocation]:
-        topo = self.topology
-        attach_keys = [
-            (parent, v)
-            for v in topo.neighbors_cached(parent)
-            if topo.is_switch(v)
-        ]
-        for first_key in attach_keys:
-            if self.remaining(first_key) <= 0:
-                continue
-            start_switch = first_key[1]
-            # BFS over the switch graph with per-path capacity feasibility.
-            frontier: List[Tuple[int, List[LinkKey]]] = [(start_switch, [first_key])]
-            visited = {start_switch}
-            while frontier:
-                next_frontier: List[Tuple[int, List[LinkKey]]] = []
-                for switch, path in frontier:
-                    if max_route_len is not None and len(path) + 1 > max_route_len:
-                        continue
-                    child = self._eject(switch, path, eligible)
-                    if child is not None:
-                        route = path + [(switch, child)]
-                        for key in route:
-                            self._consume(key)
-                        return Allocation(parent, child, route)
-                    for nxt in topo.neighbors_cached(switch):
-                        if not topo.is_switch(nxt) or nxt in visited:
-                            continue
-                        key = (switch, nxt)
-                        if self.remaining(key) - path.count(key) > 0:
-                            visited.add(nxt)
-                            next_frontier.append((nxt, path + [key]))
-                frontier = next_frontier
-        return None
+        joined = bytearray(
+            not eligible(node) for node in range(self.topology.num_nodes)
+        )
+        return self.turn(joined)(parent, max_route_len)
 
-    def _eject(
-        self, switch: int, path: List[LinkKey], eligible: Callable[[int], bool]
-    ) -> Optional[int]:
-        topo = self.topology
-        for child in topo.neighbors_cached(switch):
-            if topo.is_switch(child):
-                continue
-            if not eligible(child):
-                continue
-            if self.remaining((switch, child)) > 0:
-                return child
-        return None
+    def turn(self, joined: Sequence[int]) -> Probe:
+        capacity = self._capacity
+        uplinks, down, across = self.topology.switch_tables()
+        unbounded = self.topology.num_switches  # deeper than any BFS level
+        searches: Dict[LinkKey, _SwitchSearch] = {}  # by uplink key
+
+        def probe(
+            parent: int, max_route_len: Optional[int] = None
+        ) -> Optional[Allocation]:
+            deepest = unbounded if max_route_len is None else max_route_len - 2
+            for first_key, start in uplinks[parent]:
+                if capacity[first_key] <= 0:
+                    continue  # uplink spent for this step
+                search = searches.get(first_key)
+                if search is None:
+                    search = searches[first_key] = _SwitchSearch(start)
+                prev = search.prev
+                while search.level:
+                    if not search.scanned:
+                        if search.depth > deepest:
+                            break
+                        for switch in search.level:
+                            for key, node in down[switch]:
+                                if capacity[key] > 0 and not joined[node]:
+                                    return self._commit(
+                                        parent, first_key, prev, switch, key, node
+                                    )
+                        search.scanned = True
+                    if search.depth >= deepest:
+                        break  # the next level is beyond this rung
+                    nxt = []
+                    for switch in search.level:
+                        for key, other in across[switch]:
+                            if other not in prev and capacity[key] > 0:
+                                prev[other] = switch
+                                nxt.append(other)
+                    search.level = nxt
+                    search.depth += 1
+                    search.scanned = False
+            return None
+
+        return probe
+
+    def _commit(
+        self,
+        parent: int,
+        first_key: LinkKey,
+        prev: Dict[int, int],
+        switch: int,
+        eject_key: LinkKey,
+        child: int,
+    ) -> Allocation:
+        """Consume the route ending at ``switch -> child`` and return it."""
+        hops = [eject_key]
+        at = switch
+        before = prev[at]
+        while before >= 0:
+            hops.append((before, at))
+            at = before
+            before = prev[at]
+        hops.append(first_key)
+        hops.reverse()
+        capacity = self._capacity
+        for key in hops:
+            capacity[key] -= 1
+        # Only the first hop leaves a node, so only the parent can have
+        # just spent its last uplink.
+        if capacity[first_key] <= 0 and all(
+            capacity[key] <= 0
+            for key, _switch in self.topology.switch_tables().uplinks[parent]
+        ):
+            self.spent[parent] = 1
+        return Allocation(parent, child, hops)
+
+
+class _SwitchSearch:
+    """One uplink's breadth-first switch search, resumable across rungs.
+
+    ``level`` holds the switches ``depth`` hops from the start switch,
+    ``scanned`` records that none of them can eject a child, and ``prev``
+    maps every visited switch to its BFS predecessor (``-1`` for the
+    start): the visited set and every path, as parent pointers.
+    """
+
+    __slots__ = ("level", "depth", "scanned", "prev")
+
+    def __init__(self, start: int) -> None:
+        self.level = [start]
+        self.depth = 0
+        self.scanned = False
+        self.prev = {start: -1}

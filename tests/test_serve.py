@@ -1,5 +1,6 @@
 """repro.serve: planner frontiers, prediction service, trace replay."""
 
+import http.client
 import json
 import threading
 import time
@@ -287,6 +288,30 @@ class TestHTTPEndpoints:
         assert payload["source"] == "cache"
         assert payload["scenario"] == self.WARM
         assert payload["time"] > 0 and payload["bandwidth"] > 0
+
+    def test_keep_alive_requests_do_not_stall(self, live_server):
+        # Headers and body leave in separate writes; with Nagle on, the
+        # body of a later keep-alive response waits out the client's
+        # 40 ms delayed ACK.
+        base, service = live_server
+        service.predict(Scenario.parse(self.WARM), block=True)
+        host, port = base[len("http://"):].split(":")
+        path = "/predict?scenario=" + quote(self.WARM, safe="")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            elapsed = []
+            for _ in range(3):
+                start = time.perf_counter()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                elapsed.append(time.perf_counter() - start)
+                assert response.status == 200 and body["source"] == "cache"
+        finally:
+            conn.close()
+        # The first request warms the connection; the two after it are the
+        # sequential keep-alive pair.
+        assert max(elapsed[1:]) < 0.025, elapsed
 
     def test_predict_cold_202_then_eventual_hit(self, live_server):
         base, service = live_server

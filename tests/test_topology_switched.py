@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench import reference_build_trees
+from repro.collectives import build_trees
 from repro.topology import BiGraph, FatTree
-from repro.topology.base import IndirectAllocationGraph
+from repro.topology.base import IndirectAllocationGraph, Topology
 
 
 class TestFatTreeStructure:
@@ -155,3 +157,83 @@ class TestIndirectAllocation:
         found = alloc.find_child(0, lambda c: c != 0)
         assert found is not None
         assert len(found.route) == 2
+
+
+class DualHomed(Topology):
+    """Four nodes on three switches; node 0 has two uplinks.
+
+    Node 0 attaches to S1 (first uplink) and S2 (second), node 1 to S1,
+    node 2 to S2 and node 3 to S3; S1 and S2 each link to S3.  From node
+    0, node 2 is a 2-link route through the second uplink while node 3 is
+    only reachable by a 3-link route, through either uplink.
+    """
+
+    S1, S2, S3 = 4, 5, 6
+
+    def __init__(self):
+        super().__init__(4, "dual-homed")
+        for node, switch in ((0, self.S1), (0, self.S2), (1, self.S1),
+                             (2, self.S2), (3, self.S3)):
+            self._add_bidirectional(node, switch)
+        self._add_bidirectional(self.S1, self.S3)
+        self._add_bidirectional(self.S2, self.S3)
+
+    @property
+    def num_switches(self):
+        return 3
+
+    def allocation_graph(self):
+        return IndirectAllocationGraph(self)
+
+
+class TestMultiHomedAllocation:
+    S1, S2, S3 = DualHomed.S1, DualHomed.S2, DualHomed.S3
+
+    def test_tables_split_by_vertex_kind(self):
+        tables = DualHomed().switch_tables()
+        assert tables.uplinks[0] == (((0, self.S1), self.S1),
+                                     ((0, self.S2), self.S2))
+        assert tables.down[self.S3] == (((self.S3, 3), 3),)
+        assert tables.across[self.S3] == (((self.S3, self.S1), self.S1),
+                                          ((self.S3, self.S2), self.S2))
+
+    def test_short_rung_met_through_second_uplink(self):
+        alloc = DualHomed().allocation_graph()
+        found = alloc.find_child(0, lambda c: c in (2, 3), 2)
+        assert found.child == 2
+        assert found.route == [(0, self.S2), (self.S2, 2)]
+
+    def test_unbounded_search_keeps_uplink_order(self):
+        # The first uplink's whole search runs before the second's, so
+        # its long route wins over the second uplink's short one.
+        alloc = DualHomed().allocation_graph()
+        found = alloc.find_child(0, lambda c: c in (2, 3))
+        assert found.child == 3
+        assert found.route == [(0, self.S1), (self.S1, self.S3), (self.S3, 3)]
+
+    def test_turn_resumes_each_uplink_in_order_across_rungs(self):
+        # Node 3 is reachable in 3 links through either uplink.  After
+        # the shared rung-2 pass fails, rung 3 must extend the first
+        # uplink's search before the second's.
+        alloc = DualHomed().allocation_graph()
+        probe = alloc.turn(bytearray([1, 1, 1, 0]))
+        assert probe(0, 2) is None
+        found = probe(0, 3)
+        assert found.route == [(0, self.S1), (self.S1, self.S3), (self.S3, 3)]
+        assert alloc.remaining((0, self.S1)) == 0
+        assert alloc.remaining((0, self.S2)) == 1
+
+    def test_spent_marks_parent_after_last_uplink(self):
+        alloc = DualHomed().allocation_graph()
+        alloc.find_child(0, lambda c: c == 2)
+        assert not alloc.spent[0]  # the first uplink is still free
+        alloc.find_child(0, lambda c: c == 3)
+        assert alloc.spent[0]
+        assert alloc.find_child(0, lambda c: c != 0) is None
+
+    @pytest.mark.parametrize("priority", ["root-id", "most-remaining"])
+    def test_construction_matches_seed(self, priority):
+        fast, fast_tot = build_trees(DualHomed(), priority)
+        ref, ref_tot = reference_build_trees(DualHomed(), priority)
+        assert fast_tot == ref_tot
+        assert [t.edges for t in fast] == [t.edges for t in ref]
