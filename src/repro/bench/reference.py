@@ -10,6 +10,8 @@ shipped before the fast-path overhaul:
 * :func:`reference_run` — the simulator inner loop with per-hop
   ``topo.link()`` lookups, unconditional channel argmin, and the separate
   sum/max passes for the ideal delivery time;
+* :func:`reference_dep_structure` — the dependents-CSR loop the array
+  engines' ``dep_structure`` replaced with array ops;
 * :func:`reference_dependency_lists` / :func:`reference_step_estimates` /
   :func:`reference_step_gates` / :func:`reference_build_messages` /
   :func:`reference_simulate_allreduce` — the uncached schedule-lowering
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -292,6 +294,33 @@ def reference_dependency_lists(schedule: Schedule) -> List[List[int]]:
                         found.add(idx)
         deps.append(sorted(found))
     return deps
+
+
+def reference_dep_structure(
+    dep_off: Sequence[int], dep_val: Sequence[int]
+) -> Tuple[List[int], List[int], List[int]]:
+    """Seed dependents-CSR construction: a per-entry Python loop.
+
+    The array engines' :func:`repro.network.lockstep_engine.dep_structure`
+    builds the same ``(dependents_off, dependents_val, dep_counts)``
+    triple with ``bincount``/``cumsum``/stable ``argsort``.
+    """
+    n = len(dep_off) - 1
+    counts = [dep_off[i + 1] - dep_off[i] for i in range(n)]
+    fanout = [0] * n
+    for dep in dep_val:
+        fanout[dep] += 1
+    dd_off = [0] * (n + 1)
+    for i in range(n):
+        dd_off[i + 1] = dd_off[i] + fanout[i]
+    cursor = list(dd_off)
+    dd_val = [0] * len(dep_val)
+    for idx in range(n):
+        for k in range(dep_off[idx], dep_off[idx + 1]):
+            dep = dep_val[k]
+            dd_val[cursor[dep]] = idx
+            cursor[dep] += 1
+    return dd_off, dd_val, counts
 
 
 def reference_step_estimates(

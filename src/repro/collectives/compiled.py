@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..metrics.registry import get_registry
 from ..topology.base import LinkKey, Topology, topology_fingerprint
 
 #: Format tag embedded in every serialized compiled schedule.  Bump when
@@ -88,6 +89,7 @@ class CompiledSchedule:
         "ser_profile",
         "metadata",
         "_route_csr",
+        "_active",
         "_groups",
         "_dep_struct",
         "_frac_floats",
@@ -135,6 +137,7 @@ class CompiledSchedule:
         self.ser_profile = ser_profile
         self.metadata = dict(metadata) if metadata else {}
         self._route_csr: Optional[List[int]] = None
+        self._active: Optional[Dict[int, int]] = None
         self._groups: Optional[List[List[int]]] = None
         self._dep_struct = None
         self._frac_floats = None
@@ -230,13 +233,44 @@ class CompiledSchedule:
 
     def step_gates(self, data_bytes: float, flow_control) -> Dict[int, float]:
         """Earliest lockstep injection time per step (§IV-A)."""
+        from ..ni.lockstep import lockstep_gates
+
         est = self.step_estimates(data_bytes, flow_control)
-        gates: Dict[int, float] = {}
-        clock = 0.0
-        for step in range(1, self.num_steps + 1):
-            gates[step] = clock
-            clock += est.get(step, 0.0)
+        return lockstep_gates(self.num_steps, est)[0]
+
+    def _gates(self, data_bytes: float, flow_control) -> Dict[int, float]:
+        """:meth:`step_gates` plus the ``lockstep.*`` metrics the ni
+        layer's :func:`~repro.ni.lockstep.step_gates` records."""
+        from ..ni.lockstep import lockstep_gates, record_gate_metrics
+
+        est = self.step_estimates(data_bytes, flow_control)
+        gates, span = lockstep_gates(self.num_steps, est)
+        registry = get_registry()
+        if registry is not None:
+            record_gate_metrics(
+                registry, self.topology, self.algorithm, self.num_steps,
+                self._active_nodes_per_step(), est, span,
+            )
         return gates
+
+    def _active_nodes_per_step(self) -> Dict[int, int]:
+        """Nodes sending or receiving per step (NOP stalls), memoized."""
+        import numpy as np
+
+        active = self._active
+        if active is None:
+            steps = np.asarray(self.steps, dtype=np.int64)
+            ends = np.concatenate((
+                np.asarray(self.srcs, dtype=np.int64),
+                np.asarray(self.dsts, dtype=np.int64),
+            ))
+            width = int(ends.max()) + 1 if len(ends) else 1
+            pairs = np.unique(np.concatenate((steps, steps)) * width + ends)
+            step_ids, counts = np.unique(pairs // width, return_counts=True)
+            active = self._active = dict(
+                zip(step_ids.tolist(), counts.tolist())
+            )
+        return active
 
     def build_messages(
         self,
@@ -253,7 +287,7 @@ class CompiledSchedule:
         """
         from ..network.simulator import Message
 
-        gates = self.step_gates(data_bytes, flow_control) if lockstep else {}
+        gates = self._gates(data_bytes, flow_control) if lockstep else {}
         frac_floats = self.frac_floats
         steps = self.steps
         routes = self.routes
@@ -280,9 +314,21 @@ class CompiledSchedule:
             id_of = table.id_of
             remap = [id_of[key] for key in self.links]
             route_val = self._route_csr = [
-                remap[v] for v in self.route_val
+                remap[v] for v in _column_list(self.route_val)
             ]
         return route_val
+
+    def _dep_structure(self):
+        """The memoized :func:`~repro.network.lockstep_engine.dep_structure`
+        triple of this schedule's dependency CSR."""
+        dep_struct = self._dep_struct
+        if dep_struct is None:
+            from ..network.lockstep_engine import dep_structure
+
+            dep_struct = self._dep_struct = dep_structure(
+                self.dep_off, self.dep_val
+            )
+        return dep_struct
 
     def _step_groups(self) -> List[List[int]]:
         """Op indices grouped per step, ascending step order.
@@ -319,16 +365,23 @@ class CompiledSchedule:
 
         Bit-identical to
         :func:`repro.ni.injector.simulate_allreduce` on the schedule this
-        was compiled from, for every engine.  ``engine="lockstep"`` (the
-        default here — the artifact path exists for speed) feeds the
-        step-level engine directly from the compiled arrays, skipping
-        :class:`Message` allocation entirely, and drops to the
-        heap-ordered array engine (:func:`run_indexed`, equally exact)
-        when step-level grouping would diverge; ``engine="lockstep-vec"``
-        runs the numpy engine of :mod:`repro.network.lockstep_vec` (a
-        one-column batch) with the same scalar ladder as its fallback;
-        ``engine="event"``, a ``recorder``, or ``lockstep=False`` route
-        through the ordinary simulator.
+        was compiled from, for every engine.  Lockstep-gated runs without
+        a ``recorder`` never build :class:`Message` objects:
+
+        * ``engine="event"`` runs the array heap
+          (:func:`~repro.network.lockstep_engine.run_indexed`), the event
+          engine's processing order and arithmetic over the CSR arrays;
+        * ``engine="lockstep"`` (the default here) runs the step-level
+          engine over the same arrays and drops to the array heap when
+          step-level grouping would diverge;
+        * ``engine="lockstep-vec"`` runs the numpy engine of
+          :mod:`repro.network.lockstep_vec` (a one-column batch) with the
+          ``lockstep`` ladder above as its fallback.
+
+        Both scalar engines emit the spans and metrics of the message
+        path (see :func:`~repro.network.lockstep_engine.run_arrays`).  A
+        ``recorder`` or ``lockstep=False`` lowers to messages and runs
+        the ordinary simulator (the object heap for ``event``).
         """
         from ..network.flowcontrol import DEFAULT_FLOW_CONTROL
         from ..network.simulator import NetworkSimulator
@@ -346,69 +399,66 @@ class CompiledSchedule:
                 scheduling_overhead, keep_timings=True,
             )
             return batch.results[0]
-        if engine == "lockstep" and lockstep and recorder is None:
-            import numpy as np
-
-            from ..network.lockstep_engine import (
-                _result_from_arrays,
-                dep_structure,
-                link_table,
-                run_grouped,
-                run_indexed,
+        if engine in ("event", "lockstep") and lockstep and recorder is None:
+            return AllReduceResult(
+                self, data_bytes,
+                self._run_arrays(
+                    data_bytes, flow_control, scheduling_overhead, engine
+                ),
             )
-
-            table = link_table(self.topology)
-            gates = self.step_gates(data_bytes, flow_control)
-            steps = self.steps
-            # Payload scaling and gate lookup vectorize: float64 multiply
-            # is IEEE-identical to the scalar product the injector
-            # computes, and the gate gather copies floats untouched.
-            frac_arr = self._frac_arr
-            if frac_arr is None:
-                frac_arr = self._frac_arr = np.asarray(
-                    self.frac_floats, dtype=np.float64
-                )
-                self._steps_arr = np.asarray(steps, dtype=np.intp)
-            payloads = (frac_arr * data_bytes).tolist()
-            gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
-            for step, gate in gates.items():
-                gate_vec[step] = gate
-            gate_arr = gate_vec[self._steps_arr].tolist()
-            overhead = [scheduling_overhead] * len(steps)
-            route_val = self._table_route_val(table)
-            dep_struct = self._dep_struct
-            if dep_struct is None:
-                dep_struct = self._dep_struct = dep_structure(
-                    self.dep_off, self.dep_val
-                )
-            raw = run_grouped(
-                table,
-                flow_control,
-                self._step_groups(),
-                payloads,
-                self.route_off,
-                route_val,
-                dep_struct,
-                gate_arr,
-                overhead,
-            )
-            if raw is None:
-                # Step-level grouping would diverge from the event order
-                # (deliveries overrun a later gate); run the heap-ordered
-                # engine over the same arrays instead — exact by
-                # construction and still free of Message allocation.
-                raw = run_indexed(
-                    table, flow_control, payloads, self.route_off,
-                    route_val, dep_struct, gate_arr, overhead,
-                )
-            result = _result_from_arrays(table, raw)
-            return AllReduceResult(self, data_bytes, result)
         messages = self.build_messages(
             data_bytes, flow_control, lockstep, scheduling_overhead
         )
         sim = NetworkSimulator(self.topology, flow_control)
         return AllReduceResult(
             self, data_bytes, sim.run(messages, recorder, engine=engine)
+        )
+
+    def _run_arrays(self, data_bytes, flow_control, scheduling_overhead,
+                    engine, observed=True):
+        """One lockstep-gated ``event``/``lockstep`` run over the arrays.
+
+        ``observed=False`` records no spans or metrics: the vectorized
+        batch's per-size fallback, whose declines the batch counts itself.
+        """
+        import numpy as np
+
+        from ..network.lockstep_engine import link_table, run_arrays
+
+        table = link_table(self.topology)
+        if observed:
+            gates = self._gates(data_bytes, flow_control)
+        else:
+            gates = self.step_gates(data_bytes, flow_control)
+        # Payload scaling and gate lookup vectorize: float64 multiply
+        # is IEEE-identical to the scalar product the injector
+        # computes, and the gate gather copies floats untouched.
+        frac_arr = self._frac_arr
+        if frac_arr is None:
+            frac_arr = self._frac_arr = np.asarray(
+                self.frac_floats, dtype=np.float64
+            )
+            self._steps_arr = np.asarray(self.steps, dtype=np.intp)
+        payloads = (frac_arr * data_bytes).tolist()
+        gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
+        for step, gate in gates.items():
+            gate_vec[step] = gate
+        gate_arr = gate_vec[self._steps_arr].tolist()
+        # A plain-list view per run: the engines index it per message, and
+        # a memoized copy would pin ~300 KiB per 64-node MultiTree.
+        route_off = _column_list(self.route_off)
+        return run_arrays(
+            self.topology,
+            flow_control,
+            engine,
+            self._step_groups(),
+            payloads,
+            route_off,
+            self._table_route_val(table),
+            self._dep_structure(),
+            gate_arr,
+            [scheduling_overhead] * len(payloads),
+            observed=observed,
         )
 
     def simulate_batch(

@@ -38,18 +38,32 @@ intra-step dependencies, or deliveries that overrun a later step's gate
 enough to reorder processing across steps), the functions here return
 ``None`` and the caller falls back to the event engine, which remains the
 semantic reference.  :meth:`repro.network.simulator.NetworkSimulator.run`
-does this automatically for ``engine="lockstep"``.
+does this automatically for ``engine="lockstep"``.  Lockstep-gated
+compiled runs without a recorder never lower to messages:
+:func:`run_arrays` walks the same ladder over their CSR arrays, with
+:func:`run_indexed` — the event engine's heap on flat arrays — as both
+the compiled ``event`` engine and the fallback.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import obs
+from ..metrics.registry import get_registry
 from ..topology.base import Topology
 from .flowcontrol import FlowControl
 from .links import LinkTable, link_table
-from .simulator import Message, MessageTiming, SimulationResult
+from .simulator import (
+    Message,
+    MessageTiming,
+    SimulationResult,
+    record_run_metrics,
+)
 
 __all__ = [
     "DepStructure",
@@ -58,6 +72,7 @@ __all__ = [
     "dep_structure",
     "flatten_lists",
     "link_table",
+    "run_arrays",
     "run_grouped",
     "run_indexed",
     "run_lockstep",
@@ -91,23 +106,28 @@ def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructur
     triple across simulations (see
     :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).  The
     counts list is never mutated by the engines; they copy it per run.
+
+    Built with array ops: a stable sort of the dependency values keeps
+    each dependency's waiters in message-index order (a repeated
+    dependency keeps both entries), so the triple ``==`` the seed's
+    per-entry loop (``bench/reference.py:reference_dep_structure``).
+    ``dependents_val`` is gathered from an object array of the message
+    ids, so like the seed it holds one shared ``int`` per waiting
+    message rather than one per entry — the triple is memoized per
+    schedule, and per-entry ints cost ~1 MiB more on a 64-node
+    switched-fabric MultiTree.
     """
-    n = len(dep_off) - 1
-    counts = [dep_off[i + 1] - dep_off[i] for i in range(n)]
-    fanout = [0] * n
-    for dep in dep_val:
-        fanout[dep] += 1
-    dd_off = [0] * (n + 1)
-    for i in range(n):
-        dd_off[i + 1] = dd_off[i] + fanout[i]
-    cursor = list(dd_off)
-    dd_val = [0] * len(dep_val)
-    for idx in range(n):
-        for k in range(dep_off[idx], dep_off[idx + 1]):
-            dep = dep_val[k]
-            dd_val[cursor[dep]] = idx
-            cursor[dep] += 1
-    return dd_off, dd_val, counts
+    off = np.asarray(dep_off, dtype=np.intp)
+    val = np.asarray(dep_val, dtype=np.intp)
+    n = len(off) - 1
+    counts = np.diff(off)
+    dd_off = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(val, minlength=n), out=dd_off[1:])
+    owners = np.repeat(np.arange(n, dtype=np.intp), counts)
+    ids = np.empty(n, dtype=object)
+    ids[:] = range(n)
+    dd_val = ids[owners[np.argsort(val, kind="stable")]].tolist()
+    return dd_off.tolist(), dd_val, counts.tolist()
 
 
 class LazyTimings:
@@ -142,6 +162,23 @@ class LazyTimings:
 
     def __len__(self) -> int:
         return len(self._ready)
+
+    def queue_delays(self) -> List[float]:
+        """Per-message ``deliver - ideal_deliver``, without the objects."""
+        return list(map(sub, self._deliver, self._ideal))
+
+    def max_queue_delay(self) -> float:
+        """``max(t.queue_delay for t in self)`` as one float64 pass.
+
+        The same IEEE subtract per message, then a max; ``0.0`` for no
+        messages.  Returns a Python ``float`` — cache entries and serve
+        bodies compare by ``repr``.
+        """
+        if not len(self._deliver):
+            return 0.0
+        deliver = np.asarray(self._deliver, dtype=np.float64)
+        ideal = np.asarray(self._ideal, dtype=np.float64)
+        return float(np.max(deliver - ideal))
 
     def __getitem__(self, index):
         return self._materialize()[index]
@@ -472,6 +509,89 @@ def _result_from_arrays(table: LinkTable, raw) -> SimulationResult:
         link_busy=link_busy,
         total_wire_bytes=total_wire,
     )
+
+
+def run_arrays(
+    topology: Topology,
+    flow_control: FlowControl,
+    engine: str,
+    groups: Sequence[Sequence[int]],
+    payloads: Sequence[float],
+    route_off: Sequence[int],
+    route_val: Sequence[int],
+    dep_struct: DepStructure,
+    not_before: Sequence[float],
+    receive_overhead: Sequence[float],
+    observed: bool = True,
+) -> SimulationResult:
+    """The ``event``/``lockstep`` ladder over lockstep-gated CSR arrays.
+
+    ``engine="event"`` runs :func:`run_indexed` — the event engine's
+    processing order and arithmetic on the array heap.
+    ``engine="lockstep"`` tries :func:`run_grouped` over ``groups`` first
+    and drops to :func:`run_indexed` when step-level grouping would
+    diverge.  Spans and metrics are those
+    :meth:`repro.network.simulator.NetworkSimulator.run` emits for the
+    same engine: ``sim.run`` with its ``engine.*`` rung spans,
+    ``sim.engine_runs``, the counted ``lockstep`` decline, and the
+    :func:`~repro.network.simulator.record_run_metrics` family.  With
+    neither a metrics registry nor an obs recorder active, the only
+    extra work is two no-op span entries; ``observed=False`` skips the
+    telemetry entirely.
+    """
+    table = link_table(topology)
+    topology_name = topology.name
+    span = obs.span if observed else _unobserved_span
+    registry = get_registry() if observed else None
+    with span(
+        "sim.run",
+        topology=topology_name,
+        engine=engine,
+        messages=len(payloads),
+    ) as run_span:
+        raw = None
+        resolved = "event"
+        if engine == "lockstep":
+            with span("engine.lockstep", topology=topology_name) as rung:
+                raw = run_grouped(
+                    table, flow_control, groups, payloads, route_off,
+                    route_val, dep_struct, not_before, receive_overhead,
+                )
+                if raw is None and observed:
+                    obs.record_fallback(
+                        "lockstep", "step-overlap", topology=topology_name
+                    )
+                rung.set("accepted", raw is not None)
+            if raw is not None:
+                resolved = "lockstep"
+            elif registry is not None:
+                registry.counter(
+                    "sim.lockstep_fallbacks", topology=topology_name
+                ).inc()
+        if raw is None:
+            with span("engine.event", topology=topology_name):
+                raw = run_indexed(
+                    table, flow_control, payloads, route_off, route_val,
+                    dep_struct, not_before, receive_overhead,
+                )
+        result = _result_from_arrays(table, raw)
+        if registry is not None:
+            registry.counter(
+                "sim.engine_runs", engine=resolved, topology=topology_name
+            ).inc()
+            record_run_metrics(
+                registry, topology, flow_control,
+                zip(payloads, map(sub, route_off[1:], route_off[:-1])),
+                result,
+            )
+        run_span.set("resolved", resolved)
+        run_span.set("finish_time", result.finish_time)
+        return result
+
+
+def _unobserved_span(name: str, **attrs: object):
+    """:func:`repro.obs.span`'s stand-in for an unobserved run."""
+    return nullcontext(obs.NULL_SPAN)
 
 
 def run_lockstep(

@@ -582,6 +582,7 @@ def _run_batch(
     keep_timings: bool,
 ) -> BatchResult:
     from ..network.flowcontrol import DEFAULT_FLOW_CONTROL
+    from ..ni.injector import AllReduceResult
 
     if flow_control is None:
         flow_control = DEFAULT_FLOW_CONTROL
@@ -659,8 +660,6 @@ def _run_batch(
                 engine="lockstep-vec",
             )
             if keep_timings:
-                from ..ni.injector import AllReduceResult
-
                 results.append(AllReduceResult(
                     compiled, size,
                     _column_result(table, ready, timings, finish, busy,
@@ -679,10 +678,18 @@ def _run_batch(
             obs.record_fallback(
                 "lockstep-vec", reason, topology=topo, size=size
             )
-            outcome = compiled.simulate(
-                size, flow_control, lockstep, scheduling_overhead,
-                engine="lockstep",
-            )
+            if lockstep:
+                # The batch counts this decline itself; the scalar rerun
+                # adds no spans or metrics of its own.
+                outcome = AllReduceResult(compiled, size, compiled._run_arrays(
+                    size, flow_control, scheduling_overhead, "lockstep",
+                    observed=False,
+                ))
+            else:
+                outcome = compiled.simulate(
+                    size, flow_control, lockstep, scheduling_overhead,
+                    engine="lockstep",
+                )
             point = BatchPoint(
                 data_bytes=size,
                 time=outcome.time,
@@ -752,8 +759,6 @@ def _compiled_plan(compiled):
     """
     plan = compiled._vec_plan
     if plan is None:
-        from ..network.lockstep_engine import dep_structure as _dep_structure
-
         table = link_table(compiled.topology)
         plan = _try_range_plan(compiled, table)
         if plan is None:
@@ -762,14 +767,9 @@ def _compiled_plan(compiled):
             except KeyError:
                 compiled._vec_plan = False
                 return None
-            dep_struct = compiled._dep_struct
-            if dep_struct is None:
-                dep_struct = compiled._dep_struct = _dep_structure(
-                    compiled.dep_off, compiled.dep_val
-                )
             plan = build_plan(
                 compiled._step_groups(), compiled.route_off, route_val,
-                dep_struct, table,
+                compiled._dep_structure(), table,
             )
         compiled._vec_plan = plan
     return plan if plan is not False else None

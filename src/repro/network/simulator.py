@@ -22,7 +22,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import obs
 from ..metrics.registry import get_registry
@@ -83,7 +91,19 @@ class SimulationResult:
     total_wire_bytes: float
 
     def max_queue_delay(self) -> float:
+        # The array engines' LazyTimings answer from their arrays, without
+        # materializing one MessageTiming per message.
+        fast = getattr(self.timings, "max_queue_delay", None)
+        if fast is not None:
+            return fast()
         return max((t.queue_delay for t in self.timings), default=0.0)
+
+    def queue_delays(self) -> List[float]:
+        """Per-message queueing delay, in message order."""
+        fast = getattr(self.timings, "queue_delays", None)
+        if fast is not None:
+            return fast()
+        return [t.queue_delay for t in self.timings]
 
     def link_utilization(self, topology: Topology) -> Dict[LinkKey, float]:
         """Busy fraction per link over the whole run (per unit channel).
@@ -415,40 +435,60 @@ class NetworkSimulator:
         messages: List[Message],
         result: SimulationResult,
     ) -> None:
-        """Fold one finished run into the ambient metrics registry.
+        record_run_metrics(
+            registry,
+            self.topology,
+            self.flow_control,
+            ((msg.payload_bytes, len(msg.route)) for msg in messages),
+            result,
+        )
 
-        Runs strictly after the event loop, on already-computed values, so
-        collection cannot perturb simulated timings.
-        """
-        topo_label = self.topology.name
-        fc = self.flow_control
-        labels = {"topology": topo_label, "flow": fc.name}
-        registry.counter("sim.runs", **labels).inc()
-        registry.counter("sim.messages", **labels).inc(len(messages))
-        registry.counter("sim.wire_bytes", **labels).inc(result.total_wire_bytes)
-        registry.counter("sim.link_busy_time", **labels).inc(
-            sum(result.link_busy.values())
-        )
-        registry.gauge("sim.finish_time", **labels).set(result.finish_time)
-        queue_hist = registry.histogram("sim.queue_delay", **labels)
-        queue_total = 0.0
-        for timing in result.timings:
-            delay = timing.queue_delay
-            if delay > 0:
-                queue_hist.observe(delay)
-                queue_total += delay
-        registry.counter("sim.queue_delay_time", **labels).inc(queue_total)
-        # Head-flit (framing) overhead actually put on wires: per distinct
-        # payload, overhead bytes x the number of hops that carried it.
-        hops_by_payload: Dict[float, int] = {}
-        for msg in messages:
-            if msg.route:
-                hops_by_payload[msg.payload_bytes] = (
-                    hops_by_payload.get(msg.payload_bytes, 0) + len(msg.route)
-                )
-        overhead = sum(
-            fc.overhead_bytes(payload) * hops
-            for payload, hops in hops_by_payload.items()
-        )
-        registry.counter("fc.overhead_bytes", flow=fc.name,
-                         topology=topo_label).inc(overhead)
+
+def record_run_metrics(
+    registry,
+    topology: Topology,
+    flow_control: FlowControl,
+    payload_hops: Iterable[Tuple[float, int]],
+    result: SimulationResult,
+) -> None:
+    """Fold one finished run into the ambient metrics registry.
+
+    ``payload_hops`` yields one ``(payload_bytes, hop count)`` pair per
+    message, in message order — from :class:`Message` objects or from
+    compiled CSR arrays alike, so both paths record identical values.
+    Runs strictly after the engine, on already-computed values, so
+    collection cannot perturb simulated timings.
+    """
+    fc = flow_control
+    topology_name = topology.name
+    labels = {"topology": topology_name, "flow": fc.name}
+    registry.counter("sim.runs", **labels).inc()
+    registry.counter("sim.messages", **labels).inc(len(result.timings))
+    registry.counter("sim.wire_bytes", **labels).inc(result.total_wire_bytes)
+    # Summed in link-table order, not dict order: the object heap fills
+    # ``link_busy`` in first-touch order and the array engines in
+    # link-table order, and float addition is order-sensitive.
+    busy_get = result.link_busy.get
+    registry.counter("sim.link_busy_time", **labels).inc(
+        sum(busy_get(key, 0.0) for key in link_table(topology).keys)
+    )
+    registry.gauge("sim.finish_time", **labels).set(result.finish_time)
+    queue_hist = registry.histogram("sim.queue_delay", **labels)
+    queue_total = 0.0
+    for delay in result.queue_delays():
+        if delay > 0:
+            queue_hist.observe(delay)
+            queue_total += delay
+    registry.counter("sim.queue_delay_time", **labels).inc(queue_total)
+    # Head-flit (framing) overhead actually put on wires: per distinct
+    # payload, overhead bytes x the number of hops that carried it.
+    hops_by_payload: Dict[float, int] = {}
+    for payload, hops in payload_hops:
+        if hops:
+            hops_by_payload[payload] = hops_by_payload.get(payload, 0) + hops
+    overhead = sum(
+        fc.overhead_bytes(payload) * hops
+        for payload, hops in hops_by_payload.items()
+    )
+    registry.counter("fc.overhead_bytes", flow=fc.name,
+                     topology=topology_name).inc(overhead)

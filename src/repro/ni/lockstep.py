@@ -14,7 +14,7 @@ work are covered by NOP entries of the same estimated duration).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..collectives.schedule import Schedule
 from ..metrics.registry import get_registry
@@ -80,36 +80,59 @@ def _active_nodes_per_step(schedule: Schedule) -> Dict[int, int]:
     return counts
 
 
+def lockstep_gates(
+    num_steps: int, est: Dict[int, float]
+) -> Tuple[Dict[int, float], float]:
+    """``(gates, span)``: each step's gate is the sum of earlier estimates."""
+    gates: Dict[int, float] = {}
+    clock = 0.0
+    for step in range(1, num_steps + 1):
+        gates[step] = clock
+        clock += est.get(step, 0.0)
+    return gates, clock
+
+
+def record_gate_metrics(
+    registry,
+    topology,
+    algorithm: str,
+    num_steps: int,
+    active: Dict[int, int],
+    est: Dict[int, float],
+    span: float,
+) -> None:
+    """The ``lockstep.*`` metrics of one gated run.
+
+    NOP stalls: node-steps spent idling at a lockstep gate while other
+    nodes' ops of the same step serialize (§IV-A footnote 4).  ``active``
+    maps each step to the number of nodes sending or receiving in it.
+    """
+    labels = {"topology": topology.name, "algorithm": algorithm}
+    num_nodes = topology.num_nodes
+    nop_steps = 0
+    nop_time = 0.0
+    for step in range(1, num_steps + 1):
+        idle = num_nodes - active.get(step, 0)
+        if idle > 0:
+            nop_steps += idle
+            nop_time += idle * est.get(step, 0.0)
+    registry.counter("lockstep.gated_runs", **labels).inc()
+    registry.counter("lockstep.steps", **labels).inc(num_steps)
+    registry.counter("lockstep.nop_stalls", **labels).inc(nop_steps)
+    registry.counter("lockstep.nop_stall_time", **labels).inc(nop_time)
+    registry.gauge("lockstep.span", **labels).set(span)
+
+
 def step_gates(
     schedule: Schedule, data_bytes: float, flow_control: FlowControl
 ) -> Dict[int, float]:
     """Earliest lockstep injection time per step."""
     est = step_estimates(schedule, data_bytes, flow_control)
-    gates: Dict[int, float] = {}
-    clock = 0.0
-    for step in range(1, schedule.num_steps + 1):
-        gates[step] = clock
-        clock += est.get(step, 0.0)
+    gates, span = lockstep_gates(schedule.num_steps, est)
     registry = get_registry()
     if registry is not None:
-        # NOP stalls: node-steps spent idling at a lockstep gate while
-        # other nodes' ops of the same step serialize (§IV-A footnote 4).
-        labels = {
-            "topology": schedule.topology.name,
-            "algorithm": schedule.algorithm,
-        }
-        active = _active_nodes_per_step(schedule)
-        num_nodes = schedule.topology.num_nodes
-        nop_steps = 0
-        nop_time = 0.0
-        for step in range(1, schedule.num_steps + 1):
-            idle = num_nodes - active.get(step, 0)
-            if idle > 0:
-                nop_steps += idle
-                nop_time += idle * est.get(step, 0.0)
-        registry.counter("lockstep.gated_runs", **labels).inc()
-        registry.counter("lockstep.steps", **labels).inc(schedule.num_steps)
-        registry.counter("lockstep.nop_stalls", **labels).inc(nop_steps)
-        registry.counter("lockstep.nop_stall_time", **labels).inc(nop_time)
-        registry.gauge("lockstep.span", **labels).set(clock)
+        record_gate_metrics(
+            registry, schedule.topology, schedule.algorithm,
+            schedule.num_steps, _active_nodes_per_step(schedule), est, span,
+        )
     return gates

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..analysis.metrics import BandwidthSweep, SweepPoint
-from ..collectives import build_schedule, compile_algorithm
+from ..collectives import compile_algorithm
 from ..collectives.schedule import Schedule
 from ..metrics.registry import MetricsRegistry, collecting, get_registry
 from ..network.flowcontrol import FlowControl, MessageBased, PacketBased
@@ -337,11 +337,14 @@ def run_job(
     cache: Optional[PredictionCache] = None,
     artifacts: Optional[ArtifactStore] = None,
 ) -> BandwidthSweep:
-    """Build the job's schedule (skipped if fully warm) and sweep it.
+    """Compile the job's schedule (skipped if fully warm) and sweep it.
 
-    With an ``artifacts`` store, schedule construction + lowering is
-    replaced by one compiled-artifact load per (topology, algorithm) —
-    a cold store compiles and persists the artifact for the next run.
+    The series compiles once (:func:`repro.collectives.compile_algorithm`)
+    and every engine simulates the compiled CSR arrays, so no per-message
+    object is built between the schedule and a point.  With an
+    ``artifacts`` store, the compile is replaced by one compiled-artifact
+    load per (topology, algorithm) — a cold store compiles and persists
+    the artifact for the next run.
     """
     with obs.span(
         "sweep.job",
@@ -380,14 +383,12 @@ def _run_job(job, cache, artifacts, job_span) -> BandwidthSweep:
                 )
             job_span.set("warm", True)
     if sweep is None:
+        # Every engine simulates the compiled CSR form, whose points ==
+        # the object path's (tests/test_array_heap.py).
         if artifacts is not None:
             schedule = artifacts.get_or_compile(topology, algorithm)
-        elif job.engine == "lockstep-vec":
-            # The batched fast path consumes the compiled CSR form, which
-            # gives points == the object IR (tests/test_streaming.py).
-            schedule = compile_algorithm(algorithm, topology)
         else:
-            schedule = build_schedule(algorithm, topology)
+            schedule = compile_algorithm(algorithm, topology)
         sweep = sweep_bandwidth_cached(
             schedule, job.sizes, fc, job.lockstep, cache, label, job.engine,
             keys=keys,
