@@ -75,7 +75,7 @@ from .metrics import (
 )
 from .metrics.report import run_report
 from .ni import build_schedule_tables, simulate_allreduce
-from .scenario import SCENARIO_HELP, Scenario
+from .scenario import ENGINES, SCENARIO_HELP, Scenario
 from .scenario import parse_size as _parse_size
 from .scenario import parse_sizes as _parse_sizes
 from .sweep import SweepStats, jobs_from_scenarios, run_sweep
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent prediction cache file (created if missing)",
     )
     p.add_argument(
-        "--engine", choices=("event", "lockstep", "lockstep-vec"),
+        "--engine", choices=ENGINES,
         default="event",
         help="simulation engine (lockstep: step-level fast path; "
              "lockstep-vec: vectorized batch fast path; both bit-identical, "
@@ -680,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
              "variant's own pairing)",
     )
     p.add_argument(
-        "--engine", choices=("event", "lockstep", "lockstep-vec"),
+        "--engine", choices=ENGINES,
         default="lockstep-vec",
         help="simulation engine for cold points (default lockstep-vec: "
              "batched vectorized evaluation of each size bucket)",
@@ -776,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="for --record: constrain flow control",
     )
     p.add_argument(
-        "--engine", choices=("event", "lockstep", "lockstep-vec"),
+        "--engine", choices=ENGINES,
         default="lockstep-vec",
         help="for --record: simulation engine",
     )

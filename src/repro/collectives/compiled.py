@@ -378,20 +378,35 @@ class CompiledSchedule:
           :mod:`repro.network.lockstep_vec` (a one-column batch) with the
           ``lockstep`` ladder above as its fallback.
 
-        Both scalar engines emit the spans and metrics of the message
-        path (see :func:`~repro.network.lockstep_engine.run_arrays`).  A
+        Both scalar engines emit the spans and metrics of the object heap
+        (see :func:`~repro.network.lockstep_engine.run_arrays`).  A
         ``recorder`` or ``lockstep=False`` lowers to messages and runs
-        the ordinary simulator (the object heap for ``event``).
+        the object heap
+        (:meth:`repro.network.simulator.NetworkSimulator.run`), whatever
+        the engine.
         """
         from ..network.flowcontrol import DEFAULT_FLOW_CONTROL
-        from ..network.simulator import NetworkSimulator
+        from ..network.simulator import NetworkSimulator, check_engine
         from ..ni.injector import AllReduceResult
 
+        check_engine(engine)
         if flow_control is None:
             flow_control = DEFAULT_FLOW_CONTROL
         if data_bytes <= 0:
             raise ValueError("data_bytes must be positive")
-        if engine == "lockstep-vec" and lockstep and recorder is None:
+        if not lockstep or recorder is not None:
+            messages = self.build_messages(
+                data_bytes, flow_control, lockstep, scheduling_overhead
+            )
+            if recorder is not None and lockstep:
+                gates = self.step_gates(data_bytes, flow_control)
+                for step in sorted(gates):
+                    recorder.step_gate(step, gates[step])
+            sim = NetworkSimulator(self.topology, flow_control)
+            return AllReduceResult(
+                self, data_bytes, sim.run(messages, recorder)
+            )
+        if engine == "lockstep-vec":
             from ..network.lockstep_vec import run_batch
 
             batch = run_batch(
@@ -399,19 +414,11 @@ class CompiledSchedule:
                 scheduling_overhead, keep_timings=True,
             )
             return batch.results[0]
-        if engine in ("event", "lockstep") and lockstep and recorder is None:
-            return AllReduceResult(
-                self, data_bytes,
-                self._run_arrays(
-                    data_bytes, flow_control, scheduling_overhead, engine
-                ),
-            )
-        messages = self.build_messages(
-            data_bytes, flow_control, lockstep, scheduling_overhead
-        )
-        sim = NetworkSimulator(self.topology, flow_control)
         return AllReduceResult(
-            self, data_bytes, sim.run(messages, recorder, engine=engine)
+            self, data_bytes,
+            self._run_arrays(
+                data_bytes, flow_control, scheduling_overhead, engine
+            ),
         )
 
     def _run_arrays(self, data_bytes, flow_control, scheduling_overhead,

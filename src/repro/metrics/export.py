@@ -37,10 +37,6 @@ _HELP_TEXT = {
     "sim.fallbacks": (
         "Engine declines by validation gate (engine/reason labels)."
     ),
-    "sim.lockstep_fallbacks": "Lockstep engine declines (legacy, unreasoned).",
-    "sim.lockstep_vec_fallbacks": (
-        "Vectorized engine declines (legacy, unreasoned)."
-    ),
     "fc.overhead_bytes": "Flow-control framing overhead bytes on wires.",
     "sweep.jobs": "Sweep jobs run.",
     "sweep.points": "Sweep points produced.",

@@ -18,7 +18,7 @@ from .flowcontrol import (
     MessageBased,
     PacketBased,
 )
-from .lockstep_engine import LinkTable, link_table, run_lockstep
+from .lockstep_engine import LinkTable, link_table
 from .simulator import Message, MessageTiming, NetworkSimulator, SimulationResult
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "frame_message",
     "frame_packets",
     "link_table",
-    "run_lockstep",
     "MESSAGE_FLOW_CONTROL",
     "FlowControl",
     "Message",

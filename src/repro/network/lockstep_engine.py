@@ -1,19 +1,22 @@
-"""Step-level lockstep simulation engine.
+"""Step-level lockstep engine and the array heap, over compiled CSR arrays.
 
-The event engine in :mod:`repro.network.simulator` resolves messages one
+The object heap in :mod:`repro.network.simulator` resolves messages one
 at a time off a global ready-time heap.  For *lockstep-gated* schedules
 (§IV-A) that generality is wasted: the per-step message set is fixed by
 the schedule, every dependency crosses a step boundary, and the lockstep
-gates order the steps in time.  This engine exploits that structure — it
-walks the steps in gate order and resolves each step's messages in one
-closed-form FIFO pass per link (sorted arrival order within the step),
-over flat integer-indexed arrays instead of heap tuples, dictionaries
-keyed by link tuples, and per-message dataclasses.
+gates order the steps in time.  :func:`run_grouped` exploits that
+structure — it walks the steps in gate order and resolves each step's
+messages in one closed-form FIFO pass per link (sorted arrival order
+within the step), over flat integer-indexed arrays instead of heap
+tuples, dictionaries keyed by link tuples, and per-message dataclasses.
 
-**Array-based hot state.**  Both engines here consume the per-message
-state as flat parallel arrays in CSR form: routes are ``(route_off,
-route_val)`` offset/value lists of dense link ids, and the dependency
-graph is the :func:`dep_structure` triple.  Beyond avoiding per-hop
+**Compiled arrays only.**  Both engines here run on the columns of a
+:class:`repro.collectives.compiled.CompiledSchedule`: routes are
+``(route_off, route_val)`` offset/value lists of dense link ids, and the
+dependency graph is the :func:`dep_structure` triple.  Message lists
+(:class:`~repro.network.simulator.Message`) never reach them — those
+run on the object heap, which is also the only engine that feeds a
+trace recorder.  Beyond avoiding per-hop
 dictionary lookups, the flat layout matters for sustained throughput:
 a 1024-node lowering holds millions of messages, and representing their
 routes/dependencies as millions of small lists makes every cyclic-GC
@@ -23,26 +26,23 @@ to the collector.
 
 **Exact equivalence.**  The event engine's outcome is fully determined by
 the order messages are *processed* — the heap pops ``(ready, push_seq)``
-pairs, and FIFO channel grants follow that order.  This engine reproduces
-that order exactly: it replays the heap's push-sequence numbering (initial
-pushes in message-index order, then wake-ups in processing order), sorts
-each step's messages by the same ``(ready, push_seq)`` key, and verifies
-at every step boundary that the per-step order is consistent with the
-global one.  Whenever the verification holds, every computed time — grant,
-injection, delivery, idle-network ideal — is produced by the identical
-sequence of floating-point operations, so results are bit-identical to
-the event engine, not merely close.
+pairs, and FIFO channel grants follow that order.  :func:`run_grouped`
+reproduces that order exactly: it replays the heap's push-sequence
+numbering (initial pushes in message-index order, then wake-ups in
+processing order), sorts each step's messages by the same
+``(ready, push_seq)`` key, and verifies at every step boundary that the
+per-step order is consistent with the global one.  Whenever the
+verification holds, every computed time — grant, injection, delivery,
+idle-network ideal — is produced by the identical sequence of
+floating-point operations, so results are bit-identical to the event
+engine, not merely close.
 
-**Fallback.**  When the message set is not lockstep-gated (no step gates,
-intra-step dependencies, or deliveries that overrun a later step's gate
-enough to reorder processing across steps), the functions here return
-``None`` and the caller falls back to the event engine, which remains the
-semantic reference.  :meth:`repro.network.simulator.NetworkSimulator.run`
-does this automatically for ``engine="lockstep"``.  Lockstep-gated
-compiled runs without a recorder never lower to messages:
-:func:`run_arrays` walks the same ladder over their CSR arrays, with
-:func:`run_indexed` — the event engine's heap on flat arrays — as both
-the compiled ``event`` engine and the fallback.
+**Fallback.**  When deliveries overrun a later step's gate enough to
+reorder processing across steps, :func:`run_grouped` returns ``None``.
+:func:`run_arrays` then runs :func:`run_indexed` — the event engine's
+heap on the same flat arrays, which is also the compiled ``event``
+engine — and counts the decline as
+``sim.fallbacks{engine="lockstep",reason="step-overlap"}``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from ..topology.base import Topology
 from .flowcontrol import FlowControl
 from .links import LinkTable, link_table
 from .simulator import (
-    Message,
     MessageTiming,
     SimulationResult,
     record_run_metrics,
@@ -70,30 +69,16 @@ __all__ = [
     "LazyTimings",
     "LinkTable",
     "dep_structure",
-    "flatten_lists",
     "link_table",
     "run_arrays",
     "run_grouped",
     "run_indexed",
-    "run_lockstep",
 ]
 
 #: ``(dependents_off, dependents_val, dep_counts)`` — CSR adjacency of
 #: "who waits on message i" plus the per-message unresolved-dependency
 #: counts.  See :func:`dep_structure`.
 DepStructure = Tuple[List[int], List[int], List[int]]
-
-
-def flatten_lists(lists: Sequence[Sequence[int]]) -> Tuple[List[int], List[int]]:
-    """``(offsets, values)`` CSR form of a list-of-int-lists."""
-    offsets = [0]
-    values: List[int] = []
-    append = offsets.append
-    extend = values.extend
-    for item in lists:
-        extend(item)
-        append(len(values))
-    return offsets, values
 
 
 def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructure:
@@ -213,15 +198,13 @@ def run_grouped(
     dep_struct: DepStructure,
     not_before: Sequence[float],
     receive_overhead: Sequence[float],
-    recorder=None,
-    messages: Optional[List[Message]] = None,
 ):
     """Core step-level loop over pre-grouped message indices.
 
     ``groups`` lists message indices per lockstep group, in ascending gate
     order; every dependency must resolve in a strictly earlier group (the
-    caller guarantees this — see :func:`run_lockstep` and
-    :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).
+    caller guarantees this — see
+    :meth:`repro.collectives.compiled.CompiledSchedule._step_groups`).
     Routes arrive as CSR dense-link-id arrays and the dependency graph as
     a :func:`dep_structure` triple — both payload-independent, so repeat
     callers memoize them.
@@ -230,16 +213,12 @@ def run_grouped(
     arrays, or ``None`` when processing the groups in order would diverge
     from the event engine's global ``(ready, push_seq)`` order — the
     caller must then fall back.
-
-    ``recorder`` requires ``messages`` (the original message objects) so
-    hop and completion events carry the same payload as the event engine's.
     """
     n = len(payloads)
     num_links = len(table.keys)
     bandwidth = table.bandwidth
     latency = table.latency
     capacity = table.capacity
-    keys = table.keys
 
     # Dependency bookkeeping — identical wake order to the event engine's.
     dd_off, dd_val, dep_counts = dep_struct
@@ -308,7 +287,6 @@ def run_grouped(
                 for k in range(r0, r1):
                     li = route_val[k]
                     if capacity[li] == 1:
-                        ch = 0
                         at = avail[li]
                         ser = wire / bandwidth[li]
                         grant = head if head >= at else at
@@ -323,8 +301,6 @@ def run_grouped(
                         grant = head if head >= at else at
                         pool[ch] = grant + ser
                     busy[li] += ser
-                    if recorder is not None:
-                        recorder.hop(idx, keys[li], ch, head, grant, ser)
                     if inj is None:
                         inj = grant
                     lat = latency[li]
@@ -337,13 +313,6 @@ def run_grouped(
             inject[idx] = inj
             deliver[idx] = dlv
             ideal[idx] = idl
-            if recorder is not None:
-                recorder.message_done(
-                    idx,
-                    messages[idx],
-                    MessageTiming(rd, inj, dlv, idl),
-                    wire,
-                )
             if dlv > finish:
                 finish = dlv
             processed += 1
@@ -564,10 +533,6 @@ def run_arrays(
                 rung.set("accepted", raw is not None)
             if raw is not None:
                 resolved = "lockstep"
-            elif registry is not None:
-                registry.counter(
-                    "sim.lockstep_fallbacks", topology=topology_name
-                ).inc()
         if raw is None:
             with span("engine.event", topology=topology_name):
                 raw = run_indexed(
@@ -592,75 +557,3 @@ def run_arrays(
 def _unobserved_span(name: str, **attrs: object):
     """:func:`repro.obs.span`'s stand-in for an unobserved run."""
     return nullcontext(obs.NULL_SPAN)
-
-
-def run_lockstep(
-    topology: Topology,
-    flow_control: FlowControl,
-    messages: List[Message],
-    recorder=None,
-) -> Optional[SimulationResult]:
-    """Step-level simulation of raw messages; ``None`` means fall back.
-
-    Messages are grouped by their ``not_before`` gate.  The set is
-    lockstep-gated when every dependency points into a strictly earlier
-    gate group — the shape :func:`repro.ni.injector.build_messages`
-    produces with ``lockstep=True``.
-    """
-    if not messages:
-        return SimulationResult(
-            finish_time=0.0, timings=[], link_busy={}, total_wire_bytes=0.0
-        )
-    topo = getattr(topology, "name", None)
-    gates = sorted({msg.not_before for msg in messages})
-    if len(gates) <= 1 and any(msg.deps for msg in messages):
-        # Ungated with dependencies: nothing step-level here.
-        obs.record_fallback("lockstep", "not-lockstep-gated", topology=topo)
-        return None
-    group_index = {gate: g for g, gate in enumerate(gates)}
-    group_of = [group_index[msg.not_before] for msg in messages]
-    groups: List[List[int]] = [[] for _ in gates]
-    for idx, msg in enumerate(messages):
-        g = group_of[idx]
-        for dep in msg.deps:
-            if group_of[dep] >= g:
-                # Intra-group dependency: not lockstep-gated.
-                obs.record_fallback(
-                    "lockstep", "not-lockstep-gated", topology=topo
-                )
-                return None
-        groups[g].append(idx)
-
-    table = link_table(topology)
-    id_of = table.id_of
-    route_off = [0]
-    route_val: List[int] = []
-    try:
-        for msg in messages:
-            for key in msg.route:
-                route_val.append(id_of[key])
-            route_off.append(len(route_val))
-    except KeyError:
-        # Route uses a link the topology does not declare.
-        obs.record_fallback("lockstep", "unknown-link", topology=topo)
-        return None
-    dep_off, dep_val = flatten_lists([msg.deps for msg in messages])
-    raw = run_grouped(
-        table,
-        flow_control,
-        groups,
-        [msg.payload_bytes for msg in messages],
-        route_off,
-        route_val,
-        dep_structure(dep_off, dep_val),
-        [msg.not_before for msg in messages],
-        [msg.receive_overhead for msg in messages],
-        recorder=recorder,
-        messages=messages,
-    )
-    if raw is None:
-        # run_grouped declined: a step overlapped the previous group's
-        # injection window, so step-level processing is not exact.
-        obs.record_fallback("lockstep", "step-overlap", topology=topo)
-        return None
-    return _result_from_arrays(table, raw)

@@ -35,11 +35,13 @@ structural facts, each *verified* (not assumed) per run:
   the engine computes the exact integer total and declines sizes where
   that argument does not hold (non-integral wire sizes, overflow).
 
-When any check fails the engine declines — ``None`` from
-:func:`run_lockstep_vec`, a per-size scalar fallback in
-:func:`run_batch` — and the caller counts the fallback in metrics
-(``sim.lockstep_vec_fallbacks``); results are never silently
-approximate.  Multi-channel links (``capacity > 1``) also decline: their
+When any check fails the engine declines that size: :func:`run_batch`
+runs it on the scalar ladder instead and counts the decline with its
+reason (``sim.fallbacks{engine="lockstep-vec",reason=...}``); results
+are never silently approximate.  Like the scalar lockstep engine, this
+one runs only on compiled schedules; message lists
+(:class:`~repro.network.simulator.Message`) always run on the object
+heap.  Multi-channel links (``capacity > 1``) also decline: their
 argmin channel selection is inherently order-dependent, and the scalar
 ladder handles them exactly.
 """
@@ -53,8 +55,8 @@ import numpy as np
 from .. import obs
 from ..metrics.registry import get_registry
 from .links import LinkTable, link_table
-from .lockstep_engine import LazyTimings, dep_structure, flatten_lists
-from .simulator import Message, SimulationResult
+from .lockstep_engine import LazyTimings
+from .simulator import SimulationResult
 
 #: Largest float64 integer range where ``a + b`` is exact for nonnegative
 #: integer-valued operands — the bound for order-independent wire totals.
@@ -555,7 +557,7 @@ def run_batch(
     size.  Sizes the vectorized engine cannot prove exact fall back to
     the scalar engine ladder individually — each :class:`BatchPoint`
     records the engine that produced it, the count lands in
-    ``BatchResult.fallbacks`` and the ``sim.lockstep_vec_fallbacks``
+    ``BatchResult.fallbacks`` and the reasoned ``sim.fallbacks``
     metric, and every returned number is bit-identical to a scalar
     ``simulate(size, engine="lockstep")`` call either way.
     """
@@ -687,8 +689,7 @@ def _run_batch(
                 ))
             else:
                 outcome = compiled.simulate(
-                    size, flow_control, lockstep, scheduling_overhead,
-                    engine="lockstep",
+                    size, flow_control, lockstep, scheduling_overhead
                 )
             point = BatchPoint(
                 data_bytes=size,
@@ -708,10 +709,6 @@ def _run_batch(
             registry.counter(
                 "sim.engine_runs", engine="lockstep-vec", topology=topo
             ).inc(ran)
-        if fallbacks:
-            registry.counter("sim.lockstep_vec_fallbacks", topology=topo).inc(
-                fallbacks
-            )
     return BatchResult(
         sizes, points, fallbacks, results if keep_timings else None
     )
@@ -778,96 +775,3 @@ def _compiled_plan(compiled):
 def _compiled_wire_classes(compiled) -> Tuple[np.ndarray, np.ndarray]:
     """Unique chunk fractions and each message's class index, memoized."""
     return compiled.frac_classes()
-
-
-def run_lockstep_vec(
-    topology,
-    flow_control,
-    messages: List[Message],
-    recorder=None,
-) -> Optional[SimulationResult]:
-    """Vectorized simulation of raw messages; ``None`` means fall back.
-
-    Accepts the same lockstep-gated shape as
-    :func:`repro.network.lockstep_engine.run_lockstep` (single-size: the
-    batch axis has one column).  A ``recorder`` declines immediately —
-    trace callbacks are inherently per-message, and the scalar ladder
-    records identically.
-    """
-    topo = getattr(topology, "name", None)
-    if recorder is not None:
-        obs.record_fallback("lockstep-vec", "recorder", topology=topo)
-        return None
-    if not messages:
-        return SimulationResult(
-            finish_time=0.0, timings=[], link_busy={}, total_wire_bytes=0.0
-        )
-    gates = sorted({msg.not_before for msg in messages})
-    if len(gates) <= 1 and any(msg.deps for msg in messages):
-        # Ungated with dependencies: nothing step-level here.
-        obs.record_fallback(
-            "lockstep-vec", "not-lockstep-gated", topology=topo
-        )
-        return None
-    group_index = {gate: g for g, gate in enumerate(gates)}
-    group_of = [group_index[msg.not_before] for msg in messages]
-    groups: List[List[int]] = [[] for _ in gates]
-    for idx, msg in enumerate(messages):
-        g = group_of[idx]
-        for dep in msg.deps:
-            if group_of[dep] >= g:
-                # Intra-group dependency: not lockstep-gated.
-                obs.record_fallback(
-                    "lockstep-vec", "not-lockstep-gated", topology=topo
-                )
-                return None
-        groups[g].append(idx)
-
-    table = link_table(topology)
-    id_of = table.id_of
-    route_off = [0]
-    route_val: List[int] = []
-    try:
-        for msg in messages:
-            for key in msg.route:
-                route_val.append(id_of[key])
-            route_off.append(len(route_val))
-    except KeyError:
-        # Route uses a link the topology does not declare.
-        obs.record_fallback("lockstep-vec", "unknown-link", topology=topo)
-        return None
-    dep_off, dep_val = flatten_lists([msg.deps for msg in messages])
-    dep_struct = dep_structure(dep_off, dep_val)
-    plan = build_plan(groups, route_off, route_val, dep_struct, table)
-    if not plan.ok:
-        obs.record_fallback(
-            "lockstep-vec", plan.reason or "plan", topology=topo
-        )
-        return None
-
-    payloads = np.asarray(
-        [msg.payload_bytes for msg in messages], dtype=np.float64
-    )
-    uniq, wire_idx = np.unique(payloads, return_inverse=True)
-    wire, exact = wire_classes(flow_control, uniq[:, None])
-    hops_per_class = np.bincount(
-        wire_idx, weights=plan.route_len, minlength=len(uniq)
-    )
-    totals, exact = exact_wire_totals(wire, exact, hops_per_class)
-    if not exact[0]:
-        obs.record_fallback("lockstep-vec", "wire-total", topology=topo)
-        return None
-    ready = np.asarray(
-        [msg.not_before for msg in messages], dtype=np.float64
-    )[:, None]
-    overhead = np.asarray(
-        [msg.receive_overhead for msg in messages], dtype=np.float64
-    )
-    valid, finish, busy, qmax, timings = run_plan(
-        plan, table, wire, wire_idx.astype(np.intp), ready, overhead,
-        keep_timings=True,
-    )
-    if not valid[0]:
-        obs.record_fallback("lockstep-vec", "gate-boundary", topology=topo)
-        return None
-    return _column_result(table, ready, timings, finish, busy, totals, 0)

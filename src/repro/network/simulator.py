@@ -15,6 +15,14 @@ Messages carry explicit dependency edges (receive-before-send, produced by
 injection time (the lockstep gate of §IV-A).  Events are processed in
 global time order so FIFO arbitration between competing messages matches
 their actual readiness order.
+
+This object heap is the only engine that plays :class:`Message` lists,
+and the only one that feeds a trace recorder; it is the reference side
+of every exactness check.  The fast engines (``lockstep`` and
+``lockstep-vec``, :mod:`repro.network.lockstep_engine` and
+:mod:`repro.network.lockstep_vec`) run only on the compiled CSR arrays
+of :class:`repro.collectives.compiled.CompiledSchedule`, which
+:func:`repro.ni.injector.simulate_allreduce` routes them through.
 """
 
 from __future__ import annotations
@@ -40,6 +48,20 @@ from .links import link_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
+
+#: Known simulation engines, in fallback-ladder order (most specialized
+#: last).  The engine is part of every prediction-cache ``point_key``, so
+#: adding a value here mints new cache keys without invalidating existing
+#: ones — no ``FINGERPRINT_SCHEMA_VERSION`` bump needed.
+ENGINES = ("event", "lockstep", "lockstep-vec")
+
+
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` naming the choices unless ``engine`` is known."""
+    if engine not in ENGINES:
+        raise ValueError(
+            "unknown engine %r (choose: %s)" % (engine, "/".join(ENGINES))
+        )
 
 
 @dataclass(slots=True)
@@ -170,115 +192,44 @@ class NetworkSimulator:
         self,
         messages: List[Message],
         recorder: Optional["TraceRecorder"] = None,
-        engine: str = "event",
     ) -> SimulationResult:
-        """Simulate ``messages``; optionally report events to ``recorder``.
+        """Simulate ``messages`` on the object heap; optionally report
+        events to ``recorder``.
 
         The recorder observes hop grants and message completions as they
         are computed (see :mod:`repro.trace`); it never alters the
         simulation — results are bit-identical with and without one.
 
-        ``engine`` selects the resolution strategy:
-
-        * ``"event"`` (default) — the global ready-time heap below; works
-          for any dependency DAG and is the semantic reference.
-        * ``"lockstep"`` — the step-level engine of
-          :mod:`repro.network.lockstep_engine`, which exploits lockstep
-          gating to resolve whole steps at a time.  Results are
-          bit-identical to the event engine; when the message set is not
-          lockstep-gated (or deliveries overrun a later gate enough to
-          reorder processing across steps) it automatically falls back to
-          the event engine and counts ``sim.lockstep_fallbacks``.
-        * ``"lockstep-vec"`` — the numpy-vectorized engine of
-          :mod:`repro.network.lockstep_vec`, which resolves each step's
-          per-link FIFO pass with array ops.  Results are bit-identical
-          when the engine accepts the message set (link-disjoint steps,
-          clean gate boundaries); otherwise it declines and the run falls
-          down the ladder to ``"lockstep"`` and then ``"event"``, with
-          each decline counted (``sim.lockstep_vec_fallbacks`` /
-          ``sim.lockstep_fallbacks``), never silent.
+        This is the semantic reference: a global ready-time heap that
+        works for any dependency DAG.  The fast engines (``lockstep``,
+        ``lockstep-vec``) run only on compiled CSR arrays — see
+        :meth:`repro.collectives.compiled.CompiledSchedule.simulate`.
         """
-        if engine not in ("event", "lockstep", "lockstep-vec"):
-            raise ValueError(
-                "unknown engine %r (choose: event, lockstep, lockstep-vec)"
-                % (engine,)
-            )
+        topology_name = self.topology.name
         with obs.span(
             "sim.run",
-            topology=self.topology.name,
-            engine=engine,
+            topology=topology_name,
+            engine="event",
             messages=len(messages),
         ) as run_span:
-            result, resolved = self._run_ladder(messages, recorder, engine)
-            run_span.set("resolved", resolved)
+            with obs.span("engine.event", topology=topology_name):
+                result = self._run_event(messages, recorder)
+            run_span.set("resolved", "event")
             run_span.set("finish_time", result.finish_time)
             return result
-
-    def _run_ladder(
-        self,
-        messages: List[Message],
-        recorder: Optional["TraceRecorder"],
-        engine: str,
-    ) -> Tuple[SimulationResult, str]:
-        """Walk the engine fallback ladder; returns (result, engine used)."""
-        if engine == "lockstep-vec":
-            from .lockstep_vec import run_lockstep_vec
-
-            with obs.span(
-                "engine.lockstep-vec", topology=self.topology.name
-            ) as rung:
-                result = run_lockstep_vec(
-                    self.topology, self.flow_control, messages, recorder
-                )
-                rung.set("accepted", result is not None)
-            registry = get_registry()
-            if result is not None:
-                if registry is not None:
-                    registry.counter(
-                        "sim.engine_runs",
-                        engine="lockstep-vec",
-                        topology=self.topology.name,
-                    ).inc()
-                    self._record_metrics(registry, messages, result)
-                return result, "lockstep-vec"
-            if registry is not None:
-                registry.counter(
-                    "sim.lockstep_vec_fallbacks", topology=self.topology.name
-                ).inc()
-            engine = "lockstep"  # next rung of the fallback ladder
-        if engine == "lockstep":
-            from .lockstep_engine import run_lockstep
-
-            with obs.span(
-                "engine.lockstep", topology=self.topology.name
-            ) as rung:
-                result = run_lockstep(
-                    self.topology, self.flow_control, messages, recorder
-                )
-                rung.set("accepted", result is not None)
-            registry = get_registry()
-            if result is not None:
-                if registry is not None:
-                    registry.counter(
-                        "sim.engine_runs",
-                        engine="lockstep",
-                        topology=self.topology.name,
-                    ).inc()
-                    self._record_metrics(registry, messages, result)
-                return result, "lockstep"
-            if registry is not None:
-                registry.counter(
-                    "sim.lockstep_fallbacks", topology=self.topology.name
-                ).inc()
-        with obs.span("engine.event", topology=self.topology.name):
-            return self._run_event(messages, recorder), "event"
 
     def _run_event(
         self,
         messages: List[Message],
         recorder: Optional["TraceRecorder"],
     ) -> SimulationResult:
-        """The global ready-time heap — the semantic reference engine."""
+        """The global ready-time heap — the semantic reference engine.
+
+        Kept beside the array heap (:func:`repro.network.lockstep_engine.
+        run_indexed`, the same order and arithmetic over CSR arrays)
+        because it is the only engine that feeds a trace recorder and the
+        reference side of every exactness check.
+        """
         topo = self.topology
         fc = self.flow_control
 

@@ -19,7 +19,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..collectives.schedule import CommOp, Schedule
 from ..network.flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
-from ..network.simulator import Message, NetworkSimulator, SimulationResult
+from ..network.simulator import (
+    Message,
+    NetworkSimulator,
+    SimulationResult,
+    check_engine,
+)
 from .lockstep import step_gates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -149,13 +154,25 @@ def simulate_allreduce(
     export and critical-path analysis; ``None`` (the default) simulates
     with zero observation overhead.
 
-    ``engine="lockstep"`` opts into the step-level engine (bit-identical
-    results, automatic fallback to the event engine when the lowered
-    messages are not lockstep-gated — e.g. with ``lockstep=False``); see
-    :meth:`repro.network.simulator.NetworkSimulator.run`.
+    ``engine="event"`` (the default), a ``recorder`` or ``lockstep=False``
+    lowers to messages and runs the object heap
+    (:meth:`repro.network.simulator.NetworkSimulator.run`).  Otherwise
+    ``engine="lockstep"``/``"lockstep-vec"`` run on the compiled arrays
+    (:meth:`repro.collectives.compiled.CompiledSchedule.simulate`):
+    bit-identical results, with a counted fallback down the engine
+    ladder wherever a fast engine declines.
     """
+    check_engine(engine)
     if data_bytes <= 0:
         raise ValueError("data_bytes must be positive")
+    if engine != "event" and lockstep and recorder is None:
+        from ..collectives.compiled import compile_schedule
+
+        result = compile_schedule(schedule).simulate(
+            data_bytes, flow_control, lockstep, scheduling_overhead,
+            engine=engine,
+        )
+        return AllReduceResult(schedule, data_bytes, result.simulation)
     if recorder is not None:
         recorder.meta("algorithm", schedule.algorithm)
         recorder.meta("topology", schedule.topology.name)
@@ -167,6 +184,4 @@ def simulate_allreduce(
         schedule, data_bytes, flow_control, lockstep, scheduling_overhead, recorder
     )
     sim = NetworkSimulator(schedule.topology, flow_control)
-    return AllReduceResult(
-        schedule, data_bytes, sim.run(messages, recorder, engine=engine)
-    )
+    return AllReduceResult(schedule, data_bytes, sim.run(messages, recorder))

@@ -60,6 +60,7 @@ from .collectives.variants import (
 )
 from .config import SystemConfig, TABLE_III
 from .network.flowcontrol import FlowControl
+from .network.simulator import ENGINES, check_engine
 from .topology.base import Topology, topology_fingerprint
 from .topology.specs import (
     TOPOLOGY_BUILDERS,
@@ -91,12 +92,6 @@ FINGERPRINT_SCHEMA_VERSION = 4
 #: (an artifact survives fingerprint-schema bumps that only reprice
 #: predictions).  Bump when the compiled layout changes meaning.
 ARTIFACT_SCHEMA_VERSION = 1
-
-#: Known simulation engines, in fallback-ladder order (most specialized
-#: last).  The engine is part of every prediction-cache ``point_key``, so
-#: adding a value here mints new cache keys without invalidating existing
-#: ones — no ``FINGERPRINT_SCHEMA_VERSION`` bump needed.
-ENGINES = ("event", "lockstep", "lockstep-vec")
 
 #: One-line grammar reminder for CLI help output.
 SCENARIO_HELP = (
@@ -283,10 +278,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if int(self.data_bytes) <= 0:
             raise ValueError("scenario data_bytes must be positive")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                "unknown engine %r (choose: %s)" % (self.engine, "/".join(ENGINES))
-            )
+        check_engine(self.engine)
         if (
             self.flow_control is not None
             and self.flow_control not in FLOW_CONTROL_FACTORIES

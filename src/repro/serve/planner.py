@@ -39,8 +39,8 @@ from typing import (
 from .. import obs
 from ..collectives.variants import FLOW_CONTROL_FACTORIES, variant_names
 from ..metrics.registry import get_registry
+from ..network.simulator import check_engine
 from ..scenario import (
-    ENGINES,
     Overrides,
     Scenario,
     format_size,
@@ -126,10 +126,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("workload spec needs at least one payload size")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                "unknown engine %r (choose: %s)" % (self.engine, "/".join(ENGINES))
-            )
+        check_engine(self.engine)
         if (
             self.flow_control is not None
             and self.flow_control not in FLOW_CONTROL_FACTORIES

@@ -228,7 +228,7 @@ def sweep_bandwidth_cached(
     and the cache is filled for the whole batch from that single
     simulation; warm sizes are still served from the cache, and sizes
     the vectorized engine declines are simulated by the scalar ladder
-    inside the batch (counted in ``sim.lockstep_vec_fallbacks``) — the
+    inside the batch (counted in ``sim.fallbacks``) — the
     cached numbers are bit-identical either way.
     """
     sweep = BandwidthSweep(

@@ -1,12 +1,15 @@
-"""Property tests shared by both simulation engines.
+"""Property tests shared by every simulation engine.
 
-Two invariants from the ISSUE checklist, each checked against the event
-engine *and* the lockstep engine:
+Two invariants, each checked against every engine:
 
 * ``finish_time`` is non-decreasing in ``payload_bytes`` — more data can
-  never finish earlier under work-conserving FIFO links;
+  never finish earlier under work-conserving FIFO links.  The object
+  heap plays :class:`Message` lists; the fast engines run on the
+  compiled arrays (``compile_schedule(schedule).simulate``);
 * results are invariant under a permutation of the message list (with
-  ``deps`` indices remapped accordingly).
+  ``deps`` indices remapped accordingly).  Only the object heap plays
+  message lists, so every permuted list runs there, against the named
+  engine's result on the unpermuted schedule.
 
 The permutation property needs care: when two messages tie on arrival
 time at a shared link, the FIFO grant order follows *push order*, so the
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives import build_schedule
+from repro.collectives import build_schedule, compile_schedule
 from repro.network import Message, NetworkSimulator, PacketBased
 from repro.ni.injector import build_messages
 from repro.topology import BiGraph, FatTree, Mesh2D, Torus2D
@@ -82,11 +85,25 @@ def test_finish_time_nondecreasing_in_payload(
     schedule = build_schedule(algorithm, topo)
     fc = PacketBased()
     sim = NetworkSimulator(topo, fc)
+    compiled = compile_schedule(schedule)
     finishes = []
     for size in [base << step for step in range(ladder)]:
-        messages = build_messages(schedule, float(size), fc)
-        finishes.append(sim.run(messages, engine=engine).finish_time)
+        if engine == "event":
+            messages = build_messages(schedule, float(size), fc)
+            finishes.append(sim.run(messages).finish_time)
+        else:
+            finishes.append(compiled.simulate(size, fc, engine=engine).time)
     assert finishes == sorted(finishes)
+
+
+def _engine_run(schedule, messages, size, fc, engine):
+    """The unpermuted reference: the object heap for ``event``, the named
+    fast engine on the compiled arrays otherwise."""
+    if engine == "event":
+        return NetworkSimulator(schedule.topology, fc).run(messages)
+    return compile_schedule(schedule).simulate(
+        float(size), fc, engine=engine
+    ).simulation
 
 
 # -- permutation invariance ---------------------------------------------------
@@ -121,12 +138,12 @@ def test_permutation_invariance_tie_free(
     schedule = build_schedule(algorithm, topo)
     fc = PacketBased()
     messages = build_messages(schedule, float(size), fc)
-    base = NetworkSimulator(topo, fc).run(messages, engine=engine)
+    base = _engine_run(schedule, messages, size, fc, engine)
 
     rng = np.random.default_rng(seed)
     perm = [int(x) for x in rng.permutation(len(messages))]
     permuted, inv = _permuted(messages, perm)
-    result = NetworkSimulator(topo, fc).run(permuted, engine=engine)
+    result = NetworkSimulator(topo, fc).run(permuted)
 
     assert result.finish_time == base.finish_time
     assert result.link_busy == base.link_busy
@@ -156,12 +173,12 @@ def test_link_busy_invariant_even_with_ties(
     schedule = build_schedule(algorithm, topo)
     fc = PacketBased()
     messages = build_messages(schedule, float(size), fc)
-    base = NetworkSimulator(topo, fc).run(messages, engine=engine)
+    base = _engine_run(schedule, messages, size, fc, engine)
 
     rng = np.random.default_rng(seed)
     perm = [int(x) for x in rng.permutation(len(messages))]
     permuted, _ = _permuted(messages, perm)
-    result = NetworkSimulator(topo, fc).run(permuted, engine=engine)
+    result = NetworkSimulator(topo, fc).run(permuted)
 
     assert result.link_busy == base.link_busy
     assert result.total_wire_bytes == base.total_wire_bytes

@@ -16,8 +16,8 @@ from repro.cli import main
 from repro.collectives import build_schedule, compile_schedule
 from repro.metrics import collecting
 from repro.network import NetworkSimulator, PacketBased
-from repro.network.lockstep_vec import run_batch, run_lockstep_vec
-from repro.ni.injector import build_messages
+from repro.network.lockstep_vec import run_batch
+from repro.ni.injector import build_messages, simulate_allreduce
 from repro.sweep import PredictionCache
 from repro.sweep.runner import SweepJob, SweepStats, run_sweep
 from repro.topology import FatTree, Mesh2D, Torus2D
@@ -98,17 +98,22 @@ class TestBatchedExactness:
             assert_identical(vec.simulation, scalar.simulation)
 
     def test_raw_message_engine_equals_event(self):
-        """NetworkSimulator.run(engine="lockstep-vec") on an accepting
-        message set produces the vectorized result itself, bit-identical
-        to the event engine."""
+        """simulate_allreduce(engine="lockstep-vec") runs the vectorized
+        engine on the compiled arrays (not a fallback), bit-identical to
+        the object heap on the raw messages."""
         topo = Torus2D(4, 4)
         fc = PacketBased()
         schedule = build_schedule("ring", topo)
+        with collecting() as registry:
+            vec = simulate_allreduce(
+                schedule, 10 * MiB, fc, engine="lockstep-vec"
+            )
+        assert registry.counter_value(
+            "sim.engine_runs", engine="lockstep-vec", topology=topo.name
+        ) == 1
         messages = build_messages(schedule, 10 * MiB, fc)
-        vec = run_lockstep_vec(topo, fc, messages)
-        assert vec is not None  # the engine itself, not a fallback
         event = NetworkSimulator(topo, fc).run(messages)
-        assert_identical(vec, event)
+        assert_identical(vec.simulation, event)
 
     def test_batch_rejects_bad_sizes(self):
         compiled = compiled_for(*CONFIGS[1].values)  # torus-4x4 / ring
@@ -130,61 +135,71 @@ class TestFallbackCounting:
         assert batch.fallbacks == len(sizes)
         assert all(point.engine == "lockstep" for point in batch.points)
         assert registry.counter_value(
-            "sim.lockstep_vec_fallbacks", topology=compiled.topology.name
+            "sim.fallbacks", engine="lockstep-vec",
+            reason="link-disjointness", topology=compiled.topology.name,
         ) == len(sizes)
         for size, point in zip(sizes, batch.points):
             scalar = compiled.simulate(size, fc, engine="lockstep")
             assert point.time == scalar.time
 
     def test_non_lockstep_gated_falls_down_ladder(self):
-        """Ungated messages decline the vectorized engine AND the scalar
-        step engine; the run lands on the event engine with one counted
-        fallback per rung."""
+        """An ungated batch declines the vectorized engine, counted with
+        its reason, and every size lands on the object heap."""
         topo = Torus2D(4, 4)
         fc = PacketBased()
         schedule = build_schedule("multitree", topo)
-        messages = build_messages(schedule, 1 * MiB, fc, lockstep=False)
-        assert run_lockstep_vec(topo, fc, messages) is None
+        compiled = compile_schedule(schedule)
         with collecting() as registry:
-            result = NetworkSimulator(topo, fc).run(
-                messages, engine="lockstep-vec"
+            batch = compiled.simulate_batch(
+                (1 * MiB,), fc, lockstep=False, keep_timings=True
             )
         assert registry.counter_value(
-            "sim.lockstep_vec_fallbacks", topology=topo.name
-        ) == 1
-        assert registry.counter_value(
-            "sim.lockstep_fallbacks", topology=topo.name
+            "sim.fallbacks", engine="lockstep-vec",
+            reason="not-lockstep-gated", topology=topo.name,
         ) == 1
         assert registry.counter_value(
             "sim.engine_runs", engine="event", topology=topo.name
         ) == 1
-        assert_identical(result, NetworkSimulator(topo, fc).run(messages))
+        messages = build_messages(schedule, 1 * MiB, fc, lockstep=False)
+        assert_identical(
+            batch.results[0].simulation,
+            NetworkSimulator(topo, fc).run(messages),
+        )
 
     def test_accepted_run_counted_as_vec(self):
         topo = Torus2D(4, 4)
         fc = PacketBased()
-        schedule = build_schedule("ring", topo)
-        messages = build_messages(schedule, 10 * MiB, fc)
+        compiled = compile_schedule(build_schedule("ring", topo))
         with collecting() as registry:
-            NetworkSimulator(topo, fc).run(messages, engine="lockstep-vec")
+            compiled.simulate(10 * MiB, fc, engine="lockstep-vec")
         assert registry.counter_value(
             "sim.engine_runs", engine="lockstep-vec", topology=topo.name
         ) == 1
         assert registry.counter_value(
-            "sim.lockstep_vec_fallbacks", topology=topo.name
+            "sim.fallbacks", engine="lockstep-vec", reason="gate-boundary",
+            topology=topo.name,
         ) == 0
 
     def test_recorder_declines_vectorization(self):
-        """Trace recording is per-message; the vectorized engine declines
-        and the scalar ladder records identically (recorder parity is
-        pinned in test_lockstep_engine.py)."""
+        """Trace recording is per-message, so a recorded run is the object
+        heap: no vectorized run and no decline is counted (recorder
+        parity is pinned in test_lockstep_engine.py)."""
         from repro.trace import Trace
 
         topo = Torus2D(4, 4)
         fc = PacketBased()
-        schedule = build_schedule("ring", topo)
-        messages = build_messages(schedule, 10 * MiB, fc)
-        assert run_lockstep_vec(topo, fc, messages, recorder=Trace()) is None
+        compiled = compile_schedule(build_schedule("ring", topo))
+        with collecting() as registry:
+            compiled.simulate(
+                10 * MiB, fc, recorder=Trace(), engine="lockstep-vec"
+            )
+        assert registry.counter_value(
+            "sim.engine_runs", engine="event", topology=topo.name
+        ) == 1
+        snapshot = registry.snapshot()["counters"]
+        assert not [key for key in snapshot
+                    if key.startswith(("sim.fallbacks|", "sim.engine_runs|"
+                                       "engine=lockstep"))]
 
 
 class TestSweepBatching:
