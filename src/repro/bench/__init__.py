@@ -27,6 +27,7 @@ from .reference import (
     reference_all_reduce,
     reference_build_messages,
     reference_build_trees,
+    reference_compile_schedule,
     reference_dep_structure,
     reference_dependency_lists,
     reference_multitree_schedule,
@@ -54,6 +55,7 @@ __all__ = [
     "reference_all_reduce",
     "reference_build_messages",
     "reference_build_trees",
+    "reference_compile_schedule",
     "reference_dep_structure",
     "reference_dependency_lists",
     "reference_multitree_schedule",

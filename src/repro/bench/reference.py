@@ -17,6 +17,9 @@ shipped before the fast-path overhaul:
   :func:`reference_simulate_allreduce` — the uncached schedule-lowering
   pipeline that re-derived dependencies, routes, and gate times on every
   call;
+* :func:`reference_compile_schedule` — the object compiler that lowered a
+  ``Schedule`` to its CSR columns with per-op ``Fraction`` arithmetic, a
+  per-unit dependency scan and a per-op serialization-profile loop;
 * :func:`reference_all_reduce` — the numeric executor with the per-step
   full-matrix snapshot.
 
@@ -40,6 +43,7 @@ from ..collectives.multitree import (
     SpanningTree,
     trees_to_schedule,
 )
+from ..collectives.compiled import CompiledSchedule
 from ..collectives.schedule import OpKind, Schedule
 from ..network.flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
 from ..network.simulator import (
@@ -396,6 +400,73 @@ def reference_simulate_allreduce(
         schedule, data_bytes, flow_control, lockstep, scheduling_overhead
     )
     return reference_run(schedule.topology, flow_control, messages)
+
+
+def _reference_ser_profile(schedule: Schedule) -> List[Tuple[int, float, object]]:
+    """Seed serialization profile: one route and bandwidth scan per op."""
+    topo = schedule.topology
+    seen = set()
+    profile = []
+    for op in schedule.ops:
+        route = schedule.route_of(op)
+        if not route:
+            continue
+        bandwidth = min(topo.link(*key).bandwidth for key in route)
+        entry = (op.step, bandwidth, op.chunk.fraction)
+        if entry not in seen:
+            seen.add(entry)
+            profile.append(entry)
+    return profile
+
+
+def reference_compile_schedule(schedule: Schedule) -> CompiledSchedule:
+    """Seed object compiler: per-op ``Fraction`` columns and route scans.
+
+    Builds every column of a :class:`CompiledSchedule` the way the seed
+    ``compile_schedule`` did, on :func:`reference_dependency_lists` and a
+    per-op serialization-profile scan.  The compile-equivalence battery
+    pins the array-native compiler ``==`` to this one.
+    """
+    deps = reference_dependency_lists(schedule)
+    ops = schedule.ops
+    links: List[LinkKey] = []
+    link_id: Dict[LinkKey, int] = {}
+    route_off = [0]
+    route_val: List[int] = []
+    for op in ops:
+        for key in schedule.route_of(op):
+            lid = link_id.get(key)
+            if lid is None:
+                lid = link_id[key] = len(links)
+                links.append(key)
+            route_val.append(lid)
+        route_off.append(len(route_val))
+    dep_off = [0]
+    dep_val: List[int] = []
+    for dep_list in deps:
+        dep_val.extend(dep_list)
+        dep_off.append(len(dep_val))
+    fracs = [op.chunk.fraction for op in ops]
+    return CompiledSchedule(
+        topology=schedule.topology,
+        algorithm=schedule.algorithm,
+        num_steps=schedule.num_steps,
+        srcs=[op.src for op in ops],
+        dsts=[op.dst for op in ops],
+        steps=[op.step for op in ops],
+        frac_num=[frac.numerator for frac in fracs],
+        frac_den=[frac.denominator for frac in fracs],
+        links=links,
+        route_off=route_off,
+        route_val=route_val,
+        dep_off=dep_off,
+        dep_val=dep_val,
+        ser_profile=[
+            (step, bandwidth, float(fraction))
+            for step, bandwidth, fraction in _reference_ser_profile(schedule)
+        ],
+        metadata=schedule.metadata,
+    )
 
 
 # -- numeric execution (seed Communicator.all_reduce inner loop) -----------------

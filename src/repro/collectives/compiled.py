@@ -28,6 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .. import obs
 from ..metrics.registry import get_registry
 from ..topology.base import LinkKey, Topology, topology_fingerprint
 
@@ -50,6 +53,18 @@ def _column_list(col) -> list:
     if hasattr(col, "tolist"):
         return col.tolist()
     return list(col)
+
+
+def segment_arange(counts: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """``[0..c0-1, 0..c1-1, ...]`` (or each segment reversed)."""
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    idx = np.arange(total, dtype=np.int64)
+    starts = np.repeat(ends - counts, counts)
+    within = idx - starts
+    if reverse:
+        return np.repeat(counts.astype(np.int64), counts) - 1 - within
+    return within
 
 
 class CompiledSchedule:
@@ -175,8 +190,6 @@ class CompiledSchedule:
         short-circuit to a single class with a zero-stride index column,
         keeping the per-op axis unmaterialized at any scale.
         """
-        import numpy as np
-
         cached = self._wire_classes
         if cached is None:
             num = self.frac_num
@@ -255,8 +268,6 @@ class CompiledSchedule:
 
     def _active_nodes_per_step(self) -> Dict[int, int]:
         """Nodes sending or receiving per step (NOP stalls), memoized."""
-        import numpy as np
-
         active = self._active
         if active is None:
             steps = np.asarray(self.steps, dtype=np.int64)
@@ -428,8 +439,6 @@ class CompiledSchedule:
         ``observed=False`` records no spans or metrics: the vectorized
         batch's per-size fallback, whose declines the batch counts itself.
         """
-        import numpy as np
-
         from ..network.lockstep_engine import link_table, run_arrays
 
         table = link_table(self.topology)
@@ -566,52 +575,82 @@ class CompiledSchedule:
 def compile_schedule(schedule) -> CompiledSchedule:
     """Lower a :class:`Schedule` to its payload-independent compiled form.
 
-    Runs the same derivations the injector would (dependency lists, route
-    expansion, serialization profile) and freezes the results into flat
-    arrays.  The imports are local because the ni layer imports the
-    collectives package.
+    Every column comes from the schedule's memoized integer views: op
+    columns (:meth:`~repro.collectives.schedule.Schedule.op_columns`),
+    the dependency CSR (:func:`~repro.ni.injector.dependency_csr`), the
+    per-pair route table and the serialization profile — the same
+    derivations the injector runs, frozen into flat plain-list columns.
+    Runs inside a ``schedule.compile`` span (``path="object"``), the
+    streaming compiler's span name.
     """
-    from ..ni.injector import dependency_lists
+    with obs.span(
+        "schedule.compile",
+        topology=schedule.topology.name,
+        algorithm=schedule.algorithm,
+        path="object",
+    ) as sp:
+        compiled = lower_schedule(schedule)
+        sp.set("ops", len(compiled))
+        return compiled
+
+
+def lower_schedule(schedule) -> CompiledSchedule:
+    """:func:`compile_schedule` without its span.
+
+    For callers that lower a schedule only to run it
+    (:func:`repro.ni.injector.simulate_allreduce`) and for the streaming
+    compiler's degenerate case, which sits inside its own span.  The
+    imports are local because the ni layer imports the collectives
+    package.
+    """
+    from ..ni.injector import dependency_csr
     from ..ni.lockstep import _ser_profile
 
-    deps = dependency_lists(schedule)
-    routes = schedule.op_routes()
-    ops = schedule.ops
+    cols = schedule.op_columns()
+    dep_off, dep_val = dependency_csr(schedule)
+    ser_profile = [
+        (step, bandwidth, float(fraction))
+        for step, bandwidth, fraction in _ser_profile(schedule)
+    ]
+    routes, index = schedule.route_table()
+    # Link ids in first-use order over the ops: a route's links are all
+    # seen at its first use, so scanning the distinct routes in
+    # first-use order assigns the same ids as a per-op scan.
     links: List[LinkKey] = []
     link_id: Dict[LinkKey, int] = {}
-    route_off = [0]
-    route_val: List[int] = []
+    hops: List[int] = []
+    flat_ids: List[int] = []
     for route in routes:
         for key in route:
             lid = link_id.get(key)
             if lid is None:
                 lid = link_id[key] = len(links)
                 links.append(key)
-            route_val.append(lid)
-        route_off.append(len(route_val))
-    dep_off = [0]
-    dep_val: List[int] = []
-    for dep_list in deps:
-        dep_val.extend(dep_list)
-        dep_off.append(len(dep_val))
-    fracs = [op.chunk.fraction for op in ops]
+            flat_ids.append(lid)
+        hops.append(len(route))
+    flat = np.asarray(flat_ids, dtype=np.int64)
+    lens = np.asarray(hops, dtype=np.int64)[index]
+    firsts = np.zeros(len(routes) + 1, dtype=np.int64)
+    np.cumsum(hops, out=firsts[1:])
+    route_off = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(lens, out=route_off[1:])
+    route_val = flat[np.repeat(firsts[index], lens) + segment_arange(lens)]
+    del flat_ids, flat, lens, firsts
+    # Every array pass is done: only plain-list conversions remain.
     return CompiledSchedule(
         topology=schedule.topology,
         algorithm=schedule.algorithm,
-        num_steps=schedule.num_steps,
-        srcs=[op.src for op in ops],
-        dsts=[op.dst for op in ops],
-        steps=[op.step for op in ops],
-        frac_num=[frac.numerator for frac in fracs],
-        frac_den=[frac.denominator for frac in fracs],
+        num_steps=int(cols.steps.max()) if len(cols.steps) else 0,
+        srcs=cols.srcs.tolist(),
+        dsts=cols.dsts.tolist(),
+        steps=cols.steps.tolist(),
+        frac_num=cols.frac_num[cols.chunk].tolist(),
+        frac_den=cols.frac_den[cols.chunk].tolist(),
         links=links,
-        route_off=route_off,
-        route_val=route_val,
-        dep_off=dep_off,
-        dep_val=dep_val,
-        ser_profile=[
-            (step, bandwidth, float(fraction))
-            for step, bandwidth, fraction in _ser_profile(schedule)
-        ],
+        route_off=route_off.tolist(),
+        route_val=route_val.tolist(),
+        dep_off=dep_off.tolist(),
+        dep_val=dep_val.tolist(),
+        ser_profile=ser_profile,
         metadata=schedule.metadata,
     )

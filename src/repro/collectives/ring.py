@@ -28,6 +28,7 @@ def ring_allreduce(topology: Topology, order: Optional[Sequence[int]] = None) ->
     if sorted(members) != list(topology.nodes):
         raise ValueError("ring order must be a permutation of all nodes")
 
+    chunks = [ChunkRange.nth_of(index, n) for index in range(n)]
     ops: List[CommOp] = []
     # Reduce-scatter: at step t (1-based), position p forwards chunk
     # (p - t + 1) mod n to its successor, which aggregates it.
@@ -39,7 +40,7 @@ def ring_allreduce(topology: Topology, order: Optional[Sequence[int]] = None) ->
                     kind=OpKind.REDUCE,
                     src=members[p],
                     dst=members[(p + 1) % n],
-                    chunk=ChunkRange.nth_of(chunk, n),
+                    chunk=chunks[chunk],
                     step=t,
                     flow=chunk,
                 )
@@ -54,7 +55,7 @@ def ring_allreduce(topology: Topology, order: Optional[Sequence[int]] = None) ->
                     kind=OpKind.GATHER,
                     src=members[p],
                     dst=members[(p + 1) % n],
-                    chunk=ChunkRange.nth_of(chunk, n),
+                    chunk=chunks[chunk],
                     step=n - 1 + t,
                     flow=chunk,
                 )

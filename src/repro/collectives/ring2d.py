@@ -46,10 +46,11 @@ def _ring_allreduce_ops(
     """
     n = len(members)
     chunk_size = part_fraction / n
-
-    def chunk_of(index: int) -> ChunkRange:
-        lo = base_lo + index * chunk_size
-        return ChunkRange(lo, lo + chunk_size)
+    chunks = [
+        ChunkRange(base_lo + index * chunk_size,
+                   base_lo + (index + 1) * chunk_size)
+        for index in range(n)
+    ]
 
     for t in range(1, n):
         for p in range(n):
@@ -59,7 +60,7 @@ def _ring_allreduce_ops(
                     kind=OpKind.REDUCE,
                     src=members[p],
                     dst=members[(p + 1) % n],
-                    chunk=chunk_of(chunk),
+                    chunk=chunks[chunk],
                     step=first_step + t - 1,
                     flow=flow_base + chunk,
                 )
@@ -72,7 +73,7 @@ def _ring_allreduce_ops(
                     kind=OpKind.GATHER,
                     src=members[p],
                     dst=members[(p + 1) % n],
-                    chunk=chunk_of(chunk),
+                    chunk=chunks[chunk],
                     step=first_step + n - 1 + t - 1,
                     flow=flow_base + chunk,
                 )

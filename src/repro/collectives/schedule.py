@@ -13,7 +13,9 @@ modes mirroring the schedule-table opcodes of Fig. 5:
 
 Data ranges are exact :class:`fractions.Fraction` intervals over the unit
 gradient vector so schedule algebra (volume accounting, overlap-based
-dependencies, correctness execution) is exact.
+dependencies, correctness execution) is exact.  Bulk derivations read
+them once, as integer unit spans (:meth:`Schedule.op_columns`), rather
+than doing ``Fraction`` arithmetic per op.
 """
 
 from __future__ import annotations
@@ -23,9 +25,16 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..topology.base import LinkKey, Topology
+
+#: Bound on ``num_nodes * granularity``: packed ``(node, unit)`` keys
+#: ``node * granularity + unit`` must stay inside int64.
+UNIT_KEY_LIMIT = 2 ** 62
 
 
 class OpKind(enum.Enum):
@@ -109,6 +118,32 @@ class CommOp:
             raise ValueError("steps are 1-based, got %d" % self.step)
 
 
+class OpColumns(NamedTuple):
+    """Integer columns of a schedule's ops (see :meth:`Schedule.op_columns`).
+
+    Per-op columns are aligned with ``Schedule.ops``; ``chunk`` indexes
+    the per-chunk tables, one row per distinct :class:`ChunkRange` object.
+    """
+
+    srcs: np.ndarray
+    dsts: np.ndarray
+    steps: np.ndarray
+    #: Per-op index into the per-chunk tables below.
+    chunk: np.ndarray
+    #: Smallest unit count aligning every range: lcm of the denominators.
+    granularity: int
+    #: Per-chunk unit span ``[unit_lo, unit_hi)`` at ``granularity``.
+    unit_lo: np.ndarray
+    unit_hi: np.ndarray
+    #: Per-chunk size ``frac_num / frac_den`` in lowest terms.
+    frac_num: np.ndarray
+    frac_den: np.ndarray
+
+
+def _int_column(values, count: int) -> np.ndarray:
+    return np.fromiter(values, dtype=np.int64, count=count)
+
+
 @dataclass
 class Schedule:
     """A complete all-reduce schedule over a topology."""
@@ -130,11 +165,7 @@ class Schedule:
     @property
     def granularity(self) -> int:
         """Smallest unit count that aligns every op's range to integers."""
-        denom = 1
-        for op in self.ops:
-            denom = denom * op.chunk.lo.denominator // math.gcd(denom, op.chunk.lo.denominator)
-            denom = denom * op.chunk.hi.denominator // math.gcd(denom, op.chunk.hi.denominator)
-        return denom
+        return self.op_columns().granularity
 
     def ops_at_step(self, step: int) -> List[CommOp]:
         return [op for op in self.ops if op.step == step]
@@ -173,17 +204,103 @@ class Schedule:
             return list(op.route)
         return self.topology.route(op.src, op.dst)
 
+    # -- memoized bulk views -------------------------------------------------
+    #
+    # Ops and topology routing are immutable after construction, so these
+    # derivations are computed once and cached on the schedule.  Callers
+    # must not mutate the results.
+
+    def op_columns(self) -> OpColumns:
+        """The ops as integer columns, read in one pass and memoized.
+
+        Each op's endpoints and step, and each distinct chunk's
+        numerators and denominators, are read once; unit spans and
+        reduced chunk sizes then follow by integer arithmetic.  Raises
+        ``ValueError`` when ``num_nodes * granularity`` reaches
+        :data:`UNIT_KEY_LIMIT`, the packed ``(node, unit)`` key domain.
+        """
+        cached = self.__dict__.get("_op_columns")
+        if cached is not None:
+            return cached
+        ops = self.ops
+        count = len(ops)
+        chunk_of = list(map(attrgetter("chunk"), ops))
+        # Builders share ChunkRange objects between ops, so the
+        # per-chunk Fraction reads run once per distinct object.
+        ids = _int_column(map(id, chunk_of), count)
+        _, first, chunk = np.unique(ids, return_index=True, return_inverse=True)
+        chunks = [chunk_of[i] for i in first.tolist()]
+        bounds = [(c.lo.numerator, c.lo.denominator,
+                   c.hi.numerator, c.hi.denominator) for c in chunks]
+        grain = math.lcm(*(b[1] for b in bounds), *(b[3] for b in bounds))
+        if self.topology.num_nodes * grain >= UNIT_KEY_LIMIT:
+            raise ValueError(
+                "schedule %r on %s: %d nodes x granularity %d overflows "
+                "the int64 (node, unit) key domain"
+                % (self.algorithm, self.topology.name,
+                   self.topology.num_nodes, grain)
+            )
+        unit_lo = np.asarray(
+            [ln * (grain // ld) for ln, ld, _, _ in bounds], dtype=np.int64
+        )
+        unit_hi = np.asarray(
+            [hn * (grain // hd) for _, _, hn, hd in bounds], dtype=np.int64
+        )
+        span = unit_hi - unit_lo
+        common = np.gcd(span, grain)
+        cached = OpColumns(
+            srcs=_int_column(map(attrgetter("src"), ops), count),
+            dsts=_int_column(map(attrgetter("dst"), ops), count),
+            steps=_int_column(map(attrgetter("step"), ops), count),
+            chunk=chunk,
+            granularity=grain,
+            unit_lo=unit_lo,
+            unit_hi=unit_hi,
+            frac_num=span // common,
+            frac_den=grain // common,
+        )
+        self.__dict__["_op_columns"] = cached
+        return cached
+
+    def route_table(self) -> Tuple[List[List[LinkKey]], np.ndarray]:
+        """``(routes, index)``: distinct routes and each op's entry.
+
+        ``routes`` holds one list per distinct ``(src, dst)`` pair of the
+        topology-routed ops, plus each pre-allocated route, in order of
+        first use; ``topology.route`` runs once per pair.  ``index[i]``
+        is op ``i``'s position in ``routes``.
+        """
+        cached = self.__dict__.get("_route_table")
+        if cached is None:
+            route = self.topology.route
+            routes: List[List[LinkKey]] = []
+            by_pair: Dict[Tuple[int, int], int] = {}
+            index: List[int] = []
+            for op in self.ops:
+                if op.route is not None:
+                    index.append(len(routes))
+                    routes.append(list(op.route))
+                    continue
+                pair = (op.src, op.dst)
+                entry = by_pair.get(pair)
+                if entry is None:
+                    entry = by_pair[pair] = len(routes)
+                    routes.append(route(op.src, op.dst))
+                index.append(entry)
+            cached = (routes, np.asarray(index, dtype=np.intp))
+            self.__dict__["_route_table"] = cached
+        return cached
+
     def op_routes(self) -> List[List[LinkKey]]:
         """Route of every op (aligned with ``self.ops``), computed once.
 
-        Ops and topology routing are immutable after construction, so the
-        per-op route expansion — a hot input to dependency derivation,
-        lockstep estimation, and message lowering — is cached on the
-        schedule.  Callers must not mutate the returned lists.
+        Ops with the same endpoints share one list from
+        :meth:`route_table`.
         """
         cached = self.__dict__.get("_op_routes")
         if cached is None:
-            cached = [self.route_of(op) for op in self.ops]
+            routes, index = self.route_table()
+            cached = [routes[k] for k in index.tolist()]
             self.__dict__["_op_routes"] = cached
         return cached
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .. import obs
 from ..topology.base import Topology
-from .compiled import CompiledSchedule, compile_schedule
+from .compiled import CompiledSchedule, lower_schedule, segment_arange
 from .multitree import FlatForest, build_forest
 
 #: Dtype ceilings for the compiled columns.  Node/step ids use the
@@ -136,7 +136,7 @@ def compile_forest(
         # and keeps the empty-schedule semantics in one place.
         from .multitree import multitree_allreduce
 
-        return compile_schedule(multitree_allreduce(topology, priority))
+        return lower_schedule(multitree_allreduce(topology, priority))
 
     vcount = topology.num_vertices
     node_dt = _node_dtype(vcount)
@@ -324,7 +324,7 @@ def _stored_routes(topology, edge_routes, num_trees, num_edges, r_perm,
     def _op_codes(perm, reverse):
         starts = hop_off[perm]
         counts = lens[perm]
-        sel = np.repeat(starts.astype(np.int64), counts) + _segment_arange(
+        sel = np.repeat(starts.astype(np.int64), counts) + segment_arange(
             counts, reverse=reverse
         )
         if reverse:
@@ -347,18 +347,6 @@ def _stored_routes(topology, edge_routes, num_trees, num_edges, r_perm,
     )
     bw_per_op = np.minimum.reduceat(bw[route_val], route_off[:-1])
     return links, route_off, route_val, ("per-op", bw_per_op)
-
-
-def _segment_arange(counts: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """``[0..c0-1, 0..c1-1, ...]`` (or each segment reversed)."""
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    idx = np.arange(total, dtype=np.int64)
-    starts = np.repeat(ends - counts, counts)
-    within = idx - starts
-    if reverse:
-        return np.repeat(counts.astype(np.int64), counts) - 1 - within
-    return within
 
 
 def _ser_profile(steps, route_val, bw_info, frac_float):
@@ -520,10 +508,10 @@ def _fill_group_section(
         if total:
             out0 = np.repeat(
                 off[lo:hi].astype(np.int64), sz
-            ) + _segment_arange(sz)
+            ) + segment_arange(sz)
             src = np.repeat(
                 starts[lo:hi].astype(np.int64), sz
-            ) + _segment_arange(sz)
+            ) + segment_arange(sz)
             dep_val[out0] = members[src]
         if extra_mask is not None:
             sel = np.flatnonzero(extra_mask[lo:hi])

@@ -10,14 +10,22 @@ op's range, which reduces exactly to the Parent/Children fields of the
 Fig. 5 tables for tree flows and extends unchanged to the non-tree baselines
 (ring rotations, halving-doubling exchanges), to which the paper applies the
 same scheduling hardware "for fair comparison" (§V-A).
+
+The derivation is array-native: :func:`dependency_csr` joins integer
+``(node, unit)`` keys of the schedule's unit spans in numpy, and
+:func:`dependency_lists` is its per-op split.  The compiled form
+(:func:`repro.collectives.compiled.compile_schedule`) reads the same CSR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..collectives.schedule import CommOp, Schedule
+import numpy as np
+
+from ..collectives.compiled import segment_arange
+from ..collectives.schedule import Schedule
 from ..network.flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
 from ..network.simulator import (
     Message,
@@ -31,43 +39,92 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
 
 
-def dependency_lists(schedule: Schedule) -> List[List[int]]:
-    """For each op (by index), the op indices it must wait for.
+def dependency_csr(schedule: Schedule) -> Tuple[np.ndarray, np.ndarray]:
+    """``(dep_off, dep_val)``: every op's dependencies in CSR form.
 
     Op ``i`` depends on op ``j`` iff ``j.dst == i.src``, ``j.step < i.step``
     and their data ranges overlap: the sender cannot forward (Gather) or
     aggregate-and-send (Reduce) data it has not yet received.
 
-    The result depends only on the (immutable) op list, so it is computed
-    once per schedule and cached — repeated simulations of the same
-    schedule at different data sizes (bandwidth sweeps) skip the quadratic
-    overlap derivation entirely.  Callers must not mutate the result.
+    Derived by one join on packed ``node * granularity + unit`` keys of
+    the integer unit spans (:meth:`Schedule.op_columns`): deliveries to
+    each op's ``dst`` against requests from each op's ``src``, keeping
+    earlier-step deliveries.  Each op's dependencies come out unique and
+    ascending.  Memoized on the schedule; callers must not mutate it.
     """
-    cached = schedule.__dict__.get("_dependency_lists")
+    cached = schedule.__dict__.get("_dependency_csr")
     if cached is not None:
         return cached
-    grain = max(schedule.granularity, 1)
-    # receives[node][unit] -> list of (step, op index) delivering that unit.
-    receives: Dict[int, Dict[int, List]] = {}
-    for idx, op in enumerate(schedule.ops):
-        lo, hi = op.chunk.unit_span(grain)
-        units = receives.setdefault(op.dst, {})
-        for unit in range(lo, hi):
-            units.setdefault(unit, []).append((op.step, idx))
+    cols = schedule.op_columns()
+    count = len(cols.steps)
+    lo = cols.unit_lo[cols.chunk]
+    widths = cols.unit_hi[cols.chunk] - lo
+    # One row per (op, unit) of the op's range.
+    row_op = np.repeat(np.arange(count, dtype=np.int64), widths)
+    row_unit = np.repeat(lo, widths) + segment_arange(widths)
+    del lo
+    row_step = cols.steps[row_op]
+    grain = cols.granularity
+    rows = len(row_op)
+    # Dense ranks of the delivery keys (to each op's dst) and the request
+    # keys (from each op's src), then deliveries ordered by (rank, step):
+    # each request's matches are one contiguous run of its key's
+    # earlier-step deliveries, empty when nothing reaches its key.
+    _, rank = np.unique(
+        np.concatenate((cols.dsts[row_op] * grain + row_unit,
+                        cols.srcs[row_op] * grain + row_unit)),
+        return_inverse=True,
+    )
+    del row_unit
+    span = int(cols.steps.max()) + 1 if count else 1
+    packed = rank * span
+    del rank
+    packed[:rows] += row_step
+    order = np.argsort(packed[:rows])
+    delivery = packed[:rows][order]
+    deliverer = row_op[order]
+    del order
+    # Sorted queries keep the binary searches cache-local.
+    order = np.argsort(packed[rows:])
+    wanted = packed[rows:][order]
+    del packed
+    start = np.searchsorted(delivery, wanted)
+    stop = np.searchsorted(delivery, wanted + row_step[order])
+    del wanted, delivery
+    matches = stop - start
+    waiter = np.repeat(row_op[order], matches)
+    source = deliverer[np.repeat(start, matches) + segment_arange(matches)]
+    # Unique (waiter, source) pairs, sorted: each op's dependencies come
+    # out ascending.  Sorting and dropping repeats in place beats
+    # np.unique's hash path at million-row scale.
+    width = max(count, 1)
+    pairs = waiter * width + source
+    del waiter, source
+    pairs.sort()
+    pairs = pairs[np.flatnonzero(np.diff(pairs, prepend=-1))]
+    dep_val = pairs % width
+    dep_off = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // width, minlength=count), out=dep_off[1:])
+    cached = schedule.__dict__["_dependency_csr"] = (dep_off, dep_val)
+    return cached
 
-    deps: List[List[int]] = []
-    for op in schedule.ops:
-        found: Set[int] = set()
-        units = receives.get(op.src)
-        if units:
-            lo, hi = op.chunk.unit_span(grain)
-            for unit in range(lo, hi):
-                for step, idx in units.get(unit, ()):
-                    if step < op.step:
-                        found.add(idx)
-        deps.append(sorted(found))
-    schedule.__dict__["_dependency_lists"] = deps
-    return deps
+
+def dependency_lists(schedule: Schedule) -> List[List[int]]:
+    """For each op (by index), the op indices it must wait for.
+
+    The per-op split of :func:`dependency_csr`, memoized on the schedule:
+    repeated simulations of the same schedule at different data sizes
+    (bandwidth sweeps) derive it once.  Callers must not mutate the
+    result.
+    """
+    cached = schedule.__dict__.get("_dependency_lists")
+    if cached is None:
+        dep_off, dep_val = dependency_csr(schedule)
+        off = dep_off.tolist()
+        val = dep_val.tolist()
+        cached = [val[off[i]:off[i + 1]] for i in range(len(off) - 1)]
+        schedule.__dict__["_dependency_lists"] = cached
+    return cached
 
 
 @dataclass
@@ -166,9 +223,9 @@ def simulate_allreduce(
     if data_bytes <= 0:
         raise ValueError("data_bytes must be positive")
     if engine != "event" and lockstep and recorder is None:
-        from ..collectives.compiled import compile_schedule
+        from ..collectives.compiled import lower_schedule
 
-        result = compile_schedule(schedule).simulate(
+        result = lower_schedule(schedule).simulate(
             data_bytes, flow_control, lockstep, scheduling_overhead,
             engine=engine,
         )

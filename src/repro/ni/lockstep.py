@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..collectives.schedule import Schedule
 from ..metrics.registry import get_registry
 from ..network.flowcontrol import FlowControl
@@ -29,21 +31,49 @@ def _ser_profile(schedule: Schedule):
     bottleneck bandwidth — so the profile is computed once, deduplicated
     (first-occurrence order preserved), and cached on the schedule.
     Estimating a new data size then costs one serialization computation
-    per distinct triple instead of one per op.
+    per distinct triple instead of one per op.  Zero-hop ops serialize
+    nowhere and are skipped.
+
+    The bottleneck bandwidth is taken once per distinct route
+    (:meth:`Schedule.route_table`) and the fraction once per distinct
+    chunk, so deduplication runs over integer class columns.
     """
     profile = schedule.__dict__.get("_ser_profile")
     if profile is None:
         topo = schedule.topology
-        seen = set()
+        cols = schedule.op_columns()
+        routes, index = schedule.route_table()
+        bottleneck = [
+            min(topo.link(*key).bandwidth for key in route) if route else None
+            for route in routes
+        ]
+        band_class: Dict[float, int] = {}
+        route_class = np.asarray(
+            [-1 if bw is None else band_class.setdefault(bw, len(band_class))
+             for bw in bottleneck],
+            dtype=np.int64,
+        )
+        frac_class: Dict[Tuple[int, int], int] = {}
+        chunk_class = np.asarray(
+            [frac_class.setdefault(frac, len(frac_class))
+             for frac in zip(cols.frac_num.tolist(), cols.frac_den.tolist())],
+            dtype=np.int64,
+        )
+        op_band = route_class[index]
+        routed = np.flatnonzero(op_band >= 0)
+        # Dense (bandwidth, fraction) class, then (step, class) keys: both
+        # packings stay below the op count squared.
+        _, pair_class = np.unique(
+            op_band[routed] * len(frac_class) + chunk_class[cols.chunk[routed]],
+            return_inverse=True,
+        )
+        key = cols.steps[routed] * (len(pair_class) + 1) + pair_class
+        _, first = np.unique(key, return_index=True)
+        ops = schedule.ops
         profile = []
-        for op, route in zip(schedule.ops, schedule.op_routes()):
-            if not route:
-                continue
-            bandwidth = min(topo.link(*key).bandwidth for key in route)
-            entry = (op.step, bandwidth, op.chunk.fraction)
-            if entry not in seen:
-                seen.add(entry)
-                profile.append(entry)
+        for i in np.sort(routed[first]).tolist():
+            op = ops[i]
+            profile.append((op.step, bottleneck[index[i]], op.chunk.fraction))
         schedule.__dict__["_ser_profile"] = profile
     return profile
 

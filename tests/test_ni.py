@@ -1,9 +1,16 @@
 """Tests for the co-designed NI: schedule tables, lockstep, injection."""
 
+from fractions import Fraction
+
 import pytest
 
-from repro.collectives import build_schedule, multitree_allreduce, ring_allreduce
-from repro.collectives.schedule import OpKind
+from repro.collectives import (
+    build_schedule,
+    compile_schedule,
+    multitree_allreduce,
+    ring_allreduce,
+)
+from repro.collectives.schedule import ChunkRange, CommOp, OpKind, Schedule
 from repro.network import MessageBased, PacketBased
 from repro.ni import (
     TableOp,
@@ -154,6 +161,28 @@ class TestDependencies:
                 and other.step < op.step
             ]
             assert set(children) <= set(deps[idx])
+
+    @staticmethod
+    def _synthetic(denominators):
+        """Two chained ops on a 2x2 torus, one chunk per denominator."""
+        ops = [
+            CommOp(OpKind.REDUCE, src=0, dst=1, step=1,
+                   chunk=ChunkRange(Fraction(0), Fraction(1, denominators[0]))),
+            CommOp(OpKind.GATHER, src=1, dst=3, step=2,
+                   chunk=ChunkRange(Fraction(0), Fraction(1, denominators[1]))),
+        ]
+        return Schedule(Torus2D(2, 2), ops, "synthetic-grain")
+
+    def test_unit_key_domain_guard(self):
+        # 4 nodes x lcm(2**61, 3) units reaches 2**62: packed (node, unit)
+        # keys would overflow int64, so the derivations refuse it by name.
+        for derive in (dependency_lists, compile_schedule):
+            with pytest.raises(ValueError, match="synthetic-grain.*torus-2x2"):
+                derive(self._synthetic((2 ** 61, 3)))
+        # 4 nodes x 2**59 units stays inside the domain.
+        schedule = self._synthetic((2 ** 59, 2 ** 58))
+        assert schedule.granularity == 2 ** 59
+        assert dependency_lists(schedule) == [[], [0]]
 
 
 class TestSimulateAllReduce:

@@ -280,6 +280,28 @@ class TestSweepObservation:
             == [(p.data_bytes, p.time, p.bandwidth) for p in observed.points]
 
 
+class TestCompileSpans:
+    def test_one_span_per_object_compile(self):
+        from repro.collectives import build_schedule, compile_schedule
+        from repro.ni import simulate_allreduce
+        from repro.topology.specs import parse_topology_spec
+
+        topology = parse_topology_spec("torus-4x4")
+        names = ("ring", "dbtree")
+        schedules = [build_schedule(name, topology) for name in names]
+        with observing() as rec:
+            compiled = [compile_schedule(s) for s in schedules]
+            # Lowering only to run an engine is not a compile stage.
+            simulate_allreduce(schedules[0], 64 * KiB, engine="lockstep")
+        spans = [r for r in rec.records
+                 if r["kind"] == "span" and r["name"] == "schedule.compile"]
+        assert [span["attrs"] for span in spans] == [
+            {"topology": "torus-4x4", "algorithm": name, "path": "object",
+             "ops": len(c)}
+            for name, c in zip(names, compiled)
+        ]
+
+
 class TestFallbackReasons:
     def test_vec_decline_emits_reasoned_event_and_counter(self):
         # dbtree on torus-2x2 schedules multi-channel steps: the batched
