@@ -1,8 +1,10 @@
 """Micro-benchmark harness tracking the fast-path performance trajectory.
 
-Six benchmarks cover the optimized strata:
+The benchmarks cover the optimized strata:
 
 * ``construction`` — MultiTree spanning-tree construction (Algorithm 1);
+* ``construction_switched`` — the same on a switched fat-tree, where
+  construction runs the §III-C3 switch search;
 * ``simulate``     — the discrete-event simulator inner loop on a fixed,
   pre-lowered message set;
 * ``end_to_end``   — a Fig. 9-style cold-cache prediction sweep: schedule
@@ -58,6 +60,7 @@ from ..ni.injector import build_messages, simulate_allreduce
 from ..scenario import Scenario, scenario_set_fingerprint
 from ..sweep.artifacts import ArtifactStore
 from ..topology import Torus2D
+from ..topology.specs import parse_topology_spec
 from .reference import (
     reference_build_trees,
     reference_multitree_schedule,
@@ -169,6 +172,31 @@ def bench_construction(dims: Tuple[int, int], repeat: int = 1) -> BenchResult:
         optimized_s=optimized,
         reference_s=reference,
         meta={"topology": topo.name, "nodes": topo.num_nodes, "tot_t": fast_tot},
+    )
+
+
+def bench_construction_switched(repeat: int = 1) -> BenchResult:
+    """Time MultiTree construction on ``fattree-8x8``, both paths.
+
+    Exercises the §III-C3 switch search.  The forests must be ``==``
+    (every edge, step and route) before anything is timed.
+    """
+    spec = "fattree-8x8"
+    topo = parse_topology_spec(spec)
+    fast_trees, fast_tot = build_trees(topo)
+    ref_trees, ref_tot = reference_build_trees(topo)
+    if fast_tot != ref_tot or any(
+        f.edges != r.edges or f.order != r.order
+        for f, r in zip(fast_trees, ref_trees)
+    ):
+        raise RuntimeError("optimized switched construction diverged from reference")
+    optimized = _best_of(lambda: build_trees(topo), repeat)
+    reference = _best_of(lambda: reference_build_trees(topo), repeat)
+    return BenchResult(
+        name="construction_switched",
+        optimized_s=optimized,
+        reference_s=reference,
+        meta={"topology": spec, "nodes": topo.num_nodes, "tot_t": fast_tot},
     )
 
 
@@ -604,7 +632,6 @@ def bench_scaleout_xl(
 
     from ..collectives.streaming import compile_multitree
     from ..network.lockstep_vec import run_batch
-    from ..topology.specs import parse_topology_spec
 
     topo = parse_topology_spec(spec)
     base = 375 * topo.num_nodes * KiB
@@ -704,7 +731,6 @@ def bench_hetero(
     fabric whose upper tier runs at a quarter of the edge bandwidth.
     """
     from ..collectives import compile_schedule
-    from ..topology.specs import parse_topology_spec
 
     scenario = Scenario(
         topology=spec, algorithm="multitree", data_bytes=data_bytes,
@@ -759,6 +785,7 @@ def run_bench(quick: bool = False, repeat: Optional[int] = None) -> Dict[str, ob
         reps = repeat if repeat is not None else 3
         results = [
             bench_construction((8, 8), repeat=reps),
+            bench_construction_switched(repeat=reps),
             bench_simulate((8, 8), data_bytes=2 * MiB, repeat=reps),
             bench_end_to_end((4, 4), sizes=FIG9_SIZES[:4], repeat=reps),
             bench_engine((8, 8), data_bytes=2 * MiB, repeat=reps),
@@ -782,6 +809,7 @@ def run_bench(quick: bool = False, repeat: Optional[int] = None) -> Dict[str, ob
         reps = repeat if repeat is not None else 1
         results = [
             bench_construction((16, 16), repeat=reps),
+            bench_construction_switched(repeat=max(3, reps)),
             bench_simulate((8, 8), repeat=max(3, reps)),
             bench_end_to_end((8, 8), repeat=reps),
             bench_engine((16, 16), repeat=max(3, reps)),
@@ -809,11 +837,11 @@ def run_bench(quick: bool = False, repeat: Optional[int] = None) -> Dict[str, ob
 
 def format_report(report: Dict[str, object]) -> str:
     lines = [
-        "%-14s %12s %12s %9s" % ("benchmark", "optimized", "reference", "speedup")
+        "%-21s %12s %12s %9s" % ("benchmark", "optimized", "reference", "speedup")
     ]
     for name, entry in report["results"].items():
         lines.append(
-            "%-14s %10.1f ms %10.1f ms %8.2fx"
+            "%-21s %10.1f ms %10.1f ms %8.2fx"
             % (
                 name,
                 entry["optimized_s"] * 1e3,

@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..metrics.registry import get_registry
 from ..topology.base import Allocation, LinkKey, Topology
 from .schedule import ChunkRange, CommOp, OpKind, Schedule
@@ -191,7 +192,7 @@ def build_forest(
     Exactly the sequence of allocations :func:`build_trees` historically
     produced — same turn order, same parent probe order, same capacity
     consumption — recorded into a :class:`FlatForest` instead of
-    :class:`SpanningTree` objects.  Two structural observations make the
+    :class:`SpanningTree` objects.  Structural observations make the
     probe loop cheap without changing its outcome:
 
     * Line 9's parent set is fixed for the whole step (children added
@@ -204,11 +205,36 @@ def build_forest(
       always a *prefix* of the snapshot, so a per-``(tree, limit)``
       cursor replaces the seed implementation's per-parent dead-set
       membership tests.
+    * On switched fabrics the same monotonicity holds per start switch:
+      once a switch search fails for a (tree, limit), every parent whose
+      live uplinks all lead to such dead switches is skipped without a
+      probe.  Every allocation spends one parent uplink, so once every
+      node's uplinks are spent the step ends (the switched analogue of
+      the direct path's capacity budget).
+
+    Runs inside a ``multitree.build`` span carrying the step and turn
+    counts, plus the allocator's probe calls where construction probes
+    through one (the direct fast path scans neighbor lists inline).
     """
     if priority not in TREE_PRIORITIES:
         raise ValueError(
             "unknown priority %r; choose from %s" % (priority, TREE_PRIORITIES)
         )
+    with obs.span(
+        "multitree.build", topology=topology.name, priority=priority
+    ) as sp:
+        forest, turns, probes = _grow_forest(topology, priority)
+        sp.set("steps", forest.tot_t)
+        sp.set("turns", turns)
+        sp.set("probes", probes)
+    return forest
+
+
+def _grow_forest(
+    topology: Topology, priority: str
+) -> Tuple[FlatForest, int, Optional[int]]:
+    """:func:`build_forest`'s loop; returns the forest, turns and probes
+    (``None`` on the direct fast path)."""
     n = topology.num_nodes
     typecode = "h" if topology.num_vertices <= 0x7FFF else "i"
     switched = topology.num_switches > 0
@@ -227,11 +253,17 @@ def build_forest(
     version = 0  # bumped on every add; lets the sorted turn order be reused
     complete_trees = 0
     step = 0
+    # Every turn either connects a child or stalls its tree for the
+    # step, so turns = edges + stalls and the loops need not count them.
+    stalls = probes = 0
     roots = range(n)
 
     direct = not switched and (
         topology.allocation_graph().route_limits() == (None,)
     )
+    if switched:
+        uplinks = topology.switch_tables().uplinks
+        num_vertices = topology.num_vertices
     if direct:
         # Array-backed adjacency for the direct fast path: the
         # preference-ordered neighbor/link-id lists of every node,
@@ -399,6 +431,7 @@ def build_forest(
             alloc = topology.allocation_graph()  # fresh G' for this step
             turn = alloc.turn
             spent = alloc.spent
+            capacity = alloc.capacity
             # The allocator advertises which route-length limits are worth
             # probing: (2, 3, None) on switch-based networks — the
             # same-switch / one-inter-switch-hop / unbounded ladder of
@@ -407,6 +440,10 @@ def build_forest(
             num_limits = len(limits)
             # Exhausted-prefix cursor per (tree, limit); see the docstring.
             cursors = [[0] * num_limits for _ in roots]
+            # Dead start switches per (tree, limit); see the docstring.
+            dead = [
+                [bytearray(num_vertices) for _ in limits] for _ in roots
+            ] if switched else None
             progress = True
             while progress:
                 progress = False
@@ -433,12 +470,23 @@ def build_forest(
                     for li in range(num_limits):
                         limit = limits[li]
                         i = cur[li]
+                        rung_dead = dead[root][li] if switched else None
                         while i < bound:  # line 9
                             parent = order[i]
                             # A parent with every uplink spent fails any
-                            # probe: skipping it changes nothing.
+                            # probe, and so does one whose live uplinks all
+                            # lead to switches already dead at this rung:
+                            # skipping either changes nothing.
                             if not spent[parent]:
-                                found = probe(parent, limit)
+                                if rung_dead is None:
+                                    probes += 1
+                                    found = probe(parent, limit)
+                                else:
+                                    for key, start in uplinks[parent]:
+                                        if not rung_dead[start] and capacity[key] > 0:
+                                            probes += 1
+                                            found = probe(parent, limit, rung_dead)
+                                            break
                                 if found is not None:
                                     break
                             i += 1
@@ -459,8 +507,15 @@ def build_forest(
                             complete_trees += 1
                         version += 1
                         progress = True
+                        if alloc.unspent == 0:
+                            # Every allocation spends a parent uplink and
+                            # none is left: no tree can connect another
+                            # child this step, so skip the stall proofs.
+                            progress = False
+                            break
                     else:
                         stalled[root] = 1  # cannot reconnect this step
+        stalls += stalled.count(1)
         if step > 4 * n:  # safety net; never triggered on connected graphs
             raise RuntimeError("MultiTree construction did not converge")
     forest.tot_t = step
@@ -482,7 +537,7 @@ def build_forest(
                     fanout[parent] = fanout.get(parent, 0) + 1
                 branching = max(fanout.values())
             branch_hist.observe(branching)
-    return forest
+    return forest, forest.num_edges() + stalls, None if direct else probes
 
 
 def build_trees(

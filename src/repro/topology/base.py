@@ -330,24 +330,29 @@ class AllocationGraph:
         # One C-level dict copy of the cached template instead of a
         # whole-graph LinkSpec walk (plus the ``links`` property's dict
         # copy) per time step — this runs once per MultiTree step.
-        self._capacity: Dict[LinkKey, int] = topology.capacity_template()
+        #: Remaining units per link key; construction reads it to skip
+        #: parents without probing.  Only allocations consume it.
+        self.capacity: Dict[LinkKey, int] = topology.capacity_template()
         #: ``spent[node]`` is set once every link a search could start on
         #: from ``node`` is used up for this step; the node then fails
         #: every probe, so construction skips it without probing.
         #: Allocators that do not track this leave it all zero.
         self.spent = bytearray(topology.num_nodes)
+        #: How many ``spent`` bytes are still clear.  At zero no probe
+        #: can succeed, so construction ends the step.
+        self.unspent = topology.num_nodes
 
     def remaining(self, key: LinkKey) -> int:
-        return self._capacity.get(key, 0)
+        return self.capacity.get(key, 0)
 
     def total_remaining(self) -> int:
-        return sum(self._capacity.values())
+        return sum(self.capacity.values())
 
     def _consume(self, key: LinkKey) -> None:
-        left = self._capacity.get(key, 0)
+        left = self.capacity.get(key, 0)
         if left <= 0:
             raise RuntimeError("link %s has no remaining capacity" % (key,))
-        self._capacity[key] = left - 1
+        self.capacity[key] = left - 1
 
     def route_limits(self) -> Tuple[Optional[int], ...]:
         """The route-length ladder construction should probe, short first.
@@ -397,7 +402,9 @@ class AllocationGraph:
         return probe
 
 
-#: ``probe(parent, max_route_len=None) -> Optional[Allocation]``.
+#: ``probe(parent, max_route_len=None) -> Optional[Allocation]``; the
+#: switched allocator's probe also takes a ``dead`` table (see
+#: :meth:`IndirectAllocationGraph.turn`).
 Probe = Callable[..., Optional[Allocation]]
 
 
@@ -417,7 +424,7 @@ class DirectAllocationGraph(AllocationGraph):
     ) -> Optional[Allocation]:
         if max_route_len is not None and max_route_len < 1:
             return None
-        capacity = self._capacity
+        capacity = self.capacity
         for child in self.topology.neighbor_preference_cached(parent):
             key = (parent, child)
             if capacity.get(key, 0) > 0 and eligible(child):
@@ -438,10 +445,13 @@ class IndirectAllocationGraph(AllocationGraph):
 
     A route limit of ``L`` links admits ejection from switches at most
     ``L - 2`` levels from the start switch, so a bounded search is a
-    prefix of the unbounded one.  :meth:`turn` exploits that: one
-    resumable search per (parent, uplink) answers every rung of the
-    route-limit ladder within a turn, extended level by level as the
-    limit grows.
+    prefix of the unbounded one.  The search past the first hop depends
+    only on its start switch, the remaining capacity and the tree's
+    membership; within a step capacity only shrinks and membership only
+    grows.  :meth:`turn` exploits both: one resumable search per start
+    switch answers every parent attached there at every rung of the
+    turn, and a search that fails marks its start switch dead for that
+    tree and rung for the rest of the step.
     """
 
     def find_child(
@@ -456,21 +466,35 @@ class IndirectAllocationGraph(AllocationGraph):
         return self.turn(joined)(parent, max_route_len)
 
     def turn(self, joined: Sequence[int]) -> Probe:
-        capacity = self._capacity
+        """A child probe for one tree's turn; see :meth:`AllocationGraph.turn`.
+
+        The probe takes an optional third argument ``dead``, a byte table
+        over vertices owned by the caller for one (tree, rung) pair and
+        step.  The probe skips uplinks whose start switch is marked there
+        and marks every start switch whose search fails at this rung: no
+        later probe of the same tree at the same rung can succeed from it
+        within the step.  Uplinks are still tried in order, and each
+        parent commits its own uplink as the route's first hop.
+        """
+        capacity = self.capacity
         uplinks, down, across = self.topology.switch_tables()
         unbounded = self.topology.num_switches  # deeper than any BFS level
-        searches: Dict[LinkKey, _SwitchSearch] = {}  # by uplink key
+        searches: Dict[int, _SwitchSearch] = {}  # by start switch
 
         def probe(
-            parent: int, max_route_len: Optional[int] = None
+            parent: int,
+            max_route_len: Optional[int] = None,
+            dead: Optional[bytearray] = None,
         ) -> Optional[Allocation]:
             deepest = unbounded if max_route_len is None else max_route_len - 2
             for first_key, start in uplinks[parent]:
                 if capacity[first_key] <= 0:
                     continue  # uplink spent for this step
-                search = searches.get(first_key)
+                if dead is not None and dead[start]:
+                    continue  # failed from here earlier in the step
+                search = searches.get(start)
                 if search is None:
-                    search = searches[first_key] = _SwitchSearch(start)
+                    search = searches[start] = _SwitchSearch(start)
                 prev = search.prev
                 while search.level:
                     if not search.scanned:
@@ -478,7 +502,7 @@ class IndirectAllocationGraph(AllocationGraph):
                             break
                         for switch in search.level:
                             for key, node in down[switch]:
-                                if capacity[key] > 0 and not joined[node]:
+                                if not joined[node] and capacity[key] > 0:
                                     return self._commit(
                                         parent, first_key, prev, switch, key, node
                                     )
@@ -494,6 +518,8 @@ class IndirectAllocationGraph(AllocationGraph):
                     search.level = nxt
                     search.depth += 1
                     search.scanned = False
+                if dead is not None:
+                    dead[start] = 1
             return None
 
         return probe
@@ -517,7 +543,7 @@ class IndirectAllocationGraph(AllocationGraph):
             before = prev[at]
         hops.append(first_key)
         hops.reverse()
-        capacity = self._capacity
+        capacity = self.capacity
         for key in hops:
             capacity[key] -= 1
         # Only the first hop leaves a node, so only the parent can have
@@ -527,11 +553,16 @@ class IndirectAllocationGraph(AllocationGraph):
             for key, _switch in self.topology.switch_tables().uplinks[parent]
         ):
             self.spent[parent] = 1
+            self.unspent -= 1
         return Allocation(parent, child, hops)
 
 
 class _SwitchSearch:
-    """One uplink's breadth-first switch search, resumable across rungs.
+    """One start switch's breadth-first search, resumable across rungs.
+
+    Shared by every parent attached to the start switch within one turn:
+    nothing is consumed before the turn's successful probe, so each
+    parent would repeat the same search.
 
     ``level`` holds the switches ``depth`` hops from the start switch,
     ``scanned`` records that none of them can eject a child, and ``prev``

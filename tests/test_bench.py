@@ -15,7 +15,12 @@ from repro.bench import (
     load_report,
     write_report,
 )
-from repro.bench.harness import FIG9_SIZES, bench_batch, format_report
+from repro.bench.harness import (
+    FIG9_SIZES,
+    bench_batch,
+    bench_construction_switched,
+    format_report,
+)
 
 KiB = 1024
 
@@ -64,6 +69,17 @@ class TestBenchmarks:
         assert result.meta["fallbacks"] == 0
         assert len(result.meta["sizes"]) == 3
         assert result.optimized_s > 0 and result.reference_s > 0
+
+
+    def test_bench_construction_switched_cross_checks(self):
+        # The forests are compared with == before either side is timed.
+        result = bench_construction_switched(repeat=1)
+        assert result.name == "construction_switched"
+        assert result.meta == {"topology": "fattree-8x8", "nodes": 64, "tot_t": 63}
+        assert result.optimized_s > 0 and result.reference_s > 0
+        assert "construction_switched" in format_report(
+            {"results": {result.name: result.to_dict()}}
+        )
 
 
 class TestReportIO:

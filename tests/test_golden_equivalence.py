@@ -81,8 +81,15 @@ SWITCHED_FABRICS = [
 ]
 
 
-@pytest.mark.parametrize("spec", SWITCHED_FABRICS)
-@pytest.mark.parametrize("priority", ["root-id", "most-remaining"])
+#: The 128-node BiGraph, root-id only: the seed side alone takes seconds.
+SWITCHED_CASES = [
+    pytest.param(spec, priority, id="%s-%s" % (priority, spec))
+    for priority in ("root-id", "most-remaining")
+    for spec in SWITCHED_FABRICS
+] + [pytest.param("bigraph-4x16", "root-id", id="root-id-bigraph-4x16")]
+
+
+@pytest.mark.parametrize("spec, priority", SWITCHED_CASES)
 def test_switched_construction_bit_identical(spec, priority):
     fast_trees, fast_tot = build_trees(parse_topology_spec(spec), priority)
     topo = parse_topology_spec(spec)

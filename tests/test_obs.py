@@ -302,6 +302,21 @@ class TestCompileSpans:
         ]
 
 
+    def test_construction_span_nests_under_streaming_compile(self):
+        from repro.collectives.streaming import compile_multitree
+        from repro.topology.specs import parse_topology_spec
+
+        with observing() as rec:
+            compile_multitree(parse_topology_spec("fattree-4x4"))
+        spans = {r["name"]: r for r in rec.records if r["kind"] == "span"}
+        build = spans["multitree.build"]
+        assert build["parent"] == spans["schedule.compile"]["span"]
+        assert build["attrs"] == {
+            "topology": "fattree-16n", "priority": "root-id",
+            "steps": 15, "turns": 240, "probes": 528,
+        }
+
+
 class TestFallbackReasons:
     def test_vec_decline_emits_reasoned_event_and_counter(self):
         # dbtree on torus-2x2 schedules multi-channel steps: the batched

@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro.topology.base as base
+from repro import obs
 from repro.bench import reference_build_trees
 from repro.collectives import build_trees
+from repro.collectives.multitree import build_forest
 from repro.topology import BiGraph, FatTree
 from repro.topology.base import IndirectAllocationGraph, Topology
 
@@ -237,3 +240,74 @@ class TestMultiHomedAllocation:
         ref, ref_tot = reference_build_trees(DualHomed(), priority)
         assert fast_tot == ref_tot
         assert [t.edges for t in fast] == [t.edges for t in ref]
+
+
+class TestTurnSharing:
+    """Each shortcut in a switched turn is exact: pinned one at a time."""
+
+    def test_parents_on_one_switch_share_one_search(self, monkeypatch):
+        made = []
+
+        class CountingSearch(base._SwitchSearch):
+            __slots__ = ()
+
+            def __init__(self, start):
+                made.append(start)
+                super().__init__(start)
+
+        monkeypatch.setattr(base, "_SwitchSearch", CountingSearch)
+        ft = FatTree(4, 4)
+        joined = bytearray(ft.num_nodes)
+        for node in ft.leaf_members(0):  # nodes 0-3 share leaf 0
+            joined[node] = 1
+        probe = ft.allocation_graph().turn(joined)
+        found = [probe(0, 2), probe(1, 2), probe(1, None)]
+        assert made == [ft.leaf_of(0)]  # one search for both parents
+        fresh = [
+            ft.allocation_graph().find_child(p, lambda c: not joined[c], limit)
+            for p, limit in ((0, 2), (1, 2), (1, None))
+        ]
+        assert found[:2] == [None, None] == fresh[:2]
+        assert (found[2].child, found[2].route) == (fresh[2].child, fresh[2].route)
+        assert found[2].route[0] == (1, ft.leaf_of(1))  # its own uplink
+
+    def test_dead_first_switch_connects_through_second_uplink(self):
+        S1, S2 = DualHomed.S1, DualHomed.S2
+        topo = DualHomed()
+        alloc = topo.allocation_graph()
+        probe = alloc.turn(bytearray([1, 1, 0, 0]))
+        dead = bytearray(topo.num_vertices)
+        # Node 1 sits on S1 alone: its failed rung-2 search kills S1.
+        assert probe(1, 2, dead) is None
+        assert dead[S1] and not dead[S2]
+        # Node 0's first uplink now leads to a dead switch; its second
+        # is live, so it is still probed and connects through it.
+        found = probe(0, 2, dead)
+        assert found.child == 2
+        assert found.route == [(0, S2), (S2, 2)]
+        assert alloc.remaining((0, S1)) == 1
+
+    def test_step_ends_when_every_uplink_is_spent(self):
+        ft = FatTree(4, 4)
+        alloc = ft.allocation_graph()
+        assert alloc.unspent == ft.num_nodes
+        for parent in ft.nodes:
+            assert alloc.find_child(parent, lambda c: c != parent) is not None
+        assert alloc.unspent == 0
+        with obs.observing() as rec:
+            forest = build_forest(ft)
+        attrs = [r["attrs"] for r in rec.records
+                 if r["name"] == "multitree.build"][0]
+        # Without the early end every step closes with one failed turn
+        # per incomplete tree; here every turn connects a child.
+        assert attrs["turns"] == forest.num_edges() == 16 * 15
+
+    def test_construction_counts_on_fattree_8x8(self):
+        with obs.observing() as rec:
+            build_forest(FatTree(8, 8), "root-id")
+        (span,) = [r for r in rec.records if r["name"] == "multitree.build"]
+        attrs = span["attrs"]
+        assert attrs["topology"] == "fattree-64n"
+        assert attrs["steps"] == 63
+        assert attrs["turns"] == 4032  # one per tree edge: none fails
+        assert attrs["probes"] <= 12544
