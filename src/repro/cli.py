@@ -83,9 +83,9 @@ from .topology.specs import (
     TOPOLOGY_BUILDERS,
     TOPOLOGY_HELP,
     link_profile_for,
-    parse_topology,
     topology_mods_help,
 )
+from .topology.specs import parse_topology as _parse_topology
 from .topology.profile import link_mods_help
 from .trace import Trace, format_trace_report, write_chrome_trace
 from .training import nonoverlapped_iteration, overlapped_iteration
@@ -106,6 +106,14 @@ def parse_sizes(text: str):
     """Parse a size axis (sizes + ``LO..HI`` ranges), exiting loudly."""
     try:
         return _parse_sizes(text)
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
+def parse_topology(kind: str, dims: str):
+    """Build a topology from CLI ``--topology``/``--dims``, exiting loudly."""
+    try:
+        return _parse_topology(kind, dims)
     except ValueError as error:
         raise SystemExit(str(error))
 
@@ -146,7 +154,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = _combined_spec(args.topology, args.dims)
         sizes = parse_sizes(args.sizes)
         scenarios = [
-            Scenario(
+            _make_scenario(
                 topology=spec, algorithm=algorithm.strip(),
                 data_bytes=size, engine=args.engine,
             )

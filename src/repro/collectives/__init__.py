@@ -26,9 +26,7 @@ from .primitives import (
 from .compiled import COMPILED_FORMAT, CompiledSchedule, compile_schedule
 from .ring import ring_allreduce
 from .serialization import (
-    load_compiled,
     load_schedule,
-    save_compiled,
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
@@ -125,8 +123,6 @@ __all__ = [
     "CompiledSchedule",
     "compile_algorithm",
     "compile_schedule",
-    "load_compiled",
-    "save_compiled",
     "ExecutionResult",
     "OpKind",
     "Schedule",

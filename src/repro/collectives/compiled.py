@@ -10,11 +10,13 @@ and the deduplicated serialization profile that drives the lockstep gate
 estimates (§IV-A) — so a simulation at a new data size only has to scale
 payloads and gates, not re-derive structure.
 
-The compiled form round-trips through columnar JSON (flat integer arrays
-with offset tables rather than per-op records), which keeps 1024-node
-artifacts with hundreds of thousands of ops cheap to persist and load;
-:mod:`repro.sweep.artifacts` stores them on disk with the same
-atomic-write + schema-version discipline as the prediction cache.
+The compiled form is columnar (flat integer arrays with offset tables
+rather than per-op records), which keeps 1024-node artifacts with
+hundreds of thousands of ops cheap to persist and load;
+:mod:`repro.sweep.artifacts` stores them on disk as binary column shards
+with the same atomic-write + schema-version discipline as the prediction
+cache.  :meth:`CompiledSchedule.to_dict` is a JSON-safe copy-out used to
+compare compiled forms with ``==``.
 
 Exactness: chunk fractions are stored as integer numerator/denominator
 pairs and converted with a single true division, which rounds identically
@@ -34,9 +36,9 @@ from .. import obs
 from ..metrics.registry import get_registry
 from ..topology.base import LinkKey, Topology, topology_fingerprint
 
-#: Format tag embedded in every serialized compiled schedule.  Bump when
-#: the columnar layout or the meaning of any field changes; loaders
-#: reject unknown formats, so stale artifacts read as misses.
+#: Format tag embedded in every stored compiled schedule.  Bump when the
+#: columnar layout or the meaning of any field changes; the artifact store
+#: rejects unknown formats, so stale artifacts read as misses.
 COMPILED_FORMAT = "repro-compiled-v1"
 
 
@@ -507,7 +509,8 @@ class CompiledSchedule:
         """Columnar JSON-safe form: flat arrays + offset tables.
 
         The in-memory layout already matches the columnar schema, so this
-        is a field-for-field copy-out.
+        is a field-for-field copy-out — the ``==`` oracle for comparing
+        two compiled forms.
         """
         return {
             "format": COMPILED_FORMAT,
@@ -534,42 +537,6 @@ class CompiledSchedule:
                 if isinstance(value, (str, int, float, bool, list))
             },
         }
-
-    @classmethod
-    def from_dict(
-        cls, data: Dict[str, object], topology: Topology
-    ) -> "CompiledSchedule":
-        """Rebuild on ``topology``; the stored fingerprint must match."""
-        if data.get("format") != COMPILED_FORMAT:
-            raise ValueError(
-                "unrecognized compiled-schedule format %r" % data.get("format")
-            )
-        fingerprint = topology_fingerprint(topology)
-        if data["topology"] != fingerprint:
-            raise ValueError(
-                "compiled schedule was built for topology %s, not %s (%s)"
-                % (data["topology"], fingerprint, topology.name)
-            )
-        ser_profile = list(
-            zip(data["ser_steps"], data["ser_bandwidth"], data["ser_fraction"])
-        )
-        return cls(
-            topology=topology,
-            algorithm=data["algorithm"],
-            num_steps=data["num_steps"],
-            srcs=list(data["srcs"]),
-            dsts=list(data["dsts"]),
-            steps=list(data["steps"]),
-            frac_num=list(data["frac_num"]),
-            frac_den=list(data["frac_den"]),
-            links=[(pair[0], pair[1]) for pair in data["links"]],
-            route_off=list(data["route_offsets"]),
-            route_val=list(data["route_values"]),
-            dep_off=list(data["dep_offsets"]),
-            dep_val=list(data["dep_values"]),
-            ser_profile=ser_profile,
-            metadata=dict(data.get("metadata", {})),
-        )
 
 
 def compile_schedule(schedule) -> CompiledSchedule:

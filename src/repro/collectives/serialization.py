@@ -101,16 +101,3 @@ def load_schedule(path: str, topology: Topology) -> Schedule:
     with open(path) as fh:
         return schedule_from_dict(json.load(fh), topology)
 
-
-def save_compiled(compiled: "CompiledSchedule", path: str) -> None:
-    """Persist a compiled schedule (see :mod:`repro.collectives.compiled`)."""
-    with open(path, "w") as fh:
-        json.dump(compiled.to_dict(), fh)
-
-
-def load_compiled(path: str, topology: Topology) -> "CompiledSchedule":
-    """Load a compiled schedule; fingerprints must match ``topology``."""
-    from .compiled import CompiledSchedule
-
-    with open(path) as fh:
-        return CompiledSchedule.from_dict(json.load(fh), topology)

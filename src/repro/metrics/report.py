@@ -132,14 +132,10 @@ def engine_mix(
 
     Returns ``(runs, fallbacks)``: runs keyed by ``(engine, topology)``
     from ``sim.engine_runs``, fallbacks keyed by ``(engine, reason,
-    topology)`` from the reasoned ``sim.fallbacks`` counter, with the
-    legacy unreasoned ``sim.lockstep[_vec]_fallbacks`` counters folded in
-    under reason ``"(unreasoned)"`` for records predating the reasoned
-    counter.
+    topology)`` from the reasoned ``sim.fallbacks`` counter.
     """
     runs: Dict[Tuple[str, str], float] = {}
     fallbacks: Dict[Tuple[str, str, str], float] = {}
-    has_reasoned = False
     metrics = record.get("metrics") or {}
     counters = metrics.get("counters") or {}
     for key, value in counters.items():
@@ -150,24 +146,11 @@ def engine_mix(
             )
             runs[mix_key] = runs.get(mix_key, 0.0) + float(value)
         elif name == "sim.fallbacks":
-            has_reasoned = True
             fb_key = (
                 labels.get("engine", "?"),
                 labels.get("reason", "?"),
                 labels.get("topology", "?"),
             )
-            fallbacks[fb_key] = fallbacks.get(fb_key, 0.0) + float(value)
-    if not has_reasoned:
-        legacy = {
-            "sim.lockstep_vec_fallbacks": "lockstep-vec",
-            "sim.lockstep_fallbacks": "lockstep",
-        }
-        for key, value in counters.items():
-            name, labels = parse_key(key)
-            engine = legacy.get(name)
-            if engine is None:
-                continue
-            fb_key = (engine, "(unreasoned)", labels.get("topology", "?"))
             fallbacks[fb_key] = fallbacks.get(fb_key, 0.0) + float(value)
     return runs, fallbacks
 

@@ -50,9 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
 
 #: Known simulation engines, in fallback-ladder order (most specialized
-#: last).  The engine is part of every prediction-cache ``point_key``, so
-#: adding a value here mints new cache keys without invalidating existing
-#: ones — no ``FINGERPRINT_SCHEMA_VERSION`` bump needed.
+#: last).  The engine only chooses what runs: every engine returns ``==``
+#: numbers, so it is no part of a prediction-cache ``point_key``, and a
+#: point cached under one engine is served to all of them.
 ENGINES = ("event", "lockstep", "lockstep-vec")
 
 

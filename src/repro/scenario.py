@@ -9,10 +9,10 @@ a first-class, frozen value with
   :meth:`Scenario.parse` / :meth:`Scenario.canonical`;
 * a **dict/JSON round-trip** (:meth:`to_dict` / :meth:`from_dict`);
 * a single :meth:`fingerprint` that subsumes the prediction-cache key
-  (:func:`repro.sweep.cache.prediction_key`), the compiled-artifact key
-  (:func:`repro.sweep.artifacts.artifact_key`) and the run-manifest
-  config fingerprint — identical points always share one identity, no
-  matter which layer asks.
+  (:func:`point_key`), the compiled-artifact key
+  (:func:`artifact_fingerprint`) and the run-manifest config
+  fingerprint — identical points always share one identity, no matter
+  which layer asks.
 
 Canonical string grammar::
 
@@ -24,7 +24,9 @@ Canonical string grammar::
     SIZE      := bytes or K/M/GiB form    (e.g. 1MiB, 32K, 12345)
     MOD       := "packet" | "message"     flow-control override
                | "free"                   lockstep gating off
-               | "event" | "lockstep"     simulation engine
+               | "event" | "lockstep" | "lockstep-vec"
+                                          simulation engine (a hint,
+                                          not part of the identity)
                | KEY "=" VALUE            SystemConfig override (Table III)
 
 Mods may equivalently be separated by ``+`` (useful where a comma is a
@@ -42,7 +44,10 @@ physical fabrics always share one spelling and one fingerprint.
 Identity is *resolved*: ``torus-4x4/multitree-msg/1MiB`` and
 ``torus-4x4/multitree/1MiB@message`` describe the same physical point and
 share one fingerprint, because fingerprints embed the resolved (builder,
-flow control) pairing from the variant registry, not the spelling.
+flow control) pairing from the variant registry, not the spelling.  The
+engine is an execution hint, not part of the identity: every engine
+returns ``==`` numbers, so ``...@lockstep-vec`` and the event-engine
+spelling of a point share one fingerprint and one cached prediction.
 """
 
 from __future__ import annotations
@@ -62,12 +67,7 @@ from .config import SystemConfig, TABLE_III
 from .network.flowcontrol import FlowControl
 from .network.simulator import ENGINES, check_engine
 from .topology.base import Topology, topology_fingerprint
-from .topology.specs import (
-    TOPOLOGY_BUILDERS,
-    TOPOLOGY_HELP,
-    canonical_topology_spec,
-    parse_topology_spec,
-)
+from .topology.specs import canonical_topology_spec, parse_topology_spec
 
 KiB = 1024
 MiB = 1 << 20
@@ -86,7 +86,9 @@ GiB = 1 << 30
 #: topology spelling canonicalizes on scenario construction, so every
 #: pre-profile persisted key misses instead of aliasing a heterogeneous
 #: fabric onto its uniform namesake.
-FINGERPRINT_SCHEMA_VERSION = 4
+#: v5: the engine left the key (every engine is held to ``==``), so a
+#: point cached under one engine is a hit for every other.
+FINGERPRINT_SCHEMA_VERSION = 5
 
 #: Artifact identities are payload independent, so they version separately
 #: (an artifact survives fingerprint-schema bumps that only reprice
@@ -219,7 +221,6 @@ def point_key(
     flow_control: FlowControl,
     data_bytes: int,
     lockstep: bool = True,
-    engine: str = "event",
     overrides: Overrides = (),
 ) -> str:
     """The readable identity string behind every scenario fingerprint.
@@ -228,16 +229,16 @@ def point_key(
     onto their (builder, flow control) resolution so all spellings of one
     physical point share one key.  The topology contribution is the
     structural digest from :func:`repro.topology.base.topology_fingerprint`
-    (name, node counts, every link's parameters).
+    (name, node counts, every link's parameters).  The engine is
+    deliberately absent: every engine returns ``==`` numbers.
     """
-    return "v%d|%s|%s|%s|%d|%s|%s|%s" % (
+    return "v%d|%s|%s|%s|%d|%s|%s" % (
         FINGERPRINT_SCHEMA_VERSION,
         topology_fingerprint(topology),
         algorithm,
         repr(flow_control),
         int(data_bytes),
         "lockstep" if lockstep else "free",
-        engine,
         ",".join(
             "%s=%r" % (key, value) for key, value in overrides
         ) or "-",
@@ -287,16 +288,11 @@ class Scenario:
                 "unknown flow control %r (choose: %s)"
                 % (self.flow_control, sorted(FLOW_CONTROL_FACTORIES))
             )
-        kind = self.topology.partition("@")[0].partition("-")[0]
-        if kind not in TOPOLOGY_BUILDERS:
-            raise ValueError(
-                "unknown topology %r in scenario (choose: %s)"
-                % (self.topology, TOPOLOGY_HELP)
-            )
         # Canonicalize the link-profile suffix (``@oversub=4.0`` becomes
         # ``@oversub=4``) so one physical fabric keeps one spelling — and
-        # one fingerprint — across every layer; unknown or malformed link
-        # mods fail loudly here rather than at build time.
+        # one fingerprint — across every layer; unknown families, a wrong
+        # dimension count and unknown or malformed link mods fail loudly
+        # here rather than at build time.
         object.__setattr__(
             self, "topology", canonical_topology_spec(self.topology)
         )
@@ -446,7 +442,6 @@ class Scenario:
             resolved.flow_control,
             self.data_bytes,
             self.lockstep,
-            self.engine,
             self.overrides,
         )
 

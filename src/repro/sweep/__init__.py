@@ -5,15 +5,9 @@
 memoize figure-scale prediction grids.
 """
 
-from .artifacts import ARTIFACT_SCHEMA_VERSION, ArtifactStore, artifact_key
-from .cache import (
-    CACHE_SCHEMA_VERSION,
-    PredictionCache,
-    prediction_key,
-    topology_fingerprint,
-)
+from .artifacts import ARTIFACT_SCHEMA_VERSION, ArtifactStore
+from .cache import PredictionCache
 from .runner import (
-    FLOW_CONTROLS,
     SweepJob,
     SweepStats,
     jobs_from_scenarios,
@@ -27,18 +21,13 @@ from .runner import (
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "ArtifactStore",
-    "artifact_key",
-    "CACHE_SCHEMA_VERSION",
-    "FLOW_CONTROLS",
     "PredictionCache",
     "SweepJob",
     "SweepStats",
     "jobs_from_scenarios",
     "predict_cached",
-    "prediction_key",
     "record_sweep_metrics",
     "run_job",
     "run_sweep",
     "sweep_bandwidth_cached",
-    "topology_fingerprint",
 ]

@@ -20,13 +20,11 @@ vectorized engine never materializes the columns it does not touch
 a 134M-op schedule would be tens of GiB of text; the shards are the raw
 little-endian arrays.
 
-**Legacy tier.**  Single-file JSON artifacts written by earlier versions
-(``{"schema": ..., "key": ..., "compiled": {...}}``) still load, counted
-separately (``legacy_hits`` / the ``artifact.legacy_hits`` metric), so a
-warm store survives the format change.  Any unreadable, truncated,
-checksum-mismatched, or wrong-topology artifact counts as a **miss with
-a reason** (the ``sim.fallbacks``-style ``artifact`` engine counter) —
-never an exception: the store is a cache, not a source of truth.
+This is the store's only format.  Any unreadable, truncated,
+checksum-mismatched, wrong-format (an old single-file JSON artifact
+included) or wrong-topology artifact counts as a **miss with a reason**
+(the ``sim.fallbacks``-style ``artifact`` engine counter) — never an
+exception: the store is a cache, not a source of truth.
 """
 
 from __future__ import annotations
@@ -49,32 +47,20 @@ from ..collectives.compiled import (
 from ..metrics.registry import get_registry
 
 # The artifact identity scheme lives in the scenario layer so predictions,
-# artifacts and manifests all derive from one place; the schema version is
-# re-exported here for back compatibility.
+# artifacts and manifests all derive from one place.
 from ..scenario import ARTIFACT_SCHEMA_VERSION, artifact_fingerprint
 from ..topology.base import Topology, topology_fingerprint
 
-#: Marker distinguishing sharded headers from legacy single-file JSON.
+#: Header marker of the sharded format; anything else is a miss.
 ARTIFACT_FORMAT = "repro-artifact-sharded-v2"
 
-#: Environment override for the in-process memo capacity.
-MEMO_CAP_ENV = "REPRO_ARTIFACT_MEMO_CAP"
+#: Default in-process memo capacity.
 DEFAULT_MEMO_CAP = 8
 
 #: Columns per shard, in storage order.
 _CORE_COLUMNS = ("srcs", "dsts", "steps", "frac_num", "frac_den",
                  "route_off", "route_val")
 _DEP_COLUMNS = ("dep_off", "dep_val")
-
-
-def artifact_key(topology: Topology, algorithm: str) -> str:
-    """Identity of one compiled artifact (payload independent).
-
-    Back-compat shim over :func:`repro.scenario.artifact_fingerprint`;
-    ``algorithm`` is the resolved builder name (named variants share their
-    builder's artifact — flow control does not change the compiled form).
-    """
-    return artifact_fingerprint(topology, algorithm, ARTIFACT_SCHEMA_VERSION)
 
 
 def _file_sha256(path: str) -> str:
@@ -157,27 +143,17 @@ class ArtifactStore:
     bucket, a serial sweep — share one :class:`CompiledSchedule` instance
     and therefore its memoized derived state (step groups, dependency
     CSR, vectorization plan) instead of re-parsing the shards per job.
-    The memo is **LRU-bounded** (``memo_capacity`` argument, or the
-    ``REPRO_ARTIFACT_MEMO_CAP`` environment variable, default 8): a
-    long-lived process sweeping hundreds of topologies must not pin every
-    multi-GiB schedule it ever touched.  ``put`` never populates the
-    memo: the store stays a cache over the on-disk truth, and a corrupted
-    file must read as a miss.
+    The memo is **LRU-bounded** (``memo_capacity``, default
+    :data:`DEFAULT_MEMO_CAP`): a long-lived process sweeping hundreds of
+    topologies must not pin every multi-GiB schedule it ever touched.
+    ``put`` never populates the memo: the store stays a cache over the
+    on-disk truth, and a corrupted file must read as a miss.
     """
 
-    def __init__(self, root: str, memo_capacity: Optional[int] = None) -> None:
+    def __init__(self, root: str, memo_capacity: int = DEFAULT_MEMO_CAP) -> None:
         self.root = root
         self.hits = 0
         self.misses = 0
-        #: Loads served by the legacy single-file JSON tier.
-        self.legacy_hits = 0
-        if memo_capacity is None:
-            try:
-                memo_capacity = int(
-                    os.environ.get(MEMO_CAP_ENV, DEFAULT_MEMO_CAP)
-                )
-            except ValueError:
-                memo_capacity = DEFAULT_MEMO_CAP
         self.memo_capacity = max(0, memo_capacity)
         self._memo: "OrderedDict[str, CompiledSchedule]" = OrderedDict()
 
@@ -211,14 +187,14 @@ class ArtifactStore:
         with obs.span(
             "artifact.get", topology=topology.name, algorithm=algorithm
         ) as span:
-            key = artifact_key(topology, algorithm)
+            key = artifact_fingerprint(topology, algorithm)
             memoized = self._memo.get(key)
             if memoized is not None and memoized.topology is topology:
                 self._memo.move_to_end(key)
                 span.set("outcome", "memo-hit")
                 return self._count_hit(topology, algorithm, memoized, key,
                                        memoize=False)
-            compiled, tier, reason = self._load(key, topology)
+            compiled, reason = self._load(key, topology)
             if compiled is None:
                 span.set("outcome", "miss")
                 span.set("reason", reason)
@@ -234,15 +210,7 @@ class ArtifactStore:
                         algorithm=algorithm,
                     ).inc()
                 return None
-            span.set("outcome", tier)
-            if tier == "legacy-hit":
-                self.legacy_hits += 1
-                registry = get_registry()
-                if registry is not None:
-                    registry.counter(
-                        "artifact.legacy_hits", topology=topology.name,
-                        algorithm=algorithm,
-                    ).inc()
+            span.set("outcome", "hit")
             return self._count_hit(topology, algorithm, compiled, key)
 
     def _count_hit(self, topology, algorithm, compiled, key, memoize=True):
@@ -257,34 +225,25 @@ class ArtifactStore:
         return compiled
 
     def _load(self, key: str, topology: Topology):
-        """``(compiled, tier, miss_reason)`` for one on-disk artifact."""
+        """``(compiled, miss_reason)`` for one on-disk artifact."""
         try:
             with open(self._path(key)) as fh:
                 payload = json.load(fh)
         except OSError:
-            return None, None, "absent"
+            return None, "absent"
         except ValueError:
-            return None, None, "header-corrupt"
+            return None, "header-corrupt"
         if not isinstance(payload, dict) or payload.get("key") != key:
-            return None, None, "key-mismatch"
-        if "compiled" in payload:
-            # Legacy tier: the whole compiled form inline as JSON.
-            try:
-                compiled = CompiledSchedule.from_dict(
-                    payload.get("compiled", {}), topology
-                )
-            except (ValueError, KeyError, TypeError, IndexError):
-                return None, None, "decode-error"
-            return compiled, "legacy-hit", None
+            return None, "key-mismatch"
         if payload.get("format") != ARTIFACT_FORMAT:
-            return None, None, "format-mismatch"
+            return None, "format-mismatch"
         try:
             compiled = self._load_sharded(payload, topology)
         except _ShardError as exc:
-            return None, None, exc.reason
+            return None, exc.reason
         except (ValueError, KeyError, TypeError, IndexError, OSError):
-            return None, None, "decode-error"
-        return compiled, "hit", None
+            return None, "decode-error"
+        return compiled, None
 
     def _load_sharded(
         self, header: Dict[str, object], topology: Topology
@@ -351,7 +310,7 @@ class ArtifactStore:
             "artifact.put", topology=compiled.topology.name,
             algorithm=compiled.algorithm,
         ) as span:
-            key = artifact_key(compiled.topology, compiled.algorithm)
+            key = artifact_fingerprint(compiled.topology, compiled.algorithm)
             base = self._base(key)
             os.makedirs(self.root, exist_ok=True)
 

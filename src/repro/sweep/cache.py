@@ -6,18 +6,22 @@ be reused across processes and sessions.  Figure sweeps that re-simulate
 the same points (repeated benchmark runs, incremental figure edits) then
 cost one dictionary lookup per warm point.
 
-The cache key embeds:
+Keys are scenario point keys (:func:`repro.scenario.point_key`), which
+embed:
 
 * a **topology fingerprint** — name, node/switch counts, and a digest of
   every link's ``(src, dst, bandwidth, latency, capacity)`` — so two
   topologies that merely share a name cannot collide;
-* the algorithm name, the flow-control ``repr`` (which carries framing
-  parameters like packet payload size), the data size, the lockstep
-  flag, and the simulation engine that produced the number;
-* :data:`CACHE_SCHEMA_VERSION` — the invalidation key.  Bump it whenever a
-  change alters predicted timings (simulator semantics, flow-control wire
-  math, lockstep gating); every previously cached entry then misses and
-  the file is repopulated with fresh values.
+* the resolved builder algorithm, the flow-control ``repr`` (which
+  carries framing parameters like packet payload size), the data size,
+  the lockstep flag and any SystemConfig overrides;
+* :data:`repro.scenario.FINGERPRINT_SCHEMA_VERSION` — the invalidation
+  key.  Bump it whenever a change alters predicted timings (simulator
+  semantics, flow-control wire math, lockstep gating); every previously
+  cached entry then misses and the file is repopulated with fresh values.
+
+The simulation engine is not in the key: every engine returns ``==``
+numbers, so a point cached by one engine is served to all of them.
 
 Entries store ``time``, ``bandwidth``, and ``max_queue_delay``.  The file
 is plain JSON; writes are atomic (temp file + ``os.replace``) and merge
@@ -34,49 +38,9 @@ import warnings
 from contextlib import contextmanager
 from typing import Dict, Optional
 
-from ..network.flowcontrol import FlowControl
+from ..scenario import FINGERPRINT_SCHEMA_VERSION
 
-# The key scheme now lives in the scenario layer (:mod:`repro.scenario`) —
-# one fingerprint shared by prediction caching, artifacts and manifests.
-# This module keeps its historical names as thin shims over it.
-from ..scenario import FINGERPRINT_SCHEMA_VERSION, point_key
-
-# Re-exported for backwards compatibility: the fingerprint lives with the
-# topology layer so the artifact store can share it without importing the
-# sweep package.
-from ..topology.base import Topology, topology_fingerprint
-
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "PredictionCache",
-    "prediction_key",
-    "topology_fingerprint",
-]
-
-#: The invalidation key, shared with every other scenario-derived identity
-#: (see :data:`repro.scenario.FINGERPRINT_SCHEMA_VERSION` for the bump
-#: policy and history).  v3: keys are scenario point keys — resolved
-#: builder algorithm plus a SystemConfig-override field — so every v2
-#: entry misses rather than being silently reused under the new scheme.
-CACHE_SCHEMA_VERSION = FINGERPRINT_SCHEMA_VERSION
-
-
-def prediction_key(
-    topology: Topology,
-    algorithm: str,
-    flow_control: FlowControl,
-    data_bytes: int,
-    lockstep: bool = True,
-    engine: str = "event",
-) -> str:
-    """Back-compat shim over :func:`repro.scenario.point_key`.
-
-    ``algorithm`` must be the resolved builder name (named variants key by
-    their resolution; see :meth:`repro.scenario.Scenario.cache_key`).
-    """
-    return point_key(
-        topology, algorithm, flow_control, data_bytes, lockstep, engine
-    )
+__all__ = ["PredictionCache"]
 
 
 class PredictionCache:
@@ -188,7 +152,7 @@ class PredictionCache:
         on_disk = self._read(self.path)
         on_disk.update(self._entries)
         self._entries = on_disk
-        payload = {"schema": CACHE_SCHEMA_VERSION, "entries": self._entries}
+        payload = {"schema": FINGERPRINT_SCHEMA_VERSION, "entries": self._entries}
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

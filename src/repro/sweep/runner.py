@@ -29,16 +29,12 @@ from ..analysis.metrics import BandwidthSweep, SweepPoint
 from ..collectives import compile_algorithm
 from ..collectives.schedule import Schedule
 from ..metrics.registry import MetricsRegistry, collecting, get_registry
-from ..network.flowcontrol import FlowControl, MessageBased, PacketBased
+from ..network.flowcontrol import FlowControl
 from ..ni.injector import simulate_allreduce
-from ..scenario import Scenario, group_scenarios
+from ..scenario import Scenario, group_scenarios, point_key
 from ..topology.specs import parse_topology_spec
 from .artifacts import ArtifactStore
-from .cache import PredictionCache, prediction_key
-
-#: Kept for back compatibility; the canonical mapping is
-#: :data:`repro.collectives.variants.FLOW_CONTROL_FACTORIES`.
-FLOW_CONTROLS = {"packet": PacketBased, "message": MessageBased}
+from .cache import PredictionCache
 
 
 @dataclass
@@ -183,9 +179,9 @@ def predict_cached(
     """
     if cache is not None:
         if key is None:
-            key = prediction_key(
+            key = point_key(
                 schedule.topology, schedule.algorithm, flow_control,
-                data_bytes, lockstep, engine,
+                data_bytes, lockstep,
             )
         entry = cache.get(key)
         if entry is not None:
@@ -239,9 +235,9 @@ def sweep_bandwidth_cached(
     if engine == "lockstep-vec" and simulate_batch is not None:
         if cache is not None and keys is None:
             keys = [
-                prediction_key(
+                point_key(
                     schedule.topology, schedule.algorithm, flow_control,
-                    size, lockstep, engine,
+                    size, lockstep,
                 )
                 for size in sizes
             ]

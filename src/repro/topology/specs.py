@@ -15,7 +15,7 @@ scenario grammar help both derive from it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import obs
 from .base import Topology
@@ -34,6 +34,11 @@ class TopologyFamily(NamedTuple):
     dims_help: str
     builder: Callable[[Sequence[int], LinkProfile], Topology]
     mods: Tuple[str, ...]
+
+    @property
+    def arity(self) -> int:
+        """How many ``x``-joined dimensions the family takes."""
+        return self.dims_help.count("x") + 1
 
 
 def _rails(profile: LinkProfile) -> Tuple[int, float]:
@@ -130,62 +135,72 @@ def link_profile_for(kind: str, modtext: Optional[str]) -> LinkProfile:
     return parse_link_mods(kind, modtext, family.mods)
 
 
+def _parse_dims(kind: str, dims: str) -> List[int]:
+    """The family's integer dimensions; a missing or wrong count is an error."""
+    family = TOPOLOGY_BUILDERS[kind]
+    try:
+        parts = [int(p) for p in dims.lower().split("x")]
+    except ValueError:
+        parts = []
+    if len(parts) != family.arity:
+        raise ValueError(
+            "bad dimensions %r for topology %r (expected %s-%s)"
+            % (dims, kind, kind, family.dims_help)
+        )
+    return parts
+
+
 def canonical_topology_spec(spec: str) -> str:
-    """Validate a spec's family + link mods, returning the canonical form.
+    """Validate a spec's family, dims and link mods; return the canonical form.
 
     Pure string normalization — no topology is built.  Mods are
     name-sorted and values canonically spelled (``@oversub=4.0`` becomes
     ``@oversub=4``); a spec without mods comes back byte-identical apart
     from surrounding whitespace.  Raises :class:`ValueError` on unknown
-    families, unknown/unsupported mods and malformed mod values.
+    families, missing dims or a wrong dimension count for the family,
+    unknown/unsupported mods and malformed mod values.
     """
     head, _at, modtext = spec.strip().partition("@")
-    profile = link_profile_for(head.partition("-")[0], modtext)
+    kind, _sep, dims = head.partition("-")
+    profile = link_profile_for(kind, modtext)
+    _parse_dims(kind, dims)
     return head + profile.suffix()
 
 
 def parse_topology(kind: str, dims: str, modtext: Optional[str] = None) -> Topology:
+    """Build a topology from split ``kind`` + ``dims``; raises :class:`ValueError`."""
     kind, _at, kind_mods = kind.partition("@")
     modtext = modtext if modtext is not None else kind_mods
-    try:
-        profile = link_profile_for(kind, modtext)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    try:
-        parts = [int(p) for p in dims.lower().split("x")]
-    except ValueError:
-        raise SystemExit("bad dimensions %r for topology %r" % (dims, kind))
+    profile = link_profile_for(kind, modtext)
+    parts = _parse_dims(kind, dims)
     family = TOPOLOGY_BUILDERS[kind]
-    try:
-        # Construction cost scales with the link count — a span makes a
-        # multi-second scale-out build (8k-node torus: millions of link
-        # entries) visible in traces instead of looking like a hang.
-        with obs.span(
-            "topology.build", kind=kind, dims=dims,
-            mods=profile.canonical() or None,
-        ) as sp:
-            topology = family.builder(parts, profile)
-            if profile:
-                # The suffix joins the name (and with it the structural
-                # fingerprint) so profiled fabrics never alias uniform
-                # ones; uniform specs keep their exact historical names.
-                topology.name = topology.name + profile.suffix()
-                topology.link_profile = profile
-            sp.set("nodes", topology.num_nodes)
-            sp.set("links", len(topology.links))
-            return topology
-    except TypeError:
-        raise SystemExit("bad dimensions %r for topology %r" % (dims, kind))
+    # Construction cost scales with the link count — a span makes a
+    # multi-second scale-out build (8k-node torus: millions of link
+    # entries) visible in traces instead of looking like a hang.
+    with obs.span(
+        "topology.build", kind=kind, dims=dims,
+        mods=profile.canonical() or None,
+    ) as sp:
+        topology = family.builder(parts, profile)
+        if profile:
+            # The suffix joins the name (and with it the structural
+            # fingerprint) so profiled fabrics never alias uniform
+            # ones; uniform specs keep their exact historical names.
+            topology.name = topology.name + profile.suffix()
+            topology.link_profile = profile
+        sp.set("nodes", topology.num_nodes)
+        sp.set("links", len(topology.links))
+        return topology
 
 
 def parse_topology_spec(spec: str, dims: Optional[str] = None) -> Topology:
-    """Parse split (``torus``, ``4x4``) or combined ``torus-4x4[@mods]`` form."""
+    """Parse split (``torus``, ``4x4``) or combined ``torus-4x4[@mods]`` form.
+
+    Malformed specs raise :class:`ValueError`; only the CLI turns that
+    into an exit.
+    """
     if dims:
         return parse_topology(spec, dims)
     head, _at, modtext = spec.partition("@")
-    kind, sep, joined = head.partition("-")
-    if not sep:
-        raise SystemExit(
-            "topology %r needs dimensions (e.g. torus-4x4 or --dims 4x4)" % spec
-        )
+    kind, _sep, joined = head.partition("-")
     return parse_topology(kind, joined, modtext)

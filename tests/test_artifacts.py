@@ -3,28 +3,46 @@
 import json
 import os
 
-import pytest
-
 from repro.collectives import (
     COMPILED_FORMAT,
-    CompiledSchedule,
     build_schedule,
     compile_schedule,
-    load_compiled,
-    save_compiled,
 )
 from repro.network.flowcontrol import MessageBased, PacketBased
 from repro.ni.injector import build_messages, simulate_allreduce
 from repro.ni.lockstep import step_estimates, step_gates
-from repro.sweep.artifacts import (
-    ARTIFACT_SCHEMA_VERSION,
-    ArtifactStore,
-    artifact_key,
-)
+from repro.scenario import artifact_fingerprint
+from repro.sweep.artifacts import ARTIFACT_SCHEMA_VERSION, ArtifactStore
 from repro.topology import FatTree, Torus2D
 
 KiB = 1024
 MiB = 1 << 20
+
+
+def fresh_get(root, topo, algorithm="ring"):
+    """Reload from disk with fallback accounting captured."""
+    from repro.metrics.registry import MetricsRegistry, collecting
+
+    registry = MetricsRegistry()
+    store = ArtifactStore(str(root))
+    with collecting(registry):
+        compiled = store.get(topo, algorithm)
+    reasons = {
+        key: value
+        for key, value in registry.snapshot()["counters"].items()
+        if key.startswith("sim.fallbacks")
+    }
+    return compiled, store, reasons
+
+
+def rewrite_header(store, topo, algorithm, **fields):
+    """Overwrite fields of a stored artifact's JSON header in place."""
+    path = store._path(artifact_fingerprint(topo, algorithm))
+    with open(path) as fh:
+        header = json.load(fh)
+    header.update(fields)
+    with open(path, "w") as fh:
+        json.dump(header, fh)
 
 
 def assert_identical(a, b):
@@ -77,16 +95,19 @@ class TestCompiledSchedule:
             assert list(r.deps) == list(g.deps)
             assert r.not_before == g.not_before
 
-    def test_json_round_trip_is_exact(self):
+    def test_json_round_trip_is_exact(self, tmp_path):
+        # The JSON header + binary shards reproduce the compiled form
+        # exactly; its JSON-safe dict is the == oracle.
         topo = FatTree(4, 4)
         schedule = build_schedule("multitree", topo)
         compiled = compile_schedule(schedule)
-        data = json.loads(json.dumps(compiled.to_dict()))
-        loaded = CompiledSchedule.from_dict(data, topo)
-        assert loaded.srcs == compiled.srcs
-        assert loaded.dsts == compiled.dsts
-        assert loaded.steps == compiled.steps
-        assert loaded.frac_floats == compiled.frac_floats
+        ArtifactStore(str(tmp_path)).put(compiled)
+        loaded, _store, _reasons = fresh_get(tmp_path, topo, "multitree")
+        assert loaded.to_dict() == json.loads(json.dumps(compiled.to_dict()))
+        assert list(loaded.srcs) == list(compiled.srcs)
+        assert list(loaded.dsts) == list(compiled.dsts)
+        assert list(loaded.steps) == list(compiled.steps)
+        assert list(loaded.frac_floats) == list(compiled.frac_floats)
         assert list(loaded.routes) == list(compiled.routes)
         assert [list(d) for d in loaded.deps] == [
             list(d) for d in compiled.deps
@@ -97,30 +118,27 @@ class TestCompiledSchedule:
             ref.simulation, loaded.simulate(5 * MiB).simulation
         )
 
-    def test_wrong_topology_rejected(self):
-        compiled = compile_schedule(build_schedule("ring", Torus2D(4, 4)))
-        data = compiled.to_dict()
-        with pytest.raises(ValueError, match="built for topology"):
-            CompiledSchedule.from_dict(data, Torus2D(4, 8))
-
-    def test_unknown_format_rejected(self):
-        compiled = compile_schedule(build_schedule("ring", Torus2D(4, 4)))
-        data = compiled.to_dict()
-        data["format"] = "repro-compiled-v999"
-        with pytest.raises(ValueError, match="unrecognized"):
-            CompiledSchedule.from_dict(data, Torus2D(4, 4))
-        assert data["format"] != COMPILED_FORMAT
-
-    def test_save_load_file(self, tmp_path):
+    def test_wrong_topology_rejected(self, tmp_path):
+        # A header whose topology digest is not the requested fabric's is
+        # a counted topology-mismatch miss, never a wrong-fabric load.
+        store = ArtifactStore(str(tmp_path))
         topo = Torus2D(4, 4)
-        compiled = compile_schedule(build_schedule("dbtree", topo))
-        path = str(tmp_path / "compiled.json")
-        save_compiled(compiled, path)
-        loaded = load_compiled(path, topo)
-        ref = compiled.simulate(1 * MiB)
-        assert_identical(
-            ref.simulation, loaded.simulate(1 * MiB).simulation
-        )
+        store.get_or_compile(topo, "ring")
+        rewrite_header(store, topo, "ring", topology="0" * 16)
+        loaded, fresh, reasons = fresh_get(tmp_path, topo)
+        assert loaded is None
+        assert (fresh.hits, fresh.misses) == (0, 1)
+        assert any("topology-mismatch" in key for key in reasons)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        topo = Torus2D(4, 4)
+        store.get_or_compile(topo, "ring")
+        assert COMPILED_FORMAT != "repro-compiled-v999"
+        rewrite_header(store, topo, "ring", compiled_format="repro-compiled-v999")
+        loaded, fresh, reasons = fresh_get(tmp_path, topo)
+        assert loaded is None and fresh.misses == 1
+        assert any("format-mismatch" in key for key in reasons)
 
 
 class TestArtifactStore:
@@ -152,7 +170,7 @@ class TestArtifactStore:
         store.get_or_compile(topo, "ring")
         assert store.get(topo, "ring") is not None
         monkeypatch.setattr(
-            "repro.sweep.artifacts.ARTIFACT_SCHEMA_VERSION",
+            "repro.scenario.ARTIFACT_SCHEMA_VERSION",
             ARTIFACT_SCHEMA_VERSION + 1,
         )
         assert store.get(topo, "ring") is None
@@ -161,7 +179,7 @@ class TestArtifactStore:
         store = ArtifactStore(str(tmp_path))
         topo = Torus2D(4, 4)
         store.get_or_compile(topo, "ring")
-        path = store._path(artifact_key(topo, "ring"))
+        path = store._path(artifact_fingerprint(topo, "ring"))
         with open(path, "w") as fh:
             fh.write("{not json")
         assert store.get(topo, "ring") is None
@@ -180,7 +198,7 @@ class TestShardedArtifacts:
     """Shard-granularity corruption: every failure is a *counted miss*.
 
     The store must never raise for on-disk damage — a truncated shard, a
-    flipped byte, a missing file, a stale legacy blob all degrade to a
+    flipped byte, a missing file, an old single-file blob all degrade to a
     recompile, each attributed to a reason in the ``sim.fallbacks``-style
     ``artifact`` counter.
     """
@@ -199,19 +217,7 @@ class TestShardedArtifacts:
         )
 
     def _fresh_get(self, tmp_path, topo, algorithm="ring"):
-        """Reload from disk with fallback accounting captured."""
-        from repro.metrics.registry import MetricsRegistry, collecting
-
-        registry = MetricsRegistry()
-        store = ArtifactStore(str(tmp_path))
-        with collecting(registry):
-            compiled = store.get(topo, algorithm)
-        reasons = {
-            key: value
-            for key, value in registry.snapshot()["counters"].items()
-            if key.startswith("sim.fallbacks")
-        }
-        return compiled, store, reasons
+        return fresh_get(tmp_path, topo, algorithm)
 
     def test_writes_header_plus_npz_shards(self, tmp_path):
         self._warm(tmp_path)
@@ -265,10 +271,10 @@ class TestShardedArtifacts:
         assert store.misses == 1
         assert any("shard-missing" in key for key in reasons)
 
-    def test_legacy_json_artifact_loads_as_counted_tier(self, tmp_path):
+    def test_old_single_file_json_artifact_is_a_format_miss(self, tmp_path):
         _store, topo, compiled = self._warm(tmp_path)
-        # Rewrite the artifact as the legacy single-file JSON form.
-        key = artifact_key(topo, "ring")
+        # Rewrite the artifact in the retired single-file JSON form.
+        key = artifact_fingerprint(topo, "ring")
         for path in self._shard_paths(tmp_path):
             os.unlink(path)
         header = ArtifactStore(str(tmp_path))._path(key)
@@ -281,29 +287,10 @@ class TestShardedArtifacts:
                 },
                 fh,
             )
-        loaded, store, _reasons = self._fresh_get(tmp_path, topo)
-        assert loaded is not None
-        assert store.legacy_hits == 1 and store.hits == 1
-        assert loaded.simulate(1 * MiB).time == compiled.simulate(1 * MiB).time
-
-    def test_corrupt_legacy_payload_is_a_decode_miss(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        topo = Torus2D(4, 4)
-        key = artifact_key(topo, "ring")
-        os.makedirs(str(tmp_path), exist_ok=True)
-        with open(store._path(key), "w") as fh:
-            json.dump(
-                {
-                    "schema": ARTIFACT_SCHEMA_VERSION,
-                    "key": key,
-                    "compiled": {"format": "repro-compiled-v1"},
-                },
-                fh,
-            )
-        loaded, fresh, reasons = self._fresh_get(tmp_path, topo)
+        loaded, store, reasons = self._fresh_get(tmp_path, topo)
         assert loaded is None
-        assert fresh.misses == 1
-        assert any("decode-error" in key_ for key_ in reasons)
+        assert (store.hits, store.misses) == (0, 1)
+        assert any("format-mismatch" in key_ for key_ in reasons)
 
     def test_round_trip_preserves_broadcast_fractions(self, tmp_path):
         import numpy as np
@@ -334,15 +321,8 @@ class TestArtifactMemoCap:
         assert len(store._memo) == 2
         # Least-recently-used (the first topology) was evicted.
         keys = list(store._memo)
-        assert artifact_key(topos[0], "ring") not in keys
-        assert artifact_key(topos[2], "ring") in keys
-
-    def test_env_var_controls_capacity(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_MEMO_CAP", "1")
-        store = ArtifactStore(str(tmp_path))
-        assert store.memo_capacity == 1
-        monkeypatch.setenv("REPRO_ARTIFACT_MEMO_CAP", "not-a-number")
-        assert ArtifactStore(str(tmp_path)).memo_capacity == 8
+        assert artifact_fingerprint(topos[0], "ring") not in keys
+        assert artifact_fingerprint(topos[2], "ring") in keys
 
     def test_zero_capacity_disables_memo(self, tmp_path):
         store = ArtifactStore(str(tmp_path), memo_capacity=0)

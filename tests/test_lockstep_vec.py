@@ -250,19 +250,24 @@ class TestSweepBatching:
             (p.time, p.bandwidth) for p in scalar.points
         ]
 
-    def test_engine_minted_into_cache_key(self, tmp_path):
-        """A new engine value must mint new cache keys, not reuse the
-        scalar engine's entries."""
+    def test_engines_share_one_cache_entry(self, tmp_path):
+        """The engine is not part of a point's identity: a vectorized
+        sweep is served the scalar engine's cached entries."""
+        from repro.sweep import SweepStats
+
         cache_path = str(tmp_path / "cache.json")
         sizes = (32 * KiB,)
+        stats = {}
         for engine in ("lockstep", "lockstep-vec"):
             job = SweepJob(
                 topology="torus-4x4", algorithm="ring", sizes=sizes,
                 engine=engine,
             )
-            run_sweep([job], cache_path=cache_path)
-        cache = PredictionCache(cache_path)
-        assert len(cache) == 2 * len(sizes)
+            stats[engine] = SweepStats()
+            run_sweep([job], cache_path=cache_path, stats=stats[engine])
+        assert stats["lockstep-vec"].cache_hits == len(sizes)
+        assert stats["lockstep-vec"].cache_misses == 0
+        assert len(PredictionCache(cache_path)) == len(sizes)
 
 
 class TestSizeAxisGuards:

@@ -594,17 +594,6 @@ class TestReportEngineMix:
             for engine, reason, _topo in fallbacks
         )
 
-    def test_legacy_records_fold_in_unreasoned(self):
-        record = {
-            "metrics": {
-                "counters": {
-                    "sim.lockstep_vec_fallbacks|topology=torus-2x2": 3.0,
-                }
-            }
-        }
-        _runs, fallbacks = engine_mix(record)
-        assert fallbacks == {("lockstep-vec", "(unreasoned)", "torus-2x2"): 3.0}
-
     def test_report_renders_engine_mix_section(self):
         text, _regressions = build_report([self._record()])
         assert "## Engine mix (latest run)" in text

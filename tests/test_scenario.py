@@ -26,8 +26,10 @@ from repro.collectives import (
 from repro.metrics import build_manifest
 from repro.network.flowcontrol import MessageBased, PacketBased
 from repro.scenario import (
+    ENGINES,
     FINGERPRINT_SCHEMA_VERSION,
     Scenario,
+    artifact_fingerprint,
     format_size,
     group_scenarios,
     parse_size,
@@ -39,10 +41,8 @@ from repro.sweep import (
     PredictionCache,
     SweepJob,
     jobs_from_scenarios,
-    prediction_key,
     run_job,
 )
-from repro.sweep.artifacts import artifact_key
 from repro.topology.base import topology_fingerprint
 
 TOPOLOGIES = [
@@ -157,6 +157,11 @@ class TestGrammar:
         "torus-4x4/ring",                      # missing size
         "torus-4x4//1MiB",                     # empty algorithm
         "hypercube-4x4/ring/1MiB",             # unknown topology kind
+        "torus/ring/1MiB",                     # missing dims
+        "torus-4x/ring/1MiB",                  # empty dimension
+        "torus-4x4x4/ring/1MiB",               # too many dims
+        "mesh-4x4x2/ring/1MiB",                # too many dims
+        "torus3d-4x4/ring/1MiB",               # too few dims
         "torus-4x4/warp/1MiB",                 # unknown variant
         "torus-4x4/ring/huge",                 # unparseable size
         "torus-4x4/ring/1MiB@wormhole",        # unknown mod
@@ -258,24 +263,33 @@ class TestFingerprint:
         "torus-4x4/multitree/2MiB",            # size
         "torus-4x4/multitree/1MiB@message",    # flow control
         "torus-4x4/multitree/1MiB@free",       # lockstep
-        "torus-4x4/multitree/1MiB@lockstep",   # engine
         "torus-4x4/multitree/1MiB@flit_bytes=32",  # override
     ])
     def test_every_axis_changes_fingerprint(self, other):
         base = Scenario.parse("torus-4x4/multitree/1MiB")
         assert base.fingerprint() != Scenario.parse(other).fingerprint()
 
-    def test_prediction_key_shim_matches_cache_key(self):
+    def test_engine_shares_fingerprint(self):
+        # The engine chooses what runs, not what the point is: every
+        # engine returns == numbers, so all share one identity.
+        base = Scenario.parse("torus-4x4/multitree/1MiB")
+        for engine in ENGINES:
+            other = Scenario.parse("torus-4x4/multitree/1MiB@" + engine)
+            assert other.engine == engine
+            assert other.fingerprint() == base.fingerprint()
+            assert other.cache_key() == base.cache_key()
+
+    def test_point_key_matches_cache_key(self):
         s = Scenario.parse("torus-2x2/multitree-msg/1MiB")
         topo = s.build_topology()
-        assert prediction_key(
+        assert point_key(
             topo, "multitree", MessageBased(), 1 << 20
         ) == s.cache_key(topo)
 
-    def test_artifact_key_shim_matches_scenario(self):
+    def test_artifact_fingerprint_matches_scenario(self):
         s = Scenario.parse("torus-2x2/multitree-msg/1MiB")
         topo = s.build_topology()
-        assert artifact_key(topo, "multitree") == s.artifact_key(topo)
+        assert artifact_fingerprint(topo, "multitree") == s.artifact_key(topo)
 
     def test_point_key_embeds_schema_version(self):
         s = Scenario.parse("torus-2x2/ring/1MiB")

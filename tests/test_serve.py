@@ -28,6 +28,12 @@ from repro.sweep import ArtifactStore, PredictionCache
 
 KiB = 1024
 TOPOLOGY = "torus-4x4"
+#: Topology specs with the wrong dimension count for their family.
+MALFORMED_SPECS = (
+    "torus-4x/ring/1MiB",
+    "torus-4x4x4/ring/1MiB",
+    "mesh-4x4x2/ring/1MiB",
+)
 SIZES = (32 * KiB, 128 * KiB)
 ALGOS = ("ring", "multitree")
 
@@ -222,6 +228,29 @@ class TestPredictionService:
         finally:
             service.close()
 
+    def test_event_entry_served_to_every_engine(self, tmp_path):
+        service = PredictionService(str(tmp_path / "state"), workers=0)
+        try:
+            event = Scenario.parse("torus-4x4/ring/32KiB")
+            entry, source = service.predict(event, block=True)
+            assert source == "simulated"
+            for engine in ("lockstep", "lockstep-vec"):
+                hint = Scenario.parse("torus-4x4/ring/32KiB@" + engine)
+                assert service.predict(hint) == (entry, "cache")
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("text", MALFORMED_SPECS)
+    def test_malformed_topology_spec_is_a_value_error(self, tmp_path, text):
+        # Never SystemExit (it would escape the request handler) and
+        # never a silently smaller fabric.
+        service = PredictionService(str(tmp_path / "state"), workers=0)
+        try:
+            with pytest.raises(ValueError, match="dimensions"):
+                service.predict(Scenario.parse(text), block=True)
+        finally:
+            service.close()
+
     def test_bounded_queue_overloads(self, tmp_path):
         service = PredictionService(
             str(tmp_path / "state"), workers=0, queue_size=1
@@ -332,6 +361,14 @@ class TestHTTPEndpoints:
         assert status == 400 and "error" in payload
         status, payload, _ = http_get(base + "/predict")
         assert status == 400 and "scenario" in payload["error"]
+
+    @pytest.mark.parametrize("text", MALFORMED_SPECS)
+    def test_predict_malformed_topology_spec_400(self, live_server, text):
+        base, _service = live_server
+        status, payload, _ = http_get(
+            base + "/predict?scenario=" + quote(text, safe="")
+        )
+        assert status == 400 and "dimensions" in payload["error"]
 
     def test_predict_uncompilable_scenario_422(self, live_server):
         base, service = live_server

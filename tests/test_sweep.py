@@ -7,18 +7,18 @@ import warnings
 import pytest
 
 from repro.analysis import sweep_bandwidth
-from repro.collectives import build_schedule
+from repro.collectives import build_schedule, compile_schedule
 from repro.network import MessageBased, PacketBased
+from repro.scenario import ENGINES, Scenario, point_key
 from repro.sweep import (
     PredictionCache,
     SweepJob,
-    prediction_key,
     run_job,
     run_sweep,
     sweep_bandwidth_cached,
-    topology_fingerprint,
 )
 from repro.topology import Ring1D, Torus2D
+from repro.topology.base import topology_fingerprint
 
 KiB = 1024
 SIZES = (32 * KiB, 256 * KiB)
@@ -27,12 +27,12 @@ SIZES = (32 * KiB, 256 * KiB)
 class TestPredictionKey:
     def test_key_varies_with_every_axis(self):
         torus = Torus2D(4, 4)
-        base = prediction_key(torus, "multitree", PacketBased(), 32 * KiB, True)
-        assert base != prediction_key(torus, "ring", PacketBased(), 32 * KiB, True)
-        assert base != prediction_key(torus, "multitree", MessageBased(), 32 * KiB, True)
-        assert base != prediction_key(torus, "multitree", PacketBased(), 64 * KiB, True)
-        assert base != prediction_key(torus, "multitree", PacketBased(), 32 * KiB, False)
-        assert base != prediction_key(
+        base = point_key(torus, "multitree", PacketBased(), 32 * KiB, True)
+        assert base != point_key(torus, "ring", PacketBased(), 32 * KiB, True)
+        assert base != point_key(torus, "multitree", MessageBased(), 32 * KiB, True)
+        assert base != point_key(torus, "multitree", PacketBased(), 64 * KiB, True)
+        assert base != point_key(torus, "multitree", PacketBased(), 32 * KiB, False)
+        assert base != point_key(
             Torus2D(4, 8), "multitree", PacketBased(), 32 * KiB, True
         )
 
@@ -45,8 +45,8 @@ class TestPredictionKey:
 
     def test_flow_control_parameters_in_key(self):
         torus = Torus2D(4, 4)
-        k256 = prediction_key(torus, "ring", PacketBased(), 32 * KiB, True)
-        k64 = prediction_key(
+        k256 = point_key(torus, "ring", PacketBased(), 32 * KiB, True)
+        k64 = point_key(
             torus, "ring", PacketBased(payload_bytes=64), 32 * KiB, True
         )
         assert k256 != k64
@@ -225,48 +225,48 @@ class TestRunner:
 
 
 class TestEngineKeying:
-    def test_engine_in_key(self):
-        torus = Torus2D(4, 4)
-        event = prediction_key(
-            torus, "ring", PacketBased(), 32 * KiB, True, engine="event"
-        )
-        lockstep = prediction_key(
-            torus, "ring", PacketBased(), 32 * KiB, True, engine="lockstep"
-        )
-        assert event != lockstep
-        # Default is the event engine, matching run()'s default.
-        assert event == prediction_key(torus, "ring", PacketBased(), 32 * KiB, True)
+    """The engine is an execution hint: every engine returns == numbers,
+    so a point cached by one engine is served to all of them."""
 
-    def test_stale_event_entry_never_served_to_lockstep(self, tmp_path):
-        """A point cached under engine="event" must be a miss for an
-        engine="lockstep" query — the engines are bit-identical today, but
-        the key must not *assume* that."""
-        topo = Torus2D(4, 4)
-        schedule = build_schedule("ring", topo)
-        cache = PredictionCache(str(tmp_path / "c.json"))
-        sweep_bandwidth_cached(
-            schedule, SIZES, PacketBased(), cache=cache, engine="event"
-        )
-        assert cache.misses == len(SIZES)
-        sweep_bandwidth_cached(
-            schedule, SIZES, PacketBased(), cache=cache, engine="lockstep"
-        )
-        assert cache.hits == 0  # nothing leaked across the engine axis
-        assert cache.misses == 2 * len(SIZES)
+    def test_engine_not_in_key(self):
+        keys = {
+            Scenario("torus-4x4", "ring", 32 * KiB, engine=engine).cache_key()
+            for engine in ENGINES
+        }
+        assert len(keys) == 1
 
-    def test_engines_agree_through_cache_layer(self, tmp_path):
-        topo = Torus2D(4, 4)
-        schedule = build_schedule("ring", topo)
+    def test_event_entry_is_a_hit_for_every_engine(self, tmp_path):
+        # Compiled, so lockstep-vec takes its batched path too.
+        schedule = compile_schedule(build_schedule("ring", Torus2D(4, 4)))
         cache = PredictionCache(str(tmp_path / "c.json"))
         event = sweep_bandwidth_cached(
             schedule, SIZES, PacketBased(), cache=cache, engine="event"
         )
-        lockstep = sweep_bandwidth_cached(
-            schedule, SIZES, PacketBased(), cache=cache, engine="lockstep"
-        )
-        for e, l in zip(event.points, lockstep.points):
-            assert e.time == l.time
-            assert e.bandwidth == l.bandwidth
+        assert (cache.hits, cache.misses) == (0, len(SIZES))
+        for engine in ("lockstep", "lockstep-vec"):
+            hits = cache.hits
+            warm = sweep_bandwidth_cached(
+                schedule, SIZES, PacketBased(), cache=cache, engine=engine
+            )
+            assert cache.hits - hits == len(SIZES), engine
+            assert warm.points == event.points
+        assert cache.misses == len(SIZES)
+
+    def test_engines_agree_through_cache_layer(self):
+        # No cache: every engine really simulates, so this checks
+        # agreement rather than reading back one cached entry.
+        schedule = compile_schedule(build_schedule("ring", Torus2D(4, 4)))
+        sweeps = [
+            sweep_bandwidth_cached(
+                schedule, SIZES, PacketBased(), cache=None, engine=engine
+            )
+            for engine in ENGINES
+        ]
+        for other in sweeps[1:]:
+            for e, o in zip(sweeps[0].points, other.points):
+                assert e.time == o.time
+                assert e.bandwidth == o.bandwidth
+                assert e.max_queue_delay == o.max_queue_delay
 
 
 class TestArtifactSweep:
