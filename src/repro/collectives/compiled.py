@@ -391,12 +391,12 @@ class CompiledSchedule:
           :mod:`repro.network.lockstep_vec` (a one-column batch) with the
           ``lockstep`` ladder above as its fallback.
 
-        Both scalar engines emit the spans and metrics of the object heap
-        (see :func:`~repro.network.lockstep_engine.run_arrays`).  A
-        ``recorder`` or ``lockstep=False`` lowers to messages and runs
-        the object heap
-        (:meth:`repro.network.simulator.NetworkSimulator.run`), whatever
-        the engine.
+        Both scalar engines emit the spans and metrics of
+        :func:`~repro.network.lockstep_engine.run_arrays`.  A
+        ``recorder`` or ``lockstep=False`` lowers to messages and plays
+        them with :meth:`repro.network.simulator.NetworkSimulator.run`
+        — the array heap again, which feeds the recorder — whatever the
+        engine.
         """
         from ..network.flowcontrol import DEFAULT_FLOW_CONTROL
         from ..network.simulator import NetworkSimulator, check_engine

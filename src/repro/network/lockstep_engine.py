@@ -1,28 +1,27 @@
-"""Step-level lockstep engine and the array heap, over compiled CSR arrays.
+"""The event engine (the array heap) and the step-level lockstep engine.
 
-The object heap in :mod:`repro.network.simulator` resolves messages one
-at a time off a global ready-time heap.  For *lockstep-gated* schedules
-(§IV-A) that generality is wasted: the per-step message set is fixed by
-the schedule, every dependency crosses a step boundary, and the lockstep
-gates order the steps in time.  :func:`run_grouped` exploits that
-structure — it walks the steps in gate order and resolves each step's
-messages in one closed-form FIFO pass per link (sorted arrival order
-within the step), over flat integer-indexed arrays instead of heap
-tuples, dictionaries keyed by link tuples, and per-message dataclasses.
+Both engines run on flat arrays: routes are ``(route_off, route_val)``
+offset/value lists of dense link ids, and the dependency graph is the
+:func:`dep_structure` triple.  Compiled schedules
+(:class:`repro.collectives.compiled.CompiledSchedule`) hold those
+columns already; :meth:`repro.network.simulator.NetworkSimulator.run`
+lowers a :class:`~repro.network.simulator.Message` list to them.
+Beyond avoiding per-hop dictionary lookups, the flat layout matters for
+sustained throughput: a 1024-node lowering holds millions of messages,
+and representing their routes/dependencies as millions of small lists
+makes every cyclic-GC generation scan traverse them all — measured as a
+multi-x slowdown on repeated large simulations.  A handful of flat lists
+of ints is invisible to the collector.
 
-**Compiled arrays only.**  Both engines here run on the columns of a
-:class:`repro.collectives.compiled.CompiledSchedule`: routes are
-``(route_off, route_val)`` offset/value lists of dense link ids, and the
-dependency graph is the :func:`dep_structure` triple.  Message lists
-(:class:`~repro.network.simulator.Message`) never reach them — those
-run on the object heap, which is also the only engine that feeds a
-trace recorder.  Beyond avoiding per-hop
-dictionary lookups, the flat layout matters for sustained throughput:
-a 1024-node lowering holds millions of messages, and representing their
-routes/dependencies as millions of small lists makes every cyclic-GC
-generation scan traverse them all — measured as a multi-x slowdown on
-repeated large simulations.  A handful of flat lists of ints is invisible
-to the collector.
+:func:`run_indexed` is the event engine: it resolves messages one at a
+time off a global ``(ready, push_seq)`` heap, works for any dependency
+DAG, and is the only engine that feeds a trace recorder.  For
+*lockstep-gated* schedules (§IV-A) that generality is wasted: the
+per-step message set is fixed by the schedule, every dependency crosses
+a step boundary, and the lockstep gates order the steps in time.
+:func:`run_grouped` exploits that structure — it walks the steps in
+gate order and resolves each step's messages in one closed-form FIFO
+pass per link (sorted arrival order within the step).
 
 **Exact equivalence.**  The event engine's outcome is fully determined by
 the order messages are *processed* — the heap pops ``(ready, push_seq)``
@@ -39,17 +38,17 @@ engine, not merely close.
 
 **Fallback.**  When deliveries overrun a later step's gate enough to
 reorder processing across steps, :func:`run_grouped` returns ``None``.
-:func:`run_arrays` then runs :func:`run_indexed` — the event engine's
-heap on the same flat arrays, which is also the compiled ``event``
-engine — and counts the decline as
+:func:`run_arrays` then runs :func:`run_indexed` on the same arrays and
+counts the decline as
 ``sim.fallbacks{engine="lockstep",reason="step-overlap"}``.
 """
 
 from __future__ import annotations
 
+import heapq
 from contextlib import nullcontext
 from operator import sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,10 +58,14 @@ from ..topology.base import Topology
 from .flowcontrol import FlowControl
 from .links import LinkTable, link_table
 from .simulator import (
+    Message,
     MessageTiming,
     SimulationResult,
     record_run_metrics,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from ..trace.events import TraceRecorder
 
 __all__ = [
     "DepStructure",
@@ -122,7 +125,7 @@ class LazyTimings:
     million-message scale and most callers (sweeps, benchmarks) only read
     ``finish_time`` — so the arrays are kept as-is and the object list is
     built on first access, then cached.  Equality, iteration, indexing,
-    and ``len`` all behave like the plain list the event engine returns.
+    and ``len`` all behave like a plain list of timings.
     """
 
     __slots__ = ("_ready", "_inject", "_deliver", "_ideal", "_list")
@@ -346,24 +349,32 @@ def run_indexed(
     dep_struct: DepStructure,
     not_before: Sequence[float],
     receive_overhead: Sequence[float],
+    recorder: Optional["TraceRecorder"] = None,
+    messages: Optional[Sequence[Message]] = None,
 ):
-    """Heap-ordered engine over dense link-indexed arrays.
+    """The event engine: a global ``(ready, push_seq)`` heap over dense
+    link-indexed arrays.
 
-    Identical processing order and arithmetic to the event engine in
-    :meth:`repro.network.simulator.NetworkSimulator.run` — a global
-    ``(ready, push_seq)`` heap — but over the same flat arrays as
-    :func:`run_grouped`: CSR link ids, payload/dependency arrays, no
-    per-message objects and no recorder branches.  Exact by construction
-    (it never declines), so it is the fast fallback tier of the compiled
-    path when step-level grouping would diverge (see
+    Messages are processed in readiness order (ties in push order), and
+    FIFO channel grants follow that order — the seed simulator's
+    semantics (``bench/reference.py:reference_run``), over the same flat
+    arrays as :func:`run_grouped`: CSR link ids, payload/dependency
+    arrays, no per-message objects.  Exact by construction (it never
+    declines), so it also backs the compiled path whenever step-level
+    grouping would diverge (see
     :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).
+
+    ``recorder`` (see :mod:`repro.trace`) gets ``hop`` per granted hop
+    and ``message_done`` per message, in processing order;
+    ``messages`` are the :class:`~repro.network.simulator.Message`
+    objects the columns describe, handed to ``message_done``.
 
     Returns the same tuple as :func:`run_grouped`.
     """
-    import heapq
-
     n = len(payloads)
-    num_links = len(table.keys)
+    keys = table.keys
+    num_links = len(keys)
+    recording = recorder is not None
     bandwidth = table.bandwidth
     latency = table.latency
     capacity = table.capacity
@@ -416,6 +427,7 @@ def run_indexed(
             for k in range(r0, r1):
                 li = route_val[k]
                 if capacity[li] == 1:
+                    ch = 0
                     at = avail[li]
                     ser = wire / bandwidth[li]
                     grant = head if head >= at else at
@@ -430,6 +442,8 @@ def run_indexed(
                     grant = head if head >= at else at
                     pool[ch] = grant + ser
                 busy[li] += ser
+                if recording:
+                    recorder.hop(idx, keys[li], ch, head, grant, ser)
                 if inj is None:
                     inj = grant
                 lat = latency[li]
@@ -443,6 +457,10 @@ def run_indexed(
         inject[idx] = inj
         deliver[idx] = dlv
         ideal[idx] = idl
+        if recording:
+            recorder.message_done(
+                idx, messages[idx], MessageTiming(rd, inj, dlv, idl), wire
+            )
         if dlv > finish:
             finish = dlv
         processed += 1
@@ -492,16 +510,19 @@ def run_arrays(
     not_before: Sequence[float],
     receive_overhead: Sequence[float],
     observed: bool = True,
+    recorder: Optional["TraceRecorder"] = None,
+    messages: Optional[Sequence[Message]] = None,
 ) -> SimulationResult:
-    """The ``event``/``lockstep`` ladder over lockstep-gated CSR arrays.
+    """The ``event``/``lockstep`` ladder over CSR arrays, with telemetry.
 
-    ``engine="event"`` runs :func:`run_indexed` — the event engine's
-    processing order and arithmetic on the array heap.
-    ``engine="lockstep"`` tries :func:`run_grouped` over ``groups`` first
-    and drops to :func:`run_indexed` when step-level grouping would
-    diverge.  Spans and metrics are those
-    :meth:`repro.network.simulator.NetworkSimulator.run` emits for the
-    same engine: ``sim.run`` with its ``engine.*`` rung spans,
+    ``engine="event"`` runs :func:`run_indexed`, the event engine,
+    feeding it ``recorder`` and ``messages`` (see there) — the path
+    :meth:`repro.network.simulator.NetworkSimulator.run` takes.
+    ``engine="lockstep"`` tries :func:`run_grouped` over the
+    lockstep-gated ``groups`` first and drops to :func:`run_indexed`
+    when step-level grouping would diverge; it takes no ``recorder``,
+    since :func:`run_grouped` has no hooks.  Every run emits
+    ``sim.run`` with its ``engine.*`` rung spans,
     ``sim.engine_runs``, the counted ``lockstep`` decline, and the
     :func:`~repro.network.simulator.record_run_metrics` family.  With
     neither a metrics registry nor an obs recorder active, the only
@@ -538,6 +559,7 @@ def run_arrays(
                 raw = run_indexed(
                     table, flow_control, payloads, route_off, route_val,
                     dep_struct, not_before, receive_overhead,
+                    recorder, messages,
                 )
         result = _result_from_arrays(table, raw)
         if registry is not None:

@@ -40,10 +40,10 @@ runs it on the scalar ladder instead and counts the decline with its
 reason (``sim.fallbacks{engine="lockstep-vec",reason=...}``); results
 are never silently approximate.  Like the scalar lockstep engine, this
 one runs only on compiled schedules; message lists
-(:class:`~repro.network.simulator.Message`) always run on the object
-heap.  Multi-channel links (``capacity > 1``) also decline: their
-argmin channel selection is inherently order-dependent, and the scalar
-ladder handles them exactly.
+(:class:`~repro.network.simulator.Message`) always run on the event
+engine, the array heap.  Multi-channel links (``capacity > 1``) also
+decline: their argmin channel selection is inherently order-dependent,
+and the scalar ladder handles them exactly.
 """
 
 from __future__ import annotations

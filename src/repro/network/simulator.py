@@ -16,20 +16,21 @@ injection time (the lockstep gate of §IV-A).  Events are processed in
 global time order so FIFO arbitration between competing messages matches
 their actual readiness order.
 
-This object heap is the only engine that plays :class:`Message` lists,
-and the only one that feeds a trace recorder; it is the reference side
-of every exactness check.  The fast engines (``lockstep`` and
-``lockstep-vec``, :mod:`repro.network.lockstep_engine` and
-:mod:`repro.network.lockstep_vec`) run only on the compiled CSR arrays
-of :class:`repro.collectives.compiled.CompiledSchedule`, which
-:func:`repro.ni.injector.simulate_allreduce` routes them through.
+There is one event engine: :func:`repro.network.lockstep_engine.run_indexed`,
+the ``(ready, push_seq)`` heap over flat CSR arrays.
+:meth:`NetworkSimulator.run` lowers a :class:`Message` list to those
+arrays and feeds an optional trace recorder from its hooks; compiled
+schedules (:class:`repro.collectives.compiled.CompiledSchedule`) hand it
+their arrays directly, and only they reach the faster ``lockstep`` and
+``lockstep-vec`` engines, which return ``==`` numbers.  The frozen seed
+loop in :mod:`repro.bench.reference` is the reference every engine is
+pinned against.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -40,8 +41,6 @@ from typing import (
     Tuple,
 )
 
-from .. import obs
-from ..metrics.registry import get_registry
 from ..topology.base import LinkKey, Topology
 from .flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
 from .links import link_table
@@ -159,14 +158,17 @@ class SimulationResult:
         if self.finish_time <= 0:
             return 0.0
         bandwidths = {spec.bandwidth for spec in topology.links.values()}
+        # Both branches sum in topology link order, not dict order: float
+        # addition is order-sensitive.
+        busy_get = self.link_busy.get
         if len(bandwidths) <= 1:
             total_capacity_time = (
                 self.finish_time * topology.total_link_capacity()
             )
             if total_capacity_time <= 0:
                 return 0.0
-            return sum(self.link_busy.values()) / total_capacity_time
-        busy_get = self.link_busy.get
+            busy = sum(busy_get(key, 0.0) for key in topology.links)
+            return busy / total_capacity_time
         weighted_busy = 0.0
         weighted_capacity = 0.0
         for key, spec in topology.links.items():
@@ -193,205 +195,45 @@ class NetworkSimulator:
         messages: List[Message],
         recorder: Optional["TraceRecorder"] = None,
     ) -> SimulationResult:
-        """Simulate ``messages`` on the object heap; optionally report
-        events to ``recorder``.
+        """Simulate ``messages``; optionally report events to ``recorder``.
+
+        Lowers the list to the columns of the array heap — routes as a
+        CSR of dense link ids, ``deps`` as a
+        :func:`~repro.network.lockstep_engine.dep_structure` triple,
+        payload, gate and overhead columns — and plays them with
+        :func:`~repro.network.lockstep_engine.run_arrays` on the
+        ``event`` engine, which emits the ``sim.run`` span and the run
+        metrics.  A route naming a link the topology lacks raises
+        ``KeyError``; a dependency index outside the list raises
+        ``ValueError``.
 
         The recorder observes hop grants and message completions as they
         are computed (see :mod:`repro.trace`); it never alters the
         simulation — results are bit-identical with and without one.
-
-        This is the semantic reference: a global ready-time heap that
-        works for any dependency DAG.  The fast engines (``lockstep``,
-        ``lockstep-vec``) run only on compiled CSR arrays — see
-        :meth:`repro.collectives.compiled.CompiledSchedule.simulate`.
         """
-        topology_name = self.topology.name
-        with obs.span(
-            "sim.run",
-            topology=topology_name,
-            engine="event",
-            messages=len(messages),
-        ) as run_span:
-            with obs.span("engine.event", topology=topology_name):
-                result = self._run_event(messages, recorder)
-            run_span.set("resolved", "event")
-            run_span.set("finish_time", result.finish_time)
-            return result
+        from .lockstep_engine import dep_structure, run_arrays
 
-    def _run_event(
-        self,
-        messages: List[Message],
-        recorder: Optional["TraceRecorder"],
-    ) -> SimulationResult:
-        """The global ready-time heap — the semantic reference engine.
-
-        Kept beside the array heap (:func:`repro.network.lockstep_engine.
-        run_indexed`, the same order and arithmetic over CSR arrays)
-        because it is the only engine that feeds a trace recorder and the
-        reference side of every exactness check.
-        """
-        topo = self.topology
-        fc = self.flow_control
-
-        # Hot-loop setup: the shared memoized link-spec snapshot (dense
-        # integer link ids instead of tuple-keyed dictionary lookups per
-        # hop — the same :class:`repro.network.links.LinkTable` the
-        # lockstep engines use), per-payload wire-size memoization (an
-        # all-reduce has few distinct payload sizes), and local bindings of
-        # the attributes the loop touches on every event.
-        table = link_table(topo)
-        id_of = table.id_of
-        bandwidth_col = table.bandwidth
-        latency_col = table.latency
-        capacity_col = table.capacity
-        channels: Dict[int, List[float]] = {}
-        wire_cache: Dict[float, float] = {}
-        wire_bytes = fc.wire_bytes
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        # Per-message hot state as parallel arrays (ready/inject/deliver/
-        # ideal); MessageTiming objects are materialized once, after the
-        # loop, so the hot loop never touches per-message dataclasses.
         n = len(messages)
-        inject_arr = [0.0] * n
-        deliver_arr = [0.0] * n
-        ideal_arr = [0.0] * n
-        link_busy: Dict[LinkKey, float] = {}
-        busy_get = link_busy.get
-        channels_get = channels.get
-        total_wire = 0.0
-
-        # Dependency bookkeeping.
-        remaining = [0] * len(messages)
-        dependents: Dict[int, List[int]] = {}
-        for idx, msg in enumerate(messages):
-            remaining[idx] = len(msg.deps)
-            for dep in msg.deps:
-                dependents.setdefault(dep, []).append(idx)
-        ready_time = [msg.not_before for msg in messages]
-
-        counter = itertools.count()
-        heap: List[Tuple[float, int, int]] = []
-        for idx, msg in enumerate(messages):
-            if remaining[idx] == 0:
-                heappush(heap, (ready_time[idx], next(counter), idx))
-
-        finish = 0.0
-        processed = 0
-        while heap:
-            ready, _seq, idx = heappop(heap)
-            msg = messages[idx]
-
-            payload = msg.payload_bytes
-            wire = wire_cache.get(payload)
-            if wire is None:
-                wire = wire_bytes(payload)
-                wire_cache[payload] = wire
-            route = msg.route
-            # Zero-hop (src == dst) messages traverse no links and put no
-            # bytes on any wire.
-            total_wire += wire * len(route)
-            if not route:  # zero-hop (src == dst) — degenerate, instant
-                inject = ready
-                deliver = ready
-                ideal = ready
-            else:
-                head = ready
-                inject = None
-                ser = 0.0
-                lat_sum = 0.0
-                max_ser = 0.0
-                for key in route:
-                    li = id_of[key]
-                    pool = channels_get(li)
-                    if pool is None:
-                        pool = [0.0] * capacity_col[li]
-                        channels[li] = pool
-                    # Fast path for the common capacity-1 link: no argmin
-                    # scan over channels, the single slot is the channel.
-                    if len(pool) == 1:
-                        ch = 0
-                        avail = pool[0]
-                    else:
-                        ch = min(range(len(pool)), key=pool.__getitem__)
-                        avail = pool[ch]
-                    ser = wire / bandwidth_col[li]
-                    grant = head if head >= avail else avail
-                    pool[ch] = grant + ser
-                    link_busy[key] = busy_get(key, 0.0) + ser
-                    if recorder is not None:
-                        recorder.hop(idx, key, ch, head, grant, ser)
-                    if inject is None:
-                        inject = grant
-                    latency = latency_col[li]
-                    head = grant + latency
-                    lat_sum += latency
-                    if ser > max_ser:
-                        max_ser = ser
-                # ``ser`` still holds the last hop's serialization time, and
-                # lat_sum/max_ser accumulated in route order match the
-                # separate sum()/max() passes of the reference loop
-                # bit-for-bit.
-                deliver = head + ser
-                ideal = ready + lat_sum + max_ser
-            ready_time[idx] = ready
-            inject_arr[idx] = inject
-            deliver_arr[idx] = deliver
-            ideal_arr[idx] = ideal
-            if recorder is not None:
-                recorder.message_done(
-                    idx, msg, MessageTiming(ready, inject, deliver, ideal), wire
-                )
-            if deliver > finish:
-                finish = deliver
-            processed += 1
-
-            for dep_idx in dependents.get(idx, ()):  # wake dependents
-                wake = deliver + messages[dep_idx].receive_overhead
-                if wake > ready_time[dep_idx]:
-                    ready_time[dep_idx] = wake
-                remaining[dep_idx] -= 1
-                if remaining[dep_idx] == 0:
-                    heappush(heap, (ready_time[dep_idx], next(counter), dep_idx))
-
-        if processed != len(messages):
-            stuck = [i for i in range(len(messages)) if remaining[i] > 0]
-            raise RuntimeError(
-                "dependency deadlock: %d messages never became ready (first: %s)"
-                % (len(stuck), stuck[:5])
-            )
-        result = SimulationResult(
-            finish_time=finish,
-            timings=[
-                MessageTiming(
-                    ready_time[i], inject_arr[i], deliver_arr[i], ideal_arr[i]
-                )
-                for i in range(n)
-            ],
-            link_busy=link_busy,
-            total_wire_bytes=total_wire,
-        )
-        registry = get_registry()
-        if registry is not None:
-            registry.counter(
-                "sim.engine_runs", engine="event", topology=topo.name
-            ).inc()
-            self._record_metrics(registry, messages, result)
-        return result
-
-    def _record_metrics(
-        self,
-        registry,
-        messages: List[Message],
-        result: SimulationResult,
-    ) -> None:
-        record_run_metrics(
-            registry,
+        id_of = link_table(self.topology).id_of
+        routes = [msg.route for msg in messages]
+        route_val = list(map(id_of.__getitem__, chain.from_iterable(routes)))
+        deps = [msg.deps for msg in messages]
+        dep_val = list(chain.from_iterable(deps))
+        if dep_val and not 0 <= min(dep_val) <= max(dep_val) < n:
+            raise ValueError("message dependency index out of range")
+        return run_arrays(
             self.topology,
             self.flow_control,
-            ((msg.payload_bytes, len(msg.route)) for msg in messages),
-            result,
+            "event",
+            (),
+            [msg.payload_bytes for msg in messages],
+            [0, *accumulate(map(len, routes))],
+            route_val,
+            dep_structure([0, *accumulate(map(len, deps))], dep_val),
+            [msg.not_before for msg in messages],
+            [msg.receive_overhead for msg in messages],
+            recorder=recorder,
+            messages=messages,
         )
 
 
@@ -416,9 +258,8 @@ def record_run_metrics(
     registry.counter("sim.runs", **labels).inc()
     registry.counter("sim.messages", **labels).inc(len(result.timings))
     registry.counter("sim.wire_bytes", **labels).inc(result.total_wire_bytes)
-    # Summed in link-table order, not dict order: the object heap fills
-    # ``link_busy`` in first-touch order and the array engines in
-    # link-table order, and float addition is order-sensitive.
+    # Summed in link-table order, not dict order: float addition is
+    # order-sensitive.
     busy_get = result.link_busy.get
     registry.counter("sim.link_busy_time", **labels).inc(
         sum(busy_get(key, 0.0) for key in link_table(topology).keys)

@@ -212,8 +212,9 @@ def simulate_allreduce(
     with zero observation overhead.
 
     ``engine="event"`` (the default), a ``recorder`` or ``lockstep=False``
-    lowers to messages and runs the object heap
-    (:meth:`repro.network.simulator.NetworkSimulator.run`).  Otherwise
+    lowers to messages and plays them with
+    :meth:`repro.network.simulator.NetworkSimulator.run` on the event
+    engine, the array heap.  Otherwise
     ``engine="lockstep"``/``"lockstep-vec"`` run on the compiled arrays
     (:meth:`repro.collectives.compiled.CompiledSchedule.simulate`):
     bit-identical results, with a counted fallback down the engine

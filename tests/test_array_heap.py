@@ -2,7 +2,7 @@
 
 Lockstep-gated compiled runs of the ``event`` and ``lockstep`` engines
 simulate the CSR arrays directly (``run_indexed`` / ``run_grouped``).
-These tests pin them ``==`` the object heap and the message path —
+These tests pin them ``==`` the frozen seed and the message path —
 timings, telemetry and ``run_job`` points — and pin the object-free
 helpers they lean on (``dep_structure``, array ``max_queue_delay``)
 against their materialized or frozen-seed forms.
@@ -15,7 +15,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
-from repro.bench.reference import reference_dep_structure
+from repro.bench.reference import (
+    reference_dep_structure,
+    reference_simulate_allreduce,
+)
 from repro.collectives import build_schedule, compile_algorithm
 from repro.collectives.compiled import CompiledSchedule
 from repro.metrics import collecting
@@ -65,15 +68,19 @@ class TestArrayHeapIsEventEngine:
         ("fattree-8x8", "hierarchical"),
         ("torus-4x8", "multitree"),
     ])
-    def test_compiled_event_equals_object_heap(self, spec, variant):
+    def test_compiled_event_equals_seed(self, spec, variant):
+        """The compiled arrays and the lowered message list both play
+        ``==`` the frozen seed loop."""
         _builder, fc, _topology, schedule, compiled = _resolved(spec, variant)
         for size in SIZES:
             ours = compiled.simulate(size, fc, engine="event").simulation
-            ref = simulate_allreduce(
+            messages = simulate_allreduce(
                 schedule, size, fc, engine="event"
             ).simulation
+            seed = reference_simulate_allreduce(schedule, size, fc)
             assert isinstance(ours.timings, LazyTimings)
-            assert_identical(ours, ref)
+            assert_identical(ours, seed)
+            assert_identical(messages, seed)
 
     def test_overlap_case_needs_heap_order(self):
         """bigraph-4x8 MultiTree is the case step-level grouping declines,

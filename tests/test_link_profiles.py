@@ -12,6 +12,8 @@ with ``@``-bearing topology specs, and the heterogeneity-aware energy
 and utilization reporting.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.collectives import build_schedule, compile_schedule
@@ -19,7 +21,7 @@ from repro.network import EnergyModel, PacketBased
 from repro.network.energy import link_energy_scales
 from repro.network.links import LinkTable, link_table
 from repro.network.simulator import NetworkSimulator
-from repro.ni.injector import build_messages
+from repro.ni.injector import build_messages, simulate_allreduce
 from repro.scenario import Scenario
 from repro.topology import Torus2D
 from repro.topology.base import DEFAULT_BANDWIDTH, topology_fingerprint
@@ -335,10 +337,39 @@ class TestHeterogeneousReporting:
             schedule, scenario.data_bytes, resolved.flow_control
         )
         result = NetworkSimulator(topo, resolved.flow_control).run(messages)
-        expected = sum(result.link_busy.values()) / (
-            result.finish_time * topo.total_link_capacity()
-        )
+        busy = sum(result.link_busy.get(key, 0.0) for key in topo.links)
+        expected = busy / (result.finish_time * topo.total_link_capacity())
         assert result.mean_link_utilization(topo) == expected
+
+    @pytest.mark.parametrize("spec,variant", [
+        ("torus-8x8", "multitree"),
+        ("mesh-8x8", "multitree"),
+        ("bigraph-4x8", "hdrm"),
+    ])
+    def test_mean_utilization_equal_across_engines(self, spec, variant):
+        """The uniform-bandwidth mean sums busy time in topology link
+        order, so it does not depend on the order an engine filled
+        ``link_busy`` in: the Message path and every compiled engine
+        report the same float."""
+        resolved = Scenario(spec, variant, 32 * 1024).resolve()
+        topo = parse_topology_spec(spec)
+        fc = resolved.flow_control
+        schedule = build_schedule(resolved.builder, topo)
+        compiled = compile_schedule(schedule)
+        for size in (32 * 1024, 1 * MiB):
+            message_path = simulate_allreduce(schedule, size, fc).simulation
+            means = {
+                engine: compiled.simulate(
+                    size, fc, engine=engine
+                ).simulation.mean_link_utilization(topo)
+                for engine in ("event", "lockstep", "lockstep-vec")
+            }
+            means["messages"] = message_path.mean_link_utilization(topo)
+            reordered = replace(message_path, link_busy=dict(
+                reversed(list(message_path.link_busy.items()))
+            ))
+            means["reordered"] = reordered.mean_link_utilization(topo)
+            assert len(set(means.values())) == 1, (spec, size, means)
 
     def test_mean_utilization_weights_by_bandwidth(self):
         scenario = Scenario.parse("fattree-4x4@oversub=4/multitree/1MiB")

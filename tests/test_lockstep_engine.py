@@ -7,8 +7,8 @@ must produce *bit-identical* results to the event engine — equal
 family and algorithm, at every data size.  When it cannot guarantee that
 (processing-order overruns), it must fall back to the array heap rather
 than return divergent numbers.  It runs only on compiled arrays:
-message lists, trace recorders and ``lockstep=False`` run on the object
-heap.
+message lists, trace recorders and ``lockstep=False`` run on the event
+engine, and those runs are pinned ``==`` the frozen seed loop.
 """
 
 import inspect
@@ -16,10 +16,12 @@ import inspect
 import pytest
 
 from repro import obs
+from repro.bench.reference import reference_simulate_allreduce
 from repro.collectives import build_schedule, compile_schedule
 from repro.metrics import collecting
 from repro.network import Message, NetworkSimulator, PacketBased
 from repro.network.lockstep_engine import LinkTable, link_table
+from repro.network.simulator import ENGINES
 from repro.ni.injector import build_messages, simulate_allreduce
 from repro.scenario import Scenario
 from repro.topology import BiGraph, FatTree, Mesh2D, Torus2D
@@ -97,14 +99,17 @@ class TestEquivalenceBattery:
 
 class TestFallback:
     def test_ungated_with_deps_falls_back(self):
-        """lockstep=False (no gates) must reach the object heap from every
-        entry point and still give identical results."""
+        """lockstep=False (no gates) runs the event engine from every
+        entry point, whatever engine was asked for, ``==`` the frozen
+        seed loop."""
         topo = Torus2D(4, 4)
         schedule = build_schedule("multitree", topo)
         fc = PacketBased()
-        ref = simulate_allreduce(schedule, 1 * MiB, fc, lockstep=False)
+        seed = reference_simulate_allreduce(
+            schedule, 1 * MiB, fc, lockstep=False
+        )
         compiled = compile_schedule(schedule)
-        for engine in ("lockstep", "lockstep-vec"):
+        for engine in ENGINES:
             with collecting() as registry:
                 outcomes = [
                     simulate_allreduce(
@@ -115,7 +120,7 @@ class TestFallback:
                     ),
                 ]
             for outcome in outcomes:
-                assert_identical(ref.simulation, outcome.simulation)
+                assert_identical(outcome.simulation, seed)
             assert registry.counter_value(
                 "sim.engine_runs", engine="event", topology=topo.name
             ) == 2
@@ -159,7 +164,7 @@ class TestFallback:
 
     def test_unknown_engine_rejected(self):
         """Engines are validated where they are chosen, naming the
-        choices; the object heap takes no engine at all."""
+        choices; ``NetworkSimulator.run`` takes no engine at all."""
         topo = Torus2D(2, 2)
         schedule = build_schedule("ring", topo)
         compiled = compile_schedule(schedule)
@@ -170,7 +175,7 @@ class TestFallback:
             compiled.simulate(1024, engine="warp")
         with pytest.raises(ValueError, match=named):
             Scenario("torus-2x2", "ring", 1024, engine="warp")
-        # Also where a recorder or lockstep=False takes the object heap.
+        # Also where a recorder or lockstep=False lowers to messages.
         with pytest.raises(ValueError, match="unknown engine"):
             simulate_allreduce(schedule, 1024, recorder=Trace(), engine="warp")
         with pytest.raises(ValueError, match="unknown engine"):
@@ -187,8 +192,8 @@ class TestFallback:
         assert res.link_busy == {}
 
     def test_foreign_route_rejected(self):
-        """A route naming a link the topology lacks is an error on the
-        object heap, which looks links up per hop."""
+        """A route naming a link the topology lacks is an error when
+        ``NetworkSimulator.run`` lowers it to dense link ids."""
         topo = Torus2D(2, 2)
         fc = PacketBased()
         messages = [Message(0, 1, 1024.0, route=[(97, 99)])]
@@ -206,60 +211,56 @@ PARITY_CASES = [
 
 
 def _recorded_runs(spec, variant, size):
-    """The event engine's run and trace, plus ``(label, result, trace)``
-    for every recorded fast-engine request of one case."""
+    """The seed's result and the schedule's routes, plus
+    ``(label, result, trace)`` for every recorded request of one case."""
     resolved = Scenario(spec, variant, size).resolve()
     fc = resolved.flow_control
     schedule = build_schedule(resolved.builder, parse_topology_spec(spec))
-    ref = Trace()
-    event = simulate_allreduce(schedule, size, fc, recorder=ref)
-    runs = []
-    trace = Trace()
-    runs.append(("simulate_allreduce/lockstep", simulate_allreduce(
-        schedule, size, fc, recorder=trace, engine="lockstep"
-    ), trace))
+    seed = reference_simulate_allreduce(schedule, size, fc)
+    routes = [schedule.route_of(op) for op in schedule.ops]
     compiled = compile_schedule(schedule)
-    for engine in ("lockstep", "lockstep-vec"):
+    runs = []
+    for engine in ENGINES:
+        trace = Trace()
+        runs.append(("simulate_allreduce/" + engine, simulate_allreduce(
+            schedule, size, fc, recorder=trace, engine=engine
+        ), trace))
         trace = Trace()
         runs.append(("compiled/" + engine, compiled.simulate(
             size, fc, recorder=trace, engine=engine
         ), trace))
-    return event, ref, runs
+    return seed, routes, runs
 
 
 class TestRecorderParity:
     def test_trace_identical_across_engines(self):
-        """A recorder observes every hop exactly once, with the same
-        hops, completions and gates as the event engine, whatever engine
-        was asked for — a recorded run is always the object heap."""
-        cases = {
-            "%s/%s/%d" % case: _recorded_runs(*case) for case in PARITY_CASES
-        }
-        # Hop counts first: a run that records a declined step and then
-        # re-records it shows up here as extra hops.
-        assert {
-            (case, label): len(trace.hops)
-            for case, (_event, _ref, runs) in cases.items()
-            for label, _outcome, trace in runs
-        } == {
-            (case, label): len(ref.hops)
-            for case, (_event, ref, runs) in cases.items()
-            for label, _outcome, _trace in runs
-        }
-        for case, (event, ref, runs) in cases.items():
+        """Whatever engine was asked for, a recorded run equals the
+        frozen seed, its trace holds every hop exactly once in route
+        order with the seed's message times, and every entry point
+        records the same trace."""
+        for case in PARITY_CASES:
+            seed, routes, runs = _recorded_runs(*case)
+            _label, _outcome, first = runs[0]
             for label, outcome, trace in runs:
                 where = (case, label)
-                assert_identical(event.simulation, outcome.simulation)
-                for idx in range(len(event.simulation.timings)):
-                    assert trace.hops_of(idx) == ref.hops_of(idx), where
-                assert trace.gates == ref.gates, where
-                assert trace.messages.keys() == ref.messages.keys(), where
-                for idx, ev in ref.messages.items():
+                assert_identical(outcome.simulation, seed)
+                # A run that records a declined step and then re-records
+                # it shows up here as extra hops.
+                assert len(trace.hops) == sum(map(len, routes)), where
+                assert trace.messages.keys() == set(range(len(routes))), where
+                for idx, timing in enumerate(seed.timings):
+                    hops = trace.hops_of(idx)
+                    assert [hop.link for hop in hops] == list(routes[idx])
+                    assert hops == first.hops_of(idx), where
                     got = trace.messages[idx]
                     assert (got.ready, got.inject, got.deliver,
                             got.ideal_deliver) == (
-                        ev.ready, ev.inject, ev.deliver, ev.ideal_deliver
+                        timing.ready, timing.inject, timing.deliver,
+                        timing.ideal_deliver,
                     ), where
+                    if hops:
+                        assert hops[0].grant == timing.inject, where
+                assert trace.gates == first.gates, where
 
 
 class TestLinkTable:

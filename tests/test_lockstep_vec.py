@@ -12,10 +12,11 @@ entry points that share it (``repro sweep`` and ``repro plan``).
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.reference import reference_run, reference_simulate_allreduce
 from repro.cli import main
 from repro.collectives import build_schedule, compile_schedule
 from repro.metrics import collecting
-from repro.network import NetworkSimulator, PacketBased
+from repro.network import PacketBased
 from repro.network.lockstep_vec import run_batch
 from repro.ni.injector import build_messages, simulate_allreduce
 from repro.sweep import PredictionCache
@@ -100,7 +101,7 @@ class TestBatchedExactness:
     def test_raw_message_engine_equals_event(self):
         """simulate_allreduce(engine="lockstep-vec") runs the vectorized
         engine on the compiled arrays (not a fallback), bit-identical to
-        the object heap on the raw messages."""
+        the frozen seed loop on the raw messages."""
         topo = Torus2D(4, 4)
         fc = PacketBased()
         schedule = build_schedule("ring", topo)
@@ -112,8 +113,7 @@ class TestBatchedExactness:
             "sim.engine_runs", engine="lockstep-vec", topology=topo.name
         ) == 1
         messages = build_messages(schedule, 10 * MiB, fc)
-        event = NetworkSimulator(topo, fc).run(messages)
-        assert_identical(vec.simulation, event)
+        assert_identical(vec.simulation, reference_run(topo, fc, messages))
 
     def test_batch_rejects_bad_sizes(self):
         compiled = compiled_for(*CONFIGS[1].values)  # torus-4x4 / ring
@@ -144,7 +144,8 @@ class TestFallbackCounting:
 
     def test_non_lockstep_gated_falls_down_ladder(self):
         """An ungated batch declines the vectorized engine, counted with
-        its reason, and every size lands on the object heap."""
+        its reason, and every size lands on the event engine, ``==`` the
+        frozen seed."""
         topo = Torus2D(4, 4)
         fc = PacketBased()
         schedule = build_schedule("multitree", topo)
@@ -160,11 +161,10 @@ class TestFallbackCounting:
         assert registry.counter_value(
             "sim.engine_runs", engine="event", topology=topo.name
         ) == 1
-        messages = build_messages(schedule, 1 * MiB, fc, lockstep=False)
-        assert_identical(
-            batch.results[0].simulation,
-            NetworkSimulator(topo, fc).run(messages),
+        seed = reference_simulate_allreduce(
+            schedule, 1 * MiB, fc, lockstep=False
         )
+        assert_identical(batch.results[0].simulation, seed)
 
     def test_accepted_run_counted_as_vec(self):
         topo = Torus2D(4, 4)

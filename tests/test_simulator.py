@@ -127,6 +127,16 @@ class TestDependencies:
         with pytest.raises(RuntimeError, match="deadlock"):
             sim.run([Message(0, 1, 1024, route=[(0, 1)], deps=[0])])
 
+    @pytest.mark.parametrize("dep", [2, -1])
+    def test_out_of_range_dependency_rejected(self, dep):
+        sim = _sim()
+        msgs = [
+            Message(0, 1, 1024, route=[(0, 1)]),
+            Message(1, 2, 1024, route=[(1, 2)], deps=[dep]),
+        ]
+        with pytest.raises(ValueError, match="out of range"):
+            sim.run(msgs)
+
     def test_readiness_order_respected(self):
         """An unlocked-later but earlier-ready message wins FIFO arbitration."""
         sim = _sim()

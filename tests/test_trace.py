@@ -1,15 +1,17 @@
 """Tests for the trace/observability subsystem (repro.trace)."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.cli import main
 from repro.collectives import build_schedule
-from repro.network import Message, NetworkSimulator
+from repro.network import Message, MessageBased, NetworkSimulator, PacketBased
 from repro.ni import simulate_allreduce
 from repro.runtime import Communicator
 from repro.topology import Mesh2D, Torus2D
+from repro.topology.specs import parse_topology_spec
 from repro.trace import (
     COMPONENTS,
     Trace,
@@ -71,6 +73,44 @@ class TestRecorder:
         assert len(data["messages"]) == len(trace.messages)
         assert len(data["hops"]) == len(trace.hops)
         assert len(data["step_gates"]) == len(trace.gates)
+
+
+#: sha256 of ``json.dumps(trace.to_dict(), sort_keys=True)`` and of the
+#: same dump of ``to_chrome_trace(trace)``: every recorded hop, message,
+#: gate and export byte, frozen.  Covers channel pools (``rails=2``), an
+#: ungated run with receive overhead, and message-based flow control.
+TRACE_DIGESTS = [
+    ("torus-4x8@rails=2:0.5", "ring", PacketBased(), {},
+     "12929ccfb0c11d19654c131c1eada23bec25bb48fd921fdad6418fde9a2c2154",
+     "b4c0249cd33838f7ba6abf1fdf29c0c2846f85e225fe501e523ee8db734431d9"),
+    ("torus-4x4", "multitree", PacketBased(),
+     {"lockstep": False, "scheduling_overhead": 1e-6},
+     "1fc113476a54ed14c5346e04b08696b49d11dc97c522e1b0d89f40c6ce8bd82f",
+     "b4c292189ae3c968867ee5abb8ca60a4d49fe7593daba2e261b867f887ac593f"),
+    ("bigraph-4x8", "multitree", MessageBased(), {},
+     "c8e8adb24d0cad3e38ca86053a7facbd198bc2bb1dc411f9ce42cf994958afaa",
+     "7ea3cc5192f31315788b97611678c696c189955d36bccbac817ec1fc54604ae8"),
+]
+
+
+def _digest(data):
+    text = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestTraceDigests:
+    @pytest.mark.parametrize(
+        "spec,algorithm,fc,kwargs,trace_sha,chrome_sha", TRACE_DIGESTS,
+        ids=[case[0] for case in TRACE_DIGESTS],
+    )
+    def test_recorded_trace_is_frozen(
+        self, spec, algorithm, fc, kwargs, trace_sha, chrome_sha
+    ):
+        schedule = build_schedule(algorithm, parse_topology_spec(spec))
+        trace = Trace()
+        simulate_allreduce(schedule, 1 * MiB, fc, recorder=trace, **kwargs)
+        assert _digest(trace.to_dict()) == trace_sha
+        assert _digest(to_chrome_trace(trace)) == chrome_sha
 
 
 class TestDisabledTracing:
