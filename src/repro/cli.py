@@ -53,6 +53,7 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
+from . import obs as _obs
 from .analysis import format_bandwidth_table, format_table1, measure_table1
 from .bench import (
     compare_to_baseline,
@@ -65,11 +66,9 @@ from .bench import (
 from .collectives import build_schedule, build_trees, variant_names
 from .compute import MODEL_BUILDERS, get_model
 from .metrics import (
-    MetricsRegistry,
     append_manifest,
     build_manifest,
     collecting,
-    get_registry,
     repro_version,
     write_metrics,
 )
@@ -228,7 +227,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .metrics import MetricsRegistry, set_registry
     from .serve.service import (
         PredictionService,
         REQUEST_LOG_FILENAME,
@@ -236,11 +234,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         make_server,
     )
 
-    registry = MetricsRegistry()
-    # The service's registry doubles as the ambient collector so the
-    # simulator/sweep internals show up on /metrics alongside the
-    # request counters.
-    set_registry(registry)
     log_path = args.request_log or os.path.join(
         args.state_dir, REQUEST_LOG_FILENAME
     )
@@ -249,9 +242,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_size=args.queue_size,
         retry_after_s=args.retry_after,
-        registry=registry,
         request_log=RequestLog(log_path),
     )
+    # While open, the server folds every record of the process into the
+    # service registry: /metrics shows simulator and sweep internals too.
     server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(
@@ -268,7 +262,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.server_close()
         service.close()
-        set_registry(None)
     return 0
 
 
@@ -326,18 +319,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     report = run_bench(quick=args.quick, repeat=args.repeat)
-    registry = get_registry()
-    if registry is not None:
-        # Speedups are the machine-independent tracked metric; manifests
-        # carry them so `repro report --check` can gate on drift.
-        for name, entry in report["results"].items():
-            registry.gauge("bench.speedup", benchmark=name).set(entry["speedup"])
-            registry.gauge("bench.optimized_s", benchmark=name).set(
-                entry["optimized_s"]
-            )
-            registry.gauge("bench.reference_s", benchmark=name).set(
-                entry["reference_s"]
-            )
+    # Speedups are the machine-independent tracked metric; manifests
+    # carry them so `repro report --check` can gate on drift.
+    _obs.event("bench.report", results=report["results"])
     print(format_report(report))
     output = args.output or default_report_path(report)
     write_report(report, output)
@@ -982,14 +966,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     from contextlib import ExitStack
 
-    from . import obs as _obs
-
     registry = None
     start = time.perf_counter()
     with ExitStack() as stack:
         if args.metrics_out or args.manifest:
-            registry = MetricsRegistry()
-            stack.enter_context(collecting(registry))
+            registry = stack.enter_context(collecting())
         if args.obs:
             stack.enter_context(_obs.observing(stream_path=args.obs))
             stack.enter_context(_obs.span("cli", command=args.command))

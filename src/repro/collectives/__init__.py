@@ -1,9 +1,8 @@
 """All-reduce communication algorithms lowering to a common schedule IR."""
 
-import time
 from typing import Callable, Dict
 
-from ..metrics.registry import get_registry
+from .. import obs
 from ..topology.base import Topology
 from .butterfly import butterfly_allreduce
 from .dbtree import BinaryTree, dbtree_allreduce, double_binary_trees
@@ -59,20 +58,23 @@ ALGORITHMS: Dict[str, Callable[[Topology], Schedule]] = {
 
 
 def build_schedule(algorithm: str, topology: Topology, **kwargs) -> Schedule:
-    """Build the named algorithm's schedule on ``topology``."""
+    """Build the named algorithm's schedule on ``topology``.
+
+    Runs inside a ``schedule.build`` span carrying the schedule's step
+    and op counts.
+    """
     try:
         builder = ALGORITHMS[algorithm]
     except KeyError:
         raise ValueError(
             "unknown algorithm %r; choose from %s" % (algorithm, sorted(ALGORITHMS))
         )
-    registry = get_registry()
-    if registry is None:
-        return builder(topology, **kwargs)
-    start = time.perf_counter()
-    schedule = builder(topology, **kwargs)
-    _record_build(registry, algorithm, topology, time.perf_counter() - start,
-                  schedule.num_steps, len(schedule.ops))
+    with obs.span(
+        "schedule.build", algorithm=algorithm, topology=topology.name
+    ) as sp:
+        schedule = builder(topology, **kwargs)
+        sp.set("steps", schedule.num_steps)
+        sp.set("ops", len(schedule.ops))
     return schedule
 
 
@@ -83,28 +85,13 @@ def compile_algorithm(algorithm: str, topology: Topology) -> CompiledSchedule:
     (:func:`~repro.collectives.streaming.compile_multitree`), skipping
     the ``Schedule`` → ``CommOp`` detour; the result is ``==`` to
     ``compile_schedule(build_schedule("multitree", topology))``.  Every
-    other algorithm compiles its schedule IR.  Both routes record the
-    same ``schedule.*`` metrics as :func:`build_schedule`.
+    other algorithm compiles its schedule IR.  Both routes feed the same
+    ``schedule.*`` metrics: the streaming compile's ``schedule.compile``
+    span folds like a ``schedule.build`` span.
     """
     if algorithm != "multitree":
         return compile_schedule(build_schedule(algorithm, topology))
-    start = time.perf_counter()
-    compiled = compile_multitree(topology)
-    registry = get_registry()
-    if registry is not None:
-        _record_build(registry, algorithm, topology,
-                      time.perf_counter() - start, compiled.num_steps,
-                      len(compiled))
-    return compiled
-
-
-def _record_build(registry, algorithm: str, topology: Topology,
-                  elapsed: float, steps: int, ops: int) -> None:
-    labels = {"algorithm": algorithm, "topology": topology.name}
-    registry.counter("schedule.builds", **labels).inc()
-    registry.histogram("schedule.build_time", **labels).observe(elapsed)
-    registry.gauge("schedule.steps", **labels).set(steps)
-    registry.gauge("schedule.ops", **labels).set(ops)
+    return compile_multitree(topology)
 
 
 __all__ = [

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..metrics.registry import get_registry
 from ..topology.base import LinkKey, Topology, topology_fingerprint
 
 #: Format tag embedded in every stored compiled schedule.  Bump when the
@@ -254,36 +253,19 @@ class CompiledSchedule:
         return lockstep_gates(self.num_steps, est)[0]
 
     def _gates(self, data_bytes: float, flow_control) -> Dict[int, float]:
-        """:meth:`step_gates` plus the ``lockstep.*`` metrics the ni
-        layer's :func:`~repro.ni.lockstep.step_gates` records."""
-        from ..ni.lockstep import lockstep_gates, record_gate_metrics
+        """:meth:`step_gates` plus the ni layer's ``lockstep.gates`` event."""
+        from ..ni import lockstep as ni
 
         est = self.step_estimates(data_bytes, flow_control)
-        gates, span = lockstep_gates(self.num_steps, est)
-        registry = get_registry()
-        if registry is not None:
-            record_gate_metrics(
-                registry, self.topology, self.algorithm, self.num_steps,
-                self._active_nodes_per_step(), est, span,
-            )
+        gates, span = ni.lockstep_gates(self.num_steps, est)
+        if obs.metering():
+            if self._active is None:  # NOP-stall counts, memoized
+                self._active = ni.active_nodes_per_step(
+                    self.steps, self.srcs, self.dsts
+                )
+            ni.emit_gate_event(self.topology, self.algorithm, self.num_steps,
+                               self._active, est, span)
         return gates
-
-    def _active_nodes_per_step(self) -> Dict[int, int]:
-        """Nodes sending or receiving per step (NOP stalls), memoized."""
-        active = self._active
-        if active is None:
-            steps = np.asarray(self.steps, dtype=np.int64)
-            ends = np.concatenate((
-                np.asarray(self.srcs, dtype=np.int64),
-                np.asarray(self.dsts, dtype=np.int64),
-            ))
-            width = int(ends.max()) + 1 if len(ends) else 1
-            pairs = np.unique(np.concatenate((steps, steps)) * width + ends)
-            step_ids, counts = np.unique(pairs // width, return_counts=True)
-            active = self._active = dict(
-                zip(step_ids.tolist(), counts.tolist())
-            )
-        return active
 
     def build_messages(
         self,
@@ -435,19 +417,12 @@ class CompiledSchedule:
         )
 
     def _run_arrays(self, data_bytes, flow_control, scheduling_overhead,
-                    engine, observed=True):
-        """One lockstep-gated ``event``/``lockstep`` run over the arrays.
-
-        ``observed=False`` records no spans or metrics: the vectorized
-        batch's per-size fallback, whose declines the batch counts itself.
-        """
+                    engine):
+        """One lockstep-gated ``event``/``lockstep`` run over the arrays."""
         from ..network.lockstep_engine import link_table, run_arrays
 
         table = link_table(self.topology)
-        if observed:
-            gates = self._gates(data_bytes, flow_control)
-        else:
-            gates = self.step_gates(data_bytes, flow_control)
+        gates = self._gates(data_bytes, flow_control)
         # Payload scaling and gate lookup vectorize: float64 multiply
         # is IEEE-identical to the scalar product the injector
         # computes, and the gate gather copies floats untouched.
@@ -476,7 +451,6 @@ class CompiledSchedule:
             self._dep_structure(),
             gate_arr,
             [scheduling_overhead] * len(payloads),
-            observed=observed,
         )
 
     def simulate_batch(

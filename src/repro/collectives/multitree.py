@@ -19,11 +19,11 @@ and the allocated route is recorded on each op for source routing (§IV-B).
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..metrics.registry import get_registry
 from ..topology.base import Allocation, LinkKey, Topology
 from .schedule import ChunkRange, CommOp, OpKind, Schedule
 
@@ -215,6 +215,8 @@ def build_forest(
     Runs inside a ``multitree.build`` span carrying the step and turn
     counts, plus the allocator's probe calls where construction probes
     through one (the direct fast path scans neighbor lists inline).
+    While metering, the span also carries each tree's depth and largest
+    fan-out, in root order.
     """
     if priority not in TREE_PRIORITIES:
         raise ValueError(
@@ -227,6 +229,13 @@ def build_forest(
         sp.set("steps", forest.tot_t)
         sp.set("turns", turns)
         sp.set("probes", probes)
+        if obs.metering():
+            roots = range(forest.num_nodes)
+            sp.set("depths", [forest.depth(root) for root in roots])
+            sp.set("branching", [
+                max(Counter(forest.edge_parent[root]).values(), default=0)
+                for root in roots
+            ])
     return forest
 
 
@@ -519,24 +528,6 @@ def _grow_forest(
         if step > 4 * n:  # safety net; never triggered on connected graphs
             raise RuntimeError("MultiTree construction did not converge")
     forest.tot_t = step
-    registry = get_registry()
-    if registry is not None:
-        labels = {"topology": topology.name, "priority": priority}
-        registry.counter("multitree.builds", **labels).inc()
-        registry.gauge("multitree.build_steps", **labels).set(step)
-        registry.gauge("multitree.trees", **labels).set(n)
-        depth_hist = registry.histogram("multitree.tree_depth", **labels)
-        branch_hist = registry.histogram("multitree.tree_branching", **labels)
-        for root in roots:
-            depth_hist.observe(forest.depth(root))
-            parents = e_parent[root]
-            branching = 0
-            if parents:
-                fanout: Dict[int, int] = {}
-                for parent in parents:
-                    fanout[parent] = fanout.get(parent, 0) + 1
-                branching = max(fanout.values())
-            branch_hist.observe(branching)
     return forest, forest.num_edges() + stalls, None if direct else probes
 
 

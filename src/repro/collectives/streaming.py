@@ -108,6 +108,7 @@ def compile_multitree(
     ) as sp:
         forest = build_forest(topology, priority)
         compiled = compile_forest(forest, topology, priority, release=True)
+        sp.set("steps", compiled.num_steps)
         sp.set("ops", len(compiled))
         return compiled
 

@@ -1,28 +1,24 @@
-"""Aggregate telemetry: metric registry, run manifests, exporters, reports.
+"""Aggregate telemetry: the metrics fold, run manifests, exporters, reports.
 
-The observability story has two halves: :mod:`repro.trace` answers *why was
-this one run slow* (per-event timelines), and this package answers *how do
-runs compare* (aggregate counters/gauges/histograms with provenance).
+:mod:`repro.trace` answers *why was this one run slow* (per-event
+timelines); this package answers *how do runs compare* (aggregate
+counters/gauges/histograms with provenance).  It is not a second
+instrumentation system: sites emit :mod:`repro.obs` records, and
 
-* :mod:`repro.metrics.registry` — the label-keyed metric registry and the
-  ambient opt-in switch (:func:`collecting` / :func:`get_registry`).
-  Instrumented layers: the network simulator (messages, wire bytes,
-  link-busy time, queueing), flow control (head-flit overhead bytes),
-  lockstep (NOP stalls), collectives construction (tree shape, schedule
-  size), and the sweep runner/cache (hits, misses, worker job times).
+* :mod:`repro.metrics.fold` turns them into metrics — every metric name,
+  label set and bucket layout lives there;
+* :mod:`repro.metrics.registry` — the registry the fold writes, and
+  :func:`collecting`, the metrics-only switch;
 * :mod:`repro.metrics.manifest` — JSON-lines run manifests: config
   fingerprint, package version, git SHA, wall time, metric snapshot.
 * :mod:`repro.metrics.export` — JSON and Prometheus text exposition.
 * :mod:`repro.metrics.report` — the ``repro report`` comparison dashboard
   and regression gate (imported on demand by the CLI; it pulls in the
   bench harness, so it is deliberately **not** imported here).
-
-Collection never changes simulated results: every instrumented site
-records after the fact, from values already computed, and only when a
-registry is installed.
 """
 
 from .export import to_json, to_prometheus, write_metrics
+from .fold import MetricsFold
 from .manifest import (
     MANIFEST_SCHEMA_VERSION,
     append_manifest,
@@ -39,10 +35,8 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     collecting,
-    get_registry,
     metric_key,
     parse_key,
-    set_registry,
 )
 
 __all__ = [
@@ -50,19 +44,18 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MANIFEST_SCHEMA_VERSION",
+    "MetricsFold",
     "MetricsRegistry",
     "REGISTRY_SCHEMA_VERSION",
     "append_manifest",
     "build_manifest",
     "collecting",
     "config_fingerprint",
-    "get_registry",
     "git_sha",
     "load_manifests",
     "metric_key",
     "parse_key",
     "repro_version",
-    "set_registry",
     "to_json",
     "to_prometheus",
     "write_metrics",

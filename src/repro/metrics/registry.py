@@ -1,36 +1,28 @@
-"""Label-keyed counter/gauge/histogram registry, mergeable across processes.
+"""Label-keyed counter/gauge/histogram registry: the metrics fold's target.
 
-Where :mod:`repro.trace` records *per-event* timelines of one simulation,
-this module keeps *aggregate* telemetry across any number of simulations,
-schedule builds, sweep jobs and cache probes: monotonically increasing
-counters, point-in-time gauges, and bucketed histograms, each keyed by a
-metric name plus a sorted label set (``topology=torus-8x8`` etc.).
-
-Collection is strictly opt-in and ambient: instrumented sites call
-:func:`get_registry` and do nothing when it returns ``None`` — the default.
-Install a registry for a region of code with :func:`collecting`::
+A registry keeps *aggregate* telemetry — monotonically increasing
+counters, point-in-time gauges and bucketed histograms, each keyed by a
+metric name plus a sorted label set (``topology=torus-8x8`` etc.).  Only
+:mod:`repro.metrics.fold` writes one: :func:`collecting` folds the obs
+records finished inside a ``with`` block into a registry::
 
     with collecting() as reg:
         simulate_allreduce(schedule, 16 * MiB, PacketBased())
     print(to_prometheus(reg))
 
-Every instrumented site records *after* its computation finishes, from
-already-computed values, so enabling metrics cannot perturb simulated
-timings — results are bit-identical with and without a registry (asserted
-by the golden-equivalence metric tests).
-
-Registries serialize to plain-JSON snapshots (:meth:`MetricsRegistry.snapshot`)
-and merge (:meth:`MetricsRegistry.merge_snapshot`) with well-defined
-semantics — counters sum, gauges keep the maximum, histograms merge
-bucket-wise — which is what lets ``multiprocessing`` sweep workers each
-collect locally and the parent fold all worker snapshots into one view.
+Records carry already-computed values, so collecting cannot perturb
+simulated timings.  :meth:`MetricsRegistry.snapshot` is the plain-JSON
+form run manifests, ``--metrics-out`` and ``repro report`` use.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from .. import obs
+from .fold import MetricsFold
 
 #: Bump when the snapshot layout changes incompatibly.
 REGISTRY_SCHEMA_VERSION = 1
@@ -59,7 +51,7 @@ def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
 
 
 class Counter:
-    """Monotonically increasing sum; merge semantics: addition."""
+    """Monotonically increasing sum."""
 
     __slots__ = ("value",)
 
@@ -71,10 +63,10 @@ class Counter:
 
 
 class Gauge:
-    """Last-observed value; merge semantics: maximum.
+    """Last-observed value.
 
-    Max (not last-write) merging keeps cross-process folds deterministic —
-    worker snapshots arrive in pool order, which carries no meaning.
+    Records fold in emit order — a parallel sweep replays its workers'
+    records in job order — so the last write is the serial run's.
     """
 
     __slots__ = ("value",)
@@ -87,12 +79,11 @@ class Gauge:
 
 
 class Histogram:
-    """Power-of-two bucketed distribution; merge semantics: bucket-wise sum.
+    """Power-of-two bucketed distribution.
 
     Buckets are keyed by the binary exponent of the observed value (via
-    ``math.frexp``), so every process produces the identical bucket ladder
-    and merging is exact.  ``count``/``sum``/``min``/``max`` ride along for
-    means and ranges.
+    ``math.frexp``), so every run produces the identical bucket ladder.
+    ``count``/``sum``/``min``/``max`` ride along for means and ranges.
     """
 
     __slots__ = ("count", "sum", "min", "max", "buckets")
@@ -130,7 +121,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All metrics of one process (or one merged view of many)."""
+    """The metrics folded from one record stream."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -138,26 +129,22 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
 
     # -- access / creation -------------------------------------------------
-    def counter(self, name: str, **labels: str) -> Counter:
+    @staticmethod
+    def _get(store: dict, kind: type, name: str, labels: Dict[str, str]):
         key = metric_key(name, labels)
-        metric = self._counters.get(key)
+        metric = store.get(key)
         if metric is None:
-            metric = self._counters[key] = Counter()
+            metric = store[key] = kind()
         return metric
+
+    def counter(self, name: str, **labels: str) -> Counter:
+        return self._get(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = metric_key(name, labels)
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge()
-        return metric
+        return self._get(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, **labels: str) -> Histogram:
-        key = metric_key(name, labels)
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram()
-        return metric
+        return self._get(self._histograms, Histogram, name, labels)
 
     # -- read-only views ---------------------------------------------------
     @property
@@ -189,10 +176,7 @@ class MetricsRegistry:
                 out.append((labels, gauge.value))
         return out
 
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-    # -- serialization / merging -------------------------------------------
+    # -- serialization -----------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Plain-JSON view of every metric (stable key order)."""
         return {
@@ -204,66 +188,24 @@ class MetricsRegistry:
                            for k in sorted(self._histograms)},
         }
 
-    def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry.
-
-        Counters sum, gauges keep the max, histograms merge bucket-wise —
-        so merging N disjoint worker snapshots equals having collected
-        everything in one process, regardless of merge order.
-        """
-        for key, value in (snapshot.get("counters") or {}).items():
-            name, labels = parse_key(key)
-            self.counter(name, **labels).inc(value)
-        for key, value in (snapshot.get("gauges") or {}).items():
-            name, labels = parse_key(key)
-            existed = key in self._gauges
-            gauge = self.gauge(name, **labels)
-            if not existed or value > gauge.value:
-                gauge.set(value)
-        for key, payload in (snapshot.get("histograms") or {}).items():
-            name, labels = parse_key(key)
-            hist = self.histogram(name, **labels)
-            hist.count += int(payload.get("count", 0))
-            hist.sum += float(payload.get("sum", 0.0))
-            lo = payload.get("min")
-            hi = payload.get("max")
-            if lo is not None and lo < hist.min:
-                hist.min = lo
-            if hi is not None and hi > hist.max:
-                hist.max = hi
-            for exp, n in (payload.get("buckets") or {}).items():
-                exp = int(exp)
-                hist.buckets[exp] = hist.buckets.get(exp, 0) + int(n)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_snapshot(other.snapshot())
-
-
-# -- ambient registry (the opt-in switch) ----------------------------------
-_ACTIVE: Optional[MetricsRegistry] = None
-
-
-def get_registry() -> Optional[MetricsRegistry]:
-    """The process-wide active registry, or ``None`` (collection off)."""
-    return _ACTIVE
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Install ``registry`` as the ambient collector; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry
-    return previous
-
 
 @contextmanager
 def collecting(
     registry: Optional[MetricsRegistry] = None,
 ) -> Iterator[MetricsRegistry]:
-    """Enable metric collection for a ``with`` block; yields the registry."""
+    """Fold every obs record finished in a ``with`` block into a registry.
+
+    Attaches a :class:`~repro.metrics.fold.MetricsFold` to the active obs
+    recorder — an untraced one (no ring, stream or correlation ids) when
+    none is active — unless it already folds into this registry.
+    """
     reg = registry if registry is not None else MetricsRegistry()
-    previous = set_registry(reg)
-    try:
+    with ExitStack() as stack:
+        recorder = obs.get_obs() or stack.enter_context(
+            obs.observing(obs.ObsRecorder(capacity=0))
+        )
+        if all(getattr(f, "registry", None) is not reg for f in recorder.folds):
+            fold = MetricsFold(reg)
+            recorder.add_fold(fold)
+            stack.callback(recorder.remove_fold, fold)
         yield reg
-    finally:
-        set_registry(previous)

@@ -46,14 +46,12 @@ counts the decline as
 from __future__ import annotations
 
 import heapq
-from contextlib import nullcontext
 from operator import sub
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..metrics.registry import get_registry
 from ..topology.base import Topology
 from .flowcontrol import FlowControl
 from .links import LinkTable, link_table
@@ -61,7 +59,7 @@ from .simulator import (
     Message,
     MessageTiming,
     SimulationResult,
-    record_run_metrics,
+    run_metric_attrs,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -509,7 +507,6 @@ def run_arrays(
     dep_struct: DepStructure,
     not_before: Sequence[float],
     receive_overhead: Sequence[float],
-    observed: bool = True,
     recorder: Optional["TraceRecorder"] = None,
     messages: Optional[Sequence[Message]] = None,
 ) -> SimulationResult:
@@ -521,19 +518,16 @@ def run_arrays(
     ``engine="lockstep"`` tries :func:`run_grouped` over the
     lockstep-gated ``groups`` first and drops to :func:`run_indexed`
     when step-level grouping would diverge; it takes no ``recorder``,
-    since :func:`run_grouped` has no hooks.  Every run emits
-    ``sim.run`` with its ``engine.*`` rung spans,
-    ``sim.engine_runs``, the counted ``lockstep`` decline, and the
-    :func:`~repro.network.simulator.record_run_metrics` family.  With
-    neither a metrics registry nor an obs recorder active, the only
-    extra work is two no-op span entries; ``observed=False`` skips the
-    telemetry entirely.
+    since :func:`run_grouped` has no hooks.  Every run emits one
+    ``sim.run`` span naming the engine that resolved it (``resolved``),
+    plus an ``engine.fallback`` event under it for a ``lockstep``
+    decline; while metering, the span also carries the
+    :func:`~repro.network.simulator.run_metric_attrs`.  With no obs
+    recorder active, the only extra work is one no-op span entry.
     """
     table = link_table(topology)
     topology_name = topology.name
-    span = obs.span if observed else _unobserved_span
-    registry = get_registry() if observed else None
-    with span(
+    with obs.span(
         "sim.run",
         topology=topology_name,
         engine=engine,
@@ -542,40 +536,32 @@ def run_arrays(
         raw = None
         resolved = "event"
         if engine == "lockstep":
-            with span("engine.lockstep", topology=topology_name) as rung:
-                raw = run_grouped(
-                    table, flow_control, groups, payloads, route_off,
-                    route_val, dep_struct, not_before, receive_overhead,
+            raw = run_grouped(
+                table, flow_control, groups, payloads, route_off,
+                route_val, dep_struct, not_before, receive_overhead,
+            )
+            if raw is None:
+                obs.event(
+                    "engine.fallback", engine="lockstep",
+                    reason="step-overlap", topology=topology_name,
                 )
-                if raw is None and observed:
-                    obs.record_fallback(
-                        "lockstep", "step-overlap", topology=topology_name
-                    )
-                rung.set("accepted", raw is not None)
-            if raw is not None:
+            else:
                 resolved = "lockstep"
         if raw is None:
-            with span("engine.event", topology=topology_name):
-                raw = run_indexed(
-                    table, flow_control, payloads, route_off, route_val,
-                    dep_struct, not_before, receive_overhead,
-                    recorder, messages,
-                )
+            raw = run_indexed(
+                table, flow_control, payloads, route_off, route_val,
+                dep_struct, not_before, receive_overhead,
+                recorder, messages,
+            )
         result = _result_from_arrays(table, raw)
-        if registry is not None:
-            registry.counter(
-                "sim.engine_runs", engine=resolved, topology=topology_name
-            ).inc()
-            record_run_metrics(
-                registry, topology, flow_control,
+        run_span.set("resolved", resolved)
+        run_span.set("finish_time", result.finish_time)
+        if obs.metering():
+            attrs = run_metric_attrs(
+                topology, flow_control,
                 zip(payloads, map(sub, route_off[1:], route_off[:-1])),
                 result,
             )
-        run_span.set("resolved", resolved)
-        run_span.set("finish_time", result.finish_time)
+            for key, value in attrs.items():
+                run_span.set(key, value)
         return result
-
-
-def _unobserved_span(name: str, **attrs: object):
-    """:func:`repro.obs.span`'s stand-in for an unobserved run."""
-    return nullcontext(obs.NULL_SPAN)

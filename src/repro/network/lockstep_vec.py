@@ -36,8 +36,9 @@ structural facts, each *verified* (not assumed) per run:
   that argument does not hold (non-integral wire sizes, overflow).
 
 When any check fails the engine declines that size: :func:`run_batch`
-runs it on the scalar ladder instead and counts the decline with its
-reason (``sim.fallbacks{engine="lockstep-vec",reason=...}``); results
+runs it on the scalar ladder instead and records the decline with its
+reason (an ``engine.fallback`` event, folded into
+``sim.fallbacks{engine="lockstep-vec",reason=...}``); results
 are never silently approximate.  Like the scalar lockstep engine, this
 one runs only on compiled schedules; message lists
 (:class:`~repro.network.simulator.Message`) always run on the event
@@ -53,7 +54,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..metrics.registry import get_registry
 from .links import LinkTable, link_table
 from .lockstep_engine import LazyTimings
 from .simulator import SimulationResult
@@ -647,7 +647,6 @@ def _run_batch(
     points: List[Optional[BatchPoint]] = []
     results: List[object] = []
     fallbacks = 0
-    registry = get_registry()
     topo = compiled.topology.name
     for j, size in enumerate(sizes):
         if valid[j]:
@@ -677,20 +676,15 @@ def _run_batch(
                 reason = "wire-total"
             else:
                 reason = "plan"
-            obs.record_fallback(
-                "lockstep-vec", reason, topology=topo, size=size
+            obs.event(
+                "engine.fallback", engine="lockstep-vec", reason=reason,
+                topology=topo, size=size,
             )
-            if lockstep:
-                # The batch counts this decline itself; the scalar rerun
-                # adds no spans or metrics of its own.
-                outcome = AllReduceResult(compiled, size, compiled._run_arrays(
-                    size, flow_control, scheduling_overhead, "lockstep",
-                    observed=False,
-                ))
-            else:
-                outcome = compiled.simulate(
-                    size, flow_control, lockstep, scheduling_overhead
-                )
+            # An ordinary scalar run: its own ``sim.run`` span records
+            # the engine that produced this point.
+            outcome = compiled.simulate(
+                size, flow_control, lockstep, scheduling_overhead
+            )
             point = BatchPoint(
                 data_bytes=size,
                 time=outcome.time,
@@ -702,13 +696,6 @@ def _run_batch(
             if keep_timings:
                 results.append(outcome)
         points.append(point)
-
-    if registry is not None:
-        ran = num_sizes - fallbacks
-        if ran:
-            registry.counter(
-                "sim.engine_runs", engine="lockstep-vec", topology=topo
-            ).inc(ran)
     return BatchResult(
         sizes, points, fallbacks, results if keep_timings else None
     )

@@ -202,8 +202,7 @@ class NetworkSimulator:
         :func:`~repro.network.lockstep_engine.dep_structure` triple,
         payload, gate and overhead columns — and plays them with
         :func:`~repro.network.lockstep_engine.run_arrays` on the
-        ``event`` engine, which emits the ``sim.run`` span and the run
-        metrics.  A route naming a link the topology lacks raises
+        ``event`` engine, which emits the ``sim.run`` span.  A route naming a link the topology lacks raises
         ``KeyError``; a dependency index outside the list raises
         ``ValueError``.
 
@@ -237,50 +236,36 @@ class NetworkSimulator:
         )
 
 
-def record_run_metrics(
-    registry,
-    topology: Topology,
-    flow_control: FlowControl,
-    payload_hops: Iterable[Tuple[float, int]],
-    result: SimulationResult,
-) -> None:
-    """Fold one finished run into the ambient metrics registry.
+def run_metric_attrs(topology: Topology, flow_control: FlowControl,
+                     payload_hops: Iterable[Tuple[float, int]],
+                     result: SimulationResult) -> Dict[str, object]:
+    """The metric-only ``sim.run`` attributes of one finished run.
 
     ``payload_hops`` yields one ``(payload_bytes, hop count)`` pair per
-    message, in message order — from :class:`Message` objects or from
-    compiled CSR arrays alike, so both paths record identical values.
-    Runs strictly after the engine, on already-computed values, so
+    message, in message order.  Reads already-computed values only, so
     collection cannot perturb simulated timings.
     """
     fc = flow_control
-    topology_name = topology.name
-    labels = {"topology": topology_name, "flow": fc.name}
-    registry.counter("sim.runs", **labels).inc()
-    registry.counter("sim.messages", **labels).inc(len(result.timings))
-    registry.counter("sim.wire_bytes", **labels).inc(result.total_wire_bytes)
     # Summed in link-table order, not dict order: float addition is
     # order-sensitive.
     busy_get = result.link_busy.get
-    registry.counter("sim.link_busy_time", **labels).inc(
-        sum(busy_get(key, 0.0) for key in link_table(topology).keys)
-    )
-    registry.gauge("sim.finish_time", **labels).set(result.finish_time)
-    queue_hist = registry.histogram("sim.queue_delay", **labels)
-    queue_total = 0.0
-    for delay in result.queue_delays():
-        if delay > 0:
-            queue_hist.observe(delay)
-            queue_total += delay
-    registry.counter("sim.queue_delay_time", **labels).inc(queue_total)
     # Head-flit (framing) overhead actually put on wires: per distinct
     # payload, overhead bytes x the number of hops that carried it.
     hops_by_payload: Dict[float, int] = {}
     for payload, hops in payload_hops:
         if hops:
             hops_by_payload[payload] = hops_by_payload.get(payload, 0) + hops
-    overhead = sum(
-        fc.overhead_bytes(payload) * hops
-        for payload, hops in hops_by_payload.items()
-    )
-    registry.counter("fc.overhead_bytes", flow=fc.name,
-                     topology=topology_name).inc(overhead)
+    return {
+        "flow": fc.name,
+        "wire_bytes": result.total_wire_bytes,
+        "link_busy_time": sum(
+            busy_get(key, 0.0) for key in link_table(topology).keys
+        ),
+        "queue_delays": [
+            delay for delay in result.queue_delays() if delay > 0
+        ],
+        "overhead_bytes": sum(
+            fc.overhead_bytes(payload) * hops
+            for payload, hops in hops_by_payload.items()
+        ),
+    }

@@ -18,8 +18,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..collectives.schedule import Schedule
-from ..metrics.registry import get_registry
 from ..network.flowcontrol import FlowControl
 
 
@@ -91,23 +91,20 @@ def step_estimates(
     return est
 
 
-def _active_nodes_per_step(schedule: Schedule) -> Dict[int, int]:
-    """How many nodes send or receive at each step (cached on the schedule).
+def active_nodes_per_step(steps, srcs, dsts) -> Dict[int, int]:
+    """How many nodes send or receive at each step, from op columns.
 
     A node with no entry at a step holds a NOP in its Fig. 5 schedule
     table; ``num_nodes - active`` is therefore the number of NOP entries
     issued for that step.
     """
-    counts = schedule.__dict__.get("_active_nodes_per_step")
-    if counts is None:
-        active: Dict[int, set] = {}
-        for op in schedule.ops:
-            nodes = active.setdefault(op.step, set())
-            nodes.add(op.src)
-            nodes.add(op.dst)
-        counts = {step: len(nodes) for step, nodes in active.items()}
-        schedule.__dict__["_active_nodes_per_step"] = counts
-    return counts
+    steps = np.asarray(steps, dtype=np.int64)
+    ends = np.concatenate((np.asarray(srcs, dtype=np.int64),
+                           np.asarray(dsts, dtype=np.int64)))
+    width = int(ends.max()) + 1 if len(ends) else 1
+    pairs = np.unique(np.concatenate((steps, steps)) * width + ends)
+    step_ids, counts = np.unique(pairs // width, return_counts=True)
+    return dict(zip(step_ids.tolist(), counts.tolist()))
 
 
 def lockstep_gates(
@@ -122,22 +119,15 @@ def lockstep_gates(
     return gates, clock
 
 
-def record_gate_metrics(
-    registry,
-    topology,
-    algorithm: str,
-    num_steps: int,
-    active: Dict[int, int],
-    est: Dict[int, float],
-    span: float,
-) -> None:
-    """The ``lockstep.*`` metrics of one gated run.
+def emit_gate_event(topology, algorithm: str, num_steps: int,
+                    active: Dict[int, int], est: Dict[int, float],
+                    span: float) -> None:
+    """The ``lockstep.gates`` event of one gated run (while metering).
 
     NOP stalls: node-steps spent idling at a lockstep gate while other
     nodes' ops of the same step serialize (§IV-A footnote 4).  ``active``
     maps each step to the number of nodes sending or receiving in it.
     """
-    labels = {"topology": topology.name, "algorithm": algorithm}
     num_nodes = topology.num_nodes
     nop_steps = 0
     nop_time = 0.0
@@ -146,11 +136,11 @@ def record_gate_metrics(
         if idle > 0:
             nop_steps += idle
             nop_time += idle * est.get(step, 0.0)
-    registry.counter("lockstep.gated_runs", **labels).inc()
-    registry.counter("lockstep.steps", **labels).inc(num_steps)
-    registry.counter("lockstep.nop_stalls", **labels).inc(nop_steps)
-    registry.counter("lockstep.nop_stall_time", **labels).inc(nop_time)
-    registry.gauge("lockstep.span", **labels).set(span)
+    obs.event(
+        "lockstep.gates", topology=topology.name, algorithm=algorithm,
+        steps=num_steps, nop_stalls=nop_steps, nop_stall_time=nop_time,
+        span=span,
+    )
 
 
 def step_gates(
@@ -159,10 +149,13 @@ def step_gates(
     """Earliest lockstep injection time per step."""
     est = step_estimates(schedule, data_bytes, flow_control)
     gates, span = lockstep_gates(schedule.num_steps, est)
-    registry = get_registry()
-    if registry is not None:
-        record_gate_metrics(
-            registry, schedule.topology, schedule.algorithm,
-            schedule.num_steps, _active_nodes_per_step(schedule), est, span,
-        )
+    if obs.metering():
+        active = schedule.__dict__.get("_active_nodes_per_step")
+        if active is None:
+            cols = schedule.op_columns()
+            active = schedule.__dict__["_active_nodes_per_step"] = (
+                active_nodes_per_step(cols.steps, cols.srcs, cols.dsts)
+            )
+        emit_gate_event(schedule.topology, schedule.algorithm,
+                        schedule.num_steps, active, est, span)
     return gates

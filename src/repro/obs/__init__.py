@@ -1,34 +1,29 @@
-"""End-to-end observability: correlated spans + structured run logs.
+"""End-to-end observability: the one instrumentation model.
 
-Three telemetry layers now coexist, each answering its own question:
+Every instrumented site emits one record — a span or an event — carrying
+the values it computed.  The records answer *what happened to this unit
+of work* (one span tree per request or sweep series, correlated across
+the serve worker pool and sweep worker processes), and folded by
+:mod:`repro.metrics.fold` they are the metrics ``/metrics``, manifests
+and ``repro report`` read.
 
-* :mod:`repro.trace` — *why was this one simulation slow* (per-event
-  link/message timelines of a single in-process run);
-* :mod:`repro.metrics` — *how do runs compare* (aggregate labeled
-  counters/gauges/histograms, run manifests);
-* this package — *what happened to this unit of work* (one span tree
-  per request/sweep series, correlation ids propagated across the serve
-  worker pool and multiprocessing sweep workers, engine fallbacks as
-  structured reason records instead of bare counters).
-
-Collection is opt-in and ambient, mirroring
-:func:`repro.metrics.registry.collecting`: instrumented sites call
-:func:`span`/:func:`event` which are no-ops until a recorder is
-installed with :func:`observing` (or the CLI-wide ``--obs PATH`` flag)::
+There is one switch: :func:`span` and :func:`event` are no-ops until a
+recorder is installed with :func:`observing` (``--obs PATH``) or, for
+metrics only, :func:`repro.metrics.collecting`::
 
     with observing(stream_path="obs.jsonl") as rec:
         service.predict(scenario, block=True)
     # obs.jsonl now holds one span tree for the prediction
 
-Instrumented sites record from already-computed values and never alter
-results; ``repro obs overhead`` measures the enable-cost and CI gates it
-below 3% on the quick suite.
+Metric-only attributes are computed while :func:`metering`, cross-layer
+identities while :func:`tracing`.  Sites never alter results; ``repro
+obs overhead`` gates the enable-cost below 3% on the quick suite.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Iterator, Optional
 
 from .schema import (
     OBS_RECORD_SCHEMA,
@@ -48,6 +43,8 @@ from .spans import (
 
 # -- ambient recorder (the opt-in switch) -----------------------------------
 _ACTIVE: Optional[ObsRecorder] = None
+
+_NULL_CONTEXT = nullcontext(NULL_SPAN)
 
 
 def get_obs() -> Optional[ObsRecorder]:
@@ -71,9 +68,10 @@ def observing(
 ) -> Iterator[ObsRecorder]:
     """Enable span collection for a ``with`` block; yields the recorder.
 
-    A recorder created here (none passed in) is closed on exit — its
-    stream file is complete when the block ends.  A caller-owned
-    recorder is left open.
+    The recorder inherits the replaced one's folds for the block, so an
+    enclosing :func:`repro.metrics.collecting` keeps counting.  A
+    recorder created here is closed on exit; a caller-owned one is left
+    open.
     """
     owned = recorder is None
     if recorder is None:
@@ -82,29 +80,43 @@ def observing(
             kwargs["capacity"] = capacity
         recorder = ObsRecorder(**kwargs)
     previous = set_obs(recorder)
+    inherited = [
+        fold for fold in (previous.folds if previous is not None else ())
+        if fold not in recorder.folds
+    ]
+    for fold in inherited:
+        recorder.add_fold(fold)
     try:
         yield recorder
     finally:
         set_obs(previous)
+        for fold in inherited:
+            recorder.remove_fold(fold)
         if owned:
             recorder.close()
         else:
             recorder.flush()
 
 
-@contextmanager
-def span(name: str, **attrs: object):
-    """Ambient span: records under the active recorder, no-op otherwise.
+def metering() -> bool:
+    """Whether sites should attach their metric-only attributes."""
+    recorder = _ACTIVE
+    return recorder is not None and recorder.metered
 
-    Always yields a span object (a shared null span when collection is
-    off), so call sites set attributes unconditionally.
-    """
+
+def tracing() -> bool:
+    """Whether the active recorder keeps correlated span records."""
+    recorder = _ACTIVE
+    return recorder is not None and recorder.traced
+
+
+def span(name: str, **attrs: object):
+    """Ambient span: records under the active recorder, no-op otherwise
+    (yielding a shared null span, so sites set attributes regardless)."""
     recorder = _ACTIVE
     if recorder is None:
-        yield NULL_SPAN
-        return
-    with recorder.span(name, **attrs) as opened:
-        yield opened
+        return _NULL_CONTEXT
+    return Span(recorder, name, attrs)
 
 
 def event(name: str, **fields: object) -> None:
@@ -112,41 +124,6 @@ def event(name: str, **fields: object) -> None:
     recorder = _ACTIVE
     if recorder is not None:
         recorder.event(name, **fields)
-
-
-def record_fallback(
-    engine: str,
-    reason: str,
-    topology: Optional[str] = None,
-    count: int = 1,
-    **fields: object,
-) -> None:
-    """One engine decline, as telemetry on every enabled layer.
-
-    Increments the reasoned ``sim.fallbacks`` counter (labels: engine,
-    reason, topology) in the ambient metrics registry and emits an
-    ``engine.fallback`` obs event whose fields carry the validation gate
-    that failed — so ``repro report`` sees the aggregate mix and
-    ``repro obs explain`` sees which request hit which gate.
-    """
-    from ..metrics.registry import get_registry
-
-    registry = get_registry()
-    if registry is not None:
-        labels: Dict[str, str] = {"engine": engine, "reason": reason}
-        if topology is not None:
-            labels["topology"] = topology
-        registry.counter("sim.fallbacks", **labels).inc(count)
-    recorder = _ACTIVE
-    if recorder is not None:
-        recorder.event(
-            "engine.fallback",
-            engine=engine,
-            reason=reason,
-            topology=topology,
-            count=count,
-            **fields,
-        )
 
 
 __all__ = [
@@ -160,11 +137,12 @@ __all__ = [
     "event",
     "get_obs",
     "load_stream",
+    "metering",
     "new_id",
     "observing",
-    "record_fallback",
     "set_obs",
     "span",
+    "tracing",
     "validate_record",
     "validate_stream",
 ]

@@ -118,9 +118,10 @@ def build_trees(
 
 
 def _format_attrs(attrs: Dict[str, object], skip: Sequence[str] = ()) -> str:
-    parts = [
-        "%s=%s" % (key, attrs[key])
-        for key in sorted(attrs)
+    parts = [  # metric sample lists (queue delays...) shown by length
+        "%s=%s" % (key, "<%d items>" % len(value)
+                   if isinstance(value, list) else value)
+        for key, value in sorted(attrs.items())
         if key not in skip
     ]
     return "  " + " ".join(parts) if parts else ""

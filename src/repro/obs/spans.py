@@ -1,4 +1,4 @@
-"""Span recorder: correlation-id context, ring buffer, JSONL flush.
+"""Span recorder: correlation-id context, ring buffer, JSONL flush, folds.
 
 One :class:`ObsRecorder` per process.  Spans nest through a thread-local
 context stack, so each serve request thread and each sweep worker builds
@@ -9,14 +9,12 @@ with :func:`attached` — the remote span then parent-links to the origin
 and the whole unit of work shares one trace id.
 
 Finished records land in a bounded ring buffer (``deque(maxlen=...)``,
-oldest evicted first) and — when a ``stream_path`` is set — are flushed
-to a JSONL stream in whole-line batches (buffered a short interval, then
-written as complete lines), so a tail, ``repro status`` or a crash
-post-mortem always sees valid JSON lines and a hot loop never pays one
-syscall per span.  Worker processes
-collect in memory only and return :meth:`ObsRecorder.snapshot` to the
-parent, which folds them in with :meth:`ObsRecorder.merge` (re-flushing
-to the parent's stream, parent links intact).
+oldest evicted first), in a JSONL stream when a ``stream_path`` is set
+(whole-line batches, so a tail or a crash post-mortem always sees valid
+JSON lines and a hot loop never pays one syscall per span), and in the
+recorder's *folds* (:class:`repro.metrics.fold.MetricsFold`).  Worker
+processes return :meth:`ObsRecorder.snapshot` to the parent, which
+replays them with :meth:`ObsRecorder.merge` (parent links intact).
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ import json
 import os
 import threading
 import time
-import uuid
 from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .schema import OBS_SCHEMA_VERSION
 
@@ -43,6 +40,9 @@ FLUSH_MAX_PENDING = 256
 
 _local = threading.local()
 
+#: One reusable encoder (records never hold reference cycles).
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
 
 def _stack() -> List[Tuple[str, str]]:
     stack = getattr(_local, "stack", None)
@@ -53,7 +53,7 @@ def _stack() -> List[Tuple[str, str]]:
 
 def new_id() -> str:
     """A fresh 16-hex correlation id (collision-safe across processes)."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def current_carrier() -> Optional[Dict[str, str]]:
@@ -89,21 +89,48 @@ def attached(carrier: Optional[Dict[str, str]]) -> Iterator[None]:
 
 
 class Span:
-    """One open span; ``set`` adds attributes until the ``with`` exits."""
+    """One span; ``set`` adds attributes until the ``with`` exits."""
 
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "start", "attrs")
+    __slots__ = ("name", "trace_id", "span_id", "parent_id", "start", "attrs",
+                 "_recorder")
 
-    def __init__(self, name, trace_id, span_id, parent_id, start, attrs):
+    def __init__(self, recorder: "ObsRecorder", name: str,
+                 attrs: Dict[str, object]) -> None:
+        self._recorder = recorder
         self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start = start
+        if None in attrs.values():
+            attrs = {k: v for k, v in attrs.items() if v is not None}
         self.attrs = attrs
 
     def set(self, key: str, value: object) -> None:
         if value is not None:
             self.attrs[key] = value
+
+    def __enter__(self) -> "Span":
+        self.trace_id = self.span_id = self.parent_id = None
+        if self._recorder.traced:
+            stack = _stack()
+            self.trace_id, self.parent_id = stack[-1] if stack else (
+                new_id(), None
+            )
+            self.span_id = new_id()
+            stack.append((self.trace_id, self.span_id))
+        self.start = time.time()
+        return self
+
+    def __exit__(self, exc_type, error, _tb) -> None:
+        if error is not None:
+            self.attrs.setdefault(
+                "error", "%s: %s" % (exc_type.__name__, error)
+            )
+        recorder = self._recorder
+        record = {"kind": "span", "name": self.name, "start": self.start,
+                  "end": time.time(), "attrs": self.attrs}
+        if recorder.traced:
+            _stack().pop()
+            recorder._stamp(record, trace=self.trace_id, span=self.span_id,
+                            parent=self.parent_id)
+        recorder._emit(record)
 
 
 class _NullSpan:
@@ -123,26 +150,37 @@ NULL_SPAN = _NullSpan()
 
 
 class ObsRecorder:
-    """Bounded span/event recorder for one process.
+    """Span/event recorder for one process.
 
-    ``capacity`` bounds the in-memory ring; ``stream_path`` additionally
-    flushes records to a JSONL stream (append mode, whole-line batches —
-    see :data:`FLUSH_INTERVAL_S`).  ``proc`` names this process in
-    records — defaults to ``repro-<pid>`` so merged cross-process
-    streams stay attributable.
+    ``capacity`` bounds the in-memory ring (``None``: unbounded, ``0``:
+    keep nothing); ``stream_path`` additionally flushes records to a
+    JSONL stream.  ``proc`` names this process in records.  ``traced``
+    (default: records are kept or streamed) mints correlation ids and
+    stamps records with them and their origin — untraced records carry
+    only kind, name, times and attributes; ``metered`` (implied by any
+    fold) asks sites for metric attributes.
     """
 
     def __init__(
         self,
-        capacity: int = DEFAULT_CAPACITY,
+        capacity: Optional[int] = DEFAULT_CAPACITY,
         stream_path: Optional[str] = None,
         proc: Optional[str] = None,
+        traced: Optional[bool] = None,
+        metered: bool = False,
     ) -> None:
-        self.capacity = max(1, int(capacity))
+        self.capacity = None if capacity is None else max(0, int(capacity))
         self.records: Deque[Dict[str, object]] = deque(maxlen=self.capacity)
         self.emitted = 0
         self.stream_path = stream_path
         self.proc = proc or ("repro-%d" % os.getpid())
+        self.traced = (
+            traced if traced is not None
+            else self.capacity != 0 or bool(stream_path)
+        )
+        self._metered = metered
+        #: Record consumers: a tuple, replaced under the lock.
+        self.folds: Tuple[Callable[[Dict[str, object]], None], ...] = ()
         self._lock = threading.Lock()
         self._fh = None
         self._pending: List[str] = []
@@ -153,22 +191,37 @@ class ObsRecorder:
             self._fh = open(stream_path, "a")
 
     @property
+    def metered(self) -> bool:
+        return self._metered or bool(self.folds)
+
+    @property
     def dropped(self) -> int:
         """Records evicted from the ring (still on the stream, if any)."""
         return max(0, self.emitted - len(self.records))
 
+    def add_fold(self, fold: Callable[[Dict[str, object]], None]) -> None:
+        with self._lock:
+            self.folds += (fold,)
+
+    def remove_fold(self, fold: Callable[[Dict[str, object]], None]) -> None:
+        with self._lock:
+            self.folds = tuple(f for f in self.folds if f is not fold)
+
     def _emit(self, record: Dict[str, object]) -> None:
         with self._lock:
-            self.records.append(record)
             self.emitted += 1
+            if self.capacity != 0:
+                self.records.append(record)
             if self._fh is not None:
-                self._pending.append(json.dumps(record, sort_keys=True) + "\n")
+                self._pending.append(_encode(record) + "\n")
                 now = time.time()
                 if (
                     now - self._last_write >= FLUSH_INTERVAL_S
                     or len(self._pending) >= FLUSH_MAX_PENDING
                 ):
                     self._drain(now)
+            for fold in self.folds:
+                fold(record)
 
     def _drain(self, now: float) -> None:
         """Write pending lines out (caller holds the lock)."""
@@ -178,70 +231,29 @@ class ObsRecorder:
             del self._pending[:]
         self._last_write = now
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[Span]:
-        """Open a span for a ``with`` block; emits on exit.
+    def span(self, name: str, **attrs: object) -> Span:
+        """A span for a ``with`` block; emits on exit.
 
-        The span nests under the thread's current span (same trace,
-        parent-linked) or starts a fresh trace at the stack bottom.  An
-        escaping exception is recorded as the ``error`` attribute and
-        re-raised — observation never swallows failures.
+        A traced recorder nests it under the thread's current span (or
+        starts a fresh trace); an untraced one leaves every id ``None``.
+        An escaping exception is recorded as ``error`` and re-raised.
         """
-        stack = _stack()
-        if stack:
-            trace_id, parent_id = stack[-1]
-        else:
-            trace_id, parent_id = new_id(), None
-        span_id = new_id()
-        stack.append((trace_id, span_id))
-        span = Span(
-            name, trace_id, span_id, parent_id, time.time(),
-            {k: v for k, v in attrs.items() if v is not None},
-        )
-        try:
-            yield span
-        except BaseException as error:
-            span.attrs.setdefault(
-                "error", "%s: %s" % (type(error).__name__, error)
-            )
-            raise
-        finally:
-            stack.pop()
-            self._emit(
-                {
-                    "kind": "span",
-                    "schema": OBS_SCHEMA_VERSION,
-                    "trace": span.trace_id,
-                    "span": span.span_id,
-                    "parent": span.parent_id,
-                    "name": name,
-                    "start": span.start,
-                    "end": time.time(),
-                    "pid": os.getpid(),
-                    "proc": self.proc,
-                    "thread": threading.current_thread().name,
-                    "attrs": span.attrs,
-                }
-            )
+        return Span(self, name, attrs)
 
     def event(self, name: str, **fields: object) -> None:
         """Emit one structured log record under the current span."""
-        stack = getattr(_local, "stack", None)
-        trace_id, span_id = stack[-1] if stack else (None, None)
-        self._emit(
-            {
-                "kind": "event",
-                "schema": OBS_SCHEMA_VERSION,
-                "trace": trace_id,
-                "span": span_id,
-                "name": name,
-                "time": time.time(),
-                "pid": os.getpid(),
-                "proc": self.proc,
-                "thread": threading.current_thread().name,
-                "fields": {k: v for k, v in fields.items() if v is not None},
-            }
-        )
+        record = {"kind": "event", "name": name, "time": time.time(),
+                  "fields": {k: v for k, v in fields.items() if v is not None}}
+        if self.traced:
+            stack = getattr(_local, "stack", None)
+            trace_id, span_id = stack[-1] if stack else (None, None)
+            self._stamp(record, trace=trace_id, span=span_id)
+        self._emit(record)
+
+    def _stamp(self, record: Dict[str, object], **ids: object) -> None:
+        """Add what a traced record carries: ids, schema and origin."""
+        record.update(ids, schema=OBS_SCHEMA_VERSION, pid=os.getpid(),
+                      proc=self.proc, thread=threading.current_thread().name)
 
     def snapshot(self) -> List[Dict[str, object]]:
         """The ring's records as a picklable list (workers return this)."""
@@ -249,11 +261,10 @@ class ObsRecorder:
             return list(self.records)
 
     def merge(self, records: List[Dict[str, object]]) -> None:
-        """Fold records from another recorder (e.g. a worker process) in.
+        """Replay records from another recorder (e.g. a worker process).
 
         Records keep their original ids, process and thread names, so
-        parent links across the process boundary resolve; with a stream,
-        merged records are flushed like native ones.
+        parent links across the process boundary resolve.
         """
         for record in records:
             self._emit(dict(record))

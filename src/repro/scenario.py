@@ -458,11 +458,14 @@ class Scenario:
         )
 
 
-def scenario_set_fingerprint(scenarios: Sequence[Scenario]) -> str:
-    """One digest for a run over several scenarios (order independent)."""
+def scenario_set_fingerprint(
+    scenarios: Sequence[Scenario], topology: Optional[Topology] = None
+) -> str:
+    """One digest for a run over several scenarios (order independent);
+    pass their shared, already-built ``topology`` to skip rebuilding it."""
     if len(scenarios) == 1:
-        return scenarios[0].fingerprint()
-    joined = "\n".join(sorted(s.fingerprint() for s in scenarios))
+        return scenarios[0].fingerprint(topology)
+    joined = "\n".join(sorted(s.fingerprint(topology) for s in scenarios))
     return hashlib.sha256(joined.encode()).hexdigest()[:16]
 
 

@@ -38,7 +38,6 @@ from typing import (
 
 from .. import obs
 from ..collectives.variants import FLOW_CONTROL_FACTORIES, variant_names
-from ..metrics.registry import get_registry
 from ..network.simulator import check_engine
 from ..scenario import (
     Overrides,
@@ -344,77 +343,59 @@ def plan(
     with obs.span(
         "serve.plan", topology=spec.topology, sizes=len(spec.sizes)
     ) as plan_span:
-        result = _plan(spec, cache, artifacts)
+        start = time.perf_counter()
+        result = PlanResult(topology=spec.topology)
+        hits0 = cache.hits if cache is not None else 0
+        misses0 = cache.misses if cache is not None else 0
+        by_size: Dict[int, List[PlanEntry]] = {size: [] for size in spec.sizes}
+        simulated_without_cache = 0
+        for job in jobs_from_scenarios(spec.candidates()):
+            scenarios = job.scenarios()
+            try:
+                sweep = run_job(job, cache, artifacts)
+            except Exception as error:  # incompatible variant: skip, don't die
+                result.skipped.append(
+                    {"algorithm": job.algorithm, "reason": str(error)}
+                )
+                continue
+            result.scenarios.extend(scenarios)
+            if cache is None:
+                simulated_without_cache += len(sweep.points)
+            for scenario, point in zip(scenarios, sweep.points):
+                by_size[scenario.data_bytes].append(
+                    PlanEntry(
+                        scenario=str(scenario),
+                        fingerprint=scenario.fingerprint(),
+                        algorithm=scenario.algorithm,
+                        time=point.time,
+                        bandwidth=point.bandwidth,
+                        max_queue_delay=point.max_queue_delay,
+                    )
+                )
+        for size in spec.sizes:
+            entries = by_size[size]
+            with obs.span(
+                "plan.bucket", size=size, entries=len(entries)
+            ) as bucket_span:
+                bucket = PlanBucket(data_bytes=size, candidates=len(entries))
+                bucket.frontier = pareto_frontier(
+                    entries,
+                    objectives=(
+                        (lambda e: e.time, "min"),
+                        (lambda e: e.bandwidth, "max"),
+                    ),
+                    tie_break=lambda e: e.scenario,
+                )
+                bucket_span.set("frontier", len(bucket.frontier))
+            result.buckets.append(bucket)
+        if cache is not None:
+            result.cache_hits = cache.hits - hits0
+            result.cache_misses = cache.misses - misses0
+        else:
+            result.cache_misses = simulated_without_cache
+        result.wall_time_s = time.perf_counter() - start
         plan_span.set("candidates", len(result.scenarios))
         plan_span.set("skipped", len(result.skipped))
+        plan_span.set("cache_hits", result.cache_hits)
+        plan_span.set("simulated", result.simulated)
         return result
-
-
-def _plan(
-    spec: WorkloadSpec,
-    cache: Optional[PredictionCache],
-    artifacts: Optional[ArtifactStore],
-) -> PlanResult:
-    start = time.perf_counter()
-    result = PlanResult(topology=spec.topology)
-    hits0 = cache.hits if cache is not None else 0
-    misses0 = cache.misses if cache is not None else 0
-    by_size: Dict[int, List[PlanEntry]] = {size: [] for size in spec.sizes}
-    simulated_without_cache = 0
-    for job in jobs_from_scenarios(spec.candidates()):
-        scenarios = job.scenarios()
-        try:
-            sweep = run_job(job, cache, artifacts)
-        except Exception as error:  # incompatible variant: skip, don't die
-            result.skipped.append(
-                {"algorithm": job.algorithm, "reason": str(error)}
-            )
-            continue
-        result.scenarios.extend(scenarios)
-        if cache is None:
-            simulated_without_cache += len(sweep.points)
-        for scenario, point in zip(scenarios, sweep.points):
-            by_size[scenario.data_bytes].append(
-                PlanEntry(
-                    scenario=str(scenario),
-                    fingerprint=scenario.fingerprint(),
-                    algorithm=scenario.algorithm,
-                    time=point.time,
-                    bandwidth=point.bandwidth,
-                    max_queue_delay=point.max_queue_delay,
-                )
-            )
-    for size in spec.sizes:
-        entries = by_size[size]
-        with obs.span(
-            "plan.bucket", size=size, entries=len(entries)
-        ) as bucket_span:
-            bucket = PlanBucket(data_bytes=size, candidates=len(entries))
-            bucket.frontier = pareto_frontier(
-                entries,
-                objectives=(
-                    (lambda e: e.time, "min"),
-                    (lambda e: e.bandwidth, "max"),
-                ),
-                tie_break=lambda e: e.scenario,
-            )
-            bucket_span.set("frontier", len(bucket.frontier))
-        result.buckets.append(bucket)
-    if cache is not None:
-        result.cache_hits = cache.hits - hits0
-        result.cache_misses = cache.misses - misses0
-    else:
-        result.cache_misses = simulated_without_cache
-    result.wall_time_s = time.perf_counter() - start
-    registry = get_registry()
-    if registry is not None:
-        labels = {"topology": spec.topology}
-        registry.counter("plan.requests", **labels).inc()
-        registry.counter("plan.candidates", **labels).inc(len(result.scenarios))
-        registry.counter("plan.cache_hits", **labels).inc(result.cache_hits)
-        registry.counter("plan.simulated", **labels).inc(result.simulated)
-        registry.counter("plan.skipped", **labels).inc(len(result.skipped))
-        registry.histogram("plan.wall_time", **labels).observe(
-            result.wall_time_s
-        )
-    return result

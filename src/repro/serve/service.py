@@ -26,10 +26,11 @@ Two layers, separable for testing and replay benchmarking:
   candidate is warm, else enqueues the gaps and answers 202 with the
   remaining-miss count.
 
-Every request is counted in the registry (``serve.requests`` by
-endpoint and status, ``serve.request_time`` histograms, predict
-hit/miss counters) and appended to the request log, flushed per line so
-a tail or a crashed service still yields a valid JSONL manifest.
+Requests, predictions and warm-ups each run in one obs span; while a
+:func:`make_server` server is open those records fold into the service
+registry that ``/metrics`` renders.  Every request is also appended to
+the request log, flushed per line so a tail or a crashed service still
+yields a valid JSONL manifest.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import os
 import queue
 import threading
 import time
+from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -47,7 +49,7 @@ from urllib.parse import parse_qsl, urlsplit
 from .. import obs
 from ..metrics.export import to_prometheus
 from ..metrics.manifest import repro_version
-from ..metrics.registry import MetricsRegistry
+from ..metrics.registry import MetricsRegistry, collecting
 from ..scenario import Scenario
 from ..sweep import ArtifactStore, PredictionCache
 from ..sweep.runner import predict_cached
@@ -192,11 +194,9 @@ class PredictionService:
             fingerprint=self.identity(scenario)[1],
         ):
             resolved = scenario.resolve()
-            topology = scenario.build_topology()
-            with obs.span("artifact.load", topology=topology.name):
-                compiled = self.artifacts.get_or_compile(
-                    topology, resolved.builder
-                )
+            compiled = self.artifacts.get_or_compile(
+                scenario.build_topology(), resolved.builder
+            )
             entry = predict_cached(
                 compiled, scenario.data_bytes, resolved.flow_control,
                 scenario.lockstep, self.cache, scenario.engine, key=key,
@@ -230,14 +230,11 @@ class PredictionService:
     ) -> Tuple[Optional[Dict[str, float]], str]:
         entry = self.cache.get(key)
         if entry is not None:
-            self.registry.counter("serve.predict.hits").inc()
             return entry, "cache"
         with self._lock:
             failure = self._failed.get(key)
         if failure is not None:
-            self.registry.counter("serve.predict.failed").inc()
             return None, "failed"
-        self.registry.counter("serve.predict.misses").inc()
         if block:
             with self._lock:
                 self._inflight.add(key)
@@ -261,15 +258,15 @@ class PredictionService:
             if key in self._inflight:
                 return "warming"
             self._inflight.add(key)
+        outcome = "enqueued"
         try:
             self._queue.put_nowait((scenario, obs.current_carrier()))
         except queue.Full:
             with self._lock:
                 self._inflight.discard(key)
-            self.registry.counter("serve.queue_full").inc()
-            return "overloaded"
-        self.registry.counter("serve.enqueued").inc()
-        return "enqueued"
+            outcome = "overloaded"
+        obs.event("serve.enqueue", scenario=str(scenario), outcome=outcome)
+        return outcome
 
     def _worker_loop(self) -> None:
         while True:
@@ -299,7 +296,6 @@ class PredictionService:
     def _process_warm(self, item) -> None:
         scenario, carrier = item
         key, fingerprint = self.identity(scenario)
-        start = time.perf_counter()
         try:
             # The carrier links this warm-up back to the request that
             # enqueued it: the worker's spans join that trace even
@@ -311,10 +307,6 @@ class PredictionService:
                     fingerprint=fingerprint,
                 ):
                     self._compute(scenario, key)
-            self.registry.counter("serve.compiled").inc()
-            self.registry.histogram("serve.compile_time").observe(
-                time.perf_counter() - start
-            )
         except Exception as error:
             # A bad-but-parseable scenario (e.g. a variant the
             # topology cannot run) must not kill the worker; the key
@@ -322,7 +314,6 @@ class PredictionService:
             # deterministically instead of re-warming forever.
             with self._lock:
                 self._failed[key] = str(error)
-            self.registry.counter("serve.compile_errors").inc()
             self._log_event("compile_error", scenario, str(error))
         finally:
             with self._lock:
@@ -435,10 +426,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 status, payload = 400, {"error": str(error)}
             except Exception as error:  # pragma: no cover - defensive
                 status, payload = 500, {"error": str(error)}
+            latency_s = time.perf_counter() - start
+            if endpoint == "/metrics" and status == 200:
+                # Rendered before this request's own record folds in.
+                body = to_prometheus(self.service.registry).encode()
             request_span.set("status", status)
-        latency_s = time.perf_counter() - start
         if endpoint == "/metrics" and status == 200:
-            body = to_prometheus(self.service.registry).encode()
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
             body = (json.dumps(payload, sort_keys=True) + "\n").encode()
@@ -455,13 +448,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.send_header("X-Trace-Id", trace_id)
         self.end_headers()
         self.wfile.write(body)
-        registry = self.service.registry
-        registry.counter(
-            "serve.requests", endpoint=endpoint, status=str(status)
-        ).inc()
-        registry.histogram("serve.request_time", endpoint=endpoint).observe(
-            latency_s
-        )
         if self.service.request_log is not None:
             record.update(status=status, latency_s=latency_s)
             if trace_id is not None:
@@ -535,19 +521,34 @@ class ServiceHandler(BaseHTTPRequestHandler):
             spec, cache=self.service.cache, artifacts=self.service.artifacts
         )
         record["source"] = "cache"
-        self.service.registry.counter("serve.plans").inc()
         return 200, result.to_dict()
+
+
+class ServiceServer(ThreadingHTTPServer):
+    """The HTTP server of one :class:`PredictionService`: until
+    :meth:`server_close`, the service registry collects every obs record
+    the process finishes (:func:`repro.metrics.collecting`)."""
+
+    daemon_threads = True
+
+    def __init__(self, service: PredictionService, address) -> None:
+        super().__init__(address, ServiceHandler)
+        self.service = service
+        self._telemetry = ExitStack()
+        self._telemetry.enter_context(collecting(service.registry))
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._telemetry.close()
 
 
 def make_server(
     service: PredictionService, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
+) -> ServiceServer:
     """Bind the HTTP front end; ``port=0`` picks an ephemeral port.
 
     The caller runs ``serve_forever()`` (usually on its own thread) and
-    owns shutdown: ``server.shutdown()`` then ``service.close()``.
+    owns shutdown: ``server.shutdown()``, ``server.server_close()``, then
+    ``service.close()``.
     """
-    server = ThreadingHTTPServer((host, port), ServiceHandler)
-    server.daemon_threads = True
-    server.service = service  # type: ignore[attr-defined]
-    return server
+    return ServiceServer(service, (host, port))

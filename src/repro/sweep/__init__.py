@@ -12,7 +12,6 @@ from .runner import (
     SweepStats,
     jobs_from_scenarios,
     predict_cached,
-    record_sweep_metrics,
     run_job,
     run_sweep,
     sweep_bandwidth_cached,
@@ -26,7 +25,6 @@ __all__ = [
     "SweepStats",
     "jobs_from_scenarios",
     "predict_cached",
-    "record_sweep_metrics",
     "run_job",
     "run_sweep",
     "sweep_bandwidth_cached",

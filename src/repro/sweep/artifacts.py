@@ -44,7 +44,6 @@ from ..collectives.compiled import (
     CompiledSchedule,
     compile_schedule,
 )
-from ..metrics.registry import get_registry
 
 # The artifact identity scheme lives in the scenario layer so predictions,
 # artifacts and manifests all derive from one place.
@@ -192,37 +191,18 @@ class ArtifactStore:
             if memoized is not None and memoized.topology is topology:
                 self._memo.move_to_end(key)
                 span.set("outcome", "memo-hit")
-                return self._count_hit(topology, algorithm, memoized, key,
-                                       memoize=False)
+                self.hits += 1
+                return memoized
             compiled, reason = self._load(key, topology)
             if compiled is None:
                 span.set("outcome", "miss")
                 span.set("reason", reason)
                 self.misses += 1
-                obs.record_fallback(
-                    "artifact", reason or "absent", topology=topology.name,
-                    algorithm=algorithm,
-                )
-                registry = get_registry()
-                if registry is not None:
-                    registry.counter(
-                        "artifact.misses", topology=topology.name,
-                        algorithm=algorithm,
-                    ).inc()
                 return None
             span.set("outcome", "hit")
-            return self._count_hit(topology, algorithm, compiled, key)
-
-    def _count_hit(self, topology, algorithm, compiled, key, memoize=True):
-        self.hits += 1
-        registry = get_registry()
-        if registry is not None:
-            registry.counter(
-                "artifact.hits", topology=topology.name, algorithm=algorithm
-            ).inc()
-        if memoize:
+            self.hits += 1
             self._memoize(key, compiled)
-        return compiled
+            return compiled
 
     def _load(self, key: str, topology: Topology):
         """``(compiled, miss_reason)`` for one on-disk artifact."""

@@ -17,7 +17,6 @@ and a crashed worker costs only its own points.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import time
 from contextlib import nullcontext
@@ -28,10 +27,14 @@ from .. import obs
 from ..analysis.metrics import BandwidthSweep, SweepPoint
 from ..collectives import compile_algorithm
 from ..collectives.schedule import Schedule
-from ..metrics.registry import MetricsRegistry, collecting, get_registry
 from ..network.flowcontrol import FlowControl
 from ..ni.injector import simulate_allreduce
-from ..scenario import Scenario, group_scenarios, point_key
+from ..scenario import (
+    Scenario,
+    group_scenarios,
+    point_key,
+    scenario_set_fingerprint,
+)
 from ..topology.specs import parse_topology_spec
 from .artifacts import ArtifactStore
 from .cache import PredictionCache
@@ -227,10 +230,6 @@ def sweep_bandwidth_cached(
     inside the batch (counted in ``sim.fallbacks``) — the
     cached numbers are bit-identical either way.
     """
-    sweep = BandwidthSweep(
-        topology=schedule.topology.name,
-        algorithm=label or schedule.algorithm,
-    )
     simulate_batch = getattr(schedule, "simulate_batch", None)
     if engine == "lockstep-vec" and simulate_batch is not None:
         if cache is not None and keys is None:
@@ -241,91 +240,51 @@ def sweep_bandwidth_cached(
                 )
                 for size in sizes
             ]
-        entries: List[Optional[Dict[str, float]]] = [None] * len(sizes)
-        cold: List[int] = []
-        for index in range(len(sizes)):
-            entry = cache.get(keys[index]) if cache is not None else None
-            if entry is None:
-                cold.append(index)
-            else:
-                entries[index] = entry
+        entries: List[Optional[Dict[str, float]]] = (
+            [cache.get(key) for key in keys] if cache is not None
+            else [None] * len(sizes)
+        )
+        cold = [index for index, entry in enumerate(entries) if entry is None]
         if cold:
             batch = simulate_batch(
                 [sizes[index] for index in cold], flow_control, lockstep
             )
             for index, point in zip(cold, batch.points):
-                entry = {
+                entry = entries[index] = {
                     "time": point.time,
                     "bandwidth": point.bandwidth,
                     "max_queue_delay": point.max_queue_delay,
                 }
-                entries[index] = entry
                 if cache is not None:
                     cache.put(keys[index], **entry)
-        for size, entry in zip(sizes, entries):
-            sweep.points.append(
-                SweepPoint(
-                    algorithm=sweep.algorithm,
-                    data_bytes=size,
-                    time=entry["time"],
-                    bandwidth=entry["bandwidth"],
-                    max_queue_delay=entry["max_queue_delay"],
-                )
+    else:
+        entries = [
+            predict_cached(
+                schedule, size, flow_control, lockstep, cache, engine,
+                key=keys[index] if keys is not None else None,
             )
-        return sweep
-    for index, size in enumerate(sizes):
-        entry = predict_cached(
-            schedule, size, flow_control, lockstep, cache, engine,
-            key=keys[index] if keys is not None else None,
+            for index, size in enumerate(sizes)
+        ]
+    return _sweep_of(
+        schedule.topology.name, label or schedule.algorithm, sizes, entries
+    )
+
+
+def _sweep_of(topology: str, label: str, sizes: Sequence[int],
+              entries: Sequence[Dict[str, float]]) -> BandwidthSweep:
+    """A :class:`BandwidthSweep` of per-size prediction entries."""
+    sweep = BandwidthSweep(topology=topology, algorithm=label)
+    sweep.points.extend(
+        SweepPoint(
+            algorithm=label,
+            data_bytes=size,
+            time=entry["time"],
+            bandwidth=entry["bandwidth"],
+            max_queue_delay=entry["max_queue_delay"],
         )
-        sweep.points.append(
-            SweepPoint(
-                algorithm=sweep.algorithm,
-                data_bytes=size,
-                time=entry["time"],
-                bandwidth=entry["bandwidth"],
-                max_queue_delay=entry["max_queue_delay"],
-            )
-        )
+        for size, entry in zip(sizes, entries)
+    )
     return sweep
-
-
-def record_sweep_metrics(
-    registry: MetricsRegistry,
-    sweep: BandwidthSweep,
-    scenarios: Optional[Sequence[Scenario]] = None,
-) -> None:
-    """Publish a sweep's bandwidth points as labeled gauges.
-
-    These gauges are what run manifests carry and what ``repro report``
-    diffs across runs, so every path that produces a sweep records them.
-    ``scenarios``, when given (aligned with ``sweep.points``), adds each
-    point's canonical scenario string as a ``scenario`` label — the key
-    ``repro report`` prefers when present.
-    """
-    for index, point in enumerate(sweep.points):
-        labels = {
-            "topology": sweep.topology,
-            "algorithm": sweep.algorithm,
-            "size": str(point.data_bytes),
-        }
-        if scenarios is not None:
-            # "+"-separated mod form: metric label sets are comma-joined,
-            # so the canonical comma would corrupt the key encoding.
-            labels["scenario"] = scenarios[index].label_form()
-        registry.gauge("bandwidth", **labels).set(point.bandwidth)
-        registry.gauge("allreduce_time", **labels).set(point.time)
-
-
-def scenario_fingerprint(scenarios: Sequence[Scenario]) -> str:
-    """Short stable digest of a scenario series.
-
-    The correlation key obs spans carry: the same series produces the
-    same fingerprint in the serve planner, the sweep runner, and any
-    worker process, so one unit of work can be followed across them.
-    """
-    joined = "|".join(s.canonical() for s in scenarios)
-    return hashlib.sha256(joined.encode()).hexdigest()[:16]
 
 
 def run_job(
@@ -341,6 +300,11 @@ def run_job(
     ``artifacts`` store, the compile is replaced by one compiled-artifact
     load per (topology, algorithm) — a cold store compiles and persists
     the artifact for the next run.
+
+    Runs inside a ``sweep.job`` span, which carries the series'
+    :func:`~repro.scenario.scenario_set_fingerprint` while tracing (the
+    fingerprint ``serve.predict`` spans and manifests carry too) and
+    every point's bandwidth and time while metering.
     """
     with obs.span(
         "sweep.job",
@@ -349,106 +313,84 @@ def run_job(
         engine=job.engine,
         sizes=len(job.sizes),
     ) as job_span:
-        return _run_job(job, cache, artifacts, job_span)
-
-
-def _run_job(job, cache, artifacts, job_span) -> BandwidthSweep:
-    start = time.perf_counter()
-    algorithm, fc, label = job.resolve()
-    topology = parse_topology_spec(job.topology)
-    scenarios = job.scenarios()
-    job_span.set("fingerprint", scenario_fingerprint(scenarios))
-    keys = None
-    sweep = None
-    if cache is not None:
+        algorithm, fc, label = job.resolve()
+        topology = parse_topology_spec(job.topology)
+        scenarios = job.scenarios()
+        if obs.tracing():
+            job_span.set(
+                "fingerprint", scenario_set_fingerprint(scenarios, topology)
+            )
         # Schedule construction is itself expensive at scale; skip it
         # entirely when every requested point is already cached.
-        keys = [s.cache_key(topology) for s in scenarios]
-        if all(key in cache for key in keys):
-            sweep = BandwidthSweep(topology=topology.name, algorithm=label)
-            for size, key in zip(job.sizes, keys):
-                entry = cache.get(key)
-                sweep.points.append(
-                    SweepPoint(
-                        algorithm=label,
-                        data_bytes=size,
-                        time=entry["time"],
-                        bandwidth=entry["bandwidth"],
-                        max_queue_delay=entry["max_queue_delay"],
-                    )
-                )
+        keys = (
+            [s.cache_key(topology) for s in scenarios]
+            if cache is not None else None
+        )
+        if keys is not None and all(key in cache for key in keys):
+            sweep = _sweep_of(topology.name, label, job.sizes,
+                              [cache.get(key) for key in keys])
             job_span.set("warm", True)
-    if sweep is None:
-        # Every engine simulates the compiled CSR form, whose points ==
-        # the object path's (tests/test_array_heap.py).
-        if artifacts is not None:
-            schedule = artifacts.get_or_compile(topology, algorithm)
         else:
-            schedule = compile_algorithm(algorithm, topology)
-        sweep = sweep_bandwidth_cached(
-            schedule, job.sizes, fc, job.lockstep, cache, label, job.engine,
-            keys=keys,
-        )
-    registry = get_registry()
-    if registry is not None:
-        labels = {"topology": topology.name, "algorithm": label}
-        registry.counter("sweep.jobs", **labels).inc()
-        registry.counter("sweep.points", **labels).inc(len(sweep.points))
-        registry.histogram("sweep.job_time", **labels).observe(
-            time.perf_counter() - start
-        )
-        record_sweep_metrics(registry, sweep, scenarios)
-    return sweep
+            # Every engine simulates the compiled CSR form, whose points
+            # == the object path's (tests/test_array_heap.py).
+            if artifacts is not None:
+                schedule = artifacts.get_or_compile(topology, algorithm)
+            else:
+                schedule = compile_algorithm(algorithm, topology)
+            sweep = sweep_bandwidth_cached(
+                schedule, job.sizes, fc, job.lockstep, cache, label,
+                job.engine, keys=keys,
+            )
+        if obs.metering():
+            job_span.set("fabric", sweep.topology)
+            job_span.set("label", sweep.algorithm)
+            # "+"-separated scenario form: metric label sets are
+            # comma-joined, so the canonical comma would corrupt the key.
+            job_span.set("points", [
+                [point.data_bytes, scenario.label_form(), point.bandwidth,
+                 point.time]
+                for scenario, point in zip(scenarios, sweep.points)
+            ])
+        return sweep
 
 
 def _worker(
-    args: Tuple[SweepJob, Optional[str], Optional[str], bool]
+    args: Tuple[SweepJob, Optional[str], Optional[str], Optional[tuple]]
 ) -> Tuple[BandwidthSweep, Dict[str, Dict[str, float]], Dict[str, object]]:
     """Pool entry point: run one job in its own process.
 
     Returns ``(sweep, newly cached entries, report)`` where ``report``
-    carries the worker's cache hit/miss counts, artifact-store counts,
-    wall time, and — when the parent had metrics enabled — the worker's
-    full registry snapshot for the parent to merge (counters sum,
-    histograms merge bucket-wise, so the folded view equals
-    single-process collection).  When the parent had span collection
-    enabled, the trace/span carrier rides in as the fifth tuple element;
-    the worker records into a local in-memory recorder under that parent
-    context and ships its records back in ``report["obs"]`` for the
-    parent to merge — every worker span stays parent-linked to the
-    originating ``sweep.job`` context.
+    carries the worker's cache hit/miss counts, artifact-store counts
+    and wall time.  When the parent records obs, the fourth tuple element
+    is its ``(span carrier, traced, metered)``: the worker records into a
+    matching in-memory recorder and ships every record back in
+    ``report["obs"]`` for the parent to replay, parent links intact.
     """
-    job, cache_path, artifacts_path, collect_metrics = args[:4]
-    obs_carrier = args[4] if len(args) > 4 else None
+    job, cache_path, artifacts_path, obs_parent = args
     cache = PredictionCache(cache_path) if cache_path else None
     artifacts = ArtifactStore(artifacts_path) if artifacts_path else None
     before = set(cache.entries) if cache is not None else set()
     start = time.perf_counter()
 
-    recorder = None
-    previous = None
-    if obs_carrier is not None:
-        recorder = obs.ObsRecorder()
-        previous = obs.set_obs(recorder)
+    carrier, traced, metered = obs_parent or (None, False, False)
+    recorder = (
+        obs.ObsRecorder(capacity=None, traced=traced, metered=metered)
+        if obs_parent is not None else None
+    )
+    # Replace, not nest: a forked worker inherits a copy of the parent's
+    # recorder, whose folds must not see these records.
+    previous = obs.set_obs(recorder)
     try:
-        with obs.attached(obs_carrier or None):
-            if collect_metrics:
-                with collecting() as registry:
-                    sweep = run_job(job, cache, artifacts)
-                snapshot = registry.snapshot()
-            else:
-                sweep = run_job(job, cache, artifacts)
-                snapshot = None
+        with obs.attached(carrier):
+            sweep = run_job(job, cache, artifacts)
     finally:
-        if recorder is not None:
-            obs.set_obs(previous)
+        obs.set_obs(previous)
     report: Dict[str, object] = {
         "hits": cache.hits if cache is not None else 0,
         "misses": cache.misses if cache is not None else 0,
         "artifact_hits": artifacts.hits if artifacts is not None else 0,
         "artifact_misses": artifacts.misses if artifacts is not None else 0,
         "job_time_s": time.perf_counter() - start,
-        "metrics": snapshot,
         "obs": recorder.snapshot() if recorder is not None else None,
     }
     fresh = (
@@ -475,18 +417,25 @@ def run_sweep(
     workers load compiled schedule artifacts from that directory instead
     of rebuilding schedules (cold artifacts are compiled and persisted in
     place).  Pass a :class:`SweepStats` as ``stats`` to receive cache and
-    artifact hit/miss counts, worker count and per-job wall times.  When
-    metric collection is active in the parent (see :mod:`repro.metrics`),
-    parallel workers each collect into a local registry and the parent
-    folds every worker snapshot into its own, so aggregate telemetry is
-    identical to a serial run.
+    artifact hit/miss counts, worker count and per-job wall times.  With
+    an obs recorder active, parallel workers ship their records and the
+    parent replays them in job order, so streams and folded metrics
+    match a serial run's — only the ``sweep.run`` span's ``workers``
+    differs.
     """
+    if stats is None:
+        stats = SweepStats()
+    stats.jobs = len(jobs)
+    if not jobs:
+        return []
     with obs.span(
         "sweep.run", jobs=len(jobs), processes=processes or 1
     ) as sweep_span:
         sweeps = _run_sweep(jobs, processes, cache_path, stats,
                             artifacts_path)
-        sweep_span.set("points", sum(len(s.points) for s in sweeps))
+        for key in ("points", "cache_hits", "cache_misses", "cache_entries",
+                    "workers"):
+            sweep_span.set(key, getattr(stats, key))
         return sweeps
 
 
@@ -494,15 +443,9 @@ def _run_sweep(
     jobs: Sequence[SweepJob],
     processes: Optional[int],
     cache_path: Optional[str],
-    stats: Optional[SweepStats],
+    stats: SweepStats,
     artifacts_path: Optional[str],
 ) -> List[BandwidthSweep]:
-    if stats is None:
-        stats = SweepStats()
-    stats.jobs = len(jobs)
-    if not jobs:
-        return []
-    registry = get_registry()
     start = time.perf_counter()
     if processes is None or processes <= 1 or len(jobs) == 1:
         cache = PredictionCache(cache_path) if cache_path else None
@@ -527,39 +470,29 @@ def _run_sweep(
         stats.workers = 1
     else:
         workers = min(processes, len(jobs))
-        obs_recorder = obs.get_obs()
+        recorder = obs.get_obs()
         # Each pool job carries the parent's current span context so the
         # worker's span tree stays parent-linked across the process
-        # boundary.  ``None`` keeps obs off in workers entirely; an empty
-        # dict means "collect, but start fresh traces".
-        obs_carrier = (
-            (obs.current_carrier() or {}) if obs_recorder is not None else None
-        )
+        # boundary.  ``None`` keeps obs off in workers entirely.
+        obs_parent = None
+        if recorder is not None:
+            obs_parent = (obs.current_carrier(), recorder.traced,
+                          recorder.metered)
         with multiprocessing.Pool(workers) as pool:
             outcomes = pool.map(
                 _worker,
-                [
-                    (
-                        job,
-                        cache_path,
-                        artifacts_path,
-                        registry is not None,
-                        obs_carrier,
-                    )
-                    for job in jobs
-                ],
+                [(job, cache_path, artifacts_path, obs_parent)
+                 for job in jobs],
             )
         sweeps = [sweep for sweep, _fresh, _report in outcomes]
         for _sweep, _fresh, report in outcomes:
             stats.cache_hits += int(report["hits"])
             stats.cache_misses += int(report["misses"])
-            stats.artifact_hits += int(report.get("artifact_hits", 0))
-            stats.artifact_misses += int(report.get("artifact_misses", 0))
+            stats.artifact_hits += int(report["artifact_hits"])
+            stats.artifact_misses += int(report["artifact_misses"])
             stats.job_times_s.append(float(report["job_time_s"]))
-            if registry is not None and report["metrics"] is not None:
-                registry.merge_snapshot(report["metrics"])
-            if obs_recorder is not None and report.get("obs"):
-                obs_recorder.merge(report["obs"])
+            if recorder is not None and report["obs"]:
+                recorder.merge(report["obs"])
         stats.workers = workers
         if cache_path:
             cache = PredictionCache(cache_path)
@@ -569,10 +502,4 @@ def _run_sweep(
             stats.cache_entries = len(cache)
     stats.points = sum(len(sweep.points) for sweep in sweeps)
     stats.wall_time_s = time.perf_counter() - start
-    if registry is not None:
-        registry.counter("sweep.runs").inc()
-        registry.counter("sweep.cache_hits").inc(stats.cache_hits)
-        registry.counter("sweep.cache_misses").inc(stats.cache_misses)
-        registry.gauge("sweep.workers").set(stats.workers)
-        registry.gauge("sweep.cache_entries").set(stats.cache_entries)
     return sweeps

@@ -66,19 +66,19 @@ def topology_fingerprint(topology: "Topology") -> str:
     cached = topology.__dict__.get("_fingerprint_cache")
     if cached is not None:
         return cached
-    hasher = hashlib.sha256()
-    hasher.update(
-        ("%s|%d|%d" % (topology.name, topology.num_nodes, topology.num_switches)
-         ).encode()
-    )
-    for key in sorted(topology.links):
-        spec = topology.link(*key)
-        hasher.update(
-            ("|%d,%d,%r,%r,%d" % (
-                spec.src, spec.dst, spec.bandwidth, spec.latency, spec.capacity
-            )).encode()
-        )
-    digest = hasher.hexdigest()[:16]
+    # One hash update over the joined text (the digest equals per-link
+    # updates), and each distinct link parameter set formatted once.
+    parts = ["%s|%d|%d" % (
+        topology.name, topology.num_nodes, topology.num_switches
+    )]
+    tails: Dict[Tuple[float, float, int], str] = {}
+    for _key, spec in sorted(topology.links.items()):
+        params = (spec.bandwidth, spec.latency, spec.capacity)
+        tail = tails.get(params)
+        if tail is None:
+            tail = tails[params] = ",%r,%r,%d" % params
+        parts.append("|%d,%d%s" % (spec.src, spec.dst, tail))
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()[:16]
     topology.__dict__["_fingerprint_cache"] = digest
     return digest
 

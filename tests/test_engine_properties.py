@@ -3,13 +3,14 @@
 Two invariants, each checked against every engine:
 
 * ``finish_time`` is non-decreasing in ``payload_bytes`` — more data can
-  never finish earlier under work-conserving FIFO links.  The object
-  heap plays :class:`Message` lists; the fast engines run on the
-  compiled arrays (``compile_schedule(schedule).simulate``);
+  never finish earlier under work-conserving FIFO links.
+  :meth:`NetworkSimulator.run` lowers :class:`Message` lists onto the
+  event engine's array heap; the fast engines run on the compiled
+  arrays (``compile_schedule(schedule).simulate``);
 * results are invariant under a permutation of the message list (with
-  ``deps`` indices remapped accordingly).  Only the object heap plays
-  message lists, so every permuted list runs there, against the named
-  engine's result on the unpermuted schedule.
+  ``deps`` indices remapped accordingly).  Message lists always run on
+  the event engine, so every permuted list runs there, against the
+  named engine's result on the unpermuted schedule.
 
 The permutation property needs care: when two messages tie on arrival
 time at a shared link, the FIFO grant order follows *push order*, so the
@@ -97,8 +98,8 @@ def test_finish_time_nondecreasing_in_payload(
 
 
 def _engine_run(schedule, messages, size, fc, engine):
-    """The unpermuted reference: the object heap for ``event``, the named
-    fast engine on the compiled arrays otherwise."""
+    """The unpermuted reference: the message list on the event engine for
+    ``event``, the named fast engine on the compiled arrays otherwise."""
     if engine == "event":
         return NetworkSimulator(schedule.topology, fc).run(messages)
     return compile_schedule(schedule).simulate(

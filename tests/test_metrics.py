@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.collectives import build_schedule
 from repro.metrics import (
@@ -14,7 +15,6 @@ from repro.metrics import (
     build_manifest,
     collecting,
     config_fingerprint,
-    get_registry,
     load_manifests,
     metric_key,
     parse_key,
@@ -31,8 +31,9 @@ from repro.metrics.report import (
 )
 from repro.network import PacketBased
 from repro.network.simulator import Message, NetworkSimulator
+from repro.obs import observing
 from repro.ni import simulate_allreduce
-from repro.sweep import SweepJob, SweepStats, run_sweep
+from repro.sweep import SweepJob, SweepStats, run_job, run_sweep
 from repro.topology import Ring1D, Torus2D
 
 KiB = 1024
@@ -66,53 +67,45 @@ class TestRegistry:
         assert hist.min == 0.5 and hist.max == 3.0
         assert hist.mean == pytest.approx(5.0 / 3)
 
-    def test_merge_counters_sum_gauges_max_histograms_add(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c", x="1").inc(2)
-        b.counter("c", x="1").inc(3)
-        b.counter("c", x="2").inc(1)  # label set only in b survives merge
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(5.0)
-        a.histogram("h").observe(1.0)
-        b.histogram("h").observe(8.0)
-        a.merge(b)
-        assert a.counter_value("c", x="1") == 5
-        assert a.counter_value("c", x="2") == 1
-        assert a.gauge_value("g") == 5.0
-        hist = a.histograms[metric_key("h", {})]
-        assert hist.count == 2 and hist.sum == 9.0
-        assert hist.min == 1.0 and hist.max == 8.0
-
-    def test_merge_is_order_independent_for_counters(self):
-        parts = []
-        for inc in (1, 2, 4):
-            reg = MetricsRegistry()
-            reg.counter("c").inc(inc)
-            parts.append(reg.snapshot())
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for snap in parts:
-            forward.merge_snapshot(snap)
-        for snap in reversed(parts):
-            backward.merge_snapshot(snap)
-        assert forward.snapshot() == backward.snapshot()
-
     def test_snapshot_is_json_serializable(self):
         reg = MetricsRegistry()
         reg.counter("c", k="v").inc()
         reg.histogram("h").observe(0.25)
         restored = json.loads(json.dumps(reg.snapshot()))
-        other = MetricsRegistry()
-        other.merge_snapshot(restored)
-        assert other.counter_value("c", k="v") == 1.0
+        assert restored == reg.snapshot()
+        assert restored["counters"] == {"c|k=v": 1.0}
 
     def test_collecting_restores_previous(self):
-        assert get_registry() is None
+        assert obs.get_obs() is None
         with collecting() as outer:
-            assert get_registry() is outer
+            recorder = obs.get_obs()
+            assert recorder is not None and not recorder.traced
             with collecting() as inner:
-                assert get_registry() is inner
-            assert get_registry() is outer
-        assert get_registry() is None
+                assert obs.get_obs() is recorder
+                obs.event("engine.fallback", engine="e", reason="r")
+            assert obs.get_obs() is recorder
+            obs.event("engine.fallback", engine="e", reason="r")
+        assert obs.get_obs() is None
+        assert outer.counter_value("sim.fallbacks", engine="e", reason="r") == 2
+        assert inner.counter_value("sim.fallbacks", engine="e", reason="r") == 1
+
+    def test_untraced_collection_keeps_no_records(self):
+        with collecting() as reg:
+            recorder = obs.get_obs()
+            with obs.span("sim.batch", topology="t", sizes=3) as sp:
+                assert sp.trace_id is None and sp.span_id is None
+                assert obs.current_carrier() is None
+                sp.set("fallbacks", 1)
+        assert recorder.records.maxlen == 0 and not recorder.records
+        assert reg.counter_value(
+            "sim.engine_runs", engine="lockstep-vec", topology="t"
+        ) == 2
+
+    def test_same_registry_folds_once(self):
+        reg = MetricsRegistry()
+        with collecting(reg), collecting(reg), observing():
+            obs.event("engine.fallback", engine="e", reason="r")
+        assert reg.counter_value("sim.fallbacks", engine="e", reason="r") == 1
 
 
 class TestInstrumentation:
@@ -263,6 +256,55 @@ class TestSweepRunnerMetrics:
         assert "cache: 0 hits, 2 misses" in stats.format()
 
 
+class TestFoldOrder:
+    """Metrics are a fold over the record stream, in job order."""
+
+    WALL_CLOCK = ("sweep.job_time", "schedule.build_time")
+
+    def _comparable(self, registry):
+        snap = registry.snapshot()
+        gauges = {k: v for k, v in snap["gauges"].items()
+                  if k != "sweep.workers"}
+        histograms = {
+            key: ({"count": payload["count"]}
+                  if key.partition("|")[0] in self.WALL_CLOCK else payload)
+            for key, payload in snap["histograms"].items()
+        }
+        return snap["counters"], gauges, histograms
+
+    def test_parallel_sweep_equals_serial(self):
+        sizes = tuple(32 * KiB << (2 * i) for i in range(4))
+        jobs = [SweepJob("torus-4x4", algorithm, sizes)
+                for algorithm in ("ring", "multitree", "dbtree", "2d-ring")]
+        with collecting() as serial_reg:
+            run_sweep(jobs)
+        with collecting() as parallel_reg:
+            run_sweep(jobs, processes=3)
+        serial = self._comparable(serial_reg)
+        parallel = self._comparable(parallel_reg)
+        for part, got, want in zip(("counters", "gauges", "histograms"),
+                                   parallel, serial):
+            assert sorted(got) == sorted(want), part
+            for key in want:
+                assert got[key] == want[key], (part, key)
+
+    @pytest.mark.parametrize("topology,algorithm", [
+        ("fattree-8x8", "multitree"),
+        ("torus-4x4@rails=2:0.5", "multitree"),
+        ("torus-8x8", "ring"),
+    ])
+    def test_engine_runs_count_every_point(self, topology, algorithm):
+        # Sizes the vectorized engine declines rerun on the scalar ladder,
+        # and that run is counted under the engine that produced it.
+        sizes = tuple(32 * KiB << i for i in range(6))
+        with collecting() as reg:
+            sweep = run_job(SweepJob(topology, algorithm, sizes,
+                                     engine="lockstep-vec"))
+        runs = sum(value for key, value in reg.counters.items()
+                   if parse_key(key)[0] == "sim.engine_runs")
+        assert runs == len(sweep.points) == len(sizes)
+
+
 class TestExporters:
     def _registry(self):
         reg = MetricsRegistry()
@@ -277,9 +319,8 @@ class TestExporters:
         reg = self._registry()
         payload = json.loads(to_json(reg))
         assert payload["counters"]["sim.runs|topology=torus-2x2"] == 3
-        other = MetricsRegistry()
-        other.merge_snapshot(payload)
-        assert other.gauge_value("sim.finish_time", topology="torus-2x2") == 1.5e-5
+        assert payload["gauges"]["sim.finish_time|topology=torus-2x2"] == 1.5e-5
+        assert payload == reg.snapshot()
 
     def test_prometheus_exposition(self):
         text = to_prometheus(self._registry())
