@@ -75,8 +75,8 @@ class CompiledSchedule:
     payload sizes themselves: per-op endpoints/steps, chunk fractions,
     expanded routes, the dependency DAG, and the serialization profile
     behind the lockstep gates.  Instances are immutable after
-    construction; derived per-topology state (dense link ids, step
-    groups, the dependents graph) is memoized.
+    construction; derived state (dense link ids, step bounds, the
+    dependents graph) is memoized.
 
     Bulk state lives in flat parallel arrays — routes and dependencies in
     CSR ``(offsets, values)`` form over a deduplicated link-key table —
@@ -106,11 +106,10 @@ class CompiledSchedule:
         "metadata",
         "_route_csr",
         "_active",
-        "_groups",
+        "_step_bounds",
         "_dep_struct",
         "_frac_floats",
         "_frac_arr",
-        "_steps_arr",
         "_vec_plan",
         "_wire_classes",
     )
@@ -154,11 +153,10 @@ class CompiledSchedule:
         self.metadata = dict(metadata) if metadata else {}
         self._route_csr: Optional[List[int]] = None
         self._active: Optional[Dict[int, int]] = None
-        self._groups: Optional[List[List[int]]] = None
+        self._step_bounds: Optional[np.ndarray] = None
         self._dep_struct = None
         self._frac_floats = None
         self._frac_arr = None
-        self._steps_arr = None
         self._vec_plan = None
         self._wire_classes = None
 
@@ -314,38 +312,56 @@ class CompiledSchedule:
         return route_val
 
     def _dep_structure(self):
-        """The memoized :func:`~repro.network.lockstep_engine.dep_structure`
-        triple of this schedule's dependency CSR."""
+        """The memoized :func:`~repro.network.links.dep_structure` triple
+        of this schedule's dependency CSR, for the scalar engines."""
         dep_struct = self._dep_struct
         if dep_struct is None:
-            from ..network.lockstep_engine import dep_structure
+            from ..network.links import dep_structure
 
             dep_struct = self._dep_struct = dep_structure(
                 self.dep_off, self.dep_val
             )
         return dep_struct
 
-    def _step_groups(self) -> List[List[int]]:
-        """Op indices grouped per step, ascending step order.
+    @property
+    def step_bounds(self) -> np.ndarray:
+        """Row offsets of the lockstep steps: ``num_steps + 1`` entries.
 
-        Steps with no routed ops have zero estimated duration and thus
-        share a gate value with the following step; such empty groups are
-        harmless — :func:`repro.network.lockstep_engine.run_grouped`
-        validates the processing order at every group boundary and its
-        ``(ready, push_seq)`` check degenerates to a no-op for them.
-        Dependencies always point to a strictly earlier step (the
-        injector derives them from earlier-step deliveries only), and any
-        two steps that both contain ops are separated by a strictly
-        positive gate increment, so the caller contract of
+        Ops are stored sorted by step — the object compiler keeps the
+        ``Schedule``'s ``(step, src, dst, chunk)`` op order, the streaming
+        compiler lexsorts by ``(step, src, dst, root)`` and artifacts
+        store the columns as they are — so step ``s`` is the contiguous
+        row range ``step_bounds[s - 1]:step_bounds[s]``.  Every lockstep
+        engine reads this one layout.  A step with no routed ops is an
+        empty range; its zero estimated duration shares a gate with the
+        next step, and :func:`repro.network.lockstep_engine.run_grouped`
+        skips it.  Dependencies always point to a strictly earlier step
+        (the injector derives them from earlier-step deliveries only),
+        and any two steps that both contain ops are separated by a
+        strictly positive gate increment, so the caller contract of
         ``run_grouped`` holds by construction.
+
+        Raises ``ValueError`` when the ``steps`` column is not
+        nondecreasing within ``1..num_steps``: such a schedule has no
+        range layout, and running it would silently reorder its ops.
         """
-        groups = self._groups
-        if groups is None:
-            groups = [[] for _ in range(self.num_steps)]
-            for idx, step in enumerate(self.steps):
-                groups[step - 1].append(idx)
-            self._groups = groups
-        return groups
+        bounds = self._step_bounds
+        if bounds is None:
+            steps = np.asarray(self.steps)
+            if len(steps) and not (
+                1 <= steps[0]
+                and steps[-1] <= self.num_steps
+                and (steps[1:] >= steps[:-1]).all()
+            ):
+                raise ValueError(
+                    "compiled schedule is not in step order: its steps "
+                    "column must be nondecreasing within 1..%d"
+                    % self.num_steps
+                )
+            bounds = self._step_bounds = np.searchsorted(
+                steps, np.arange(1, self.num_steps + 2), side="left"
+            )
+        return bounds
 
     def simulate(
         self,
@@ -361,17 +377,19 @@ class CompiledSchedule:
         Bit-identical to
         :func:`repro.ni.injector.simulate_allreduce` on the schedule this
         was compiled from, for every engine.  Lockstep-gated runs without
-        a ``recorder`` never build :class:`Message` objects:
+        a ``recorder`` never build :class:`Message` objects; they spread
+        the step gates over :attr:`step_bounds`, so a schedule whose ops
+        are not in step order raises ``ValueError``:
 
         * ``engine="event"`` runs the array heap
           (:func:`~repro.network.lockstep_engine.run_indexed`), the event
           engine's processing order and arithmetic over the CSR arrays;
         * ``engine="lockstep"`` (the default here) runs the step-level
-          engine over the same arrays and drops to the array heap when
-          step-level grouping would diverge;
+          engine over the same arrays, one row range per step, and drops
+          to the array heap when step-level processing would diverge;
         * ``engine="lockstep-vec"`` runs the numpy engine of
-          :mod:`repro.network.lockstep_vec` (a one-column batch) with the
-          ``lockstep`` ladder above as its fallback.
+          :mod:`repro.network.lockstep_vec` (a one-column batch over the
+          same ranges) with the ``lockstep`` ladder above as its fallback.
 
         Both scalar engines emit the spans and metrics of
         :func:`~repro.network.lockstep_engine.run_arrays`.  A
@@ -425,18 +443,19 @@ class CompiledSchedule:
         gates = self._gates(data_bytes, flow_control)
         # Payload scaling and gate lookup vectorize: float64 multiply
         # is IEEE-identical to the scalar product the injector
-        # computes, and the gate gather copies floats untouched.
+        # computes, and spreading the gates over the step ranges copies
+        # floats untouched.
         frac_arr = self._frac_arr
         if frac_arr is None:
             frac_arr = self._frac_arr = np.asarray(
                 self.frac_floats, dtype=np.float64
             )
-            self._steps_arr = np.asarray(self.steps, dtype=np.intp)
         payloads = (frac_arr * data_bytes).tolist()
+        bounds = self.step_bounds
         gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
         for step, gate in gates.items():
             gate_vec[step] = gate
-        gate_arr = gate_vec[self._steps_arr].tolist()
+        gate_arr = np.repeat(gate_vec[1:], np.diff(bounds)).tolist()
         # A plain-list view per run: the engines index it per message, and
         # a memoized copy would pin ~300 KiB per 64-node MultiTree.
         route_off = _column_list(self.route_off)
@@ -444,7 +463,7 @@ class CompiledSchedule:
             self.topology,
             flow_control,
             engine,
-            self._step_groups(),
+            bounds.tolist(),
             payloads,
             route_off,
             self._table_route_val(table),

@@ -18,7 +18,7 @@ from .flowcontrol import (
     MessageBased,
     PacketBased,
 )
-from .lockstep_engine import LinkTable, link_table
+from .links import LinkTable, link_table
 from .simulator import Message, MessageTiming, NetworkSimulator, SimulationResult
 
 __all__ = [

@@ -1,22 +1,29 @@
-"""Shared, memoized link-spec snapshot used by every simulation engine.
+"""Flat-array inputs and outputs shared by every simulation engine.
 
-The event engine (:mod:`repro.network.simulator`), the scalar lockstep
-engine (:mod:`repro.network.lockstep_engine`) and the vectorized engine
+The event and scalar lockstep engines
+(:mod:`repro.network.lockstep_engine`) and the vectorized engine
 (:mod:`repro.network.lockstep_vec`) all need the same per-link data —
 bandwidth, latency, channel capacity — in a form cheaper than tuple-keyed
-dictionary lookups.  Historically the event engine kept its own "link
-specs" precomputation while the lockstep engine built a separate
-:class:`LinkTable`; this module is the single copy both derive from.
+dictionary lookups: :class:`LinkTable`.  Topologies are immutable once
+built, so :func:`link_table` memoizes the snapshot on the topology
+instance.
 
-Topologies are immutable once built, so :func:`link_table` memoizes the
-snapshot on the topology instance.
+The scalar engines also share the dependents graph of a dependency CSR
+(:func:`dep_structure`), and every engine reports per-message timings
+through one list-compatible view over its arrays (:class:`LazyTimings`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import sub
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..topology.base import LinkKey, Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from .simulator import MessageTiming
 
 
 class LinkTable:
@@ -27,7 +34,7 @@ class LinkTable:
     engines index the plain-list columns (Python ``float``/``int``
     elements keep scalar arithmetic fast); the vectorized engine gathers
     from the ndarray promotions returned by :meth:`arrays`, built lazily
-    so topologies used only by scalar engines never pay for numpy.
+    so topologies used only by scalar engines never pay for the copy.
     """
 
     __slots__ = ("keys", "id_of", "bandwidth", "latency", "capacity", "_arrays")
@@ -52,8 +59,6 @@ class LinkTable:
         arrays see bit-identical link parameters.
         """
         if self._arrays is None:
-            import numpy as np
-
             self._arrays = (
                 np.asarray(self.bandwidth, dtype=np.float64),
                 np.asarray(self.latency, dtype=np.float64),
@@ -68,3 +73,118 @@ def link_table(topology: Topology) -> LinkTable:
     if table is None:
         table = topology.__dict__["_link_table"] = LinkTable(topology)
     return table
+
+
+#: ``(dependents_off, dependents_val, dep_counts)`` — CSR adjacency of
+#: "who waits on message i" plus the per-message unresolved-dependency
+#: counts.  See :func:`dep_structure`.
+DepStructure = Tuple[List[int], List[int], List[int]]
+
+
+def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructure:
+    """Dependents-CSR + dependency counts for a CSR dependency list.
+
+    ``dependents_val[dependents_off[i]:dependents_off[i+1]]`` lists the
+    messages waiting on message ``i``, in message-index order — the order
+    the event engine wakes them in.  Everything here depends only on the
+    lowering, not the payload, so the compiled artifact path memoizes the
+    triple across simulations (see
+    :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).  The
+    counts list is never mutated by the engines; they copy it per run.
+
+    Built with array ops: a stable sort of the dependency values keeps
+    each dependency's waiters in message-index order (a repeated
+    dependency keeps both entries), so the triple ``==`` the seed's
+    per-entry loop (``bench/reference.py:reference_dep_structure``).
+    ``dependents_val`` is gathered from an object array of the message
+    ids, so like the seed it holds one shared ``int`` per waiting
+    message rather than one per entry — the triple is memoized per
+    schedule, and per-entry ints cost ~1 MiB more on a 64-node
+    switched-fabric MultiTree.
+    """
+    off = np.asarray(dep_off, dtype=np.intp)
+    val = np.asarray(dep_val, dtype=np.intp)
+    n = len(off) - 1
+    counts = np.diff(off)
+    dd_off = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(val, minlength=n), out=dd_off[1:])
+    owners = np.repeat(np.arange(n, dtype=np.intp), counts)
+    ids = np.empty(n, dtype=object)
+    ids[:] = range(n)
+    dd_val = ids[owners[np.argsort(val, kind="stable")]].tolist()
+    return dd_off.tolist(), dd_val, counts.tolist()
+
+
+class LazyTimings:
+    """List-compatible view over the engines' parallel timing arrays.
+
+    Materializing one :class:`MessageTiming` per message costs seconds at
+    million-message scale and most callers (sweeps, benchmarks) only read
+    ``finish_time`` — so the arrays are kept as-is and the object list is
+    built on first access, then cached.  Equality, iteration, indexing,
+    and ``len`` all behave like a plain list of timings.
+    """
+
+    __slots__ = ("_ready", "_inject", "_deliver", "_ideal", "_list")
+
+    def __init__(self, ready, inject, deliver, ideal) -> None:
+        self._ready = ready
+        self._inject = inject
+        self._deliver = deliver
+        self._ideal = ideal
+        self._list: Optional[List["MessageTiming"]] = None
+
+    def _materialize(self) -> List["MessageTiming"]:
+        result = self._list
+        if result is None:
+            from .simulator import MessageTiming
+
+            result = self._list = [
+                MessageTiming(r, i, d, l)
+                for r, i, d, l in zip(
+                    self._ready, self._inject, self._deliver, self._ideal
+                )
+            ]
+        return result
+
+    def __len__(self) -> int:
+        return len(self._ready)
+
+    def queue_delays(self) -> List[float]:
+        """Per-message ``deliver - ideal_deliver``, without the objects."""
+        return list(map(sub, self._deliver, self._ideal))
+
+    def max_queue_delay(self) -> float:
+        """``max(t.queue_delay for t in self)`` as one float64 pass.
+
+        The same IEEE subtract per message, then a max; ``0.0`` for no
+        messages.  Returns a Python ``float`` — cache entries and serve
+        bodies compare by ``repr``.
+        """
+        if not len(self._deliver):
+            return 0.0
+        deliver = np.asarray(self._deliver, dtype=np.float64)
+        ideal = np.asarray(self._ideal, dtype=np.float64)
+        return float(np.max(deliver - ideal))
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyTimings):
+            other = other._materialize()
+        if isinstance(other, list):
+            return self._materialize() == other
+        return NotImplemented
+
+    def __ne__(self, other) -> bool:
+        result = self.__eq__(other)
+        if result is NotImplemented:
+            return result
+        return not result
+
+    def __repr__(self) -> str:
+        return repr(self._materialize())

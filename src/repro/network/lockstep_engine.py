@@ -2,7 +2,7 @@
 
 Both engines run on flat arrays: routes are ``(route_off, route_val)``
 offset/value lists of dense link ids, and the dependency graph is the
-:func:`dep_structure` triple.  Compiled schedules
+:func:`~repro.network.links.dep_structure` triple.  Compiled schedules
 (:class:`repro.collectives.compiled.CompiledSchedule`) hold those
 columns already; :meth:`repro.network.simulator.NetworkSimulator.run`
 lowers a :class:`~repro.network.simulator.Message` list to them.
@@ -19,9 +19,11 @@ DAG, and is the only engine that feeds a trace recorder.  For
 *lockstep-gated* schedules (§IV-A) that generality is wasted: the
 per-step message set is fixed by the schedule, every dependency crosses
 a step boundary, and the lockstep gates order the steps in time.
-:func:`run_grouped` exploits that structure — it walks the steps in
-gate order and resolves each step's messages in one closed-form FIFO
-pass per link (sorted arrival order within the step).
+:func:`run_grouped` exploits that structure.  Compiled schedules store
+their ops sorted by step, so each step is a contiguous message index
+range; it walks the steps in gate order and resolves each step's
+messages in one closed-form FIFO pass per link (sorted arrival order
+within the step).
 
 **Exact equivalence.**  The event engine's outcome is fully determined by
 the order messages are *processed* — the heap pops ``(ready, push_seq)``
@@ -49,12 +51,10 @@ import heapq
 from operator import sub
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .. import obs
 from ..topology.base import Topology
 from .flowcontrol import FlowControl
-from .links import LinkTable, link_table
+from .links import DepStructure, LazyTimings, LinkTable, link_table
 from .simulator import (
     Message,
     MessageTiming,
@@ -66,133 +66,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
 
 __all__ = [
-    "DepStructure",
-    "LazyTimings",
     "LinkTable",
-    "dep_structure",
     "link_table",
     "run_arrays",
     "run_grouped",
     "run_indexed",
 ]
 
-#: ``(dependents_off, dependents_val, dep_counts)`` — CSR adjacency of
-#: "who waits on message i" plus the per-message unresolved-dependency
-#: counts.  See :func:`dep_structure`.
-DepStructure = Tuple[List[int], List[int], List[int]]
-
-
-def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructure:
-    """Dependents-CSR + dependency counts for a CSR dependency list.
-
-    ``dependents_val[dependents_off[i]:dependents_off[i+1]]`` lists the
-    messages waiting on message ``i``, in message-index order — the order
-    the event engine wakes them in.  Everything here depends only on the
-    lowering, not the payload, so the compiled artifact path memoizes the
-    triple across simulations (see
-    :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).  The
-    counts list is never mutated by the engines; they copy it per run.
-
-    Built with array ops: a stable sort of the dependency values keeps
-    each dependency's waiters in message-index order (a repeated
-    dependency keeps both entries), so the triple ``==`` the seed's
-    per-entry loop (``bench/reference.py:reference_dep_structure``).
-    ``dependents_val`` is gathered from an object array of the message
-    ids, so like the seed it holds one shared ``int`` per waiting
-    message rather than one per entry — the triple is memoized per
-    schedule, and per-entry ints cost ~1 MiB more on a 64-node
-    switched-fabric MultiTree.
-    """
-    off = np.asarray(dep_off, dtype=np.intp)
-    val = np.asarray(dep_val, dtype=np.intp)
-    n = len(off) - 1
-    counts = np.diff(off)
-    dd_off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(val, minlength=n), out=dd_off[1:])
-    owners = np.repeat(np.arange(n, dtype=np.intp), counts)
-    ids = np.empty(n, dtype=object)
-    ids[:] = range(n)
-    dd_val = ids[owners[np.argsort(val, kind="stable")]].tolist()
-    return dd_off.tolist(), dd_val, counts.tolist()
-
-
-class LazyTimings:
-    """List-compatible view over the engines' parallel timing arrays.
-
-    Materializing one :class:`MessageTiming` per message costs seconds at
-    million-message scale and most callers (sweeps, benchmarks) only read
-    ``finish_time`` — so the arrays are kept as-is and the object list is
-    built on first access, then cached.  Equality, iteration, indexing,
-    and ``len`` all behave like a plain list of timings.
-    """
-
-    __slots__ = ("_ready", "_inject", "_deliver", "_ideal", "_list")
-
-    def __init__(self, ready, inject, deliver, ideal) -> None:
-        self._ready = ready
-        self._inject = inject
-        self._deliver = deliver
-        self._ideal = ideal
-        self._list: Optional[List[MessageTiming]] = None
-
-    def _materialize(self) -> List[MessageTiming]:
-        result = self._list
-        if result is None:
-            result = self._list = [
-                MessageTiming(r, i, d, l)
-                for r, i, d, l in zip(
-                    self._ready, self._inject, self._deliver, self._ideal
-                )
-            ]
-        return result
-
-    def __len__(self) -> int:
-        return len(self._ready)
-
-    def queue_delays(self) -> List[float]:
-        """Per-message ``deliver - ideal_deliver``, without the objects."""
-        return list(map(sub, self._deliver, self._ideal))
-
-    def max_queue_delay(self) -> float:
-        """``max(t.queue_delay for t in self)`` as one float64 pass.
-
-        The same IEEE subtract per message, then a max; ``0.0`` for no
-        messages.  Returns a Python ``float`` — cache entries and serve
-        bodies compare by ``repr``.
-        """
-        if not len(self._deliver):
-            return 0.0
-        deliver = np.asarray(self._deliver, dtype=np.float64)
-        ideal = np.asarray(self._ideal, dtype=np.float64)
-        return float(np.max(deliver - ideal))
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyTimings):
-            other = other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())
-
 
 def run_grouped(
     table: LinkTable,
     flow_control: FlowControl,
-    groups: Sequence[Sequence[int]],
+    step_bounds: Sequence[int],
     payloads: Sequence[float],
     route_off: Sequence[int],
     route_val: Sequence[int],
@@ -200,18 +85,19 @@ def run_grouped(
     not_before: Sequence[float],
     receive_overhead: Sequence[float],
 ):
-    """Core step-level loop over pre-grouped message indices.
+    """Core step-level loop over messages sorted by lockstep step.
 
-    ``groups`` lists message indices per lockstep group, in ascending gate
-    order; every dependency must resolve in a strictly earlier group (the
-    caller guarantees this — see
-    :meth:`repro.collectives.compiled.CompiledSchedule._step_groups`).
+    Step ``s`` is the message index range
+    ``range(step_bounds[s - 1], step_bounds[s])``, walked in ascending
+    gate order; every dependency must resolve in a strictly earlier step
+    (the caller guarantees this — see
+    :attr:`repro.collectives.compiled.CompiledSchedule.step_bounds`).
     Routes arrive as CSR dense-link-id arrays and the dependency graph as
-    a :func:`dep_structure` triple — both payload-independent, so repeat
-    callers memoize them.
+    a :func:`~repro.network.links.dep_structure` triple — both
+    payload-independent, so repeat callers memoize them.
 
     Returns ``(finish, ready, inject, deliver, ideal, busy, total_wire)``
-    arrays, or ``None`` when processing the groups in order would diverge
+    arrays, or ``None`` when processing the steps in order would diverge
     from the event engine's global ``(ready, push_seq)`` order — the
     caller must then fall back.
     """
@@ -253,17 +139,17 @@ def run_grouped(
     last_ready = float("-inf")
     last_seq = -1
 
-    for group in groups:
-        if not group:
+    for lo, hi in zip(step_bounds, step_bounds[1:]):
+        if lo == hi:
             continue
-        entries = [(ready[idx], push_seq[idx], idx) for idx in group]
+        entries = [(ready[idx], push_seq[idx], idx) for idx in range(lo, hi)]
         entries.sort()
         first_ready, first_seq, _ = entries[0]
         if first_ready < last_ready or (
             first_ready == last_ready and first_seq < last_seq
         ):
-            # A message of this group becomes ready before the previous
-            # group finished injecting: the event engine would interleave
+            # A message of this step becomes ready before the previous
+            # step finished injecting: the event engine would interleave
             # the two steps, so step-level processing is not exact here.
             return None
         for rd, _sq, idx in entries:
@@ -500,7 +386,7 @@ def run_arrays(
     topology: Topology,
     flow_control: FlowControl,
     engine: str,
-    groups: Sequence[Sequence[int]],
+    step_bounds: Sequence[int],
     payloads: Sequence[float],
     route_off: Sequence[int],
     route_val: Sequence[int],
@@ -515,9 +401,9 @@ def run_arrays(
     ``engine="event"`` runs :func:`run_indexed`, the event engine,
     feeding it ``recorder`` and ``messages`` (see there) — the path
     :meth:`repro.network.simulator.NetworkSimulator.run` takes.
-    ``engine="lockstep"`` tries :func:`run_grouped` over the
-    lockstep-gated ``groups`` first and drops to :func:`run_indexed`
-    when step-level grouping would diverge; it takes no ``recorder``,
+    ``engine="lockstep"`` tries :func:`run_grouped` over the step row
+    ranges ``step_bounds`` first and drops to :func:`run_indexed` when
+    step-level processing would diverge; it takes no ``recorder``,
     since :func:`run_grouped` has no hooks.  Every run emits one
     ``sim.run`` span naming the engine that resolved it (``resolved``),
     plus an ``engine.fallback`` event under it for a ``lockstep``
@@ -537,7 +423,7 @@ def run_arrays(
         resolved = "event"
         if engine == "lockstep":
             raw = run_grouped(
-                table, flow_control, groups, payloads, route_off,
+                table, flow_control, step_bounds, payloads, route_off,
                 route_val, dep_struct, not_before, receive_overhead,
             )
             if raw is None:

@@ -43,7 +43,7 @@ from typing import (
 
 from ..topology.base import LinkKey, Topology
 from .flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
-from .links import link_table
+from .links import dep_structure, link_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
@@ -199,7 +199,7 @@ class NetworkSimulator:
 
         Lowers the list to the columns of the array heap — routes as a
         CSR of dense link ids, ``deps`` as a
-        :func:`~repro.network.lockstep_engine.dep_structure` triple,
+        :func:`~repro.network.links.dep_structure` triple,
         payload, gate and overhead columns — and plays them with
         :func:`~repro.network.lockstep_engine.run_arrays` on the
         ``event`` engine, which emits the ``sim.run`` span.  A route naming a link the topology lacks raises
@@ -210,7 +210,7 @@ class NetworkSimulator:
         are computed (see :mod:`repro.trace`); it never alters the
         simulation — results are bit-identical with and without one.
         """
-        from .lockstep_engine import dep_structure, run_arrays
+        from .lockstep_engine import run_arrays
 
         n = len(messages)
         id_of = link_table(self.topology).id_of

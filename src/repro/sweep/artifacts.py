@@ -140,7 +140,7 @@ class ArtifactStore:
     (keyed by the same artifact fingerprint), so jobs that share a
     schedule fingerprint within one process — a multi-size planner
     bucket, a serial sweep — share one :class:`CompiledSchedule` instance
-    and therefore its memoized derived state (step groups, dependency
+    and therefore its memoized derived state (step bounds, dependency
     CSR, vectorization plan) instead of re-parsing the shards per job.
     The memo is **LRU-bounded** (``memo_capacity``, default
     :data:`DEFAULT_MEMO_CAP`): a long-lived process sweeping hundreds of

@@ -22,7 +22,7 @@ from repro.bench.reference import (
 from repro.collectives import build_schedule, compile_algorithm
 from repro.collectives.compiled import CompiledSchedule
 from repro.metrics import collecting
-from repro.network.lockstep_engine import LazyTimings, dep_structure
+from repro.network.links import LazyTimings, dep_structure
 from repro.ni import injector
 from repro.ni.injector import simulate_allreduce
 from repro.scenario import Scenario

@@ -9,17 +9,24 @@ metrics, never silent.  The size-axis grammar guards
 entry points that share it (``repro sweep`` and ``repro plan``).
 """
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.reference import reference_run, reference_simulate_allreduce
 from repro.cli import main
-from repro.collectives import build_schedule, compile_schedule
+from repro.collectives import (
+    build_schedule,
+    compile_algorithm,
+    compile_schedule,
+)
+from repro.collectives.compiled import CompiledSchedule
 from repro.metrics import collecting
 from repro.network import PacketBased
 from repro.network.lockstep_vec import run_batch
 from repro.ni.injector import build_messages, simulate_allreduce
-from repro.sweep import PredictionCache
+from repro.sweep import ArtifactStore, PredictionCache
 from repro.sweep.runner import SweepJob, SweepStats, run_sweep
 from repro.topology import FatTree, Mesh2D, Torus2D
 
@@ -38,18 +45,71 @@ CONFIGS = [
     pytest.param(lambda: FatTree(4, 4), "dbtree", id="fattree-dbtree"),
 ]
 
-# One compiled schedule per configuration for the whole battery: the
-# compiled form memoizes its vectorization plan, so sharing it across
-# hypothesis examples also exercises plan reuse at many sizes.
+# Both column storages of a compiled schedule: plain lists from the
+# object compiler, and lazy numpy shards after an artifact round-trip.
+STORAGE_CONFIGS = [
+    pytest.param(*config.values, "object", id=config.id)
+    for config in CONFIGS
+] + [
+    pytest.param(*config.values, "artifact", id=config.id + "-artifact")
+    for config in CONFIGS
+]
+
+# One compiled schedule per configuration and storage for the whole
+# battery: the compiled form memoizes its vectorization plan, so sharing
+# it across hypothesis examples also exercises plan reuse at many sizes.
 _COMPILED = {}
 
 
-def compiled_for(make_topo, algorithm):
-    key = (make_topo, algorithm)
+@pytest.fixture(scope="module")
+def artifact_root(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("artifacts"))
+
+
+def compiled_for(make_topo, algorithm, storage="object", artifact_root=None):
+    key = (make_topo, algorithm, storage)
     if key not in _COMPILED:
-        topo = make_topo()
-        _COMPILED[key] = compile_schedule(build_schedule(algorithm, topo))
+        if storage == "object":
+            topo = make_topo()
+            _COMPILED[key] = compile_schedule(build_schedule(algorithm, topo))
+        else:
+            compiled = compiled_for(make_topo, algorithm)
+            ArtifactStore(artifact_root).put(compiled)
+            loaded = ArtifactStore(artifact_root).get(
+                compiled.topology, algorithm
+            )
+            assert loaded is not None and not isinstance(loaded.steps, list)
+            _COMPILED[key] = loaded
     return _COMPILED[key]
+
+
+def point_row(point):
+    return (point.data_bytes, point.time, point.bandwidth,
+            point.max_queue_delay, point.engine, point.reason)
+
+
+def out_of_step_order(compiled):
+    """The same ops stored in reverse order, dependency ids remapped."""
+    n = len(compiled)
+    off = compiled.route_off
+    routes = [compiled.route_val[off[i]:off[i + 1]] for i in range(n)][::-1]
+    deps = [[n - 1 - dep for dep in row] for row in compiled.deps][::-1]
+    return CompiledSchedule(
+        topology=compiled.topology,
+        algorithm=compiled.algorithm,
+        num_steps=compiled.num_steps,
+        srcs=compiled.srcs[::-1],
+        dsts=compiled.dsts[::-1],
+        steps=compiled.steps[::-1],
+        frac_num=compiled.frac_num[::-1],
+        frac_den=compiled.frac_den[::-1],
+        links=compiled.links,
+        route_off=[0, *accumulate(map(len, routes))],
+        route_val=[link for route in routes for link in route],
+        dep_off=[0, *accumulate(map(len, deps))],
+        dep_val=[dep for row in deps for dep in row],
+        ser_profile=compiled.ser_profile,
+    )
 
 
 def assert_identical(a, b):
@@ -61,18 +121,25 @@ def assert_identical(a, b):
 
 
 class TestBatchedExactness:
-    """run_batch(sizes) == N independent scalar lockstep runs, exactly."""
+    """run_batch(sizes) == N independent scalar lockstep runs, exactly,
+    whichever storage backs the compiled columns."""
 
-    @pytest.mark.parametrize("make_topo,algorithm", CONFIGS)
+    @pytest.mark.parametrize("make_topo,algorithm,storage", STORAGE_CONFIGS)
     @settings(max_examples=6, deadline=None)
     @given(base=st.integers(4 * KiB, 4 * MiB), ladder=st.integers(2, 4))
     def test_run_batch_equals_scalar_runs(
-        self, make_topo, algorithm, base, ladder
+        self, make_topo, algorithm, storage, artifact_root, base, ladder
     ):
-        compiled = compiled_for(make_topo, algorithm)
+        compiled = compiled_for(make_topo, algorithm, storage, artifact_root)
         fc = PacketBased()
         sizes = [base << step for step in range(ladder)]
         batch = compiled.simulate_batch(sizes, fc, keep_timings=True)
+        if storage != "object":
+            twin = compiled_for(make_topo, algorithm).simulate_batch(sizes, fc)
+            assert batch.fallbacks == twin.fallbacks
+            assert list(map(point_row, batch.points)) == list(
+                map(point_row, twin.points)
+            )
         assert batch.sizes == tuple(sizes)
         assert len(batch.points) == len(sizes)
         assert batch.fallbacks == sum(
@@ -86,17 +153,33 @@ class TestBatchedExactness:
             assert point.max_queue_delay == scalar.max_queue_delay()
             assert_identical(outcome.simulation, scalar.simulation)
 
-    @pytest.mark.parametrize("make_topo,algorithm", CONFIGS)
-    def test_single_size_batch_matches_simulate(self, make_topo, algorithm):
+    @pytest.mark.parametrize("make_topo,algorithm,storage", STORAGE_CONFIGS)
+    def test_single_size_batch_matches_simulate(
+        self, make_topo, algorithm, storage, artifact_root
+    ):
         """engine="lockstep-vec" through CompiledSchedule.simulate is the
         one-column batch and equals the scalar engine exactly."""
-        compiled = compiled_for(make_topo, algorithm)
+        compiled = compiled_for(make_topo, algorithm, storage, artifact_root)
         fc = PacketBased()
         for size in (32 * KiB, 2 * MiB):
             vec = compiled.simulate(size, fc, engine="lockstep-vec")
             scalar = compiled.simulate(size, fc, engine="lockstep")
             assert vec.time == scalar.time
             assert_identical(vec.simulation, scalar.simulation)
+
+    def test_dependency_wake_reads_every_edge(self):
+        """Some steps of the streaming-compiled mesh-8x8 MultiTree end in
+        rows without dependencies after a row with two.  The pull-model
+        wake-up must still take the max over both edges of that row, so
+        every per-message timing equals the scalar engine's."""
+        compiled = compile_algorithm("multitree", Mesh2D(8, 8))
+        fc = PacketBased()
+        sizes = (8 * MiB, 32 * MiB)
+        batch = compiled.simulate_batch(sizes, fc, keep_timings=True)
+        assert batch.fallbacks == 0
+        for size, outcome in zip(sizes, batch.results):
+            scalar = compiled.simulate(size, fc, engine="lockstep")
+            assert_identical(outcome.simulation, scalar.simulation)
 
     def test_raw_message_engine_equals_event(self):
         """simulate_allreduce(engine="lockstep-vec") runs the vectorized
@@ -121,6 +204,26 @@ class TestBatchedExactness:
             run_batch(compiled, [])
         with pytest.raises(ValueError):
             run_batch(compiled, [32 * KiB, 0])
+
+    def test_ops_out_of_step_order_are_rejected(self):
+        """Every lockstep engine reads a step as a contiguous row range,
+        so a schedule whose ops are not sorted by step must raise rather
+        than run."""
+        compiled = compiled_for(*CONFIGS[1].values)  # torus-4x4 / ring
+        shuffled = out_of_step_order(compiled)
+        fc = PacketBased()
+        with pytest.raises(ValueError, match="step order"):
+            shuffled.simulate(1 * MiB, fc, engine="lockstep")
+        with pytest.raises(ValueError, match="step order"):
+            shuffled.simulate_batch((32 * KiB, 1 * MiB), fc)
+        relaid = out_of_step_order(shuffled)
+        assert relaid.simulate(1 * MiB, fc, engine="lockstep").time == (
+            compiled.simulate(1 * MiB, fc, engine="lockstep").time
+        )
+        relaid = out_of_step_order(shuffled)
+        relaid.num_steps -= 1  # the last step now lies outside the range
+        with pytest.raises(ValueError, match="step order"):
+            relaid.simulate_batch((32 * KiB,), fc)
 
 
 class TestFallbackCounting:
