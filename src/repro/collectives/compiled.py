@@ -334,12 +334,13 @@ class CompiledSchedule:
         row range ``step_bounds[s - 1]:step_bounds[s]``.  Every lockstep
         engine reads this one layout.  A step with no routed ops is an
         empty range; its zero estimated duration shares a gate with the
-        next step, and :func:`repro.network.lockstep_engine.run_grouped`
-        skips it.  Dependencies always point to a strictly earlier step
-        (the injector derives them from earlier-step deliveries only),
-        and any two steps that both contain ops are separated by a
-        strictly positive gate increment, so the caller contract of
-        ``run_grouped`` holds by construction.
+        next step, and the step order of
+        :func:`repro.network.lockstep_engine.run_indexed` skips it.
+        Compiled dependencies always point to a strictly earlier step
+        (the injector derives them from earlier-step deliveries only).
+        The step order still checks it: a step whose rows are not all
+        ready when it starts makes the run decline to the heap order,
+        so a hand-built schedule that breaks the rule stays exact.
 
         Raises ``ValueError`` when the ``steps`` column is not
         nondecreasing within ``1..num_steps``: such a schedule has no
@@ -376,27 +377,29 @@ class CompiledSchedule:
 
         Bit-identical to
         :func:`repro.ni.injector.simulate_allreduce` on the schedule this
-        was compiled from, for every engine.  Lockstep-gated runs without
-        a ``recorder`` never build :class:`Message` objects; they spread
+        was compiled from, for every engine.  Runs without a ``recorder``
+        never build :class:`Message` objects.  Lockstep-gated ones spread
         the step gates over :attr:`step_bounds`, so a schedule whose ops
         are not in step order raises ``ValueError``:
 
-        * ``engine="event"`` runs the array heap
-          (:func:`~repro.network.lockstep_engine.run_indexed`), the event
-          engine's processing order and arithmetic over the CSR arrays;
-        * ``engine="lockstep"`` (the default here) runs the step-level
-          engine over the same arrays, one row range per step, and drops
-          to the array heap when step-level processing would diverge;
+        * ``engine="event"`` runs the scalar engine
+          (:func:`~repro.network.lockstep_engine.run_indexed`) in heap
+          order, the event engine's processing order and arithmetic over
+          the CSR arrays;
+        * ``engine="lockstep"`` (the default here) runs the same loop in
+          step order, one row range per step, and reruns the arrays in
+          heap order when the step order declines;
         * ``engine="lockstep-vec"`` runs the numpy engine of
           :mod:`repro.network.lockstep_vec` (a one-column batch over the
           same ranges) with the ``lockstep`` ladder above as its fallback.
 
         Both scalar engines emit the spans and metrics of
-        :func:`~repro.network.lockstep_engine.run_arrays`.  A
-        ``recorder`` or ``lockstep=False`` lowers to messages and plays
-        them with :meth:`repro.network.simulator.NetworkSimulator.run`
-        — the array heap again, which feeds the recorder — whatever the
-        engine.
+        :func:`~repro.network.lockstep_engine.run_arrays`.
+        ``lockstep=False`` runs the arrays in heap order with zero gates
+        and no ``lockstep.gates`` event, whatever the engine.  A
+        ``recorder`` lowers to messages and plays them with
+        :meth:`repro.network.simulator.NetworkSimulator.run` — the heap
+        order again, which feeds the recorder — whatever the engine.
         """
         from ..network.flowcontrol import DEFAULT_FLOW_CONTROL
         from ..network.simulator import NetworkSimulator, check_engine
@@ -407,11 +410,11 @@ class CompiledSchedule:
             flow_control = DEFAULT_FLOW_CONTROL
         if data_bytes <= 0:
             raise ValueError("data_bytes must be positive")
-        if not lockstep or recorder is not None:
+        if recorder is not None:
             messages = self.build_messages(
                 data_bytes, flow_control, lockstep, scheduling_overhead
             )
-            if recorder is not None and lockstep:
+            if lockstep:
                 gates = self.step_gates(data_bytes, flow_control)
                 for step in sorted(gates):
                     recorder.step_gate(step, gates[step])
@@ -419,7 +422,9 @@ class CompiledSchedule:
             return AllReduceResult(
                 self, data_bytes, sim.run(messages, recorder)
             )
-        if engine == "lockstep-vec":
+        if not lockstep:
+            engine = "event"
+        elif engine == "lockstep-vec":
             from ..network.lockstep_vec import run_batch
 
             batch = run_batch(
@@ -430,17 +435,18 @@ class CompiledSchedule:
         return AllReduceResult(
             self, data_bytes,
             self._run_arrays(
-                data_bytes, flow_control, scheduling_overhead, engine
+                data_bytes, flow_control, scheduling_overhead, engine,
+                lockstep,
             ),
         )
 
     def _run_arrays(self, data_bytes, flow_control, scheduling_overhead,
-                    engine):
-        """One lockstep-gated ``event``/``lockstep`` run over the arrays."""
+                    engine, lockstep=True):
+        """One ``event``/``lockstep`` run over the arrays; ungated (all
+        gates zero, heap order only) unless ``lockstep``."""
         from ..network.lockstep_engine import link_table, run_arrays
 
         table = link_table(self.topology)
-        gates = self._gates(data_bytes, flow_control)
         # Payload scaling and gate lookup vectorize: float64 multiply
         # is IEEE-identical to the scalar product the injector
         # computes, and spreading the gates over the step ranges copies
@@ -451,11 +457,17 @@ class CompiledSchedule:
                 self.frac_floats, dtype=np.float64
             )
         payloads = (frac_arr * data_bytes).tolist()
-        bounds = self.step_bounds
-        gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
-        for step, gate in gates.items():
-            gate_vec[step] = gate
-        gate_arr = np.repeat(gate_vec[1:], np.diff(bounds)).tolist()
+        if lockstep:
+            gates = self._gates(data_bytes, flow_control)
+            bounds = self.step_bounds
+            gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
+            for step, gate in gates.items():
+                gate_vec[step] = gate
+            gate_arr = np.repeat(gate_vec[1:], np.diff(bounds)).tolist()
+            bounds = bounds.tolist()
+        else:
+            gate_arr = [0.0] * len(payloads)
+            bounds = ()
         # A plain-list view per run: the engines index it per message, and
         # a memoized copy would pin ~300 KiB per 64-node MultiTree.
         route_off = _column_list(self.route_off)
@@ -463,7 +475,7 @@ class CompiledSchedule:
             self.topology,
             flow_control,
             engine,
-            bounds.tolist(),
+            bounds,
             payloads,
             route_off,
             self._table_route_val(table),

@@ -1,11 +1,12 @@
 """Vectorized lockstep engine: numpy array ops over the step ranges.
 
-The scalar engine in :mod:`repro.network.lockstep_engine` already walks
-lockstep-gated schedules step by step over flat CSR arrays, but still
-visits every message (and every hop) in a Python loop.  This engine
-resolves each step's per-link FIFO pass with array operations instead,
-vectorized over the step's messages — and over a trailing **size
-axis**, so one compiled schedule is evaluated for an entire ``LO..HI``
+The scalar engine loop
+(:func:`repro.network.lockstep_engine.run_indexed`) already walks
+lockstep-gated schedules step by step in its step order over flat CSR
+arrays, but still visits every message (and every hop) in Python.  This
+engine resolves each step's per-link FIFO pass with array operations
+instead, vectorized over the step's messages — and over a trailing
+**size axis**, so one compiled schedule is evaluated for an entire ``LO..HI``
 doubling range of payload sizes in a single pass (:func:`run_batch`).
 
 Both engines read one step layout.  A compiled schedule stores its ops
@@ -31,8 +32,8 @@ structural facts, each *verified* (not assumed) per run:
   processing order cannot influence any computed value and the hop pass
   vectorizes safely.  The check is payload-independent, so the compiled
   path pays it once per schedule (memoized in the :class:`BatchPlan`).
-* **Clean gate boundaries.**  The scalar engine orders each step by the
-  event heap's ``(ready, push_seq)`` key and declines when a step's
+* **Clean gate boundaries.**  The scalar step order sorts each step by
+  the event heap's ``(ready, push_seq)`` key and declines when a step's
   earliest message sorts before the previous step's latest.  This engine
   checks ``min(ready)`` of each step against ``max(ready)`` of the
   previous one — per size column — and conservatively declines ties too

@@ -16,15 +16,18 @@ injection time (the lockstep gate of §IV-A).  Events are processed in
 global time order so FIFO arbitration between competing messages matches
 their actual readiness order.
 
-There is one event engine: :func:`repro.network.lockstep_engine.run_indexed`,
-the ``(ready, push_seq)`` heap over flat CSR arrays.
-:meth:`NetworkSimulator.run` lowers a :class:`Message` list to those
-arrays and feeds an optional trace recorder from its hooks; compiled
-schedules (:class:`repro.collectives.compiled.CompiledSchedule`) hand it
-their arrays directly, and only they reach the faster ``lockstep`` and
-``lockstep-vec`` engines, which return ``==`` numbers.  The frozen seed
-loop in :mod:`repro.bench.reference` is the reference every engine is
-pinned against.
+There is one scalar engine loop,
+:func:`repro.network.lockstep_engine.run_indexed`, over flat CSR arrays;
+its heap order (a global ``(ready, push_seq)`` heap) is the event
+engine.  :meth:`NetworkSimulator.run` lowers a :class:`Message` list to
+those arrays, plays them in heap order and feeds an optional trace
+recorder from its hooks.  Compiled schedules
+(:class:`repro.collectives.compiled.CompiledSchedule`) hand the loop
+their arrays directly, and only they reach the faster engines —
+``lockstep``, the same loop in step order, and the vectorized
+``lockstep-vec`` — which return ``==`` numbers.  The frozen seed loop in
+:mod:`repro.bench.reference` is the reference every engine is pinned
+against.
 """
 
 from __future__ import annotations
@@ -202,7 +205,8 @@ class NetworkSimulator:
         :func:`~repro.network.links.dep_structure` triple,
         payload, gate and overhead columns — and plays them with
         :func:`~repro.network.lockstep_engine.run_arrays` on the
-        ``event`` engine, which emits the ``sim.run`` span.  A route naming a link the topology lacks raises
+        ``event`` engine, which emits the ``sim.run`` span.  A route
+        naming a link the topology lacks raises
         ``KeyError``; a dependency index outside the list raises
         ``ValueError``.
 

@@ -98,7 +98,7 @@ class SweepJob:
     sizes: Tuple[int, ...]
     flow_control: str = "packet"  # "packet" | "message"
     lockstep: bool = True
-    engine: str = "event"         # "event" | "lockstep"
+    engine: str = "event"         # one of network.simulator.ENGINES
     label: Optional[str] = None
     overrides: Tuple[Tuple[str, object], ...] = ()
 

@@ -13,10 +13,10 @@ or the training iteration models, then:
   heatmap (:func:`link_hotspots`, :func:`utilization_heatmap`), or
 * print everything at once (:func:`format_trace_report`).
 
-Every recorded run plays on the one event engine, the array heap
-(:func:`repro.network.lockstep_engine.run_indexed`), which calls the
+Every recorded run plays on the event engine, the heap order of
+:func:`repro.network.lockstep_engine.run_indexed`, which calls the
 recorder's ``hop`` and ``message_done`` hooks in processing order; the
-faster lockstep engines are never asked to record.  Tracing is strictly
+step order and the vectorized engine are never asked to record.  Tracing is strictly
 opt-in: with no recorder the hooks reduce to one ``is not None`` test
 per event and produce bit-identical simulation results.
 """

@@ -1,8 +1,8 @@
 """The array heap is the event engine.
 
-Lockstep-gated compiled runs of the ``event`` and ``lockstep`` engines
-simulate the CSR arrays directly (``run_indexed`` / ``run_grouped``).
-These tests pin them ``==`` the frozen seed and the message path —
+Compiled runs of the ``event`` and ``lockstep`` engines simulate the CSR
+arrays directly: one loop, ``run_indexed``, in heap order or in step
+order.  These tests pin them ``==`` the frozen seed and the message path —
 timings, telemetry and ``run_job`` points — and pin the object-free
 helpers they lean on (``dep_structure``, array ``max_queue_delay``)
 against their materialized or frozen-seed forms.
@@ -28,6 +28,7 @@ from repro.ni.injector import simulate_allreduce
 from repro.scenario import Scenario
 from repro.sweep import SweepJob, run_job
 from repro.topology.specs import parse_topology_spec
+from repro.trace import Trace
 
 KiB = 1024
 MiB = 1 << 20
@@ -138,13 +139,17 @@ class TestArrayHeapIsEventEngine:
         for engine in ENGINES:
             for spec, variant in LIGHT:
                 run_job(SweepJob(spec, variant, SIZES, engine=engine))
+            # Ungated compiled runs play the columns too.
+            run_job(SweepJob("torus-4x4", "ring", SIZES[:1], engine=engine,
+                             lockstep=False))
         assert calls == []
-        # The wrappers are live: an ungated series and the injector lower.
-        run_job(SweepJob("torus-4x4", "ring", SIZES[:1], lockstep=False))
-        simulate_allreduce(
-            build_schedule("ring", parse_topology_spec("torus-4x4")),
-            SIZES[0],
+        # The wrappers are live: a recorded compiled run and the injector
+        # lower.
+        topology = parse_topology_spec("torus-4x4")
+        compile_algorithm("ring", topology).simulate(
+            SIZES[0], recorder=Trace()
         )
+        simulate_allreduce(build_schedule("ring", topology), SIZES[0])
         assert calls == ["compiled", "ni"]
 
 

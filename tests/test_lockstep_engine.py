@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.bench.reference import reference_simulate_allreduce
 from repro.collectives import build_schedule, compile_schedule
+from repro.collectives.compiled import CompiledSchedule
 from repro.metrics import collecting
 from repro.network import Message, NetworkSimulator, PacketBased
 from repro.network.lockstep_engine import LinkTable, link_table
@@ -39,6 +40,14 @@ TOPOLOGIES = [
 ]
 ALGORITHMS = ["multitree", "ring", "dbtree"]
 SIZES = [4 * KiB, 256 * KiB, 10 * MiB]
+
+#: Inputs on which the step order accepts the whole run: a single-hop
+#: torus ring, multi-hop switched routes, and two-channel X-rails.
+ENGAGING = [
+    ("torus-4x4", "ring", 10 * MiB),
+    ("fattree-8x8", "multitree", 8 * MiB),
+    ("torus-4x4@rails=2:0.5", "ring", 10 * MiB),
+]
 
 
 def assert_identical(a, b):
@@ -79,22 +88,26 @@ class TestEquivalenceBattery:
                 assert_identical(event.simulation, vec.simulation)
 
     def test_grouped_fast_path_engages(self):
-        """At serialization-dominated sizes the step-level path itself
-        (not a fallback) must produce the results."""
-        topo = Torus2D(4, 4)
-        schedule = build_schedule("ring", topo)
-        fc = PacketBased()
-        with obs.observing() as recorder:
-            result = compile_schedule(schedule).simulate(
-                10 * MiB, fc, engine="lockstep"
+        """At serialization-dominated sizes the step order itself (not a
+        fallback) must produce the results, on every input of
+        :data:`ENGAGING`."""
+        for spec, variant, size in ENGAGING:
+            where = (spec, variant, size)
+            resolved = Scenario(spec, variant, size).resolve()
+            fc = resolved.flow_control
+            topo = parse_topology_spec(spec)
+            schedule = build_schedule(resolved.builder, topo)
+            with obs.observing() as recorder:
+                result = compile_schedule(schedule).simulate(
+                    size, fc, engine="lockstep"
+                )
+            runs = [r for r in recorder.records
+                    if r["kind"] == "span" and r["name"] == "sim.run"]
+            assert [r["attrs"]["resolved"] for r in runs] == ["lockstep"], where
+            event = NetworkSimulator(topo, fc).run(
+                build_messages(schedule, size, fc)
             )
-        runs = [r for r in recorder.records
-                if r["kind"] == "span" and r["name"] == "sim.run"]
-        assert [r["attrs"]["resolved"] for r in runs] == ["lockstep"]
-        event = NetworkSimulator(topo, fc).run(
-            build_messages(schedule, 10 * MiB, fc)
-        )
-        assert_identical(event, result.simulation)
+            assert_identical(event, result.simulation)
 
 
 class TestFallback:
@@ -161,6 +174,41 @@ class TestFallback:
             "sim.fallbacks", engine="lockstep", reason="step-overlap",
             topology=topo.name,
         ) == 0
+
+    def test_same_step_dependency_falls_back(self):
+        """A row whose dependency lies in its own step is not ready when
+        the step starts: the step order declines (``step-overlap``) and
+        the heap order plays the run exactly."""
+        topo = Torus2D(4, 4)
+        compiled = compile_schedule(build_schedule("ring", topo))
+        bounds = compiled.step_bounds
+        first, last = int(bounds[-2]), int(bounds[-1]) - 1
+        deps = compiled.deps
+        deps[first] = deps[first] + [last]
+        dep_off = [0]
+        for dep_list in deps:
+            dep_off.append(dep_off[-1] + len(dep_list))
+        skewed = CompiledSchedule(
+            compiled.topology, compiled.algorithm, compiled.num_steps,
+            compiled.srcs, compiled.dsts, compiled.steps,
+            compiled.frac_num, compiled.frac_den, compiled.links,
+            compiled.route_off, compiled.route_val,
+            dep_off, [dep for dep_list in deps for dep in dep_list],
+            compiled.ser_profile,
+        )
+        for size in (32 * KiB, 1 * MiB, 32 * MiB):
+            event = skewed.simulate(size, engine="event")
+            for engine in ("lockstep", "lockstep-vec"):
+                with collecting() as registry:
+                    fast = skewed.simulate(size, engine=engine)
+                assert_identical(fast.simulation, event.simulation)
+                assert registry.counter_value(
+                    "sim.fallbacks", engine="lockstep",
+                    reason="step-overlap", topology=topo.name,
+                ) == 1, (size, engine)
+                assert registry.counter_value(
+                    "sim.engine_runs", engine="event", topology=topo.name
+                ) == 1, (size, engine)
 
     def test_unknown_engine_rejected(self):
         """Engines are validated where they are chosen, naming the
