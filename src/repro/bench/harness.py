@@ -354,7 +354,9 @@ def bench_scaleout(
     375 KiB x num_nodes (swept over 1/4x, 1/2x, 1x here so each series is
     a small sweep rather than one point).  The reference pipeline is what
     a cold figure run paid before this layer existed: schedule
-    construction + full lowering + event-engine simulation per series.
+    construction per series, then per size a lowering to a message list
+    (:func:`~repro.ni.injector.build_messages`) played by the event
+    engine (:meth:`~repro.network.simulator.NetworkSimulator.run`).
     The optimized pipeline is the steady state of the artifact path: load
     the compiled artifact from disk (load time *is* timed) and run the
     lockstep engine per size.  The artifact prewarm (build + compile +
@@ -397,10 +399,12 @@ def bench_scaleout(
 
     def reference_sweep() -> List[float]:
         times: List[float] = []
+        sim = NetworkSimulator(topo, fc)
         for algorithm in algorithms:
             schedule = build_schedule(algorithm, topo)
             times.extend(
-                simulate_allreduce(schedule, size, fc).time for size in sizes
+                sim.run(build_messages(schedule, size, fc)).finish_time
+                for size in sizes
             )
         return times
 

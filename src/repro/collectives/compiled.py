@@ -2,13 +2,11 @@
 
 Building a schedule (tree construction, §III), deriving its message
 dependency DAG, and expanding per-op routes are all independent of the
-all-reduce payload size — yet a bandwidth sweep re-pays those costs at
-every data point, and every sweep worker process re-pays them from
-scratch.  A :class:`CompiledSchedule` captures the full lowered product
-once — op endpoints, steps, chunk fractions, routes, dependency lists,
-and the deduplicated serialization profile that drives the lockstep gate
-estimates (§IV-A) — so a simulation at a new data size only has to scale
-payloads and gates, not re-derive structure.
+all-reduce payload size.  A :class:`CompiledSchedule`, the one lowering
+of a schedule, captures that product once — op endpoints, steps, chunk
+fractions, routes, dependency lists, and the deduplicated serialization
+profile that drives the lockstep gate estimates (§IV-A) — so every
+simulation at a new data size only scales payloads and gates.
 
 The compiled form is columnar (flat integer arrays with offset tables
 rather than per-op records), which keeps 1024-node artifacts with
@@ -21,9 +19,9 @@ compare compiled forms with ``==``.
 Exactness: chunk fractions are stored as integer numerator/denominator
 pairs and converted with a single true division, which rounds identically
 to ``float(Fraction(n, d))`` — payloads, gate estimates, and therefore
-every simulated timing are bit-identical to simulating the original
-:class:`~repro.collectives.schedule.Schedule` (guarded by
-``tests/test_artifacts.py``).
+every simulated timing are bit-identical to the frozen seed's
+simulation of the original schedule (guarded by
+``tests/test_golden_equivalence.py`` and ``tests/test_artifacts.py``).
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ def segment_arange(counts: np.ndarray, reverse: bool = False) -> np.ndarray:
 class CompiledSchedule:
     """The payload-independent lowered product of one schedule.
 
-    Everything the injector derives from a :class:`Schedule` except the
+    Everything a simulation needs from a :class:`Schedule` except the
     payload sizes themselves: per-op endpoints/steps, chunk fractions,
     expanded routes, the dependency DAG, and the serialization profile
     behind the lockstep gates.  Instances are immutable after
@@ -147,8 +145,8 @@ class CompiledSchedule:
         self.dep_off = dep_off
         self.dep_val = dep_val
         #: Deduplicated ``(step, bottleneck_bandwidth, chunk_fraction)``
-        #: triples in first-occurrence order — the exact inputs of
-        #: :func:`repro.ni.lockstep.step_estimates`.
+        #: triples in first-occurrence order — the inputs of
+        #: :meth:`step_estimates`.
         self.ser_profile = ser_profile
         self.metadata = dict(metadata) if metadata else {}
         self._route_csr: Optional[List[int]] = None
@@ -212,13 +210,18 @@ class CompiledSchedule:
 
     @property
     def routes(self) -> List[Tuple[LinkKey, ...]]:
-        """Per-op route tuples, materialized fresh from the CSR arrays."""
+        """Per-op route tuples, materialized fresh from the CSR arrays.
+
+        Ops on the same route share one tuple: fewer live objects for
+        the garbage collector to scan while a message list is alive.
+        """
         links = self.links
-        off = self.route_off
-        val = self.route_val
+        keys = [links[v] for v in _column_list(self.route_val)]
+        off = _column_list(self.route_off)
+        shared: Dict[Tuple[LinkKey, ...], Tuple[LinkKey, ...]] = {}
         return [
-            tuple(links[val[k]] for k in range(off[i], off[i + 1]))
-            for i in range(len(off) - 1)
+            shared.setdefault(route, route)
+            for route in (tuple(keys[lo:hi]) for lo, hi in zip(off, off[1:]))
         ]
 
     @property
@@ -234,7 +237,8 @@ class CompiledSchedule:
     # -- payload-dependent lowering ---------------------------------------
 
     def step_estimates(self, data_bytes: float, flow_control) -> Dict[int, float]:
-        """Estimated duration of each step — matches the ni layer exactly."""
+        """Estimated duration of each step: the serialization time of its
+        largest chunk under ``flow_control`` (§IV-A, footnote 4)."""
         est: Dict[int, float] = {}
         ser_time = flow_control.serialization_time
         for step, bandwidth, fraction in self.ser_profile:
@@ -251,7 +255,7 @@ class CompiledSchedule:
         return lockstep_gates(self.num_steps, est)[0]
 
     def _gates(self, data_bytes: float, flow_control) -> Dict[int, float]:
-        """:meth:`step_gates` plus the ni layer's ``lockstep.gates`` event."""
+        """:meth:`step_gates` plus the ``lockstep.gates`` event."""
         from ..ni import lockstep as ni
 
         est = self.step_estimates(data_bytes, flow_control)
@@ -272,31 +276,48 @@ class CompiledSchedule:
         lockstep: bool = True,
         scheduling_overhead: float = 0.0,
     ):
-        """Lower to simulator :class:`Message` objects (``tag`` is ``None``).
-
-        Compiled schedules drop the original :class:`CommOp` objects, so
-        trace events recorded against these messages carry no op
-        attribution — use the uncompiled path when attribution matters.
-        """
+        """Lower to simulator :class:`Message` objects (``tag`` is ``None``),
+        in the op order of the schedule this was lowered from."""
         from ..network.simulator import Message
 
         gates = self._gates(data_bytes, flow_control) if lockstep else {}
-        frac_floats = self.frac_floats
-        steps = self.steps
-        routes = self.routes
-        deps = self.deps
+        # Positional fields, in Message's order: src, dst, payload_bytes,
+        # route, deps, not_before, receive_overhead.
         return [
-            Message(
-                src=self.srcs[i],
-                dst=self.dsts[i],
-                payload_bytes=frac_floats[i] * data_bytes,
-                route=routes[i],
-                deps=deps[i],
-                not_before=gates.get(steps[i], 0.0),
-                receive_overhead=scheduling_overhead,
+            Message(src, dst, frac * data_bytes, route, deps,
+                    gates.get(step, 0.0), scheduling_overhead)
+            for src, dst, step, frac, route, deps in zip(
+                self.srcs, self.dsts, self.steps, self.frac_floats,
+                self.routes, self.deps,
             )
-            for i in range(len(steps))
         ]
+
+    def _lower_recorded(self, data_bytes, flow_control, lockstep,
+                        scheduling_overhead, recorder, tags=None):
+        """:meth:`build_messages`, message ``i`` tagged ``tags[i]``; a
+        ``recorder`` gets the run's metadata (a message list always plays
+        on the event engine) and the step gates."""
+        messages = self.build_messages(
+            data_bytes, flow_control, lockstep, scheduling_overhead
+        )
+        if tags is not None:
+            for message, tag in zip(messages, tags):
+                message.tag = tag
+        if recorder is not None:
+            for key, value in (
+                ("algorithm", self.algorithm),
+                ("topology", self.topology.name),
+                ("data_bytes", float(data_bytes)),
+                ("flow_control", flow_control.name),
+                ("lockstep", lockstep),
+                ("engine", "event"),
+            ):
+                recorder.meta(key, value)
+            if lockstep:
+                gates = self.step_gates(data_bytes, flow_control)
+                for step in sorted(gates):
+                    recorder.step_gate(step, gates[step])
+        return messages
 
     # -- memoized per-topology structure -----------------------------------
 
@@ -337,7 +358,8 @@ class CompiledSchedule:
         next step, and the step order of
         :func:`repro.network.lockstep_engine.run_indexed` skips it.
         Compiled dependencies always point to a strictly earlier step
-        (the injector derives them from earlier-step deliveries only).
+        (:func:`~repro.ni.injector.dependency_csr` keeps earlier-step
+        deliveries only).
         The step order still checks it: a step whose rows are not all
         ready when it starts makes the run decline to the heap order,
         so a hand-built schedule that breaks the rule stays exact.
@@ -375,9 +397,9 @@ class CompiledSchedule:
     ):
         """Simulate one all-reduce of ``data_bytes`` from the compiled form.
 
-        Bit-identical to
-        :func:`repro.ni.injector.simulate_allreduce` on the schedule this
-        was compiled from, for every engine.  Runs without a ``recorder``
+        :func:`repro.ni.injector.simulate_allreduce` runs this on
+        :func:`lower_schedule` of its schedule; every engine returns the
+        frozen seed loop's numbers.  Runs without a ``recorder``
         never build :class:`Message` objects.  Lockstep-gated ones spread
         the step gates over :attr:`step_bounds`, so a schedule whose ops
         are not in step order raises ``ValueError``:
@@ -411,13 +433,10 @@ class CompiledSchedule:
         if data_bytes <= 0:
             raise ValueError("data_bytes must be positive")
         if recorder is not None:
-            messages = self.build_messages(
-                data_bytes, flow_control, lockstep, scheduling_overhead
+            messages = self._lower_recorded(
+                data_bytes, flow_control, lockstep, scheduling_overhead,
+                recorder,
             )
-            if lockstep:
-                gates = self.step_gates(data_bytes, flow_control)
-                for step in sorted(gates):
-                    recorder.step_gate(step, gates[step])
             sim = NetworkSimulator(self.topology, flow_control)
             return AllReduceResult(
                 self, data_bytes, sim.run(messages, recorder)
@@ -448,7 +467,7 @@ class CompiledSchedule:
 
         table = link_table(self.topology)
         # Payload scaling and gate lookup vectorize: float64 multiply
-        # is IEEE-identical to the scalar product the injector
+        # is IEEE-identical to the scalar product :meth:`build_messages`
         # computes, and spreading the gates over the step ranges copies
         # floats untouched.
         frac_arr = self._frac_arr
@@ -550,10 +569,9 @@ def compile_schedule(schedule) -> CompiledSchedule:
     Every column comes from the schedule's memoized integer views: op
     columns (:meth:`~repro.collectives.schedule.Schedule.op_columns`),
     the dependency CSR (:func:`~repro.ni.injector.dependency_csr`), the
-    per-pair route table and the serialization profile — the same
-    derivations the injector runs, frozen into flat plain-list columns.
-    Runs inside a ``schedule.compile`` span (``path="object"``), the
-    streaming compiler's span name.
+    per-pair route table and the serialization profile, frozen into flat
+    plain-list columns.  Runs inside a ``schedule.compile`` span
+    (``path="object"``), the streaming compiler's span name.
     """
     with obs.span(
         "schedule.compile",
@@ -567,23 +585,19 @@ def compile_schedule(schedule) -> CompiledSchedule:
 
 
 def lower_schedule(schedule) -> CompiledSchedule:
-    """:func:`compile_schedule` without its span.
+    """:func:`compile_schedule` without its span: the one lowering.
 
-    For callers that lower a schedule only to run it
-    (:func:`repro.ni.injector.simulate_allreduce`) and for the streaming
-    compiler's degenerate case, which sits inside its own span.  The
-    imports are local because the ni layer imports the collectives
-    package.
+    For callers that lower a schedule only to run it (the ni layer, the
+    sweep helpers) and for the streaming compiler's degenerate case,
+    which sits inside its own span.  It memoizes nothing; the schedule's
+    integer views are memoized.  The imports are local because the ni
+    layer imports the collectives package.
     """
     from ..ni.injector import dependency_csr
     from ..ni.lockstep import _ser_profile
 
     cols = schedule.op_columns()
     dep_off, dep_val = dependency_csr(schedule)
-    ser_profile = [
-        (step, bandwidth, float(fraction))
-        for step, bandwidth, fraction in _ser_profile(schedule)
-    ]
     routes, index = schedule.route_table()
     # Link ids in first-use order over the ops: a route's links are all
     # seen at its first use, so scanning the distinct routes in
@@ -623,6 +637,6 @@ def lower_schedule(schedule) -> CompiledSchedule:
         route_val=route_val.tolist(),
         dep_off=dep_off.tolist(),
         dep_val=dep_val.tolist(),
-        ser_profile=ser_profile,
+        ser_profile=_ser_profile(schedule),
         metadata=schedule.metadata,
     )

@@ -60,7 +60,7 @@ class ChunkRange:
     def bytes_of(self, total_bytes: float) -> float:
         # float(Fraction) is exact-to-nearest and the range is immutable,
         # so memoize it: the Fraction subtraction/conversion dominates the
-        # per-op cost of lowering a schedule to messages otherwise.
+        # per-op cost of volume accounting and schedule tables otherwise.
         frac = self.__dict__.get("_float_fraction")
         if frac is None:
             frac = float(self.fraction)
@@ -289,19 +289,6 @@ class Schedule:
                 index.append(entry)
             cached = (routes, np.asarray(index, dtype=np.intp))
             self.__dict__["_route_table"] = cached
-        return cached
-
-    def op_routes(self) -> List[List[LinkKey]]:
-        """Route of every op (aligned with ``self.ops``), computed once.
-
-        Ops with the same endpoints share one list from
-        :meth:`route_table`.
-        """
-        cached = self.__dict__.get("_op_routes")
-        if cached is None:
-            routes, index = self.route_table()
-            cached = [routes[k] for k in index.tolist()]
-            self.__dict__["_op_routes"] = cached
         return cached
 
     # -- structural checks --------------------------------------------------------

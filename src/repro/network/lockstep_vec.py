@@ -447,7 +447,7 @@ def _run_batch(
         wire, exact = wire_classes(flow_control, payload_table)
         totals, exact = exact_wire_totals(wire, exact, plan.class_hops)
         # Per-size lockstep gates, by the same scalar arithmetic the
-        # injector uses, spread over the step ranges into the
+        # scalar engines use, spread over the step ranges into the
         # (num_messages, sizes) matrix.
         gate_mat = np.zeros((compiled.num_steps + 1, num_sizes))
         for j, size in enumerate(sizes):

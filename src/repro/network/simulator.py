@@ -11,7 +11,7 @@ uses NI-side staging, Table III and footnote 4), so backpressure is not
 modeled; contention appears as FIFO queueing delay at each channel.
 
 Messages carry explicit dependency edges (receive-before-send, produced by
-:mod:`repro.ni.injector` from the schedule tables) and an optional earliest
+:mod:`repro.ni.injector` from the schedule IR) and an optional earliest
 injection time (the lockstep gate of §IV-A).  Events are processed in
 global time order so FIFO arbitration between competing messages matches
 their actual readiness order.
@@ -19,13 +19,14 @@ their actual readiness order.
 There is one scalar engine loop,
 :func:`repro.network.lockstep_engine.run_indexed`, over flat CSR arrays;
 its heap order (a global ``(ready, push_seq)`` heap) is the event
-engine.  :meth:`NetworkSimulator.run` lowers a :class:`Message` list to
-those arrays, plays them in heap order and feeds an optional trace
-recorder from its hooks.  Compiled schedules
-(:class:`repro.collectives.compiled.CompiledSchedule`) hand the loop
-their arrays directly, and only they reach the faster engines —
+engine.  Every schedule is lowered to a compiled schedule
+(:class:`repro.collectives.compiled.CompiledSchedule`), which hands the
+loop its arrays directly and alone reaches the faster engines —
 ``lockstep``, the same loop in step order, and the vectorized
-``lockstep-vec`` — which return ``==`` numbers.  The frozen seed loop in
+``lockstep-vec`` — which return ``==`` numbers.
+:meth:`NetworkSimulator.run` plays recorded and hand-made
+:class:`Message` lists: it lowers them to the same arrays and feeds an
+optional trace recorder from its hooks.  The frozen seed loop in
 :mod:`repro.bench.reference` is the reference every engine is pinned
 against.
 """

@@ -1,12 +1,6 @@
 """Co-designed network interface: schedule tables, lockstep, injection."""
 
-from .injector import (
-    AllReduceResult,
-    build_messages,
-    dependency_lists,
-    simulate_allreduce,
-)
-from .lockstep import step_estimates, step_gates
+from .injector import AllReduceResult, build_messages, simulate_allreduce
 from .machine import IssueRecord, NIMachine, NISimulationResult, simulate_with_ni_machines
 from .schedule_table import ScheduleTable, TableEntry, TableOp, build_schedule_tables
 
@@ -21,8 +15,5 @@ __all__ = [
     "TableOp",
     "build_messages",
     "build_schedule_tables",
-    "dependency_lists",
     "simulate_allreduce",
-    "step_estimates",
-    "step_gates",
 ]

@@ -12,9 +12,9 @@ Fig. 5 tables for tree flows and extends unchanged to the non-tree baselines
 same scheduling hardware "for fair comparison" (§V-A).
 
 The derivation is array-native: :func:`dependency_csr` joins integer
-``(node, unit)`` keys of the schedule's unit spans in numpy, and
-:func:`dependency_lists` is its per-op split.  The compiled form
-(:func:`repro.collectives.compiled.compile_schedule`) reads the same CSR.
+``(node, unit)`` keys of the schedule's unit spans in numpy, for the one
+lowering of a schedule (:func:`repro.collectives.compiled.lower_schedule`),
+which everything here runs or turns into messages.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from ..collectives.compiled import segment_arange
+from ..collectives.compiled import lower_schedule, segment_arange
 from ..collectives.schedule import Schedule
 from ..network.flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
 from ..network.simulator import (
@@ -33,7 +33,6 @@ from ..network.simulator import (
     SimulationResult,
     check_engine,
 )
-from .lockstep import step_gates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
@@ -109,24 +108,6 @@ def dependency_csr(schedule: Schedule) -> Tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def dependency_lists(schedule: Schedule) -> List[List[int]]:
-    """For each op (by index), the op indices it must wait for.
-
-    The per-op split of :func:`dependency_csr`, memoized on the schedule:
-    repeated simulations of the same schedule at different data sizes
-    (bandwidth sweeps) derive it once.  Callers must not mutate the
-    result.
-    """
-    cached = schedule.__dict__.get("_dependency_lists")
-    if cached is None:
-        dep_off, dep_val = dependency_csr(schedule)
-        off = dep_off.tolist()
-        val = dep_val.tolist()
-        cached = [val[off[i]:off[i + 1]] for i in range(len(off) - 1)]
-        schedule.__dict__["_dependency_lists"] = cached
-    return cached
-
-
 @dataclass
 class AllReduceResult:
     """Timing outcome of one simulated all-reduce."""
@@ -167,32 +148,16 @@ def build_messages(
     software implementation of the same schedules pays it on every hop of
     every dependency chain (§VII-B).
 
-    Every message's ``tag`` is its :class:`CommOp`, so a trace recorder can
-    attribute simulator events back to the schedule (op kind and lockstep
-    step).  When a ``recorder`` is given, the lockstep gates are reported to
-    it as step-boundary events.
+    The messages are those of the compiled form, whose rows keep
+    ``schedule.ops`` order, so message ``i``'s ``tag`` is op ``i``: a
+    trace recorder can attribute simulator events back to the schedule
+    (op kind and lockstep step).  When a ``recorder`` is given, it gets
+    the run's metadata and the lockstep gates as step-boundary events.
     """
-    deps = dependency_lists(schedule)
-    routes = schedule.op_routes()
-    gates = step_gates(schedule, data_bytes, flow_control) if lockstep else {}
-    if recorder is not None:
-        for step in sorted(gates):
-            recorder.step_gate(step, gates[step])
-    messages = []
-    for idx, op in enumerate(schedule.ops):
-        messages.append(
-            Message(
-                src=op.src,
-                dst=op.dst,
-                payload_bytes=op.chunk.bytes_of(data_bytes),
-                route=routes[idx],
-                deps=deps[idx],
-                not_before=gates.get(op.step, 0.0),
-                receive_overhead=scheduling_overhead,
-                tag=op,
-            )
-        )
-    return messages
+    return lower_schedule(schedule)._lower_recorded(
+        data_bytes, flow_control, lockstep, scheduling_overhead, recorder,
+        schedule.ops,
+    )
 
 
 def simulate_allreduce(
@@ -208,38 +173,25 @@ def simulate_allreduce(
 
     Pass a :class:`repro.trace.Trace` as ``recorder`` to capture the full
     event timeline (hop grants, message lifetimes, lockstep gates) for
-    export and critical-path analysis; ``None`` (the default) simulates
-    with zero observation overhead.
-
-    ``engine="event"`` (the default), a ``recorder`` or ``lockstep=False``
-    lowers to messages and plays them with
-    :meth:`repro.network.simulator.NetworkSimulator.run` on the event
-    engine, the array heap.  Otherwise
-    ``engine="lockstep"``/``"lockstep-vec"`` run on the compiled arrays
-    (:meth:`repro.collectives.compiled.CompiledSchedule.simulate`):
-    bit-identical results, with a counted fallback down the engine
-    ladder wherever a fast engine declines.
+    export and critical-path analysis: the :func:`build_messages` list
+    plays on the event engine, whatever ``engine`` asks for.  ``None``
+    (the default) builds no message: the lowered schedule
+    (:meth:`repro.collectives.compiled.CompiledSchedule.simulate`) runs
+    on ``engine``, gated or not, with ``==`` results on every engine.
     """
     check_engine(engine)
     if data_bytes <= 0:
         raise ValueError("data_bytes must be positive")
-    if engine != "event" and lockstep and recorder is None:
-        from ..collectives.compiled import lower_schedule
-
-        result = lower_schedule(schedule).simulate(
+    if recorder is None:
+        simulation = lower_schedule(schedule).simulate(
             data_bytes, flow_control, lockstep, scheduling_overhead,
             engine=engine,
+        ).simulation
+    else:
+        messages = build_messages(
+            schedule, data_bytes, flow_control, lockstep,
+            scheduling_overhead, recorder,
         )
-        return AllReduceResult(schedule, data_bytes, result.simulation)
-    if recorder is not None:
-        recorder.meta("algorithm", schedule.algorithm)
-        recorder.meta("topology", schedule.topology.name)
-        recorder.meta("data_bytes", float(data_bytes))
-        recorder.meta("flow_control", flow_control.name)
-        recorder.meta("lockstep", lockstep)
-        recorder.meta("engine", engine)
-    messages = build_messages(
-        schedule, data_bytes, flow_control, lockstep, scheduling_overhead, recorder
-    )
-    sim = NetworkSimulator(schedule.topology, flow_control)
-    return AllReduceResult(schedule, data_bytes, sim.run(messages, recorder))
+        sim = NetworkSimulator(schedule.topology, flow_control)
+        simulation = sim.run(messages, recorder)
+    return AllReduceResult(schedule, data_bytes, simulation)

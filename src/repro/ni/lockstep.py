@@ -6,10 +6,13 @@ synchronization: each node advances its time-step counter after an
 chunk under the active flow control.  The estimate needs no message
 exchange because the all-reduce communication pattern is static.
 
-``step_gates`` returns the earliest injection time for every schedule step:
-``gate[1] = 0`` and ``gate[s+1] = gate[s] + est[s]`` where ``est[s]`` is the
-largest per-op serialization time in step ``s`` (steps where a node has no
-work are covered by NOP entries of the same estimated duration).
+The one lowering of a schedule
+(:func:`repro.collectives.compiled.lower_schedule`) freezes the
+serialization profile below into its columns, and its ``step_gates``
+give the earliest injection time for every step: ``gate[1] = 0`` and
+``gate[s+1] = gate[s] + est[s]`` where ``est[s]`` is the largest per-op
+serialization time in step ``s`` (steps where a node has no work are
+covered by NOP entries of the same estimated duration).
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ import numpy as np
 
 from .. import obs
 from ..collectives.schedule import Schedule
-from ..network.flowcontrol import FlowControl
 
 
 def _ser_profile(schedule: Schedule):
-    """Unique ``(step, bottleneck_bandwidth, chunk_fraction)`` triples.
+    """Unique ``(step, bottleneck_bandwidth, float chunk_fraction)`` triples.
 
     The per-op inputs to the step estimate depend only on the immutable
     schedule, and most ops of a step share the same chunk size and
@@ -70,25 +72,12 @@ def _ser_profile(schedule: Schedule):
         key = cols.steps[routed] * (len(pair_class) + 1) + pair_class
         _, first = np.unique(key, return_index=True)
         ops = schedule.ops
-        profile = []
-        for i in np.sort(routed[first]).tolist():
-            op = ops[i]
-            profile.append((op.step, bottleneck[index[i]], op.chunk.fraction))
+        profile = [
+            (ops[i].step, bottleneck[index[i]], float(ops[i].chunk.fraction))
+            for i in np.sort(routed[first]).tolist()
+        ]
         schedule.__dict__["_ser_profile"] = profile
     return profile
-
-
-def step_estimates(
-    schedule: Schedule, data_bytes: float, flow_control: FlowControl
-) -> Dict[int, float]:
-    """Estimated duration of each step (serialization of its largest chunk)."""
-    est: Dict[int, float] = {}
-    for step, bandwidth, fraction in _ser_profile(schedule):
-        payload = float(fraction) * data_bytes
-        ser = flow_control.serialization_time(payload, bandwidth)
-        if ser > est.get(step, 0.0):
-            est[step] = ser
-    return est
 
 
 def active_nodes_per_step(steps, srcs, dsts) -> Dict[int, int]:
@@ -142,20 +131,3 @@ def emit_gate_event(topology, algorithm: str, num_steps: int,
         span=span,
     )
 
-
-def step_gates(
-    schedule: Schedule, data_bytes: float, flow_control: FlowControl
-) -> Dict[int, float]:
-    """Earliest lockstep injection time per step."""
-    est = step_estimates(schedule, data_bytes, flow_control)
-    gates, span = lockstep_gates(schedule.num_steps, est)
-    if obs.metering():
-        active = schedule.__dict__.get("_active_nodes_per_step")
-        if active is None:
-            cols = schedule.op_columns()
-            active = schedule.__dict__["_active_nodes_per_step"] = (
-                active_nodes_per_step(cols.steps, cols.srcs, cols.dsts)
-            )
-        emit_gate_event(schedule.topology, schedule.algorithm,
-                        schedule.num_steps, active, est, span)
-    return gates

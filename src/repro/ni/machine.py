@@ -28,9 +28,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..collectives.compiled import lower_schedule
 from ..collectives.schedule import Schedule
 from ..network.flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
-from .lockstep import step_estimates
 from .schedule_table import ScheduleTable, TableEntry, TableOp, build_schedule_tables
 
 
@@ -134,7 +134,9 @@ def simulate_with_ni_machines(
     synchronization.
     """
     topo = schedule.topology
-    estimates = step_estimates(schedule, data_bytes, flow_control)
+    estimates = lower_schedule(schedule).step_estimates(
+        data_bytes, flow_control
+    )
     tables = build_schedule_tables(schedule, int(data_bytes), insert_nops=True)
     machines = {node: NIMachine(tables[node], estimates) for node in topo.nodes}
 

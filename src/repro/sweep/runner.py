@@ -26,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..analysis.metrics import BandwidthSweep, SweepPoint
 from ..collectives import compile_algorithm
+from ..collectives.compiled import lower_schedule
 from ..collectives.schedule import Schedule
 from ..network.flowcontrol import FlowControl
-from ..ni.injector import simulate_allreduce
 from ..scenario import (
     Scenario,
     group_scenarios,
@@ -172,13 +172,13 @@ def predict_cached(
 ) -> Dict[str, float]:
     """One prediction point, served from ``cache`` when warm.
 
-    ``schedule`` may be a :class:`Schedule` or a
-    :class:`repro.collectives.CompiledSchedule` — the cache key and the
-    sweep machinery only need ``.topology``/``.algorithm``, and compiled
-    schedules simulate themselves.  Pass ``key`` (a precomputed scenario
-    cache key, see :meth:`repro.scenario.Scenario.cache_key`) to skip
-    re-deriving it from the schedule — required when the point carries
-    SystemConfig overrides, which the schedule alone cannot know.
+    ``schedule`` may be a :class:`Schedule`, lowered once on a miss
+    (:func:`~repro.collectives.compiled.lower_schedule`), or a
+    :class:`repro.collectives.CompiledSchedule`; the cache key only
+    needs ``.topology``/``.algorithm``.  Pass ``key`` (a precomputed
+    scenario cache key, see :meth:`repro.scenario.Scenario.cache_key`) to
+    skip re-deriving it from the schedule — required when the point
+    carries SystemConfig overrides, which the schedule alone cannot know.
     """
     if cache is not None:
         if key is None:
@@ -189,19 +189,16 @@ def predict_cached(
         entry = cache.get(key)
         if entry is not None:
             return entry
-    simulate = getattr(schedule, "simulate", None)
-    if simulate is not None:  # CompiledSchedule
-        result = simulate(data_bytes, flow_control, lockstep, engine=engine)
-    else:
-        result = simulate_allreduce(
-            schedule, data_bytes, flow_control, lockstep, engine=engine
-        )
+    if isinstance(schedule, Schedule):
+        schedule = lower_schedule(schedule)
+    result = schedule.simulate(data_bytes, flow_control, lockstep,
+                               engine=engine)
     entry = {
         "time": result.time,
         "bandwidth": result.bandwidth,
         "max_queue_delay": result.max_queue_delay(),
     }
-    if cache is not None and key is not None:
+    if cache is not None:
         cache.put(key, **entry)
     return entry
 
@@ -219,10 +216,11 @@ def sweep_bandwidth_cached(
     """Cache-aware drop-in for :func:`repro.analysis.sweep_bandwidth`.
 
     ``keys``, when given, supplies one precomputed scenario cache key per
-    size (aligned with ``sizes``).
+    size (aligned with ``sizes``).  A :class:`Schedule` is lowered once
+    per series, and only when some size misses the cache.
 
-    With ``engine="lockstep-vec"`` and a compiled schedule, every cold
-    size of the series is evaluated in **one** batched vectorized pass
+    With ``engine="lockstep-vec"``, every cold size of the series is
+    evaluated in **one** batched vectorized pass
     (:meth:`repro.collectives.compiled.CompiledSchedule.simulate_batch`)
     and the cache is filled for the whole batch from that single
     simulation; warm sizes are still served from the cache, and sizes
@@ -230,41 +228,43 @@ def sweep_bandwidth_cached(
     inside the batch (counted in ``sim.fallbacks``) — the
     cached numbers are bit-identical either way.
     """
-    simulate_batch = getattr(schedule, "simulate_batch", None)
-    if engine == "lockstep-vec" and simulate_batch is not None:
-        if cache is not None and keys is None:
-            keys = [
-                point_key(
-                    schedule.topology, schedule.algorithm, flow_control,
-                    size, lockstep,
-                )
-                for size in sizes
-            ]
-        entries: List[Optional[Dict[str, float]]] = (
-            [cache.get(key) for key in keys] if cache is not None
-            else [None] * len(sizes)
-        )
-        cold = [index for index, entry in enumerate(entries) if entry is None]
-        if cold:
-            batch = simulate_batch(
-                [sizes[index] for index in cold], flow_control, lockstep
+    if cache is not None and keys is None:
+        keys = [
+            point_key(
+                schedule.topology, schedule.algorithm, flow_control,
+                size, lockstep,
             )
-            for index, point in zip(cold, batch.points):
-                entry = entries[index] = {
-                    "time": point.time,
-                    "bandwidth": point.bandwidth,
-                    "max_queue_delay": point.max_queue_delay,
-                }
-                if cache is not None:
-                    cache.put(keys[index], **entry)
-    else:
-        entries = [
-            predict_cached(
-                schedule, size, flow_control, lockstep, cache, engine,
-                key=keys[index] if keys is not None else None,
-            )
-            for index, size in enumerate(sizes)
+            for size in sizes
         ]
+    entries: List[Optional[Dict[str, float]]] = (
+        [cache.get(key) for key in keys] if cache is not None
+        else [None] * len(sizes)
+    )
+    cold = [index for index, entry in enumerate(entries) if entry is None]
+    if cold and isinstance(schedule, Schedule):
+        schedule = lower_schedule(schedule)
+    if cold and engine == "lockstep-vec":
+        batch = schedule.simulate_batch(
+            [sizes[index] for index in cold], flow_control, lockstep
+        )
+        fresh = [
+            {
+                "time": point.time,
+                "bandwidth": point.bandwidth,
+                "max_queue_delay": point.max_queue_delay,
+            }
+            for point in batch.points
+        ]
+    else:
+        fresh = [
+            predict_cached(schedule, sizes[index], flow_control, lockstep,
+                           engine=engine)
+            for index in cold
+        ]
+    for index, entry in zip(cold, fresh):
+        entries[index] = entry
+        if cache is not None:
+            cache.put(keys[index], **entry)
     return _sweep_of(
         schedule.topology.name, label or schedule.algorithm, sizes, entries
     )

@@ -13,12 +13,13 @@ or the training iteration models, then:
   heatmap (:func:`link_hotspots`, :func:`utilization_heatmap`), or
 * print everything at once (:func:`format_trace_report`).
 
-Every recorded run plays on the event engine, the heap order of
-:func:`repro.network.lockstep_engine.run_indexed`, which calls the
-recorder's ``hop`` and ``message_done`` hooks in processing order; the
-step order and the vectorized engine are never asked to record.  Tracing is strictly
-opt-in: with no recorder the hooks reduce to one ``is not None`` test
-per event and produce bit-identical simulation results.
+Every recorded run plays a message list, tagged with the schedule's ops,
+on the event engine (trace metadata ``engine: event``): the heap order
+of :func:`repro.network.lockstep_engine.run_indexed` calls the
+recorder's ``hop`` and ``message_done`` hooks in processing order.
+Tracing is strictly opt-in: with no recorder the hooks reduce to one
+``is not None`` test per event and produce bit-identical simulation
+results.
 """
 
 from .critical_path import (

@@ -136,21 +136,26 @@ class TestArrayHeapIsEventEngine:
         monkeypatch.setattr(
             CompiledSchedule, "build_messages", traced_compiled_lower
         )
+        topology = parse_topology_spec("torus-4x4")
+        schedule = build_schedule("ring", topology)
         for engine in ENGINES:
             for spec, variant in LIGHT:
                 run_job(SweepJob(spec, variant, SIZES, engine=engine))
             # Ungated compiled runs play the columns too.
             run_job(SweepJob("torus-4x4", "ring", SIZES[:1], engine=engine,
                              lockstep=False))
+            # So does an unrecorded Schedule, gated or not.
+            for lockstep in (True, False):
+                simulate_allreduce(schedule, SIZES[0], lockstep=lockstep,
+                                   engine=engine)
         assert calls == []
-        # The wrappers are live: a recorded compiled run and the injector
-        # lower.
-        topology = parse_topology_spec("torus-4x4")
+        # The wrappers are live: a recorded compiled run, and a recorded
+        # Schedule run through the injector lower.
         compile_algorithm("ring", topology).simulate(
             SIZES[0], recorder=Trace()
         )
-        simulate_allreduce(build_schedule("ring", topology), SIZES[0])
-        assert calls == ["compiled", "ni"]
+        simulate_allreduce(schedule, SIZES[0], recorder=Trace())
+        assert calls == ["compiled", "ni", "compiled"]
 
 
 def _sim_metrics(registry):

@@ -8,9 +8,9 @@ from repro.collectives import (
     build_schedule,
     compile_schedule,
 )
+from repro.collectives.compiled import lower_schedule
 from repro.network.flowcontrol import MessageBased, PacketBased
 from repro.ni.injector import build_messages, simulate_allreduce
-from repro.ni.lockstep import step_estimates, step_gates
 from repro.scenario import artifact_fingerprint
 from repro.sweep.artifacts import ARTIFACT_SCHEMA_VERSION, ArtifactStore
 from repro.topology import FatTree, Torus2D
@@ -70,13 +70,14 @@ class TestCompiledSchedule:
         topo = Torus2D(4, 4)
         schedule = build_schedule("multitree", topo)
         compiled = compile_schedule(schedule)
+        lowered = lower_schedule(schedule)
         for fc in (PacketBased(), MessageBased()):
             for size in (4 * KiB, 3 * MiB):
-                assert compiled.step_estimates(size, fc) == step_estimates(
-                    schedule, size, fc
+                assert compiled.step_estimates(size, fc) == (
+                    lowered.step_estimates(size, fc)
                 )
-                assert compiled.step_gates(size, fc) == step_gates(
-                    schedule, size, fc
+                assert compiled.step_gates(size, fc) == (
+                    lowered.step_gates(size, fc)
                 )
 
     def test_build_messages_matches_injector(self):

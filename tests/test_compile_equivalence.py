@@ -18,8 +18,8 @@ from repro.bench import (
     reference_step_gates,
 )
 from repro.collectives import build_schedule, compile_schedule
+from repro.collectives.compiled import lower_schedule
 from repro.network import MessageBased, PacketBased
-from repro.ni import dependency_lists, step_estimates, step_gates
 from repro.topology.specs import parse_topology_spec
 
 KiB = 1024
@@ -58,14 +58,17 @@ def test_compile_matches_seed_compiler(spec, algorithm):
     assert compile_schedule(schedule).to_dict() == (
         reference_compile_schedule(seed).to_dict()
     )
-    assert dependency_lists(schedule) == reference_dependency_lists(seed)
-    assert schedule.op_routes() == [seed.route_of(op) for op in seed.ops]
+    lowered = lower_schedule(schedule)
+    assert lowered.deps == reference_dependency_lists(seed)
+    assert [list(route) for route in lowered.routes] == [
+        seed.route_of(op) for op in seed.ops
+    ]
     for flow_control in (PacketBased(), MessageBased()):
         for size in (32 * KiB, 4 * MiB):
-            assert step_estimates(schedule, size, flow_control) == (
+            assert lowered.step_estimates(size, flow_control) == (
                 reference_step_estimates(seed, size, flow_control)
             )
-            assert step_gates(schedule, size, flow_control) == (
+            assert lowered.step_gates(size, flow_control) == (
                 reference_step_gates(seed, size, flow_control)
             )
 

@@ -8,6 +8,8 @@ four topology families, using exact ``==`` comparisons throughout — no
 approx, no tolerances.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,15 +25,10 @@ from repro.bench import (
     reference_step_gates,
 )
 from repro.collectives import build_schedule, build_trees
+from repro.collectives.compiled import lower_schedule
 from repro.collectives.multitree import trees_to_schedule
 from repro.network import MessageBased, NetworkSimulator, PacketBased
-from repro.ni import (
-    build_messages,
-    dependency_lists,
-    simulate_allreduce,
-    step_estimates,
-    step_gates,
-)
+from repro.ni import build_messages, simulate_allreduce
 from repro.runtime import Communicator
 from repro.topology import BiGraph, FatTree, Mesh2D, Torus2D
 from repro.topology.specs import parse_topology_spec
@@ -104,6 +101,60 @@ def test_switched_construction_bit_identical(spec, priority):
     assert fast.metadata == ref.metadata
 
 
+#: End-to-end pins against the seed: algorithm x flow control x
+#: ``(lockstep, scheduling_overhead)`` (gated, ungated, and a software
+#: scheduling overhead per dependency) x size; 2D-Ring runs where the
+#: fabric allows it (a torus or mesh).  The original cases (MultiTree,
+#: packet, gated, no overhead) keep their bare-size ids.
+END_TO_END_CASES = [
+    pytest.param(
+        algorithm, fc_factory, lockstep, overhead, size,
+        id=str(size)
+        if (algorithm, fc_factory, lockstep, overhead)
+        == ("multitree", PacketBased, True, 0.0)
+        else "%d/%s/%s/lockstep=%s/overhead=%g" % (
+            size, algorithm, fc_factory.__name__, lockstep, overhead
+        ),
+    )
+    for algorithm in ("multitree", "ring", "dbtree", "2d-ring")
+    for fc_factory in (PacketBased, MessageBased)
+    for lockstep, overhead in ((True, 0.0), (False, 0.0), (True, 2e-7))
+    for size in (32 * KiB, 2 * MiB)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def build_schedule_of(make_topo, algorithm):
+    """One schedule per pair, shared by its cases: the first case lowers
+    it cold, the rest reuse its memoized views."""
+    return build_schedule(algorithm, make_topo())
+
+
+@functools.lru_cache(maxsize=None)
+def seed_schedule(make_topo, algorithm):
+    """The seed side's schedule, on its own topology object: the frozen
+    seed construction for MultiTree, the builder otherwise.  Shared by
+    the cases of one pair; the seed lowering re-derives it per call."""
+    if algorithm == "multitree":
+        return reference_multitree_schedule(make_topo())
+    return build_schedule(algorithm, make_topo())
+
+
+def injection_bandwidth(topology):
+    """The smallest per-compute-node injection or ejection bandwidth:
+    the sum of ``bandwidth x capacity`` over a node's out-links (or
+    in-links), read from the topology's link table alone."""
+    out = dict.fromkeys(topology.nodes, 0.0)
+    into = dict.fromkeys(topology.nodes, 0.0)
+    for (src, dst), spec in topology.links.items():
+        rate = spec.bandwidth * spec.capacity
+        if src in out:
+            out[src] += rate
+        if dst in into:
+            into[dst] += rate
+    return min(min(out.values()), min(into.values()))
+
+
 @pytest.mark.parametrize("make_topo", TOPOLOGIES)
 class TestSimulatorEquivalence:
     @pytest.mark.parametrize("fc_factory", [PacketBased, MessageBased])
@@ -123,11 +174,12 @@ class TestSimulatorEquivalence:
         topo = make_topo()
         schedule = build_schedule("multitree", topo)
         fc = PacketBased()
-        assert dependency_lists(schedule) == reference_dependency_lists(schedule)
-        assert step_estimates(schedule, 2 * MiB, fc) == reference_step_estimates(
+        lowered = lower_schedule(schedule)
+        assert lowered.deps == reference_dependency_lists(schedule)
+        assert lowered.step_estimates(2 * MiB, fc) == reference_step_estimates(
             schedule, 2 * MiB, fc
         )
-        assert step_gates(schedule, 2 * MiB, fc) == reference_step_gates(
+        assert lowered.step_gates(2 * MiB, fc) == reference_step_gates(
             schedule, 2 * MiB, fc
         )
         fast_msgs = build_messages(schedule, 2 * MiB, fc)
@@ -138,14 +190,31 @@ class TestSimulatorEquivalence:
             assert list(fast.deps) == list(ref.deps)
             assert fast.not_before == ref.not_before
 
-    @pytest.mark.parametrize("size", [32 * KiB, 2 * MiB])
-    def test_end_to_end_predict_identical(self, make_topo, size):
-        topo = make_topo()
-        fast_sched = build_schedule("multitree", topo)
-        ref_sched = reference_multitree_schedule(topo)
-        fast = simulate_allreduce(fast_sched, size, PacketBased())
-        ref = reference_simulate_allreduce(ref_sched, size, PacketBased())
-        assert fast.time == ref.finish_time
+    @pytest.mark.parametrize(
+        "algorithm,fc_factory,lockstep,overhead,size", END_TO_END_CASES
+    )
+    def test_end_to_end_predict_identical(
+        self, make_topo, algorithm, fc_factory, lockstep, overhead, size
+    ):
+        if algorithm == "2d-ring" and not isinstance(
+            make_topo(), (Torus2D, Mesh2D)
+        ):
+            pytest.skip("2D-Ring needs a torus or mesh")
+        fc = fc_factory()
+        fast_sched = build_schedule_of(make_topo, algorithm)
+        topo = fast_sched.topology
+        fast = simulate_allreduce(fast_sched, size, fc, lockstep, overhead)
+        ref = reference_simulate_allreduce(
+            seed_schedule(make_topo, algorithm), size, fc, lockstep, overhead
+        )
+        assert fast.simulation.finish_time == ref.finish_time
+        assert fast.simulation.timings == ref.timings
+        assert fast.simulation.link_busy == ref.link_busy
+        assert fast.simulation.total_wire_bytes == ref.total_wire_bytes
+        # Engine-free alpha-beta bound: every node must inject (and
+        # eject) 2(n-1)/n of the data through its own links.
+        n = topo.num_nodes
+        assert fast.time >= 2 * (n - 1) / n * size / injection_bandwidth(topo)
 
 
 @pytest.mark.parametrize("make_topo", TOPOLOGIES)

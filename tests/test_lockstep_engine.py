@@ -310,6 +310,16 @@ class TestRecorderParity:
                         assert hops[0].grant == timing.inject, where
                 assert trace.gates == first.gates, where
 
+    def test_trace_metadata_identical_across_entry_points(self):
+        """Every recorded run plays the event engine, so every entry
+        point writes the same metadata whatever engine was asked for."""
+        for case in PARITY_CASES:
+            _seed, _routes, runs = _recorded_runs(*case)
+            first = runs[0][2].metadata
+            assert first["engine"] == "event"
+            for label, _outcome, trace in runs:
+                assert trace.metadata == first, (case, label)
+
 
 class TestLinkTable:
     def test_memoized_per_topology(self):

@@ -102,10 +102,10 @@ class TestCLIExtras:
 class TestInjectorOnDerivedCollectives:
     def test_alltoall_simulation_has_dependencies(self):
         from repro.collectives import alltoall_schedule
-        from repro.ni import dependency_lists
+        from repro.collectives.compiled import lower_schedule
 
         schedule = alltoall_schedule(Torus2D(2, 2))
-        deps = dependency_lists(schedule)
+        deps = lower_schedule(schedule).deps
         assert any(deps[i] for i in range(len(deps)))  # forwarding chains
 
     def test_broadcast_simulates_single_tree(self):

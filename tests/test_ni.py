@@ -10,16 +10,14 @@ from repro.collectives import (
     multitree_allreduce,
     ring_allreduce,
 )
+from repro.collectives.compiled import lower_schedule
 from repro.collectives.schedule import ChunkRange, CommOp, OpKind, Schedule
 from repro.network import MessageBased, PacketBased
 from repro.ni import (
     TableOp,
     build_messages,
     build_schedule_tables,
-    dependency_lists,
     simulate_allreduce,
-    step_estimates,
-    step_gates,
 )
 from repro.topology import Mesh2D, Torus2D
 
@@ -96,19 +94,19 @@ class TestScheduleTables:
 class TestLockstep:
     def test_estimates_cover_every_busy_step(self):
         schedule = ring_allreduce(Torus2D(4, 4))
-        est = step_estimates(schedule, 16 * MiB, PacketBased())
+        est = lower_schedule(schedule).step_estimates(16 * MiB, PacketBased())
         assert set(est) == set(range(1, 31))
 
     def test_estimate_is_chunk_serialization(self):
         schedule = ring_allreduce(Torus2D(4, 4))
         fc = PacketBased()
-        est = step_estimates(schedule, 16 * MiB, fc)
+        est = lower_schedule(schedule).step_estimates(16 * MiB, fc)
         expected = fc.serialization_time(16 * MiB / 16, 16e9)
         assert est[1] == pytest.approx(expected, rel=1e-9)
 
     def test_gates_monotonic_and_cumulative(self):
         schedule = ring_allreduce(Torus2D(4, 4))
-        gates = step_gates(schedule, 16 * MiB, PacketBased())
+        gates = lower_schedule(schedule).step_gates(16 * MiB, PacketBased())
         values = [gates[s] for s in sorted(gates)]
         assert values[0] == 0.0
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -116,7 +114,7 @@ class TestLockstep:
     def test_lockstep_delays_injection(self):
         schedule = ring_allreduce(Torus2D(4, 4))
         msgs = build_messages(schedule, 16 * MiB, PacketBased(), lockstep=True)
-        gates = step_gates(schedule, 16 * MiB, PacketBased())
+        gates = lower_schedule(schedule).step_gates(16 * MiB, PacketBased())
         for msg in msgs:
             assert msg.not_before == gates[msg.tag.step]
 
@@ -129,14 +127,14 @@ class TestLockstep:
 class TestDependencies:
     def test_first_step_has_no_deps(self):
         schedule = ring_allreduce(Torus2D(4, 4))
-        deps = dependency_lists(schedule)
+        deps = lower_schedule(schedule).deps
         for op, dep in zip(schedule.ops, deps):
             if op.step == 1:
                 assert dep == []
 
     def test_ring_forward_chain(self):
         schedule = ring_allreduce(Torus2D(2, 2))
-        deps = dependency_lists(schedule)
+        deps = lower_schedule(schedule).deps
         ops = schedule.ops
         for idx, op in enumerate(ops):
             for dep_idx in deps[idx]:
@@ -147,7 +145,7 @@ class TestDependencies:
 
     def test_multitree_reduce_waits_for_children(self):
         schedule = multitree_allreduce(Torus2D(4, 4))
-        deps = dependency_lists(schedule)
+        deps = lower_schedule(schedule).deps
         ops = schedule.ops
         for idx, op in enumerate(ops):
             if op.kind is not OpKind.REDUCE:
@@ -176,13 +174,13 @@ class TestDependencies:
     def test_unit_key_domain_guard(self):
         # 4 nodes x lcm(2**61, 3) units reaches 2**62: packed (node, unit)
         # keys would overflow int64, so the derivations refuse it by name.
-        for derive in (dependency_lists, compile_schedule):
+        for derive in (lambda s: lower_schedule(s).deps, compile_schedule):
             with pytest.raises(ValueError, match="synthetic-grain.*torus-2x2"):
                 derive(self._synthetic((2 ** 61, 3)))
         # 4 nodes x 2**59 units stays inside the domain.
         schedule = self._synthetic((2 ** 59, 2 ** 58))
         assert schedule.granularity == 2 ** 59
-        assert dependency_lists(schedule) == [[], [0]]
+        assert lower_schedule(schedule).deps == [[], [0]]
 
 
 class TestSimulateAllReduce:

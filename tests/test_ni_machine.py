@@ -3,7 +3,8 @@
 import pytest
 
 from repro.collectives import build_schedule, multitree_allreduce, ring_allreduce
-from repro.ni import build_schedule_tables, simulate_allreduce, step_estimates
+from repro.collectives.compiled import lower_schedule
+from repro.ni import build_schedule_tables, simulate_allreduce
 from repro.ni.machine import NIMachine, simulate_with_ni_machines
 from repro.ni.schedule_table import TableEntry, TableOp, ScheduleTable
 from repro.topology import FatTree, Mesh2D, Torus2D
@@ -16,7 +17,7 @@ def _machine_for(topo, node=0, data=4 * MiB, alg="multitree"):
     tables = build_schedule_tables(schedule, int(data))
     from repro.network import PacketBased
 
-    est = step_estimates(schedule, data, PacketBased())
+    est = lower_schedule(schedule).step_estimates(data, PacketBased())
     return NIMachine(tables[node], est), schedule
 
 
