@@ -664,8 +664,9 @@ def bench_scaleout_xl(
     del compiled  # the warm side must not lean on the cold side's columns
 
     def warm_pipeline():
-        # A fresh store per run: the memo would otherwise hand back the
-        # in-process object and skip the shard-load path under test.
+        # A fresh store per run: a memo hit would hand back the columns
+        # an earlier run already loaded and skip the shard-load path
+        # under test.
         warmed = ArtifactStore(root).get(topo, "multitree")
         if warmed is None:
             raise RuntimeError(

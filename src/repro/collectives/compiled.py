@@ -26,7 +26,7 @@ simulation of the original schedule (guarded by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +64,41 @@ def segment_arange(counts: np.ndarray, reverse: bool = False) -> np.ndarray:
     if reverse:
         return np.repeat(counts.astype(np.int64), counts) - 1 - within
     return within
+
+
+class ScheduleColumns(NamedTuple):
+    """Everything of a :class:`CompiledSchedule` but its topology object.
+
+    The fields are :class:`CompiledSchedule`'s constructor arguments
+    after ``topology``, in order.  An owner that keeps one schedule's
+    columns for many callers (the artifact store's in-process memo)
+    keeps these rather than a :class:`CompiledSchedule`: :meth:`bind`
+    hands each caller a fresh schedule over the shared columns, bound to
+    the caller's topology, whose memoized engine state lives and dies
+    with that caller.  Every schedule bound from one instance reads the
+    same column objects, so nothing writes into them; an owner that
+    shares them across callers makes its arrays read-only.
+    """
+
+    algorithm: str
+    num_steps: int
+    srcs: Sequence[int]
+    dsts: Sequence[int]
+    steps: Sequence[int]
+    frac_num: Sequence[int]
+    frac_den: Sequence[int]
+    links: Sequence[LinkKey]
+    route_off: Sequence[int]
+    route_val: Sequence[int]
+    dep_off: Sequence[int]
+    dep_val: Sequence[int]
+    ser_profile: Sequence[Tuple[int, float, float]]
+    metadata: Dict[str, object]
+
+    def bind(self, topology: Topology) -> "CompiledSchedule":
+        """A new :class:`CompiledSchedule` over these columns on
+        ``topology``, with none of its engine state computed yet."""
+        return CompiledSchedule(topology, *self)
 
 
 class CompiledSchedule:
@@ -163,47 +198,58 @@ class CompiledSchedule:
 
     @property
     def frac_floats(self) -> List[float]:
-        """Per-op chunk fractions as floats, materialized lazily.
+        """Per-op chunk fractions as a Python float list, memoized.
 
         n/d true division rounds identically to ``float(Fraction(n,
         d))``, so these floats match ChunkRange.bytes_of's memoized
-        factor.  Lazy because streaming-compiled schedules carry
-        millions of ops behind constant-class columns — the vectorized
-        engine reads :meth:`frac_classes` instead and never pays for the
-        per-op list.
+        factor.  Only the message lowering (:meth:`build_messages`)
+        reads it; the engines read :meth:`frac_array`, which never
+        builds a per-op Python list.
         """
         floats = self._frac_floats
         if floats is None:
-            floats = self._frac_floats = [
-                num / den for num, den in zip(self.frac_num, self.frac_den)
-            ]
+            floats = self._frac_floats = self.frac_array().tolist()
         return floats
+
+    def frac_array(self) -> np.ndarray:
+        """Per-op chunk fractions as a float64 array, memoized.
+
+        A constant-fraction schedule (MultiTree: every op moves 1/n)
+        gets a zero-stride view of its one fraction.  Otherwise numpy
+        divides the integer columns: a chunk fraction's terms are chunk
+        counts, far below 2**53, so both convert to float64 exactly and
+        the quotient is the correctly rounded one Python's int true
+        division returns.
+        """
+        arr = self._frac_arr
+        if arr is None:
+            num = np.asarray(self.frac_num, dtype=np.int64)
+            den = np.asarray(self.frac_den, dtype=np.int64)
+            if len(num) and num.strides == (0,) == den.strides:
+                arr = np.broadcast_to(
+                    np.float64(int(num[0]) / int(den[0])), num.shape
+                )
+            else:
+                arr = num / den
+            self._frac_arr = arr
+        return arr
 
     def frac_classes(self):
         """``(unique_fractions, per_op_class_index)`` numpy pair, memoized.
 
         The class table behind the batched engine's wire-size dedup.
-        Constant-fraction schedules (MultiTree: every op moves 1/n)
-        short-circuit to a single class with a zero-stride index column,
-        keeping the per-op axis unmaterialized at any scale.
+        Constant-fraction schedules short-circuit to a single class with
+        a zero-stride index column, keeping the per-op axis
+        unmaterialized at any scale.
         """
         cached = self._wire_classes
         if cached is None:
-            num = self.frac_num
-            den = self.frac_den
-            if (
-                isinstance(num, np.ndarray)
-                and isinstance(den, np.ndarray)
-                and num.strides == (0,) == den.strides
-                and len(num)
-            ):
-                uniq = np.asarray(
-                    [int(num[0]) / int(den[0])], dtype=np.float64
-                )
-                idx = np.broadcast_to(np.intp(0), (len(num),))
+            fracs = self.frac_array()
+            if len(fracs) and fracs.strides == (0,):
+                uniq = fracs[:1].copy()
+                idx = np.broadcast_to(np.intp(0), fracs.shape)
             else:
-                frac_arr = np.asarray(self.frac_floats, dtype=np.float64)
-                uniq, idx = np.unique(frac_arr, return_inverse=True)
+                uniq, idx = np.unique(fracs, return_inverse=True)
                 idx = idx.astype(np.intp)
             cached = self._wire_classes = (uniq, idx)
         return cached
@@ -470,12 +516,7 @@ class CompiledSchedule:
         # is IEEE-identical to the scalar product :meth:`build_messages`
         # computes, and spreading the gates over the step ranges copies
         # floats untouched.
-        frac_arr = self._frac_arr
-        if frac_arr is None:
-            frac_arr = self._frac_arr = np.asarray(
-                self.frac_floats, dtype=np.float64
-            )
-        payloads = (frac_arr * data_bytes).tolist()
+        payloads = (self.frac_array() * data_bytes).tolist()
         if lockstep:
             gates = self._gates(data_bytes, flow_control)
             bounds = self.step_bounds

@@ -48,6 +48,8 @@ from ..scenario import (
     scenario_set_fingerprint,
 )
 from ..sweep import ArtifactStore, PredictionCache, jobs_from_scenarios, run_job
+from ..topology.base import Topology
+from ..topology.specs import parse_topology_spec
 
 #: Objective direction table for :func:`pareto_frontier`.
 _SENSES = ("min", "max")
@@ -261,6 +263,9 @@ class PlanResult:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_time_s: float = 0.0
+    #: The parsed fabric the scenarios ran on, so :meth:`fingerprint`
+    #: does not parse it again per scenario.
+    fabric: Optional[Topology] = field(default=None, repr=False, compare=False)
 
     @property
     def simulated(self) -> int:
@@ -269,7 +274,7 @@ class PlanResult:
 
     def fingerprint(self) -> str:
         """Identity of the evaluated scenario set (order independent)."""
-        return scenario_set_fingerprint(self.scenarios)
+        return scenario_set_fingerprint(self.scenarios, self.fabric)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -349,10 +354,14 @@ def plan(
         misses0 = cache.misses if cache is not None else 0
         by_size: Dict[int, List[PlanEntry]] = {size: [] for size in spec.sizes}
         simulated_without_cache = 0
+        # Every candidate shares the spec's fabric: parse it once, for
+        # the jobs and the fingerprints alike.
         for job in jobs_from_scenarios(spec.candidates()):
             scenarios = job.scenarios()
             try:
-                sweep = run_job(job, cache, artifacts)
+                if result.fabric is None:
+                    result.fabric = parse_topology_spec(job.topology)
+                sweep = run_job(job, cache, artifacts, result.fabric)
             except Exception as error:  # incompatible variant: skip, don't die
                 result.skipped.append(
                     {"algorithm": job.algorithm, "reason": str(error)}
@@ -365,7 +374,7 @@ def plan(
                 by_size[scenario.data_bytes].append(
                     PlanEntry(
                         scenario=str(scenario),
-                        fingerprint=scenario.fingerprint(),
+                        fingerprint=scenario.fingerprint(result.fabric),
                         algorithm=scenario.algorithm,
                         time=point.time,
                         bandwidth=point.bandwidth,

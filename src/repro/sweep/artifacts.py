@@ -33,6 +33,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
@@ -42,6 +43,7 @@ from .. import obs
 from ..collectives.compiled import (
     COMPILED_FORMAT,
     CompiledSchedule,
+    ScheduleColumns,
     compile_schedule,
 )
 
@@ -53,7 +55,8 @@ from ..topology.base import Topology, topology_fingerprint
 #: Header marker of the sharded format; anything else is a miss.
 ARTIFACT_FORMAT = "repro-artifact-sharded-v2"
 
-#: Default in-process memo capacity.
+#: Default in-process memo capacity, in artifacts whose columns stay
+#: resident.
 DEFAULT_MEMO_CAP = 8
 
 #: Columns per shard, in storage order.
@@ -80,15 +83,21 @@ class _ShardColumn:
     — but only touches the shard bytes on first real access, so loading
     an artifact costs a checksum pass and a zip directory read, not a
     multi-GiB materialization.
+
+    The memo shares one column among every schedule it hands out, so
+    the first touch is locked (concurrent first readers get the one
+    array) and the array is read-only: a caller that writes into it
+    raises instead of corrupting the next caller's schedule.
     """
 
-    __slots__ = ("_npz", "_name", "_length", "_arr")
+    __slots__ = ("_npz", "_name", "_length", "_arr", "_lock")
 
     def __init__(self, npz, name: str, length: int) -> None:
         self._npz = npz
         self._name = name
         self._length = length
         self._arr: Optional[np.ndarray] = None
+        self._lock = threading.Lock()
 
     @property
     def loaded(self) -> bool:
@@ -98,7 +107,12 @@ class _ShardColumn:
     def _load(self) -> np.ndarray:
         arr = self._arr
         if arr is None:
-            arr = self._arr = self._npz[self._name]
+            with self._lock:
+                arr = self._arr
+                if arr is None:
+                    arr = self._npz[self._name]
+                    arr.flags.writeable = False
+                    self._arr = arr
         return arr
 
     def __array__(self, dtype=None, copy=None):
@@ -136,17 +150,24 @@ def _constant_pair(num: np.ndarray, den: np.ndarray):
 class ArtifactStore:
     """Directory of compiled schedules with hit/miss accounting.
 
-    Successfully loaded artifacts are additionally memoized in-process
-    (keyed by the same artifact fingerprint), so jobs that share a
-    schedule fingerprint within one process — a multi-size planner
-    bucket, a serial sweep — share one :class:`CompiledSchedule` instance
-    and therefore its memoized derived state (step bounds, dependency
-    CSR, vectorization plan) instead of re-parsing the shards per job.
-    The memo is **LRU-bounded** (``memo_capacity``, default
-    :data:`DEFAULT_MEMO_CAP`): a long-lived process sweeping hundreds of
-    topologies must not pin every multi-GiB schedule it ever touched.
-    ``put`` never populates the memo: the store stays a cache over the
-    on-disk truth, and a corrupted file must read as a miss.
+    Successfully loaded artifacts are additionally memoized in-process,
+    keyed by the artifact fingerprint alone, so any caller whose
+    topology has the same structural fingerprint — a freshly parsed
+    topology per sweep job included — skips the header parse, the
+    checksum pass and the shard reads (a ``memo-hit``).  The memo keeps
+    only what the store owns: the verified header fields and the lazily
+    loaded, read-only shard columns (:class:`ScheduleColumns`), never a
+    :class:`Topology` or a schedule's engine state.  Every ``get``, memo
+    hit or disk load, returns a new :class:`CompiledSchedule` over those
+    columns bound to the caller's topology, so the engine caches (step
+    bounds, dependency structure, remapped routes, vectorization plan)
+    are freed with the caller's schedule.  The memo is **LRU-bounded**
+    (``memo_capacity``, default :data:`DEFAULT_MEMO_CAP`, counts the
+    artifacts whose columns stay resident): a long-lived process
+    sweeping hundreds of topologies must not pin every multi-GiB
+    schedule it ever touched.  ``put`` never populates the memo: the
+    store stays a cache over the on-disk truth, and a corrupted file
+    must read as a miss.
     """
 
     def __init__(self, root: str, memo_capacity: int = DEFAULT_MEMO_CAP) -> None:
@@ -154,7 +175,9 @@ class ArtifactStore:
         self.hits = 0
         self.misses = 0
         self.memo_capacity = max(0, memo_capacity)
-        self._memo: "OrderedDict[str, CompiledSchedule]" = OrderedDict()
+        self._memo: "OrderedDict[str, ScheduleColumns]" = OrderedDict()
+        # Serve threads share one store: LRU updates are check-then-act.
+        self._memo_lock = threading.Lock()
 
     def _base(self, key: str) -> str:
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
@@ -163,14 +186,22 @@ class ArtifactStore:
     def _path(self, key: str) -> str:
         return self._base(key) + ".json"
 
-    def _memoize(self, key: str, compiled: CompiledSchedule) -> None:
+    def _memoized(self, key: str) -> Optional[ScheduleColumns]:
+        with self._memo_lock:
+            columns = self._memo.get(key)
+            if columns is not None:
+                self._memo.move_to_end(key)
+            return columns
+
+    def _memoize(self, key: str, columns: ScheduleColumns) -> None:
         if self.memo_capacity <= 0:
             return
-        memo = self._memo
-        memo[key] = compiled
-        memo.move_to_end(key)
-        while len(memo) > self.memo_capacity:
-            memo.popitem(last=False)
+        with self._memo_lock:
+            memo = self._memo
+            memo[key] = columns
+            memo.move_to_end(key)
+            while len(memo) > self.memo_capacity:
+                memo.popitem(last=False)
 
     # -- load --------------------------------------------------------------
 
@@ -179,33 +210,35 @@ class ArtifactStore:
     ) -> Optional[CompiledSchedule]:
         """The stored artifact for ``(topology, algorithm)``, or ``None``.
 
-        Unreadable, schema-mismatched, truncated, checksum-failed, or
-        wrong-topology artifacts count as misses with a reason — the
-        store is a cache, never a source of truth.
+        A new :class:`CompiledSchedule` bound to ``topology`` on every
+        call; a memo hit (outcome ``memo-hit``) shares the columns of an
+        earlier load and reads no disk.  Unreadable, schema-mismatched,
+        truncated, checksum-failed, or wrong-topology artifacts count as
+        misses with a reason — the store is a cache, never a source of
+        truth.
         """
         with obs.span(
             "artifact.get", topology=topology.name, algorithm=algorithm
         ) as span:
             key = artifact_fingerprint(topology, algorithm)
-            memoized = self._memo.get(key)
-            if memoized is not None and memoized.topology is topology:
-                self._memo.move_to_end(key)
+            columns = self._memoized(key)
+            if columns is not None:
                 span.set("outcome", "memo-hit")
                 self.hits += 1
-                return memoized
-            compiled, reason = self._load(key, topology)
-            if compiled is None:
+                return columns.bind(topology)
+            columns, reason = self._load(key, topology)
+            if columns is None:
                 span.set("outcome", "miss")
                 span.set("reason", reason)
                 self.misses += 1
                 return None
             span.set("outcome", "hit")
             self.hits += 1
-            self._memoize(key, compiled)
-            return compiled
+            self._memoize(key, columns)
+            return columns.bind(topology)
 
     def _load(self, key: str, topology: Topology):
-        """``(compiled, miss_reason)`` for one on-disk artifact."""
+        """``(columns, miss_reason)`` for one on-disk artifact."""
         try:
             with open(self._path(key)) as fh:
                 payload = json.load(fh)
@@ -218,16 +251,16 @@ class ArtifactStore:
         if payload.get("format") != ARTIFACT_FORMAT:
             return None, "format-mismatch"
         try:
-            compiled = self._load_sharded(payload, topology)
+            columns = self._load_sharded(payload, topology)
         except _ShardError as exc:
             return None, exc.reason
         except (ValueError, KeyError, TypeError, IndexError, OSError):
             return None, "decode-error"
-        return compiled, None
+        return columns, None
 
     def _load_sharded(
         self, header: Dict[str, object], topology: Topology
-    ) -> CompiledSchedule:
+    ) -> ScheduleColumns:
         if header.get("compiled_format") != COMPILED_FORMAT:
             raise _ShardError("format-mismatch")
         if header["topology"] != topology_fingerprint(topology):
@@ -266,8 +299,7 @@ class ArtifactStore:
                 header["ser_fraction"],
             )
         ]
-        return CompiledSchedule(
-            topology=topology,
+        return ScheduleColumns(
             algorithm=header["algorithm"],
             num_steps=int(header["num_steps"]),
             links=[(pair[0], pair[1]) for pair in header["links"]],

@@ -35,6 +35,7 @@ from ..scenario import (
     point_key,
     scenario_set_fingerprint,
 )
+from ..topology.base import Topology
 from ..topology.specs import parse_topology_spec
 from .artifacts import ArtifactStore
 from .cache import PredictionCache
@@ -291,6 +292,7 @@ def run_job(
     job: SweepJob,
     cache: Optional[PredictionCache] = None,
     artifacts: Optional[ArtifactStore] = None,
+    topology: Optional[Topology] = None,
 ) -> BandwidthSweep:
     """Compile the job's schedule (skipped if fully warm) and sweep it.
 
@@ -299,7 +301,8 @@ def run_job(
     object is built between the schedule and a point.  With an
     ``artifacts`` store, the compile is replaced by one compiled-artifact
     load per (topology, algorithm) — a cold store compiles and persists
-    the artifact for the next run.
+    the artifact for the next run.  Pass the job's already-parsed
+    ``topology`` to skip parsing ``job.topology`` again.
 
     Runs inside a ``sweep.job`` span, which carries the series'
     :func:`~repro.scenario.scenario_set_fingerprint` while tracing (the
@@ -314,7 +317,8 @@ def run_job(
         sizes=len(job.sizes),
     ) as job_span:
         algorithm, fc, label = job.resolve()
-        topology = parse_topology_spec(job.topology)
+        if topology is None:
+            topology = parse_topology_spec(job.topology)
         scenarios = job.scenarios()
         if obs.tracing():
             job_span.set(

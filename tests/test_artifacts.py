@@ -96,6 +96,25 @@ class TestCompiledSchedule:
             assert list(r.deps) == list(g.deps)
             assert r.not_before == g.not_before
 
+    def test_engines_read_fractions_without_a_float_list(self):
+        import numpy as np
+
+        from repro.collectives.streaming import compile_multitree
+
+        topo = Torus2D(4, 4)
+        compiled = compile_multitree(topo)
+        ref = simulate_allreduce(build_schedule("multitree", topo), 1 * MiB)
+        got = compiled.simulate(1 * MiB, engine="lockstep")
+        assert_identical(got.simulation, ref.simulation)
+        assert compiled._frac_floats is None
+        assert compiled.frac_array().strides == (0,)
+        # Per-op integer columns divide in numpy, as Python would.
+        lowered = lower_schedule(build_schedule("dbtree", topo))
+        assert lowered.frac_array().tolist() == [
+            n / d for n, d in zip(lowered.frac_num, lowered.frac_den)
+        ]
+        assert np.asarray(lowered.frac_array()).dtype == np.float64
+
     def test_json_round_trip_is_exact(self, tmp_path):
         # The JSON header + binary shards reproduce the compiled form
         # exactly; its JSON-safe dict is the == oracle.
@@ -337,7 +356,148 @@ class TestArtifactMemoCap:
         topo = Torus2D(4, 4)
         store.get_or_compile(topo, "ring")
         first = store.get(topo, "ring")
-        # Remove the files: a memo hit must still serve the object.
+        expected = first.to_dict()
+        # Remove the files: a memo hit must still serve the schedule.
         for name in os.listdir(str(tmp_path)):
             os.unlink(os.path.join(str(tmp_path), name))
-        assert store.get(topo, "ring") is first
+        again = store.get(topo, "ring")
+        assert again is not first
+        assert again.to_dict() == expected
+
+
+class TestArtifactMemoSharing:
+    """The memo keys on the artifact fingerprint and shares only columns:
+    every ``get`` binds a new schedule to the caller's topology."""
+
+    def _store(self, tmp_path, algorithm="multitree"):
+        store = ArtifactStore(str(tmp_path))
+        compiled = store.get_or_compile(Torus2D(4, 4), algorithm)
+        return store, compiled
+
+    def test_equal_topology_is_a_memo_hit_without_disk(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import obs
+        from repro.topology.specs import parse_topology_spec
+
+        store, compiled = self._store(tmp_path)
+        assert store.get(parse_topology_spec("torus-4x4"), "multitree")
+
+        def no_disk(*_args):
+            raise AssertionError("a memo hit read the disk")
+
+        monkeypatch.setattr(store, "_load", no_disk)
+        recorder = obs.ObsRecorder(capacity=None)
+        with obs.observing(recorder):
+            hit = store.get(parse_topology_spec("torus-4x4"), "multitree")
+        outcomes = [
+            record["attrs"]["outcome"] for record in recorder.records
+            if record["name"] == "artifact.get"
+        ]
+        assert outcomes == ["memo-hit"]
+        assert (store.hits, store.misses) == (2, 1)
+        assert_identical(
+            hit.simulate(1 * MiB).simulation,
+            compiled.simulate(1 * MiB).simulation,
+        )
+
+    def test_every_get_is_a_new_schedule_on_the_callers_topology(
+        self, tmp_path
+    ):
+        store, _compiled = self._store(tmp_path)
+        first = Torus2D(4, 4)
+        topos = [first, first, Torus2D(4, 4)]
+        got = [store.get(topo, "multitree") for topo in topos]
+        assert len({id(schedule) for schedule in got}) == 3
+        for schedule, topo in zip(got, topos):
+            assert schedule.topology is topo
+
+    def test_memo_entry_holds_no_engine_caches(self, tmp_path):
+        import gc
+        import types
+
+        import numpy as np
+
+        from repro.collectives import CompiledSchedule
+        from repro.collectives.compiled import ScheduleColumns
+        from repro.network.lockstep_vec import BatchPlan
+        from repro.network.simulator import ENGINES
+        from repro.topology.base import Topology
+
+        store, compiled = self._store(tmp_path)
+        store.get(Torus2D(4, 4), "multitree")  # the disk load memoizes
+        hit = store.get(Torus2D(4, 4), "multitree")
+        for engine in ENGINES:
+            assert_identical(
+                hit.simulate(1 * MiB, engine=engine).simulation,
+                compiled.simulate(1 * MiB, engine=engine).simulation,
+            )
+        # The caller's schedule owns the caches it built...
+        assert hit._vec_plan is not None and hit._dep_struct is not None
+        assert hit._route_csr is not None and hit._step_bounds is not None
+        # ...and nothing reachable from the memo entry is one of them.
+        entry, = store._memo.values()
+        assert isinstance(entry, ScheduleColumns)
+        forbidden = (Topology, CompiledSchedule, BatchPlan)
+        skip = (type, types.ModuleType, types.FunctionType,
+                types.BuiltinFunctionType, types.MethodType)
+        seen = set()
+        todo = [entry]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, forbidden), type(obj)
+            if isinstance(obj, np.ndarray):
+                continue
+            todo.extend(gc.get_referents(obj))
+
+    def test_memo_hit_columns_are_read_only(self, tmp_path):
+        import numpy as np
+        import pytest
+
+        store, compiled = self._store(tmp_path)
+        store.get(Torus2D(4, 4), "multitree")  # the disk load memoizes
+        hit = store.get(Torus2D(4, 4), "multitree")
+        for name in ("route_val", "dep_val", "steps", "frac_num"):
+            column = np.asarray(getattr(hit, name))
+            with pytest.raises(ValueError):
+                column[0] = column[0] + 1
+        assert store.get(Torus2D(4, 4), "multitree").to_dict() == (
+            compiled.to_dict()
+        )
+
+    def test_concurrent_first_touch_shares_one_column(self, tmp_path):
+        import sys
+        import threading
+
+        import numpy as np
+
+        store, compiled = self._store(tmp_path)
+        first = store.get(Torus2D(4, 4), "multitree")
+        second = store.get(Torus2D(4, 4), "multitree")
+        assert first.dep_val.loaded is False
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def touch(index, schedule):
+            barrier.wait(timeout=10)
+            results[index] = np.asarray(schedule.dep_val)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=touch, args=(i, schedule))
+                for i, schedule in enumerate((first, second))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results[0] is results[1]
+        assert results[0].tolist() == list(compiled.dep_val)

@@ -157,6 +157,31 @@ class TestPlanner:
         assert warm.to_dict()["buckets"] == cold.to_dict()["buckets"]
         assert warm.fingerprint() == cold.fingerprint()
 
+    def test_warm_plan_parses_its_topology_once(self, tmp_path):
+        from repro import obs
+        from repro.scenario import scenario_set_fingerprint
+
+        cache = PredictionCache(str(tmp_path / "cache.json"))
+        artifacts = ArtifactStore(str(tmp_path / "artifacts"))
+        spec = small_spec(algorithms=ALGOS + ("dbtree", "hdrm"))
+        plan(spec, cache=cache, artifacts=artifacts)
+        recorder = obs.ObsRecorder(capacity=None)
+        with obs.observing(recorder):
+            warm = plan(spec, cache=cache, artifacts=artifacts)
+            payload = warm.to_dict()
+        builds = [r for r in recorder.records if r["name"] == "topology.build"]
+        assert len(builds) == 1
+        assert warm.simulated == 0 and len(warm.skipped) == 1
+        # The shared parse leaves every fingerprint as each scenario
+        # derives it on its own.
+        for bucket in warm.buckets:
+            for entry in bucket.frontier:
+                scenario = Scenario.parse(entry.scenario)
+                assert entry.fingerprint == scenario.fingerprint()
+        assert payload["fingerprint"] == scenario_set_fingerprint(
+            warm.scenarios
+        )
+
     def test_to_dict_and_table_render(self):
         result = plan(small_spec())
         payload = result.to_dict()
