@@ -8,9 +8,9 @@ factors; MULTITREEMSG achieves ~3x over RING and ~1.4x over 2D-RING.
 
 from conftest import emit, run_once
 
+from repro.analysis import sweep_bandwidth
 from repro.collectives import build_schedule
 from repro.network import MessageBased, PacketBased
-from repro.sweep import predict_cached
 from repro.topology import Torus2D
 
 KiB = 1024
@@ -23,15 +23,15 @@ def _measure(cache=None):
     for dims in SCALES:
         topo = Torus2D(*dims)
         size = 375 * KiB * topo.num_nodes
-        t_ring = predict_cached(
-            build_schedule("ring", topo), size, PacketBased(), cache=cache
-        )["time"]
-        t_2d = predict_cached(
-            build_schedule("2d-ring", topo), size, PacketBased(), cache=cache
-        )["time"]
-        t_mtm = predict_cached(
-            build_schedule("multitree", topo), size, MessageBased(), cache=cache
-        )["time"]
+        t_ring = sweep_bandwidth(
+            build_schedule("ring", topo), [size], PacketBased(), cache=cache
+        ).points[0].time
+        t_2d = sweep_bandwidth(
+            build_schedule("2d-ring", topo), [size], PacketBased(), cache=cache
+        ).points[0].time
+        t_mtm = sweep_bandwidth(
+            build_schedule("multitree", topo), [size], MessageBased(), cache=cache
+        ).points[0].time
         rows.append((topo.num_nodes, t_ring, t_2d, t_mtm))
     return rows
 

@@ -9,10 +9,9 @@ MULTITREE under message-based flow control.
 import pytest
 from conftest import emit, run_once
 
-from repro.analysis import format_bandwidth_table
+from repro.analysis import format_bandwidth_table, sweep_bandwidth
 from repro.collectives import build_schedule
 from repro.network import MessageBased, PacketBased
-from repro.sweep import sweep_bandwidth_cached
 from repro.topology import BiGraph, FatTree, Mesh2D, Torus2D
 
 KiB = 1024
@@ -25,11 +24,11 @@ def _panel(topology, algorithms, cache=None):
     for algorithm in algorithms:
         schedule = build_schedule(algorithm, topology)
         sweeps.append(
-            sweep_bandwidth_cached(schedule, SIZES, PacketBased(), cache=cache)
+            sweep_bandwidth(schedule, SIZES, PacketBased(), cache=cache)
         )
     mt = build_schedule("multitree", topology)
     sweeps.append(
-        sweep_bandwidth_cached(
+        sweep_bandwidth(
             mt, SIZES, MessageBased(), cache=cache, label="multitree-msg"
         )
     )

@@ -1,7 +1,7 @@
 """Evaluation metrics shared by the benchmark harnesses (§VI).
 
 The paper's primary metric is *all-reduce bandwidth*: data size divided by
-completion time (§VI-A).  This module adds sweep helpers, speedup
+completion time (§VI-A).  This module adds the series evaluator, speedup
 computation, and geometric means for the summary numbers (2.3x / 1.56x).
 """
 
@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
 
-from ..collectives import build_schedule
+from ..collectives.compiled import CompiledSchedule, lower_schedule
 from ..collectives.schedule import Schedule
 from ..network.flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
-from ..ni.injector import AllReduceResult, simulate_allreduce
-from ..topology.base import Topology
+from ..scenario import point_key
+
+if TYPE_CHECKING:
+    from ..sweep.cache import PredictionCache
 
 KiB = 1024
 MiB = 1024 * 1024
@@ -42,6 +44,21 @@ class BandwidthSweep:
     algorithm: str
     points: List[SweepPoint] = field(default_factory=list)
 
+    @classmethod
+    def of_entries(cls, topology: str, algorithm: str, sizes: Sequence[int],
+                   entries: Sequence[Dict[str, float]]) -> "BandwidthSweep":
+        """The sweep of per-size prediction-cache entries."""
+        return cls(topology, algorithm, [
+            SweepPoint(
+                algorithm=algorithm,
+                data_bytes=size,
+                time=entry["time"],
+                bandwidth=entry["bandwidth"],
+                max_queue_delay=entry["max_queue_delay"],
+            )
+            for size, entry in zip(sizes, entries)
+        ])
+
     def bandwidth_at(self, data_bytes: int) -> float:
         for point in self.points:
             if point.data_bytes == data_bytes:
@@ -50,29 +67,76 @@ class BandwidthSweep:
 
 
 def sweep_bandwidth(
-    schedule: Schedule,
+    schedule: Union[Schedule, CompiledSchedule],
     sizes: Sequence[int] = tuple(DEFAULT_SIZES),
     flow_control: FlowControl = DEFAULT_FLOW_CONTROL,
     lockstep: bool = True,
+    cache: Optional["PredictionCache"] = None,
     label: Optional[str] = None,
+    engine: str = "event",
+    keys: Optional[Sequence[str]] = None,
 ) -> BandwidthSweep:
-    """Simulate the schedule at each size and record bandwidths."""
-    sweep = BandwidthSweep(
-        topology=schedule.topology.name,
-        algorithm=label or schedule.algorithm,
-    )
-    for size in sizes:
-        result = simulate_allreduce(schedule, size, flow_control, lockstep)
-        sweep.points.append(
-            SweepPoint(
-                algorithm=sweep.algorithm,
-                data_bytes=size,
-                time=result.time,
-                bandwidth=result.bandwidth,
-                max_queue_delay=result.max_queue_delay(),
+    """Predict the all-reduce at each size: the one series evaluator.
+
+    ``schedule`` is a :class:`Schedule`, lowered once per series
+    (:func:`~repro.collectives.compiled.lower_schedule`) and only when
+    some size misses the cache, or an already compiled
+    :class:`~repro.collectives.compiled.CompiledSchedule`.  With a
+    :class:`~repro.sweep.cache.PredictionCache` as ``cache``, warm sizes
+    are read from it and cold ones written to it.  ``keys`` supplies one
+    precomputed scenario cache key per size (see
+    :meth:`repro.scenario.Scenario.cache_key`) — required when the points
+    carry SystemConfig overrides, which the schedule alone cannot know.
+
+    With ``engine="lockstep-vec"``, the cold sizes run in **one** batched
+    vectorized pass
+    (:meth:`~repro.collectives.compiled.CompiledSchedule.simulate_batch`);
+    sizes the vectorized engine declines fall back to the scalar ladder
+    inside the batch (counted in ``sim.fallbacks``).  Every engine
+    returns ``==`` numbers.
+    """
+    if cache is not None and keys is None:
+        keys = [
+            point_key(
+                schedule.topology, schedule.algorithm, flow_control,
+                size, lockstep,
             )
+            for size in sizes
+        ]
+    entries: List[Optional[Dict[str, float]]] = (
+        [cache.get(key) for key in keys] if cache is not None
+        else [None] * len(sizes)
+    )
+    cold = [index for index, entry in enumerate(entries) if entry is None]
+    if cold and isinstance(schedule, Schedule):
+        schedule = lower_schedule(schedule)
+    if cold and engine == "lockstep-vec":
+        batch = schedule.simulate_batch(
+            [sizes[index] for index in cold], flow_control, lockstep
         )
-    return sweep
+        fresh = [
+            (point.time, point.bandwidth, point.max_queue_delay)
+            for point in batch.points
+        ]
+    else:
+        fresh = []
+        for index in cold:
+            result = schedule.simulate(sizes[index], flow_control, lockstep,
+                                       engine=engine)
+            fresh.append(
+                (result.time, result.bandwidth, result.max_queue_delay())
+            )
+    for index, (time, bandwidth, max_queue_delay) in zip(cold, fresh):
+        entries[index] = {
+            "time": time,
+            "bandwidth": bandwidth,
+            "max_queue_delay": max_queue_delay,
+        }
+        if cache is not None:
+            cache.put(keys[index], **entries[index])
+    return BandwidthSweep.of_entries(
+        schedule.topology.name, label or schedule.algorithm, sizes, entries
+    )
 
 
 def speedup(baseline_time: float, improved_time: float) -> float:

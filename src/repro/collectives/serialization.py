@@ -8,7 +8,10 @@ stored next to a cluster configuration and reloaded without rebuilding.
 
 Topologies are not serialized (they are cheap to reconstruct and carry
 callable behaviour); loading requires the same topology the schedule was
-built for, and a fingerprint check rejects mismatches.
+built for, and a check of its structural digest
+(:func:`repro.topology.base.topology_fingerprint`: every link's
+endpoints and parameters) rejects any other fabric, even one with the
+same name and counts.
 """
 
 from __future__ import annotations
@@ -17,25 +20,19 @@ import json
 from fractions import Fraction
 from typing import Dict, List
 
-from ..topology.base import Topology
+from ..topology.base import Topology, topology_fingerprint
 from .schedule import ChunkRange, CommOp, OpKind, Schedule
 
-
-def _topology_fingerprint(topology: Topology) -> Dict[str, object]:
-    return {
-        "name": topology.name,
-        "num_nodes": topology.num_nodes,
-        "num_switches": topology.num_switches,
-        "total_link_capacity": topology.total_link_capacity(),
-    }
+#: The on-disk layout tag; v2 pins the full structural topology digest.
+SCHEDULE_FORMAT = "repro-schedule-v2"
 
 
 def schedule_to_dict(schedule: Schedule) -> Dict[str, object]:
     """A JSON-safe dictionary capturing the schedule exactly."""
     return {
-        "format": "repro-schedule-v1",
+        "format": SCHEDULE_FORMAT,
         "algorithm": schedule.algorithm,
-        "topology": _topology_fingerprint(schedule.topology),
+        "topology": topology_fingerprint(schedule.topology),
         "metadata": {
             key: value
             for key, value in schedule.metadata.items()
@@ -59,9 +56,9 @@ def schedule_to_dict(schedule: Schedule) -> Dict[str, object]:
 
 def schedule_from_dict(data: Dict[str, object], topology: Topology) -> Schedule:
     """Rebuild a schedule on ``topology``; fingerprints must match."""
-    if data.get("format") != "repro-schedule-v1":
+    if data.get("format") != SCHEDULE_FORMAT:
         raise ValueError("unrecognized schedule format %r" % data.get("format"))
-    fingerprint = _topology_fingerprint(topology)
+    fingerprint = topology_fingerprint(topology)
     if data["topology"] != fingerprint:
         raise ValueError(
             "schedule was built for %s, not %s"

@@ -7,7 +7,8 @@ Two layers, separable for testing and replay benchmarking:
   :class:`~repro.sweep.artifacts.ArtifactStore`, a *bounded* background
   worker pool for cache warming, a metrics registry, and an optional
   per-request JSONL log.  Warm queries are one dictionary probe; a miss
-  enqueues (artifact build + lockstep run) and reports ``warming`` so
+  enqueues a one-point :func:`~repro.sweep.run_job` (artifact build +
+  lockstep run, as sweeps and plans run it) and reports ``warming`` so
   the caller retries instead of blocking a request thread on a
   simulation.
 * :class:`ServiceHandler` + :func:`make_server` — the stdlib
@@ -51,8 +52,7 @@ from ..metrics.export import to_prometheus
 from ..metrics.manifest import repro_version
 from ..metrics.registry import MetricsRegistry, collecting
 from ..scenario import Scenario
-from ..sweep import ArtifactStore, PredictionCache
-from ..sweep.runner import predict_cached
+from ..sweep import ArtifactStore, PredictionCache, SweepJob, run_job
 from .planner import WorkloadSpec, plan
 
 #: Request-log record layout version.
@@ -186,24 +186,25 @@ class PredictionService:
             self._identity[text] = pair  # atomic; benign if raced
         return pair
 
-    def _compute(self, scenario: Scenario, key: str) -> Dict[str, float]:
-        """Simulate one point through the artifact fast path, cache it."""
+    def _compute(self, scenario: Scenario) -> Dict[str, float]:
+        """Simulate one point through :func:`~repro.sweep.run_job` and
+        persist the cache."""
         with obs.span(
             "serve.compute",
             scenario=str(scenario),
             fingerprint=self.identity(scenario)[1],
         ):
-            resolved = scenario.resolve()
-            compiled = self.artifacts.get_or_compile(
-                scenario.build_topology(), resolved.builder
-            )
-            entry = predict_cached(
-                compiled, scenario.data_bytes, resolved.flow_control,
-                scenario.lockstep, self.cache, scenario.engine, key=key,
-            )
+            point = run_job(
+                SweepJob.from_scenarios([scenario]), self.cache,
+                self.artifacts,
+            ).points[0]
             with obs.span("cache.save", entries=len(self.cache)):
                 self.cache.save()
-            return entry
+            return {
+                "time": point.time,
+                "bandwidth": point.bandwidth,
+                "max_queue_delay": point.max_queue_delay,
+            }
 
     def predict(
         self, scenario: Scenario, block: bool = False
@@ -239,7 +240,7 @@ class PredictionService:
             with self._lock:
                 self._inflight.add(key)
             try:
-                entry = self._compute(scenario, key)
+                entry = self._compute(scenario)
             finally:
                 with self._lock:
                     self._inflight.discard(key)
@@ -306,7 +307,7 @@ class PredictionService:
                     scenario=str(scenario),
                     fingerprint=fingerprint,
                 ):
-                    self._compute(scenario, key)
+                    self._compute(scenario)
         except Exception as error:
             # A bad-but-parseable scenario (e.g. a variant the
             # topology cannot run) must not kill the worker; the key

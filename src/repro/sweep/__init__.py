@@ -1,8 +1,11 @@
 """Parallel sweep runner with a persistent on-disk prediction cache.
 
-``repro sweep --jobs N --cache PATH`` (see :mod:`repro.cli`) and the
-``benchmarks/`` figure scripts use this package to parallelize and
-memoize figure-scale prediction grids.
+``repro sweep --jobs N --cache PATH`` (see :mod:`repro.cli`), ``repro
+plan`` and ``repro serve`` use this package to parallelize and memoize
+prediction grids.  :func:`run_job` is the one path from scenarios to
+predictions; it evaluates each series with
+:func:`repro.analysis.sweep_bandwidth`, which also takes this package's
+:class:`PredictionCache` directly.
 """
 
 from .artifacts import ARTIFACT_SCHEMA_VERSION, ArtifactStore
@@ -11,10 +14,8 @@ from .runner import (
     SweepJob,
     SweepStats,
     jobs_from_scenarios,
-    predict_cached,
     run_job,
     run_sweep,
-    sweep_bandwidth_cached,
 )
 
 __all__ = [
@@ -24,8 +25,6 @@ __all__ = [
     "SweepJob",
     "SweepStats",
     "jobs_from_scenarios",
-    "predict_cached",
     "run_job",
     "run_sweep",
-    "sweep_bandwidth_cached",
 ]

@@ -4,11 +4,12 @@ A :class:`SweepJob` is a thin series wrapper over the scenario layer
 (:mod:`repro.scenario`): one (topology spec, algorithm variant, flow
 control, sizes, lockstep, engine) series — everything a worker needs as
 picklable plain data, expanding to one :class:`~repro.scenario.Scenario`
-per payload size.  :func:`run_sweep` executes a job list either serially
-or across a ``multiprocessing`` pool; with a cache path, warm points are
-served from the :mod:`repro.sweep.cache` store (keyed by scenario
-fingerprints) and every newly simulated point is persisted for the next
-run.
+per payload size.  :func:`run_job` turns one series into predictions
+(every scenario-to-prediction path runs it); :func:`run_sweep` executes
+a job list either serially or across a ``multiprocessing`` pool; with a
+cache path, warm points are served from the :mod:`repro.sweep.cache`
+store (keyed by scenario fingerprints) and every newly simulated point
+is persisted for the next run.
 
 Workers never write the cache file: each returns its freshly computed
 entries and the parent merges and saves once, so there is no write race
@@ -24,17 +25,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..analysis.metrics import BandwidthSweep, SweepPoint
+from ..analysis.metrics import BandwidthSweep, sweep_bandwidth
 from ..collectives import compile_algorithm
-from ..collectives.compiled import lower_schedule
-from ..collectives.schedule import Schedule
 from ..network.flowcontrol import FlowControl
-from ..scenario import (
-    Scenario,
-    group_scenarios,
-    point_key,
-    scenario_set_fingerprint,
-)
+from ..scenario import Scenario, group_scenarios, scenario_set_fingerprint
 from ..topology.base import Topology
 from ..topology.specs import parse_topology_spec
 from .artifacts import ArtifactStore
@@ -162,132 +156,6 @@ def jobs_from_scenarios(scenarios: Sequence[Scenario]) -> List[SweepJob]:
     return [SweepJob.from_scenarios(group) for group in group_scenarios(scenarios)]
 
 
-def predict_cached(
-    schedule: Schedule,
-    data_bytes: int,
-    flow_control: FlowControl,
-    lockstep: bool = True,
-    cache: Optional[PredictionCache] = None,
-    engine: str = "event",
-    key: Optional[str] = None,
-) -> Dict[str, float]:
-    """One prediction point, served from ``cache`` when warm.
-
-    ``schedule`` may be a :class:`Schedule`, lowered once on a miss
-    (:func:`~repro.collectives.compiled.lower_schedule`), or a
-    :class:`repro.collectives.CompiledSchedule`; the cache key only
-    needs ``.topology``/``.algorithm``.  Pass ``key`` (a precomputed
-    scenario cache key, see :meth:`repro.scenario.Scenario.cache_key`) to
-    skip re-deriving it from the schedule — required when the point
-    carries SystemConfig overrides, which the schedule alone cannot know.
-    """
-    if cache is not None:
-        if key is None:
-            key = point_key(
-                schedule.topology, schedule.algorithm, flow_control,
-                data_bytes, lockstep,
-            )
-        entry = cache.get(key)
-        if entry is not None:
-            return entry
-    if isinstance(schedule, Schedule):
-        schedule = lower_schedule(schedule)
-    result = schedule.simulate(data_bytes, flow_control, lockstep,
-                               engine=engine)
-    entry = {
-        "time": result.time,
-        "bandwidth": result.bandwidth,
-        "max_queue_delay": result.max_queue_delay(),
-    }
-    if cache is not None:
-        cache.put(key, **entry)
-    return entry
-
-
-def sweep_bandwidth_cached(
-    schedule: Schedule,
-    sizes: Sequence[int],
-    flow_control: FlowControl,
-    lockstep: bool = True,
-    cache: Optional[PredictionCache] = None,
-    label: Optional[str] = None,
-    engine: str = "event",
-    keys: Optional[Sequence[str]] = None,
-) -> BandwidthSweep:
-    """Cache-aware drop-in for :func:`repro.analysis.sweep_bandwidth`.
-
-    ``keys``, when given, supplies one precomputed scenario cache key per
-    size (aligned with ``sizes``).  A :class:`Schedule` is lowered once
-    per series, and only when some size misses the cache.
-
-    With ``engine="lockstep-vec"``, every cold size of the series is
-    evaluated in **one** batched vectorized pass
-    (:meth:`repro.collectives.compiled.CompiledSchedule.simulate_batch`)
-    and the cache is filled for the whole batch from that single
-    simulation; warm sizes are still served from the cache, and sizes
-    the vectorized engine declines are simulated by the scalar ladder
-    inside the batch (counted in ``sim.fallbacks``) — the
-    cached numbers are bit-identical either way.
-    """
-    if cache is not None and keys is None:
-        keys = [
-            point_key(
-                schedule.topology, schedule.algorithm, flow_control,
-                size, lockstep,
-            )
-            for size in sizes
-        ]
-    entries: List[Optional[Dict[str, float]]] = (
-        [cache.get(key) for key in keys] if cache is not None
-        else [None] * len(sizes)
-    )
-    cold = [index for index, entry in enumerate(entries) if entry is None]
-    if cold and isinstance(schedule, Schedule):
-        schedule = lower_schedule(schedule)
-    if cold and engine == "lockstep-vec":
-        batch = schedule.simulate_batch(
-            [sizes[index] for index in cold], flow_control, lockstep
-        )
-        fresh = [
-            {
-                "time": point.time,
-                "bandwidth": point.bandwidth,
-                "max_queue_delay": point.max_queue_delay,
-            }
-            for point in batch.points
-        ]
-    else:
-        fresh = [
-            predict_cached(schedule, sizes[index], flow_control, lockstep,
-                           engine=engine)
-            for index in cold
-        ]
-    for index, entry in zip(cold, fresh):
-        entries[index] = entry
-        if cache is not None:
-            cache.put(keys[index], **entry)
-    return _sweep_of(
-        schedule.topology.name, label or schedule.algorithm, sizes, entries
-    )
-
-
-def _sweep_of(topology: str, label: str, sizes: Sequence[int],
-              entries: Sequence[Dict[str, float]]) -> BandwidthSweep:
-    """A :class:`BandwidthSweep` of per-size prediction entries."""
-    sweep = BandwidthSweep(topology=topology, algorithm=label)
-    sweep.points.extend(
-        SweepPoint(
-            algorithm=label,
-            data_bytes=size,
-            time=entry["time"],
-            bandwidth=entry["bandwidth"],
-            max_queue_delay=entry["max_queue_delay"],
-        )
-        for size, entry in zip(sizes, entries)
-    )
-    return sweep
-
-
 def run_job(
     job: SweepJob,
     cache: Optional[PredictionCache] = None,
@@ -296,7 +164,8 @@ def run_job(
 ) -> BandwidthSweep:
     """Compile the job's schedule (skipped if fully warm) and sweep it.
 
-    The series compiles once (:func:`repro.collectives.compile_algorithm`)
+    The one path from scenarios to predictions: sweeps, plans and served
+    ``/predict`` misses all run it.  The series compiles once (:func:`repro.collectives.compile_algorithm`)
     and every engine simulates the compiled CSR arrays, so no per-message
     object is built between the schedule and a point.  With an
     ``artifacts`` store, the compile is replaced by one compiled-artifact
@@ -307,7 +176,9 @@ def run_job(
     Runs inside a ``sweep.job`` span, which carries the series'
     :func:`~repro.scenario.scenario_set_fingerprint` while tracing (the
     fingerprint ``serve.predict`` spans and manifests carry too) and
-    every point's bandwidth and time while metering.
+    every point's bandwidth and time while metering.  The points come
+    from :func:`repro.analysis.sweep_bandwidth`, the one series
+    evaluator.
     """
     with obs.span(
         "sweep.job",
@@ -331,8 +202,10 @@ def run_job(
             if cache is not None else None
         )
         if keys is not None and all(key in cache for key in keys):
-            sweep = _sweep_of(topology.name, label, job.sizes,
-                              [cache.get(key) for key in keys])
+            sweep = BandwidthSweep.of_entries(
+                topology.name, label, job.sizes,
+                [cache.get(key) for key in keys],
+            )
             job_span.set("warm", True)
         else:
             # Every engine simulates the compiled CSR form, whose points
@@ -341,9 +214,9 @@ def run_job(
                 schedule = artifacts.get_or_compile(topology, algorithm)
             else:
                 schedule = compile_algorithm(algorithm, topology)
-            sweep = sweep_bandwidth_cached(
-                schedule, job.sizes, fc, job.lockstep, cache, label,
-                job.engine, keys=keys,
+            sweep = sweep_bandwidth(
+                schedule, job.sizes, fc, job.lockstep, cache=cache,
+                label=label, engine=job.engine, keys=keys,
             )
         if obs.metering():
             job_span.set("fabric", sweep.topology)

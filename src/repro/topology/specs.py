@@ -110,11 +110,6 @@ TOPOLOGY_HELP = " | ".join(
 )
 
 
-def topology_kinds() -> Sequence[str]:
-    """The registered topology family names, in registration order."""
-    return tuple(TOPOLOGY_BUILDERS)
-
-
 def topology_mods_help() -> str:
     """Per-family link-mod summary for ``repro list`` (one line per family)."""
     lines = []

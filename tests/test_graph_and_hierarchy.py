@@ -164,6 +164,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format"):
             schedule_from_dict({"format": "v0"}, Torus2D(2, 2))
 
+    def test_same_name_and_counts_other_fabric_rejected(self, tmp_path):
+        # Same name, node/switch counts and link capacity; other links.
+        saved_on = GraphTopology.random_regular(16, 3, seed=1)
+        other = GraphTopology.random_regular(16, 3, seed=2)
+        assert saved_on.name == other.name
+        for algorithm in ("ring", "multitree"):
+            path = str(tmp_path / ("%s.json" % algorithm))
+            save_schedule(build_schedule(algorithm, saved_on), path)
+            with pytest.raises(ValueError, match="built for"):
+                load_schedule(path, other)
+            assert load_schedule(path, saved_on).ops == (
+                build_schedule(algorithm, saved_on).ops
+            )
+
+    def test_v1_format_rejected(self):
+        topo = Torus2D(2, 2)
+        data = schedule_to_dict(build_schedule("ring", topo))
+        data["format"] = "repro-schedule-v1"
+        with pytest.raises(ValueError, match="unrecognized schedule format"):
+            schedule_from_dict(data, topo)
+
     def test_simulation_identical_after_reload(self, tmp_path):
         topo = Torus2D(4, 4)
         schedule = build_schedule("2d-ring", topo)

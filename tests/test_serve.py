@@ -205,6 +205,35 @@ class TestPredictionService:
         finally:
             service.close()
 
+    def test_cold_predict_is_one_run_job(self, tmp_path):
+        from repro import obs
+        from repro.sweep import SweepJob, run_job
+
+        service = PredictionService(str(tmp_path / "state"), workers=0)
+        try:
+            scenario = Scenario.parse(
+                "torus-4x4/ring/1MiB@lockstep,data_packet_payload_bytes=128"
+            )
+            recorder = obs.ObsRecorder(capacity=None)
+            with obs.observing(recorder):
+                entry, source = service.predict(scenario, block=True)
+            jobs = [
+                r for r in recorder.records
+                if r["kind"] == "span" and r["name"] == "sweep.job"
+            ]
+            assert source == "simulated" and len(jobs) == 1
+            point = run_job(SweepJob.from_scenarios([scenario])).points[0]
+            assert entry == {
+                "time": point.time,
+                "bandwidth": point.bandwidth,
+                "max_queue_delay": point.max_queue_delay,
+            }
+            assert list(service.cache.entries) == [
+                service.identity(scenario)[0]
+            ]
+        finally:
+            service.close()
+
     def test_cache_persists_across_restarts(self, tmp_path):
         state = str(tmp_path / "state")
         scenario = Scenario.parse("torus-4x4/ring/32KiB@lockstep")

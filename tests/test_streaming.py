@@ -12,6 +12,7 @@ both construction priorities.
 import numpy as np
 import pytest
 
+from repro.analysis import sweep_bandwidth
 from repro.collectives import build_schedule, compile_algorithm
 from repro.collectives.compiled import compile_schedule
 from repro.collectives.multitree import build_forest, multitree_allreduce
@@ -19,7 +20,6 @@ from repro.collectives.streaming import compile_forest, compile_multitree
 from repro.metrics import collecting, metric_key
 from repro.network.flowcontrol import MessageBased
 from repro.sweep import ArtifactStore, SweepJob, run_job
-from repro.sweep.runner import sweep_bandwidth_cached
 from repro.topology.bigraph import BiGraph
 from repro.topology.fattree import FatTree
 from repro.topology.fattree3 import FatTree3
@@ -153,7 +153,7 @@ class TestCompileAlgorithm:
         job = SweepJob(spec, variant, SWEEP_SIZES, engine="lockstep-vec")
         got = run_job(job)
         algorithm, fc, label = job.resolve()
-        want = sweep_bandwidth_cached(
+        want = sweep_bandwidth(
             object_compiled(spec, algorithm), SWEEP_SIZES, fc, job.lockstep,
             None, label, "lockstep-vec",
         )

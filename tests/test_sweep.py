@@ -10,13 +10,7 @@ from repro.analysis import sweep_bandwidth
 from repro.collectives import build_schedule, compile_schedule
 from repro.network import MessageBased, PacketBased
 from repro.scenario import ENGINES, Scenario, point_key
-from repro.sweep import (
-    PredictionCache,
-    SweepJob,
-    run_job,
-    run_sweep,
-    sweep_bandwidth_cached,
-)
+from repro.sweep import PredictionCache, SweepJob, run_job, run_sweep
 from repro.topology import Ring1D, Torus2D
 from repro.topology.base import topology_fingerprint
 
@@ -166,7 +160,7 @@ class TestCachedSweep:
         topo = Torus2D(4, 4)
         schedule = build_schedule("multitree", topo)
         cache = PredictionCache(str(tmp_path / "c.json"))
-        cached = sweep_bandwidth_cached(schedule, SIZES, PacketBased(), cache=cache)
+        cached = sweep_bandwidth(schedule, SIZES, PacketBased(), cache=cache)
         plain = sweep_bandwidth(schedule, SIZES, PacketBased())
         for c, p in zip(cached.points, plain.points):
             assert c.time == p.time
@@ -177,11 +171,48 @@ class TestCachedSweep:
         topo = Torus2D(4, 4)
         schedule = build_schedule("multitree", topo)
         cache = PredictionCache(str(tmp_path / "c.json"))
-        first = sweep_bandwidth_cached(schedule, SIZES, PacketBased(), cache=cache)
+        first = sweep_bandwidth(schedule, SIZES, PacketBased(), cache=cache)
         assert cache.misses == len(SIZES)
-        warm = sweep_bandwidth_cached(schedule, SIZES, PacketBased(), cache=cache)
+        warm = sweep_bandwidth(schedule, SIZES, PacketBased(), cache=cache)
         assert cache.hits == len(SIZES)
         assert [p.time for p in warm.points] == [p.time for p in first.points]
+
+
+class TestOneEvaluator:
+    """``sweep_bandwidth`` lowers a Schedule once per series, and only
+    when some size misses the cache."""
+
+    @pytest.fixture
+    def lowerings(self, monkeypatch):
+        from repro.collectives.compiled import CompiledSchedule
+
+        built = []
+        init = CompiledSchedule.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledSchedule, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_schedule_lowers_once_per_series(self, lowerings, engine):
+        schedule = build_schedule("ring", Torus2D(4, 4))
+        sizes = SIZES + (1024 * KiB,)
+        hint = {} if engine == "event" else {"engine": engine}
+        sweep = sweep_bandwidth(schedule, sizes, PacketBased(), **hint)
+        assert len(lowerings) == 1
+        assert [p.data_bytes for p in sweep.points] == list(sizes)
+
+    def test_warm_series_never_lowers(self, lowerings, tmp_path):
+        schedule = build_schedule("ring", Torus2D(4, 4))
+        cache = PredictionCache(str(tmp_path / "c.json"))
+        cold = sweep_bandwidth(schedule, SIZES, PacketBased(), cache=cache)
+        del lowerings[:]
+        warm = sweep_bandwidth(schedule, SIZES, PacketBased(), cache=cache)
+        assert lowerings == []
+        assert warm.points == cold.points
 
 
 class TestRunner:
@@ -239,13 +270,13 @@ class TestEngineKeying:
         # Compiled, so lockstep-vec takes its batched path too.
         schedule = compile_schedule(build_schedule("ring", Torus2D(4, 4)))
         cache = PredictionCache(str(tmp_path / "c.json"))
-        event = sweep_bandwidth_cached(
+        event = sweep_bandwidth(
             schedule, SIZES, PacketBased(), cache=cache, engine="event"
         )
         assert (cache.hits, cache.misses) == (0, len(SIZES))
         for engine in ("lockstep", "lockstep-vec"):
             hits = cache.hits
-            warm = sweep_bandwidth_cached(
+            warm = sweep_bandwidth(
                 schedule, SIZES, PacketBased(), cache=cache, engine=engine
             )
             assert cache.hits - hits == len(SIZES), engine
@@ -257,7 +288,7 @@ class TestEngineKeying:
         # agreement rather than reading back one cached entry.
         schedule = compile_schedule(build_schedule("ring", Torus2D(4, 4)))
         sweeps = [
-            sweep_bandwidth_cached(
+            sweep_bandwidth(
                 schedule, SIZES, PacketBased(), cache=None, engine=engine
             )
             for engine in ENGINES
