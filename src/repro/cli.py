@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cache", default=None, metavar="PATH",
-        help="persistent prediction cache file (created if missing)",
+        help="persistent prediction cache journal (JSONL; created if missing)",
     )
     p.add_argument(
         "--engine", choices=ENGINES,

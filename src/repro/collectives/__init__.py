@@ -24,12 +24,6 @@ from .primitives import (
 )
 from .compiled import COMPILED_FORMAT, CompiledSchedule, compile_schedule
 from .ring import ring_allreduce
-from .serialization import (
-    load_schedule,
-    save_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
-)
 from .ring2d import ring2d_allreduce
 from .streaming import compile_multitree
 from .schedule import ChunkRange, CommOp, OpKind, Schedule
@@ -135,10 +129,6 @@ __all__ = [
     "hdrm_allreduce",
     "hdrm_rank_mapping",
     "hierarchical_allreduce",
-    "load_schedule",
-    "save_schedule",
-    "schedule_from_dict",
-    "schedule_to_dict",
     "is_power_of_two",
     "multitree_allreduce",
     "ring2d_allreduce",

@@ -38,6 +38,13 @@ FLOW_CONTROL_FACTORIES: Dict[str, Callable[[SystemConfig], FlowControl]] = {
     "message": lambda system: system.message_flow_control(),
 }
 
+#: Flow-control name -> the SystemConfig fields its factory reads: the
+#: only overrides that can change a prediction.
+FLOW_CONTROL_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "packet": ("data_packet_payload_bytes", "flit_bytes"),
+    "message": ("flit_bytes",),
+}
+
 
 def make_flow_control(name: str, system: Optional[SystemConfig] = None) -> FlowControl:
     """Build the named flow control from ``system`` (default Table III)."""
@@ -65,30 +72,21 @@ class AlgorithmVariant:
     def display_label(self) -> str:
         return self.label or self.name
 
-    def flow_control_factory(
-        self, fallback: Optional[str] = None
-    ) -> Callable[[SystemConfig], FlowControl]:
-        """The factory for this variant's flow control.
+    def flow_control_name(self, fallback: Optional[str] = None) -> str:
+        """This variant's flow-control name.
 
         A pinned ``flow_control`` wins; otherwise ``fallback`` (a
         flow-control name) or packet-based.  A ``fallback`` that
         contradicts the pin is an error — the pairing *is* the variant.
         """
-        if self.flow_control is not None:
-            if fallback is not None and fallback != self.flow_control:
-                raise ValueError(
-                    "variant %r pins %s-based flow control; cannot override "
-                    "with %r" % (self.name, self.flow_control, fallback)
-                )
-            name = self.flow_control
-        else:
-            name = fallback or "packet"
-        if name not in FLOW_CONTROL_FACTORIES:
+        if self.flow_control is None:
+            return fallback or "packet"
+        if fallback is not None and fallback != self.flow_control:
             raise ValueError(
-                "unknown flow control %r (choose: %s)"
-                % (name, sorted(FLOW_CONTROL_FACTORIES))
+                "variant %r pins %s-based flow control; cannot override "
+                "with %r" % (self.name, self.flow_control, fallback)
             )
-        return FLOW_CONTROL_FACTORIES[name]
+        return self.flow_control
 
 
 _VARIANTS: Dict[str, AlgorithmVariant] = {}
@@ -168,5 +166,5 @@ def resolve_variant(
     :meth:`repro.scenario.Scenario.resolve`, which wraps it).
     """
     variant = get_variant(name)
-    factory = variant.flow_control_factory(flow_control)
-    return variant.builder, factory(system or TABLE_III), variant.display_label
+    fc = make_flow_control(variant.flow_control_name(flow_control), system)
+    return variant.builder, fc, variant.display_label

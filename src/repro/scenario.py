@@ -27,7 +27,14 @@ Canonical string grammar::
                | "event" | "lockstep" | "lockstep-vec"
                                           simulation engine (a hint,
                                           not part of the identity)
-               | KEY "=" VALUE            SystemConfig override (Table III)
+               | "flit_bytes=" INT        flit size (Table III override)
+               | "data_packet_payload_bytes=" INT
+                                          packet payload (packet-based
+                                          flow control only)
+
+An override is a positive integer, and only a field the resolved flow
+control reads is accepted: no other Table III field reaches a
+prediction.  A packet payload must be a whole number of flits.
 
 Mods may equivalently be separated by ``+`` (useful where a comma is a
 delimiter, e.g. metric label sets).  Canonical form omits every default
@@ -60,7 +67,9 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .collectives.variants import (
     FLOW_CONTROL_FACTORIES,
+    FLOW_CONTROL_FIELDS,
     get_variant,
+    make_flow_control,
     variant_names,
 )
 from .config import SystemConfig, TABLE_III
@@ -98,7 +107,8 @@ ARTIFACT_SCHEMA_VERSION = 1
 #: One-line grammar reminder for CLI help output.
 SCENARIO_HELP = (
     "TOPOLOGY[@LINKMOD+...]/ALGORITHM/SIZE[@MOD,...] — mods: "
-    "packet|message, free, event|lockstep|lockstep-vec, KEY=VALUE "
+    "packet|message, free, event|lockstep|lockstep-vec, flit_bytes=N, "
+    "data_packet_payload_bytes=N "
     "(e.g. torus-4x4/multitree-msg/16MiB@lockstep or "
     "fattree-8x8@oversub=4/multitree/16MiB; link mods: repro list)"
 )
@@ -109,18 +119,29 @@ _SIZE_RE = re.compile(
     r"\s*([0-9]*\.?[0-9]+)\s*(?:([KMG])I?)?B?\s*", re.IGNORECASE
 )
 
-_SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
+#: The only SystemConfig fields an override may set.
+_OVERRIDE_FIELDS = sorted(
+    {name for fields in FLOW_CONTROL_FIELDS.values() for name in fields}
+)
 
 
 def parse_size(text: str) -> int:
-    """Parse a byte size: plain int or K/M/G with optional iB/B suffix."""
+    """Parse a byte size: plain int or K/M/G with optional iB/B suffix.
+
+    A fractional number is fine while it names whole bytes (``1.5K`` is
+    1536); ``1.5`` is rejected rather than truncated.
+    """
     match = _SIZE_RE.fullmatch(text)
     if not match:
         raise ValueError("cannot parse size %r (try e.g. 32K, 16MiB, 1G)" % text)
     factor = {None: 1, "K": KiB, "M": MiB, "G": GiB}[
         match.group(2).upper() if match.group(2) else None
     ]
-    return int(float(match.group(1)) * factor)
+    whole, _dot, fraction = match.group(1).partition(".")
+    size, rest = divmod(int(whole + fraction) * factor, 10 ** len(fraction))
+    if rest:
+        raise ValueError("size %r is not a whole number of bytes" % text)
+    return size
 
 
 def parse_sizes(text: str) -> Tuple[int, ...]:
@@ -191,17 +212,26 @@ def _format_override_value(value: object) -> str:
 def normalize_overrides(
     overrides: Union[None, Mapping[str, object], Iterable[Tuple[str, object]]],
 ) -> Overrides:
-    """Sorted, hashable override tuple; unknown field names are rejected."""
+    """Sorted, hashable override tuple.
+
+    Only the fields a flow control reads are accepted, each a positive
+    integer; anything else would change a point's identity but not its
+    prediction, or fail deep inside the wire math.
+    """
     if not overrides:
         return ()
     items = sorted(
         overrides.items() if isinstance(overrides, Mapping) else overrides
     )
-    for key, _value in items:
-        if key not in _SYSTEM_FIELDS:
+    for key, value in items:
+        if key not in _OVERRIDE_FIELDS:
             raise ValueError(
-                "unknown SystemConfig override %r (choose: %s)"
-                % (key, ", ".join(sorted(_SYSTEM_FIELDS)))
+                "unsupported override %r: no prediction reads it (choose: %s)"
+                % (key, ", ".join(_OVERRIDE_FIELDS))
+            )
+        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            raise ValueError(
+                "override %s=%r must be a positive integer" % (key, value)
             )
     return tuple(items)
 
@@ -212,7 +242,6 @@ class ResolvedScenario(NamedTuple):
     builder: str                 # key in repro.collectives.ALGORITHMS
     flow_control: FlowControl
     label: str
-    system: SystemConfig
 
 
 def point_key(
@@ -265,7 +294,8 @@ class Scenario:
     ``topology`` is a combined spec (``torus-4x4``); ``algorithm`` is a
     registered variant name.  ``flow_control`` of ``None`` defers to the
     variant's pairing (packet-based when the variant does not pin one).
-    ``overrides`` are Table III :class:`SystemConfig` field replacements.
+    ``overrides`` replace the Table III :class:`SystemConfig` framing
+    fields the flow control reads (see :func:`normalize_overrides`).
     """
 
     topology: str
@@ -413,15 +443,28 @@ class Scenario:
         return dataclasses.replace(TABLE_III, **dict(self.overrides))
 
     def resolve(self) -> ResolvedScenario:
-        """Registry-resolved ``(builder, flow control, label, system)``."""
-        system = self.system()
+        """Registry-resolved ``(builder, flow control, label)``.
+
+        Raises :class:`ValueError` for an override the resolved flow
+        control does not read, or a packet payload that is not a whole
+        number of flits.
+        """
         variant = get_variant(self.algorithm)
-        factory = variant.flow_control_factory(self.flow_control)
+        name = variant.flow_control_name(self.flow_control)
+        flow_control = make_flow_control(name, self.system())
+        unread = [
+            key for key, _value in self.overrides
+            if key not in FLOW_CONTROL_FIELDS[name]
+        ]
+        if unread:
+            raise ValueError(
+                "%s-based flow control does not read %s"
+                % (name, ", ".join(unread))
+            )
         return ResolvedScenario(
             builder=variant.builder,
-            flow_control=factory(system),
+            flow_control=flow_control,
             label=variant.display_label,
-            system=system,
         )
 
     def build_topology(self) -> Topology:

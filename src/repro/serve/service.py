@@ -23,9 +23,10 @@ Two layers, separable for testing and replay benchmarking:
 
   ``/predict`` answers 200 from the warm cache, 202 + ``Retry-After``
   while warming, 503 + ``Retry-After`` when the compile queue is full,
-  400 on a malformed scenario.  ``/plan`` answers 200 when every
-  candidate is warm, else enqueues the gaps and answers 202 with the
-  remaining-miss count.
+  400 on a malformed scenario or a fabric above
+  :data:`MAX_SERVED_NODES`.  ``/plan`` answers 200 when every candidate
+  is warm, else enqueues the gaps and answers 202 with the remaining-miss
+  count (400 above :data:`MAX_SERVED_NODES` too).
 
 Requests, predictions and warm-ups each run in one obs span; while a
 :func:`make_server` server is open those records fold into the service
@@ -53,15 +54,21 @@ from ..metrics.manifest import repro_version
 from ..metrics.registry import MetricsRegistry, collecting
 from ..scenario import Scenario
 from ..sweep import ArtifactStore, PredictionCache, SweepJob, run_job
+from ..topology.specs import spec_node_count
 from .planner import WorkloadSpec, plan
 
 #: Request-log record layout version.
 REQUEST_LOG_SCHEMA_VERSION = 1
 
 #: Default state-directory file names, shared with the CLI.
-CACHE_FILENAME = "cache.json"
+CACHE_FILENAME = "cache.jsonl"
 ARTIFACTS_DIRNAME = "artifacts"
 REQUEST_LOG_FILENAME = "requests.jsonl"
+
+#: The largest fabric a request may name, in nodes: the ``scaleout_xl``
+#: bench tier's 8192, the largest the repo runs.  Merely keying a larger
+#: one builds it on the request thread, for seconds, holding the GIL.
+MAX_SERVED_NODES = 8192
 
 #: Rotate the request log once it grows past this (one ``.1`` rollover is
 #: kept).  64 MiB of JSONL is days of high-QPS serving.
@@ -188,7 +195,7 @@ class PredictionService:
 
     def _compute(self, scenario: Scenario) -> Dict[str, float]:
         """Simulate one point through :func:`~repro.sweep.run_job` and
-        persist the cache."""
+        append it to the cache journal."""
         with obs.span(
             "serve.compute",
             scenario=str(scenario),
@@ -275,24 +282,7 @@ class PredictionService:
             if item is None:  # shutdown sentinel
                 self._queue.task_done()
                 return
-            # Drain the burst under one batched cache context: a /plan
-            # warm-up enqueues a whole size bucket at once, and
-            # coalescing the per-point saves turns the bucket fill into
-            # a single atomic cache write instead of one per size.
-            stop = False
-            with self.cache.batched():
-                while True:
-                    self._process_warm(item)
-                    try:
-                        item = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is None:  # shutdown sentinel mid-burst
-                        self._queue.task_done()
-                        stop = True
-                        break
-            if stop:
-                return
+            self._process_warm(item)
 
     def _process_warm(self, item) -> None:
         scenario, carrier = item
@@ -467,6 +457,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             )
         scenario = Scenario.parse(text)  # ValueError -> 400
         record["scenario"] = str(scenario)
+        _check_served_size(scenario.topology)
         entry, source = self.service.predict(scenario)
         key, fingerprint = self.service.identity(scenario)
         record["source"] = source
@@ -497,6 +488,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     ) -> Tuple[int, Dict[str, object]]:
         spec = WorkloadSpec.from_query(params)  # ValueError -> 400
         record["plan"] = "%s sizes=%d" % (spec.topology, len(spec.sizes))
+        _check_served_size(spec.topology)
         # Serve plans from the warm cache only: a request thread never
         # simulates.  Candidates still cold are enqueued for the pool.
         missing = 0
@@ -523,6 +515,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
         )
         record["source"] = "cache"
         return 200, result.to_dict()
+
+
+def _check_served_size(topology: str) -> None:
+    """Refuse, before anything is built, a fabric above the served size."""
+    nodes = spec_node_count(topology)
+    if nodes > MAX_SERVED_NODES:
+        raise ValueError(
+            "topology %s has %d nodes; repro serve answers fabrics of at "
+            "most %d nodes" % (topology, nodes, MAX_SERVED_NODES)
+        )
 
 
 class ServiceServer(ThreadingHTTPServer):

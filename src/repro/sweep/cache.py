@@ -18,73 +18,93 @@ embed:
 * :data:`repro.scenario.FINGERPRINT_SCHEMA_VERSION` — the invalidation
   key.  Bump it whenever a change alters predicted timings (simulator
   semantics, flow-control wire math, lockstep gating); every previously
-  cached entry then misses and the file is repopulated with fresh values.
+  cached entry then misses and fresh values are appended.
 
 The simulation engine is not in the key: every engine returns ``==``
 numbers, so a point cached by one engine is served to all of them.
 
-Entries store ``time``, ``bandwidth``, and ``max_queue_delay``.  The file
-is plain JSON; writes are atomic (temp file + ``os.replace``) and merge
-with on-disk state so concurrent writers lose nothing but duplicated work.
+The file is an append-only JSONL journal, one
+``{"key", "time", "bandwidth", "max_queue_delay"}`` object per line, with
+floats written by ``repr`` so values reload exactly.  A save appends only
+the entries put since the previous save, in one ``O_APPEND`` write, so
+concurrent writers — serve threads, sweep worker processes — interleave
+whole lines and lose nothing.  There is no compaction step: an entry is a
+pure function of its key, so duplicate lines (only racing writers make
+them) are ``==`` and the last one read wins harmlessly.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import warnings
-from contextlib import contextmanager
-from typing import Dict, Optional
-
-from ..scenario import FINGERPRINT_SCHEMA_VERSION
+from typing import Dict, Optional, Tuple
 
 __all__ = ["PredictionCache"]
 
+_FIELDS = ("time", "bandwidth", "max_queue_delay")
+
+
+def _entry(line: bytes) -> Optional[Tuple[str, Dict[str, float]]]:
+    """``(key, entry)`` from one journal line, or ``None`` if it is not one."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or not isinstance(record.get("key"), str):
+        return None
+    entry = {name: record.get(name) for name in _FIELDS}
+    if not all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in entry.values()
+    ):
+        return None
+    return record["key"], entry
+
 
 class PredictionCache:
-    """JSON-backed key -> prediction store with hit/miss accounting."""
+    """JSONL-journaled key -> prediction store with hit/miss accounting."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.hits = 0
         self.misses = 0
         self._entries: Dict[str, Dict[str, float]] = self._read(path)
-        self._dirty = False
-        # Batching state is per-thread: serve workers share one cache,
-        # and one worker's open batch must not swallow another's save.
-        self._batch = threading.local()
+        # Entries put since the last save; the lock orders puts and
+        # appends across the threads that share one cache.
+        self._unsaved: Dict[str, Dict[str, float]] = {}
+        self._lock = threading.Lock()
 
     @staticmethod
     def _read(path: str) -> Dict[str, Dict[str, float]]:
         """Entries on disk; a missing file is the normal cold start, while
-        a corrupt or truncated one starts empty *with a warning* — the
-        cache must never take the process down, only cost re-simulation."""
+        lines that are corrupt or truncated are skipped *with a warning* —
+        the cache must never take the process down, only cost
+        re-simulation."""
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
+            with open(path, "rb") as fh:
+                lines = fh.read().splitlines()
         except OSError:
             return {}
-        except ValueError:
+        entries: Dict[str, Dict[str, float]] = {}
+        skipped = 0
+        for line in lines:
+            if not line.strip():
+                continue
+            parsed = _entry(line)
+            if parsed is None:
+                skipped += 1
+            else:
+                entries[parsed[0]] = parsed[1]
+        if skipped:
             warnings.warn(
-                "prediction cache %s is corrupt or truncated; starting "
-                "empty (the next save rewrites it atomically)" % path,
+                "prediction cache %s has %d corrupt or truncated line(s); "
+                "skipped them and kept the other %d entries"
+                % (path, skipped, len(entries)),
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return {}
-        entries = (
-            payload.get("entries") if isinstance(payload, dict) else None
-        )
-        if not isinstance(entries, dict):
-            warnings.warn(
-                "prediction cache %s has an unexpected layout; starting "
-                "empty (the next save rewrites it atomically)" % path,
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return {}
         return entries
 
     def __len__(self) -> int:
@@ -103,67 +123,40 @@ class PredictionCache:
 
     def put(self, key: str, time: float, bandwidth: float,
             max_queue_delay: float) -> None:
-        self._entries[key] = {
+        entry = {
             "time": time,
             "bandwidth": bandwidth,
             "max_queue_delay": max_queue_delay,
         }
-        self._dirty = True
-
-    def merge(self, entries: Dict[str, Dict[str, float]]) -> None:
-        """Adopt entries computed elsewhere (e.g. a worker process)."""
-        if entries:
-            self._entries.update(entries)
-            self._dirty = True
+        with self._lock:
+            self._entries[key] = entry
+            self._unsaved[key] = entry
 
     @property
     def entries(self) -> Dict[str, Dict[str, float]]:
         return dict(self._entries)
 
-    @contextmanager
-    def batched(self):
-        """Coalesce saves: ``save()`` calls inside defer to block exit.
-
-        A multi-point fill — the sweep runner's one-pass size series, a
-        serve warm-up draining a whole plan bucket — otherwise pays one
-        read-merge-replace of the JSON file per point.  Inside a
-        ``batched()`` block those saves are recorded and performed once,
-        atomically, when the outermost block exits (also on error, so
-        whatever was computed before a failure still persists).
-        Re-entrant, and scoped to the calling thread.
-        """
-        depth = getattr(self._batch, "depth", 0)
-        self._batch.depth = depth + 1
-        try:
-            yield self
-        finally:
-            self._batch.depth = depth
-            if depth == 0 and getattr(self._batch, "deferred", False):
-                self._batch.deferred = False
-                self.save()
-
     def save(self) -> None:
-        """Atomically persist, merging with whatever is on disk now."""
-        if getattr(self._batch, "depth", 0):
-            self._batch.deferred = True
-            return
-        if not self._dirty:
-            return
-        on_disk = self._read(self.path)
-        on_disk.update(self._entries)
-        self._entries = on_disk
-        payload = {"schema": FINGERPRINT_SCHEMA_VERSION, "entries": self._entries}
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
+        """Append the entries put since the last save; none, no write."""
+        with self._lock:
+            if not self._unsaved:
+                return
+            data = "".join(
+                json.dumps(dict(key=key, **entry)) + "\n"
+                for key, entry in self._unsaved.items()
+            ).encode()
+            directory = os.path.dirname(os.path.abspath(self.path))
+            os.makedirs(directory, exist_ok=True)
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._dirty = False
+                # A crash mid-append leaves a torn last line; start on a
+                # fresh line so the torn one stays the only loss.
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    data = b"\n" + data
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            self._unsaved.clear()

@@ -11,16 +11,15 @@ cache path, warm points are served from the :mod:`repro.sweep.cache`
 store (keyed by scenario fingerprints) and every newly simulated point
 is persisted for the next run.
 
-Workers never write the cache file: each returns its freshly computed
-entries and the parent merges and saves once, so there is no write race
-and a crashed worker costs only its own points.
+Each parallel worker appends its own new entries to the cache journal;
+appends are whole-line ``O_APPEND`` writes, so workers never race and a
+crashed worker costs only its own points.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -233,20 +232,20 @@ def run_job(
 
 def _worker(
     args: Tuple[SweepJob, Optional[str], Optional[str], Optional[tuple]]
-) -> Tuple[BandwidthSweep, Dict[str, Dict[str, float]], Dict[str, object]]:
-    """Pool entry point: run one job in its own process.
+) -> Tuple[BandwidthSweep, Dict[str, object]]:
+    """Pool entry point: run one job in its own process and append its
+    new entries to the cache journal.
 
-    Returns ``(sweep, newly cached entries, report)`` where ``report``
-    carries the worker's cache hit/miss counts, artifact-store counts
-    and wall time.  When the parent records obs, the fourth tuple element
-    is its ``(span carrier, traced, metered)``: the worker records into a
-    matching in-memory recorder and ships every record back in
-    ``report["obs"]`` for the parent to replay, parent links intact.
+    Returns ``(sweep, report)`` where ``report`` carries the worker's
+    cache hit/miss counts, artifact-store counts and wall time.  When
+    the parent records obs, the fourth tuple element is its ``(span
+    carrier, traced, metered)``: the worker records into a matching
+    in-memory recorder and ships every record back in ``report["obs"]``
+    for the parent to replay, parent links intact.
     """
     job, cache_path, artifacts_path, obs_parent = args
     cache = PredictionCache(cache_path) if cache_path else None
     artifacts = ArtifactStore(artifacts_path) if artifacts_path else None
-    before = set(cache.entries) if cache is not None else set()
     start = time.perf_counter()
 
     carrier, traced, metered = obs_parent or (None, False, False)
@@ -262,6 +261,8 @@ def _worker(
             sweep = run_job(job, cache, artifacts)
     finally:
         obs.set_obs(previous)
+    if cache is not None:
+        cache.save()
     report: Dict[str, object] = {
         "hits": cache.hits if cache is not None else 0,
         "misses": cache.misses if cache is not None else 0,
@@ -270,12 +271,7 @@ def _worker(
         "job_time_s": time.perf_counter() - start,
         "obs": recorder.snapshot() if recorder is not None else None,
     }
-    fresh = (
-        {k: v for k, v in cache.entries.items() if k not in before}
-        if cache is not None
-        else {}
-    )
-    return sweep, fresh, report
+    return sweep, report
 
 
 def run_sweep(
@@ -289,11 +285,11 @@ def run_sweep(
 
     ``processes``: ``None``/``0``/``1`` runs serially in-process; larger
     values use a ``multiprocessing.Pool``.  With ``cache_path``, the cache
-    is consulted before simulating and persisted (atomically, merged with
-    concurrent writers) after all jobs finish.  With ``artifacts_path``,
-    workers load compiled schedule artifacts from that directory instead
-    of rebuilding schedules (cold artifacts are compiled and persisted in
-    place).  Pass a :class:`SweepStats` as ``stats`` to receive cache and
+    is consulted before simulating, and the new entries are appended to
+    its journal once a serial run or each parallel job finishes.  With
+    ``artifacts_path``, workers load compiled schedule artifacts from that
+    directory instead of rebuilding schedules (cold artifacts are
+    compiled and persisted in place).  Pass a :class:`SweepStats` as ``stats`` to receive cache and
     artifact hit/miss counts, worker count and per-job wall times.  With
     an obs recorder active, parallel workers ship their records and the
     parent replays them in job order, so streams and folded metrics
@@ -328,14 +324,10 @@ def _run_sweep(
         cache = PredictionCache(cache_path) if cache_path else None
         artifacts = ArtifactStore(artifacts_path) if artifacts_path else None
         sweeps = []
-        # One batched cache context for the whole serial run: any saves a
-        # job triggers coalesce into the single atomic write below.
-        batch = cache.batched() if cache is not None else nullcontext()
-        with batch:
-            for job in jobs:
-                t0 = time.perf_counter()
-                sweeps.append(run_job(job, cache, artifacts))
-                stats.job_times_s.append(time.perf_counter() - t0)
+        for job in jobs:
+            t0 = time.perf_counter()
+            sweeps.append(run_job(job, cache, artifacts))
+            stats.job_times_s.append(time.perf_counter() - t0)
         if cache is not None:
             stats.cache_hits = cache.hits
             stats.cache_misses = cache.misses
@@ -361,8 +353,8 @@ def _run_sweep(
                 [(job, cache_path, artifacts_path, obs_parent)
                  for job in jobs],
             )
-        sweeps = [sweep for sweep, _fresh, _report in outcomes]
-        for _sweep, _fresh, report in outcomes:
+        sweeps = [sweep for sweep, _report in outcomes]
+        for _sweep, report in outcomes:
             stats.cache_hits += int(report["hits"])
             stats.cache_misses += int(report["misses"])
             stats.artifact_hits += int(report["artifact_hits"])
@@ -372,11 +364,7 @@ def _run_sweep(
                 recorder.merge(report["obs"])
         stats.workers = workers
         if cache_path:
-            cache = PredictionCache(cache_path)
-            for _sweep, fresh, _report in outcomes:
-                cache.merge(fresh)
-            cache.save()
-            stats.cache_entries = len(cache)
+            stats.cache_entries = len(PredictionCache(cache_path))
     stats.points = sum(len(sweep.points) for sweep in sweeps)
     stats.wall_time_s = time.perf_counter() - start
     return sweeps

@@ -15,6 +15,7 @@ scenario grammar help both derive from it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import obs
@@ -29,11 +30,13 @@ from .torus3d import Torus3D
 
 
 class TopologyFamily(NamedTuple):
-    """One registered topology family: dims grammar, builder, link mods."""
+    """One registered topology family: dims grammar, builder, link mods,
+    and the node count its dims give (the product, unless stated)."""
 
     dims_help: str
     builder: Callable[[Sequence[int], LinkProfile], Topology]
     mods: Tuple[str, ...]
+    nodes: Callable[[Sequence[int]], int] = math.prod
 
     @property
     def arity(self) -> int:
@@ -98,6 +101,7 @@ TOPOLOGY_BUILDERS: Dict[str, TopologyFamily] = {
         "SWITCHES_PER_LAYERxNODES_PER_SWITCH",
         lambda parts, prof: BiGraph(*parts, oversub=_oversub(prof)),
         ("oversub",),
+        lambda parts: 2 * math.prod(parts),  # two switch layers
     ),
 }
 
@@ -160,6 +164,16 @@ def canonical_topology_spec(spec: str) -> str:
     profile = link_profile_for(kind, modtext)
     _parse_dims(kind, dims)
     return head + profile.suffix()
+
+
+def spec_node_count(spec: str) -> int:
+    """The node count a combined spec names, worked out from its family
+    and dims alone — nothing is built, and link mods, which do not change
+    the count, are not read.  A bad family or dims raise
+    :class:`ValueError`."""
+    kind, _sep, dims = spec.strip().partition("@")[0].partition("-")
+    link_profile_for(kind, None)  # rejects an unknown family
+    return TOPOLOGY_BUILDERS[kind].nodes(_parse_dims(kind, dims))
 
 
 def parse_topology(kind: str, dims: str, modtext: Optional[str] = None) -> Topology:

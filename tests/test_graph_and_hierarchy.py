@@ -1,7 +1,4 @@
-"""Tests for generic graph topologies, link failure, hierarchical rings,
-and schedule serialization."""
-
-import json
+"""Tests for generic graph topologies, link failure and hierarchical rings."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.collectives import (
     build_schedule,
     hierarchical_allreduce,
-    load_schedule,
     multitree_allreduce,
-    save_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
     verify_allreduce,
 )
 from repro.ni import simulate_allreduce
@@ -133,64 +126,3 @@ class TestHierarchical:
             mt = simulate_allreduce(build_schedule("multitree", topo), size)
             hier = simulate_allreduce(hierarchical_allreduce(topo), size)
             assert mt.time < hier.time
-
-
-class TestSerialization:
-    def test_roundtrip_preserves_schedule(self):
-        topo = Torus2D(4, 4)
-        schedule = multitree_allreduce(topo)
-        data = schedule_to_dict(schedule)
-        restored = schedule_from_dict(json.loads(json.dumps(data)), topo)
-        assert restored.algorithm == schedule.algorithm
-        assert len(restored.ops) == len(schedule.ops)
-        assert restored.ops == schedule.ops
-        verify_allreduce(restored)
-
-    def test_file_roundtrip(self, tmp_path):
-        topo = FatTree(4, 4)
-        schedule = multitree_allreduce(topo)
-        path = str(tmp_path / "schedule.json")
-        save_schedule(schedule, path)
-        restored = load_schedule(path, topo)
-        assert restored.ops == schedule.ops  # includes source routes
-
-    def test_topology_mismatch_rejected(self):
-        schedule = multitree_allreduce(Torus2D(4, 4))
-        data = schedule_to_dict(schedule)
-        with pytest.raises(ValueError, match="built for"):
-            schedule_from_dict(data, Mesh2D(4, 4))
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            schedule_from_dict({"format": "v0"}, Torus2D(2, 2))
-
-    def test_same_name_and_counts_other_fabric_rejected(self, tmp_path):
-        # Same name, node/switch counts and link capacity; other links.
-        saved_on = GraphTopology.random_regular(16, 3, seed=1)
-        other = GraphTopology.random_regular(16, 3, seed=2)
-        assert saved_on.name == other.name
-        for algorithm in ("ring", "multitree"):
-            path = str(tmp_path / ("%s.json" % algorithm))
-            save_schedule(build_schedule(algorithm, saved_on), path)
-            with pytest.raises(ValueError, match="built for"):
-                load_schedule(path, other)
-            assert load_schedule(path, saved_on).ops == (
-                build_schedule(algorithm, saved_on).ops
-            )
-
-    def test_v1_format_rejected(self):
-        topo = Torus2D(2, 2)
-        data = schedule_to_dict(build_schedule("ring", topo))
-        data["format"] = "repro-schedule-v1"
-        with pytest.raises(ValueError, match="unrecognized schedule format"):
-            schedule_from_dict(data, topo)
-
-    def test_simulation_identical_after_reload(self, tmp_path):
-        topo = Torus2D(4, 4)
-        schedule = build_schedule("2d-ring", topo)
-        path = str(tmp_path / "s.json")
-        save_schedule(schedule, path)
-        restored = load_schedule(path, topo)
-        a = simulate_allreduce(schedule, 4 * MiB).time
-        b = simulate_allreduce(restored, 4 * MiB).time
-        assert a == pytest.approx(b, rel=1e-12)

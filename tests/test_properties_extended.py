@@ -1,7 +1,5 @@
 """Second round of property-based tests over the extension surface."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +15,6 @@ from repro.collectives import (
     multitree_allreduce,
     reduce_scatter_schedule,
     reduce_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
     verify_all_gather,
     verify_allreduce,
     verify_alltoall,
@@ -77,15 +73,6 @@ def test_step_utilization_bounded(topo):
     assert all(0.0 <= u <= 1.0 for u in util.values())
     lo, mean, hi = utilization_summary(schedule)
     assert 0.0 <= lo <= mean <= hi <= 1.0
-
-
-@settings(max_examples=10, deadline=None)
-@given(topo=small_topologies)
-def test_serialization_roundtrip_property(topo):
-    schedule = multitree_allreduce(topo)
-    blob = json.dumps(schedule_to_dict(schedule))
-    restored = schedule_from_dict(json.loads(blob), topo)
-    assert restored.ops == schedule.ops
 
 
 @settings(max_examples=8, deadline=None)

@@ -63,13 +63,12 @@ scenario_strategy = st.builds(
     flow_control=st.sampled_from([None, "packet", "message"]),
     lockstep=st.booleans(),
     engine=st.sampled_from(["event", "lockstep"]),
+    # The grammar accepts only the flow-control framing fields, each a
+    # positive integer (whether the resolved flow control reads them is a
+    # resolve-time check).
     overrides=st.dictionaries(
-        st.sampled_from(["flit_bytes", "link_latency_s", "num_vcs"]),
-        st.one_of(
-            st.integers(min_value=1, max_value=1 << 20),
-            st.floats(min_value=1e-12, max_value=1e12,
-                      allow_nan=False, allow_infinity=False),
-        ),
+        st.sampled_from(["flit_bytes", "data_packet_payload_bytes"]),
+        st.integers(min_value=1, max_value=1 << 20),
         max_size=2,
     ),
 )
@@ -85,6 +84,16 @@ class TestSizes:
     def test_parse_size_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_size("lots")
+
+    @pytest.mark.parametrize("text", ["1.5", "2.7", "1.0000001K", "0.1M"])
+    def test_parse_size_rejects_partial_bytes(self, text):
+        with pytest.raises(ValueError):
+            parse_size(text)
+
+    def test_parse_size_accepts_whole_byte_fractions(self):
+        assert parse_size("1.5K") == 1536
+        assert parse_size("0.5MiB") == 512 * 1024
+        assert parse_size("2.0") == 2
 
     def test_format_size_prefers_exact_units(self):
         assert format_size(32 * 1024) == "32KiB"
@@ -166,10 +175,47 @@ class TestGrammar:
         "torus-4x4/ring/huge",                 # unparseable size
         "torus-4x4/ring/1MiB@wormhole",        # unknown mod
         "torus-4x4/ring/1MiB@warp_core=9",     # unknown override field
+        # Overrides no prediction reads, and bad override values.
+        "torus-4x4/ring/1MiB@link_bandwidth_bytes_per_s=32e9",
+        "torus-4x4/ring/1MiB@link_latency_s=3e-07",
+        "torus-4x4/ring/1MiB@router_clock_hz=2e9",
+        "torus-4x4/ring/1MiB@flit_bytes=0",
+        "torus-4x4/ring/1MiB@flit_bytes=-16",
+        "torus-4x4/ring/1MiB@flit_bytes=abc",
+        "torus-4x4/ring/1MiB@flit_bytes=16.0",
+        "torus-4x4/ring/1MiB@data_packet_payload_bytes=0",
+        "torus-4x4/ring/1MiB@data_packet_payload_bytes=-16",
+        "torus-4x4/ring/1.5",                  # not a whole number of bytes
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             Scenario.parse(bad)
+
+    @pytest.mark.parametrize("text", [
+        # Message-based flow control has no packet payload.
+        "torus-4x4/ring/1MiB@message,data_packet_payload_bytes=128",
+        "torus-4x4/multitree-msg/1MiB@data_packet_payload_bytes=128",
+        # A payload of 100 bytes is not a whole number of 16-byte flits.
+        "torus-4x4/ring/1MiB@data_packet_payload_bytes=100",
+        "torus-4x4/ring/1MiB@flit_bytes=48",
+    ])
+    def test_resolve_rejects_overrides_the_flow_control_cannot_use(
+            self, text):
+        scenario = Scenario.parse(text)
+        with pytest.raises(ValueError):
+            scenario.resolve()
+        with pytest.raises(ValueError):
+            scenario.cache_key()
+
+    def test_accepted_overrides_reach_the_flow_control(self):
+        resolved = Scenario.parse(
+            "torus-4x4/ring/1MiB@data_packet_payload_bytes=128,flit_bytes=32"
+        ).resolve()
+        assert resolved.flow_control == PacketBased(
+            payload_bytes=128, flit_bytes=32
+        )
+        resolved = Scenario.parse("torus-4x4/ring/1MiB@message,flit_bytes=48")
+        assert resolved.resolve().flow_control == MessageBased(flit_bytes=48)
 
     def test_constructor_validates(self):
         with pytest.raises(ValueError):
@@ -216,7 +262,7 @@ class TestRegistry:
 
     def test_pinned_flow_control_rejects_contradiction(self):
         with pytest.raises(ValueError):
-            get_variant("multitree-msg").flow_control_factory("packet")
+            get_variant("multitree-msg").flow_control_name("packet")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from urllib.parse import quote
 
 import pytest
@@ -36,6 +37,20 @@ MALFORMED_SPECS = (
 )
 SIZES = (32 * KiB, 128 * KiB)
 ALGOS = ("ring", "multitree")
+#: Scenarios /predict must refuse with a 400: an override no prediction
+#: reads, a bad override value, a fractional byte count, and a fabric
+#: above the served size (8281 nodes).
+REFUSED_SCENARIOS = (
+    "torus-4x4/ring/1MiB@link_bandwidth_bytes_per_s=32e9",
+    "torus-4x4/ring/1MiB@message,data_packet_payload_bytes=128",
+    "torus-4x4/ring/1MiB@flit_bytes=0",
+    "torus-4x4/ring/1MiB@flit_bytes=-16",
+    "torus-4x4/ring/1MiB@flit_bytes=abc",
+    "torus-4x4/ring/1MiB@data_packet_payload_bytes=0",
+    "torus-4x4/ring/1MiB@data_packet_payload_bytes=-16",
+    "torus-4x4/ring/1.5",
+    "torus-91x91/ring/1MiB",
+)
 
 
 def small_spec(**overrides):
@@ -247,6 +262,23 @@ class TestPredictionService:
         finally:
             second.close()
 
+    def test_pre_journal_cache_file_is_never_read(self, tmp_path):
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "cache.json").write_text(json.dumps({
+            "schema": 5,
+            "entries": {"k": {"time": 1.0, "bandwidth": 1.0,
+                              "max_queue_delay": 0.0}},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            service = PredictionService(str(state), workers=0)
+        try:
+            assert len(service.cache) == 0
+            assert service.cache.path.endswith("cache.jsonl")
+        finally:
+            service.close()
+
     def test_background_warming(self, tmp_path):
         service = PredictionService(str(tmp_path / "state"), workers=1)
         try:
@@ -423,6 +455,41 @@ class TestHTTPEndpoints:
             base + "/predict?scenario=" + quote(text, safe="")
         )
         assert status == 400 and "dimensions" in payload["error"]
+
+    @pytest.mark.parametrize("text", REFUSED_SCENARIOS)
+    def test_predict_refuses_with_400(self, live_server, text):
+        base, service = live_server
+        start = time.perf_counter()
+        status, payload, _ = http_get(
+            base + "/predict?scenario=" + quote(text, safe="")
+        )
+        assert status == 400 and payload["error"], payload
+        assert time.perf_counter() - start < 5
+        assert service.health()["inflight"] == 0
+
+    def test_plan_refuses_an_oversized_fabric(self, live_server):
+        base, _service = live_server
+        status, payload, _ = http_get(
+            base + "/plan?topology=torus-91x91&sizes=1M"
+        )
+        assert status == 400 and "8281 nodes" in payload["error"]
+
+    @pytest.mark.parametrize("text, numbers, fingerprint", [
+        ("torus-4x4/ring/1.5K",
+         (4.710000000000002e-06, 326114649.6815285, 0.0), "d2c0925423ecf5b2"),
+        ("torus-4x4/ring/1MiB@data_packet_payload_bytes=128",
+         (0.00014273999999999995, 7346055765.7279, 0.0), "ce5a9c08ab5a6a84"),
+    ])
+    def test_valid_fraction_and_override_keep_their_numbers(
+            self, live_server, text, numbers, fingerprint):
+        base, service = live_server
+        service.predict(Scenario.parse(text), block=True)
+        status, payload, _ = http_get(
+            base + "/predict?scenario=" + quote(text, safe="")
+        )
+        assert status == 200 and payload["fingerprint"] == fingerprint
+        assert (payload["time"], payload["bandwidth"],
+                payload["max_queue_delay"]) == numbers
 
     def test_predict_uncompilable_scenario_422(self, live_server):
         base, service = live_server

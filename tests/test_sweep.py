@@ -10,7 +10,7 @@ from repro.analysis import sweep_bandwidth
 from repro.collectives import build_schedule, compile_schedule
 from repro.network import MessageBased, PacketBased
 from repro.scenario import ENGINES, Scenario, point_key
-from repro.sweep import PredictionCache, SweepJob, run_job, run_sweep
+from repro.sweep import PredictionCache, SweepJob, SweepStats, run_job, run_sweep
 from repro.topology import Ring1D, Torus2D
 from repro.topology.base import topology_fingerprint
 
@@ -90,69 +90,151 @@ class TestPredictionCache:
         assert not (tmp_path / "never.json").exists()
 
 
-class TestBatchedFlush:
-    def test_saves_inside_batch_coalesce_to_one_write(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = PredictionCache(path)
-        with cache.batched():
-            for i in range(5):
-                cache.put(
-                    "k%d" % i, time=float(i), bandwidth=1.0,
-                    max_queue_delay=0.0,
-                )
-                cache.save()  # deferred: one write at block exit
-                assert not os.path.exists(path)
-        assert os.path.exists(path)
-        assert len(PredictionCache(path)) == 5
+def _append_keys(path, prefix, rounds, barrier):
+    """Worker process for the concurrent-journal test."""
+    cache = PredictionCache(path)
+    barrier.wait()
+    for round_ in range(rounds):
+        for i in range(4):
+            cache.put("%s-%d-%d" % (prefix, round_, i), time=float(round_),
+                      bandwidth=float(i), max_queue_delay=0.0)
+        cache.save()
 
-    def test_batch_flushes_on_error(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = PredictionCache(path)
-        with pytest.raises(RuntimeError):
-            with cache.batched():
-                cache.put("k", time=1.0, bandwidth=1.0, max_queue_delay=0.0)
-                cache.save()
-                raise RuntimeError("mid-batch failure")
-        # Work computed before the failure still persisted.
-        assert "k" in PredictionCache(path)
 
-    def test_nested_batches_flush_at_outermost_exit(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = PredictionCache(path)
-        with cache.batched():
-            with cache.batched():
-                cache.put("k", time=1.0, bandwidth=1.0, max_queue_delay=0.0)
-                cache.save()
-            assert not os.path.exists(path)
-        assert os.path.exists(path)
+class TestJournal:
+    """The cache file is an append-only JSONL journal."""
 
-    def test_no_deferred_saves_means_no_write(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = PredictionCache(path)
-        with cache.batched():
-            pass
-        assert not os.path.exists(path)
+    @staticmethod
+    def put_many(cache, count, prefix="k"):
+        for i in range(count):
+            cache.put("%s%d" % (prefix, i), time=float(i), bandwidth=1.0,
+                      max_queue_delay=0.0)
 
-    def test_batch_is_per_thread(self, tmp_path):
+    def test_save_appends_one_line_per_put(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = PredictionCache(str(path))
+        self.put_many(cache, 5)
+        cache.save()
+        lines = path.read_text().splitlines()
+        assert len(lines) == 5
+        assert json.loads(lines[3]) == {
+            "key": "k3", "time": 3.0, "bandwidth": 1.0,
+            "max_queue_delay": 0.0,
+        }
+        # A save with nothing new writes no bytes.
+        before = path.read_bytes()
+        cache.save()
+        PredictionCache(str(path)).save()
+        assert path.read_bytes() == before
+        self.put_many(cache, 2, prefix="new")
+        cache.save()
+        assert len(path.read_text().splitlines()) == 7
+        assert len(PredictionCache(str(path))) == 7
+
+    def test_floats_reload_exactly(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        cache = PredictionCache(path)
+        values = (0.1 + 0.2, 7763779061.158001, 1e-300)
+        cache.put("k", *values)
+        cache.save()
+        entry = PredictionCache(path).get("k")
+        assert (entry["time"], entry["bandwidth"],
+                entry["max_queue_delay"]) == values
+
+    def test_torn_tail_loads_the_rest_and_next_save_starts_a_line(
+            self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = PredictionCache(str(path))
+        self.put_many(cache, 3)
+        cache.save()
+        with open(path, "a") as fh:
+            fh.write('{"key": "torn", "time": 1.')
+        with pytest.warns(RuntimeWarning, match="corrupt or truncated") as seen:
+            reopened = PredictionCache(str(path))
+        assert len(seen) == 1
+        assert sorted(reopened.entries) == ["k0", "k1", "k2"]
+        reopened.put("after", time=2.0, bandwidth=2.0, max_queue_delay=0.0)
+        reopened.save()
+        assert path.read_text().splitlines()[-1].startswith('{"key": "after"')
+        with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
+            final = PredictionCache(str(path))
+        assert sorted(final.entries) == ["after", "k0", "k1", "k2"]
+
+    def test_lines_without_the_three_numbers_are_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = {"key": "good", "time": 1.0, "bandwidth": 2.0,
+                "max_queue_delay": 0.0}
+        bad = [
+            {"key": "no-delay", "time": 1.0, "bandwidth": 2.0},
+            {"key": "text", "time": "1.0", "bandwidth": 2.0,
+             "max_queue_delay": 0.0},
+            {"key": "flag", "time": True, "bandwidth": 2.0,
+             "max_queue_delay": 0.0},
+            {"time": 1.0, "bandwidth": 2.0, "max_queue_delay": 0.0},
+            [1, 2, 3],
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in [good] + bad))
+        with pytest.warns(RuntimeWarning, match="5 corrupt or truncated"):
+            cache = PredictionCache(str(path))
+        assert cache.entries == {"good": {"time": 1.0, "bandwidth": 2.0,
+                                          "max_queue_delay": 0.0}}
+
+    def test_threads_sharing_a_cache_lose_nothing(self, tmp_path):
+        import sys
         import threading
 
-        path = str(tmp_path / "cache.json")
+        path = str(tmp_path / "cache.jsonl")
         cache = PredictionCache(path)
-        written = {}
 
-        def other_thread():
-            cache.put("other", time=2.0, bandwidth=1.0, max_queue_delay=0.0)
-            cache.save()  # not inside *this* thread's batch: writes now
-            written["exists"] = os.path.exists(path)
+        def writer(prefix):
+            for i in range(50):
+                cache.put("%s%d" % (prefix, i), time=1.0, bandwidth=1.0,
+                          max_queue_delay=0.0)
+                cache.save()
 
-        with cache.batched():
-            cache.put("mine", time=1.0, bandwidth=1.0, max_queue_delay=0.0)
-            cache.save()
-            worker = threading.Thread(target=other_thread)
+        threads = [threading.Thread(target=writer, args=(p,)) for p in "abcd"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(PredictionCache(path)) == 200
+        with open(path) as fh:
+            assert len(fh.read().splitlines()) == 200
+
+    def test_concurrent_processes_append_disjoint_keys(self, tmp_path):
+        import multiprocessing
+
+        context = multiprocessing.get_context("spawn")
+        path = str(tmp_path / "cache.jsonl")
+        prefixes, rounds = ("a", "b", "c"), 60
+        barrier = context.Barrier(len(prefixes))
+        workers = [
+            context.Process(
+                target=_append_keys, args=(path, prefix, rounds, barrier)
+            )
+            for prefix in prefixes
+        ]
+        for worker in workers:
             worker.start()
-            worker.join()
-        assert written["exists"] is True
-        assert "mine" in PredictionCache(path)
+        for worker in workers:
+            worker.join(timeout=120)
+            assert worker.exitcode == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = PredictionCache(path)
+        assert len(reloaded) == len(prefixes) * rounds * 4
+        assert reloaded.get("c-%d-3" % (rounds - 1)) == {
+            "time": float(rounds - 1), "bandwidth": 3.0,
+            "max_queue_delay": 0.0,
+        }
 
 
 class TestCachedSweep:
@@ -231,14 +313,17 @@ class TestRunner:
             SweepJob("torus-4x4", "multitree", SIZES),
         ]
         serial = run_sweep(jobs)
+        stats = SweepStats()
         parallel = run_sweep(jobs, processes=2,
-                             cache_path=str(tmp_path / "c.json"))
+                             cache_path=str(tmp_path / "c.jsonl"),
+                             stats=stats)
         for s, p in zip(serial, parallel):
             assert s.algorithm == p.algorithm
             assert [pt.time for pt in s.points] == [pt.time for pt in p.points]
-        # The parallel run persisted every computed point.
-        entries = json.loads((tmp_path / "c.json").read_text())["entries"]
-        assert len(entries) == len(jobs) * len(SIZES)
+        # Each worker appended its own points, one line per point.
+        lines = (tmp_path / "c.jsonl").read_text().splitlines()
+        assert len(lines) == len(jobs) * len(SIZES)
+        assert stats.cache_entries == len(lines)
 
     def test_warm_cache_skips_construction(self, tmp_path):
         cache_path = str(tmp_path / "c.json")
