@@ -33,15 +33,14 @@ accept the canonical one-line form directly (``--scenario
 torus-4x4/multitree-msg/16MiB``) and run manifests fingerprint runs by
 their scenarios.
 
-Global options (before the command): ``--metrics-out PATH`` collects
-aggregate telemetry for the run and writes it as JSON (``.json``) or
-Prometheus text exposition (anything else); ``--manifest PATH`` appends a
-self-describing JSON-lines run manifest (config fingerprint, version, git
-SHA, wall time, metric snapshot) that ``repro report`` can diff across
-runs.  Either flag turns metric collection on; it is off by default.
-``--obs PATH`` additionally streams correlated spans + structured logs
-(one JSONL record per closed span) to PATH — ``repro status`` tails it
-live and ``repro obs explain`` renders the span trees after.
+Global options (before the command): ``--manifest PATH`` turns metric
+collection on (it is off by default) and appends a self-describing
+JSON-lines run manifest (config fingerprint, version, git SHA, wall time,
+metric snapshot) that ``repro report`` can diff across runs.  ``--obs
+PATH`` streams correlated spans + structured logs (one JSONL record per
+closed span) to PATH — ``repro status`` tails it live, ``repro obs
+explain`` renders the span trees after, and under ``repro serve`` each
+``http.request`` span is the record of one served request.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -70,7 +70,6 @@ from .metrics import (
     build_manifest,
     collecting,
     repro_version,
-    write_metrics,
 )
 from .metrics.report import run_report
 from .ni import build_schedule_tables, simulate_allreduce
@@ -227,42 +226,46 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.service import (
-        PredictionService,
-        REQUEST_LOG_FILENAME,
-        RequestLog,
-        make_server,
-    )
+    from .serve.service import PredictionService, make_server
 
-    log_path = args.request_log or os.path.join(
-        args.state_dir, REQUEST_LOG_FILENAME
-    )
     service = PredictionService(
         args.state_dir,
         workers=args.workers,
         queue_size=args.queue_size,
         retry_after_s=args.retry_after,
-        request_log=RequestLog(log_path),
     )
     # While open, the server folds every record of the process into the
     # service registry: /metrics shows simulator and sweep internals too.
     server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(
-        "repro serve listening on http://%s:%d (state %s, %d workers, "
-        "request log %s)" % (host, port, args.state_dir, args.workers, log_path)
+        "repro serve listening on http://%s:%d (state %s, %d workers)"
+        % (host, port, args.state_dir, args.workers)
     )
     print("endpoints: /predict?scenario=...  /plan?topology=...&sizes=...  "
           "/healthz  /metrics")
     sys.stdout.flush()
+    # SIGTERM, and SIGINT even where a background launch ignores it, stop
+    # the server as Ctrl-C does, so the shutdown below (and the --obs
+    # recorder's close) runs instead of losing unflushed records.
+    previous = {
+        signum: signal.signal(signum, _interrupt)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         server.server_close()
         service.close()
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -604,11 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version="%(prog)s " + repro_version()
     )
     parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="collect aggregate telemetry and write it here "
-             "(.json = JSON snapshot, else Prometheus text exposition)",
-    )
-    parser.add_argument(
         "--manifest", default=None, metavar="PATH",
         help="collect telemetry and append a JSON-lines run manifest "
              "(config fingerprint, version, git SHA, metric snapshot)",
@@ -711,10 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--retry-after", type=float, default=2.0, metavar="SECONDS",
         help="retry hint returned with 202/503 answers (default 2.0)",
-    )
-    p.add_argument(
-        "--request-log", default=None, metavar="PATH",
-        help="JSONL request manifest (default STATE_DIR/requests.jsonl)",
     )
     p.set_defaults(func=_cmd_serve)
 
@@ -949,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest_labels(args: argparse.Namespace) -> dict:
     """Topology/algorithm/size-style labels harvested from the parsed args."""
-    skip = {"func", "command", "metrics_out", "manifest", "obs", "files"}
+    skip = {"func", "command", "manifest", "obs", "files"}
     labels = {}
     for key, value in sorted(vars(args).items()):
         if key in skip or key.startswith("_") or value is None or callable(value):
@@ -962,23 +956,20 @@ def _manifest_labels(args: argparse.Namespace) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.metrics_out and not args.manifest and not args.obs:
+    if not args.manifest and not args.obs:
         return args.func(args)
     from contextlib import ExitStack
 
     registry = None
     start = time.perf_counter()
     with ExitStack() as stack:
-        if args.metrics_out or args.manifest:
+        if args.manifest:
             registry = stack.enter_context(collecting())
         if args.obs:
             stack.enter_context(_obs.observing(stream_path=args.obs))
             stack.enter_context(_obs.span("cli", command=args.command))
         rc = args.func(args)
     wall = time.perf_counter() - start
-    if args.metrics_out:
-        write_metrics(registry, args.metrics_out)
-        print("wrote metrics to %s" % args.metrics_out)
     if args.manifest:
         record = build_manifest(
             command=args.command,

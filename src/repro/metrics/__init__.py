@@ -1,4 +1,4 @@
-"""Aggregate telemetry: the metrics fold, run manifests, exporters, reports.
+"""Aggregate telemetry: the metrics fold, run manifests, exposition, reports.
 
 :mod:`repro.trace` answers *why was this one run slow* (per-event
 timelines); this package answers *how do runs compare* (aggregate
@@ -11,13 +11,13 @@ instrumentation system: sites emit :mod:`repro.obs` records, and
   :func:`collecting`, the metrics-only switch;
 * :mod:`repro.metrics.manifest` — JSON-lines run manifests: config
   fingerprint, package version, git SHA, wall time, metric snapshot.
-* :mod:`repro.metrics.export` — JSON and Prometheus text exposition.
+* :mod:`repro.metrics.export` — Prometheus text exposition (``/metrics``).
 * :mod:`repro.metrics.report` — the ``repro report`` comparison dashboard
   and regression gate (imported on demand by the CLI; it pulls in the
   bench harness, so it is deliberately **not** imported here).
 """
 
-from .export import to_json, to_prometheus, write_metrics
+from .export import to_prometheus
 from .fold import MetricsFold
 from .manifest import (
     MANIFEST_SCHEMA_VERSION,
@@ -56,7 +56,5 @@ __all__ = [
     "metric_key",
     "parse_key",
     "repro_version",
-    "to_json",
     "to_prometheus",
-    "write_metrics",
 ]

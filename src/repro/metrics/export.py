@@ -1,20 +1,16 @@
-"""Registry exporters: JSON and Prometheus text exposition.
+"""Prometheus text exposition (version 0.0.4) of a metrics registry.
 
-Two formats cover the two consumers:
-
-* **JSON** — the registry snapshot verbatim, for run manifests, the
-  ``repro report`` dashboard, and ad-hoc scripting;
-* **Prometheus text exposition** (version 0.0.4) — for scraping a
-  long-running service that embeds this package.  Metric names are
-  sanitized (``sim.queue_delay`` → ``repro_sim_queue_delay``); histograms
-  export cumulative ``_bucket`` lines whose ``le`` bounds are the
-  power-of-two ladder of :class:`repro.metrics.registry.Histogram`, plus
-  ``_sum`` and ``_count``.
+``repro serve`` renders its registry this way at ``/metrics``; the JSON
+form of a registry is :meth:`~repro.metrics.registry.MetricsRegistry.snapshot`,
+which run manifests carry.  Metric names are sanitized
+(``sim.queue_delay`` → ``repro_sim_queue_delay``); histograms export
+cumulative ``_bucket`` lines whose ``le`` bounds are the power-of-two
+ladder of :class:`repro.metrics.registry.Histogram`, plus ``_sum`` and
+``_count``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict
 
@@ -101,11 +97,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def to_json(registry: MetricsRegistry, indent: int = 2) -> str:
-    """The registry snapshot as pretty, key-sorted JSON."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
-
-
 def to_prometheus(registry: MetricsRegistry, prefix: str = "repro_") -> str:
     """Prometheus text-exposition rendering of every metric."""
     lines = []
@@ -152,12 +143,3 @@ def to_prometheus(registry: MetricsRegistry, prefix: str = "repro_") -> str:
         lines.append("%s_count%s %d" % (name, _prom_labels(labels), payload["count"]))
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def write_metrics(registry: MetricsRegistry, path: str) -> None:
-    """Write the registry to ``path``: JSON for ``.json``, Prometheus else."""
-    if path.endswith(".json"):
-        text = to_json(registry) + "\n"
-    else:
-        text = to_prometheus(registry)
-    with open(path, "w") as fh:
-        fh.write(text)

@@ -12,7 +12,7 @@ records finished inside a ``with`` block into a registry::
 
 Records carry already-computed values, so collecting cannot perturb
 simulated timings.  :meth:`MetricsRegistry.snapshot` is the plain-JSON
-form run manifests, ``--metrics-out`` and ``repro report`` use.
+form run manifests carry and ``repro report`` reads.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from .replay import (
 )
 from .service import (
     PredictionService,
-    RequestLog,
     ServiceHandler,
     make_server,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "PlanResult",
     "PredictionService",
     "ReplayStats",
-    "RequestLog",
     "ServiceHandler",
     "WorkloadSpec",
     "load_trace",

@@ -5,12 +5,11 @@ Two layers, separable for testing and replay benchmarking:
 * :class:`PredictionService` — the application object.  It owns the
   persistent :class:`~repro.sweep.cache.PredictionCache`, the compiled
   :class:`~repro.sweep.artifacts.ArtifactStore`, a *bounded* background
-  worker pool for cache warming, a metrics registry, and an optional
-  per-request JSONL log.  Warm queries are one dictionary probe; a miss
-  enqueues a one-point :func:`~repro.sweep.run_job` (artifact build +
-  lockstep run, as sweeps and plans run it) and reports ``warming`` so
-  the caller retries instead of blocking a request thread on a
-  simulation.
+  worker pool for cache warming and a metrics registry.  Warm queries
+  are one dictionary probe; a miss enqueues a one-point
+  :func:`~repro.sweep.run_job` (artifact build + lockstep run, as sweeps
+  and plans run it) and reports ``warming`` so the caller retries
+  instead of blocking a request thread on a simulation.
 * :class:`ServiceHandler` + :func:`make_server` — the stdlib
   ``http.server`` front end (``ThreadingHTTPServer``: one thread per
   connection, which the warm path's dictionary-probe cost easily
@@ -30,9 +29,9 @@ Two layers, separable for testing and replay benchmarking:
 
 Requests, predictions and warm-ups each run in one obs span; while a
 :func:`make_server` server is open those records fold into the service
-registry that ``/metrics`` renders.  Every request is also appended to
-the request log, flushed per line so a tail or a crashed service still
-yields a valid JSONL manifest.
+registry that ``/metrics`` renders.  The ``http.request`` span is the
+request record: endpoint, status, scenario (or plan) and answer source,
+streamed under ``repro --obs PATH serve``.
 """
 
 from __future__ import annotations
@@ -57,77 +56,14 @@ from ..sweep import ArtifactStore, PredictionCache, SweepJob, run_job
 from ..topology.specs import spec_node_count
 from .planner import WorkloadSpec, plan
 
-#: Request-log record layout version.
-REQUEST_LOG_SCHEMA_VERSION = 1
-
 #: Default state-directory file names, shared with the CLI.
 CACHE_FILENAME = "cache.jsonl"
 ARTIFACTS_DIRNAME = "artifacts"
-REQUEST_LOG_FILENAME = "requests.jsonl"
 
 #: The largest fabric a request may name, in nodes: the ``scaleout_xl``
 #: bench tier's 8192, the largest the repo runs.  Merely keying a larger
 #: one builds it on the request thread, for seconds, holding the GIL.
 MAX_SERVED_NODES = 8192
-
-#: Rotate the request log once it grows past this (one ``.1`` rollover is
-#: kept).  64 MiB of JSONL is days of high-QPS serving.
-DEFAULT_LOG_MAX_BYTES = 64 * 1024 * 1024
-
-
-class RequestLog:
-    """Append-only JSONL request manifest, flushed per record.
-
-    One record per served request: timestamp, endpoint, query identity,
-    status, outcome source and latency — the serving counterpart of the
-    run manifests in :mod:`repro.metrics.manifest`.  The file is
-    size-capped: when an append would push it past ``max_bytes`` the
-    current file rolls over to ``<path>.1`` (replacing any previous
-    rollover) and a fresh file starts, so a long-lived service keeps at
-    most two generations on disk instead of growing without bound.
-    """
-
-    def __init__(
-        self, path: str, max_bytes: int = DEFAULT_LOG_MAX_BYTES
-    ) -> None:
-        self.path = path
-        self.max_bytes = max(0, int(max_bytes))
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
-        self._fh = open(path, "a")
-        self._size = os.path.getsize(path) if os.path.exists(path) else 0
-        self.records_written = 0
-        self.rotations = 0
-
-    def _rotate(self) -> None:
-        """Roll the current file to ``<path>.1`` (caller holds the lock)."""
-        self._fh.close()
-        os.replace(self.path, self.path + ".1")
-        self._fh = open(self.path, "a")
-        self._size = 0
-        self.rotations += 1
-
-    def append(self, record: Dict[str, object]) -> None:
-        record = dict(record)
-        record.setdefault("schema", REQUEST_LOG_SCHEMA_VERSION)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            if (
-                self.max_bytes
-                and self._size
-                and self._size + len(line) > self.max_bytes
-            ):
-                self._rotate()
-            self._fh.write(line)
-            self._fh.flush()
-            self._size += len(line)
-            self.records_written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            self._fh.close()
-
 
 class PredictionService:
     """Warm-cache prediction store with bounded background compilation.
@@ -145,14 +81,12 @@ class PredictionService:
         queue_size: int = 64,
         retry_after_s: float = 2.0,
         registry: Optional[MetricsRegistry] = None,
-        request_log: Optional[RequestLog] = None,
     ) -> None:
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self.cache = PredictionCache(os.path.join(state_dir, CACHE_FILENAME))
         self.artifacts = ArtifactStore(os.path.join(state_dir, ARTIFACTS_DIRNAME))
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.request_log = request_log
         self.retry_after_s = retry_after_s
         self.started_at = time.time()
         # Entries are ``(scenario, obs carrier)`` pairs — the carrier
@@ -305,22 +239,10 @@ class PredictionService:
             # deterministically instead of re-warming forever.
             with self._lock:
                 self._failed[key] = str(error)
-            self._log_event("compile_error", scenario, str(error))
         finally:
             with self._lock:
                 self._inflight.discard(key)
             self._queue.task_done()
-
-    def _log_event(self, kind: str, scenario: Scenario, detail: str) -> None:
-        if self.request_log is not None:
-            self.request_log.append(
-                {
-                    "ts": time.time(),
-                    "endpoint": kind,
-                    "scenario": str(scenario),
-                    "detail": detail,
-                }
-            )
 
     def failure_reason(self, key: str) -> Optional[str]:
         """The recorded compile error for ``key``, if warming it failed."""
@@ -363,8 +285,6 @@ class PredictionService:
         for thread in self._workers:
             thread.join(timeout=5.0)
         self.cache.save()
-        if self.request_log is not None:
-            self.request_log.close()
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -378,7 +298,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     # BaseHTTPRequestHandler logs to stderr per request; at high QPS that
-    # is the bottleneck, and the request log already records everything.
+    # is the bottleneck, and the http.request span records every request.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
@@ -387,11 +307,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        start = time.perf_counter()
         split = urlsplit(self.path)
         params = dict(parse_qsl(split.query, keep_blank_values=True))
         endpoint = split.path.rstrip("/") or "/"
-        record: Dict[str, object] = {"ts": time.time(), "endpoint": endpoint}
         # The root span of one unit of served work: everything the request
         # triggers — planner, prediction, queued warm-ups in the worker
         # pool — joins this trace.
@@ -403,9 +321,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 elif endpoint == "/metrics":
                     status, payload = 200, None  # rendered below, not JSON
                 elif endpoint == "/predict":
-                    status, payload = self._predict(params, record)
+                    status, payload = self._predict(params, request_span)
                 elif endpoint == "/plan":
-                    status, payload = self._plan(params, record)
+                    status, payload = self._plan(params, request_span)
                 else:
                     status, payload = 404, {
                         "error": "unknown endpoint %s" % endpoint,
@@ -417,7 +335,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 status, payload = 400, {"error": str(error)}
             except Exception as error:  # pragma: no cover - defensive
                 status, payload = 500, {"error": str(error)}
-            latency_s = time.perf_counter() - start
             if endpoint == "/metrics" and status == 200:
                 # Rendered before this request's own record folds in.
                 body = to_prometheus(self.service.registry).encode()
@@ -439,16 +356,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.send_header("X-Trace-Id", trace_id)
         self.end_headers()
         self.wfile.write(body)
-        if self.service.request_log is not None:
-            record.update(status=status, latency_s=latency_s)
-            if trace_id is not None:
-                record["trace"] = trace_id
-            self.service.request_log.append(record)
 
     # -- endpoints ---------------------------------------------------------
 
     def _predict(
-        self, params: Dict[str, str], record: Dict[str, object]
+        self, params: Dict[str, str], request_span
     ) -> Tuple[int, Dict[str, object]]:
         text = params.get("scenario")
         if not text:
@@ -456,11 +368,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "predict needs scenario=<canonical scenario string>"
             )
         scenario = Scenario.parse(text)  # ValueError -> 400
-        record["scenario"] = str(scenario)
+        request_span.set("scenario", str(scenario))
         _check_served_size(scenario.topology)
         entry, source = self.service.predict(scenario)
         key, fingerprint = self.service.identity(scenario)
-        record["source"] = source
+        request_span.set("source", source)
         if entry is not None:
             payload: Dict[str, object] = {
                 "scenario": str(scenario),
@@ -484,10 +396,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         }
 
     def _plan(
-        self, params: Dict[str, str], record: Dict[str, object]
+        self, params: Dict[str, str], request_span
     ) -> Tuple[int, Dict[str, object]]:
         spec = WorkloadSpec.from_query(params)  # ValueError -> 400
-        record["plan"] = "%s sizes=%d" % (spec.topology, len(spec.sizes))
+        request_span.set(
+            "plan", "%s sizes=%d" % (spec.topology, len(spec.sizes))
+        )
         _check_served_size(spec.topology)
         # Serve plans from the warm cache only: a request thread never
         # simulates.  Candidates still cold are enqueued for the pool.
@@ -504,7 +418,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 missing += 1
                 self.service.warm(scenario, key)
         if missing:
-            record["source"] = "warming"
+            request_span.set("source", "warming")
             return 202, {
                 "status": "warming",
                 "missing": missing,
@@ -513,7 +427,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         result = plan(
             spec, cache=self.service.cache, artifacts=self.service.artifacts
         )
-        record["source"] = "cache"
+        request_span.set("source", "cache")
         return 200, result.to_dict()
 
 

@@ -35,6 +35,7 @@ the uniform links it always did, bit for bit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -48,11 +49,18 @@ def _format_number(value: float) -> str:
     return repr(number)
 
 
-def _parse_oversub(text: str) -> float:
+def _parse_finite(name: str, text: str) -> float:
     try:
-        ratio = float(text)
+        number = float(text)
     except ValueError:
-        raise ValueError("oversub wants a number, got %r" % text)
+        raise ValueError("%s wants a number, got %r" % (name, text))
+    if not math.isfinite(number):
+        raise ValueError("%s wants a finite number, got %r" % (name, text))
+    return number
+
+
+def _parse_oversub(text: str) -> float:
+    ratio = _parse_finite("oversub", text)
     if ratio < 1.0:
         raise ValueError(
             "oversub ratio must be >= 1 (got %s); use uplink=F for "
@@ -62,10 +70,7 @@ def _parse_oversub(text: str) -> float:
 
 
 def _parse_uplink(text: str) -> float:
-    try:
-        scale = float(text)
-    except ValueError:
-        raise ValueError("uplink wants a number, got %r" % text)
+    scale = _parse_finite("uplink", text)
     if scale <= 0.0:
         raise ValueError("uplink scale must be > 0, got %s" % text)
     return scale

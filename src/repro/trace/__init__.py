@@ -6,7 +6,8 @@ queue delays); this package records *why*.  Pass a :class:`Trace` as the
 :func:`repro.ni.simulate_allreduce`, :meth:`repro.runtime.Communicator.trace`
 or the training iteration models, then:
 
-* export it for the Perfetto UI (:func:`write_chrome_trace`),
+* export it for the Perfetto UI (:func:`write_chrome_trace`, written by
+  :mod:`repro.obs.export`, the one Chrome trace-event writer),
 * extract the critical path and its exact wire / latency / queueing /
   lockstep-stall decomposition (:func:`extract_critical_path`),
 * rank contention hotspots and render the per-step link-utilization
@@ -22,6 +23,7 @@ Tracing is strictly opt-in: with no recorder the hooks reduce to one
 results.
 """
 
+from ..obs.export import to_chrome_trace, write_chrome_trace
 from .critical_path import (
     COMPONENTS,
     CriticalPath,
@@ -29,7 +31,6 @@ from .critical_path import (
     extract_critical_path,
 )
 from .events import HopEvent, MessageEvent, SpanEvent, StepGateEvent, TraceRecorder
-from .export import to_chrome_trace, write_chrome_trace
 from .hotspots import LinkHotspot, format_hotspots, link_hotspots, utilization_heatmap
 from .recorder import Trace
 from .report import format_trace_report

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cli import main
 from repro.collectives import build_schedule, compile_schedule
 from repro.network import EnergyModel, PacketBased
 from repro.network.energy import link_energy_scales
@@ -84,6 +85,30 @@ class TestParsing:
     def test_oversub_below_one_rejected(self):
         with pytest.raises(ValueError, match="oversub"):
             link_profile_for("fattree", "oversub=0.5")
+
+    @pytest.mark.parametrize("family, mods", [
+        ("fattree", "oversub=nan"),
+        ("fattree", "oversub=inf"),
+        ("bigraph", "oversub=nan"),
+        ("bigraph", "oversub=inf"),
+        ("fattree3", "oversub=Infinity"),
+        ("fattree3", "uplink=nan"),
+        ("fattree3", "uplink=inf"),
+    ])
+    def test_non_finite_mod_rejected(self, family, mods):
+        # nan passes every range check and inf divides a bandwidth to 0.
+        with pytest.raises(ValueError, match="finite"):
+            link_profile_for(family, mods)
+
+    @pytest.mark.parametrize("text", [
+        "fattree-4x4@oversub=nan/ring/1MiB",
+        "fattree-4x4@oversub=inf/ring/1MiB",
+        "bigraph-4x8@oversub=nan/ring/1MiB",
+        "fattree3-2x2x2@uplink=nan/ring/1MiB",
+    ])
+    def test_non_finite_mod_scenario_exits_cleanly(self, text):
+        with pytest.raises(SystemExit, match="finite"):
+            main(["sweep", "--scenario", text])
 
     def test_rails_grammar_rejected(self):
         with pytest.raises(ValueError, match="rails"):

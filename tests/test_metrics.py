@@ -19,9 +19,7 @@ from repro.metrics import (
     metric_key,
     parse_key,
     repro_version,
-    to_json,
     to_prometheus,
-    write_metrics,
 )
 from repro.metrics.report import (
     bandwidth_series,
@@ -317,7 +315,7 @@ class TestExporters:
 
     def test_json_roundtrip(self):
         reg = self._registry()
-        payload = json.loads(to_json(reg))
+        payload = json.loads(json.dumps(reg.snapshot()))
         assert payload["counters"]["sim.runs|topology=torus-2x2"] == 3
         assert payload["gauges"]["sim.finish_time|topology=torus-2x2"] == 1.5e-5
         assert payload == reg.snapshot()
@@ -330,15 +328,6 @@ class TestExporters:
         assert "# TYPE repro_sim_queue_delay histogram" in text
         assert 'repro_sim_queue_delay_bucket{le="+Inf"} 2' in text
         assert "repro_sim_queue_delay_count 2" in text
-
-    def test_write_metrics_picks_format_by_extension(self, tmp_path):
-        reg = self._registry()
-        json_path = tmp_path / "m.json"
-        prom_path = tmp_path / "m.prom"
-        write_metrics(reg, str(json_path))
-        write_metrics(reg, str(prom_path))
-        assert json.loads(json_path.read_text())["schema"] == 1
-        assert "# TYPE" in prom_path.read_text()
 
 
 class TestManifest:
@@ -464,9 +453,8 @@ class TestCli:
 
     def test_sweep_writes_metrics_and_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "runs.jsonl"
-        metrics = tmp_path / "metrics.json"
         argv = [
-            "--manifest", str(manifest), "--metrics-out", str(metrics),
+            "--manifest", str(manifest),
             "sweep", "--topology", "torus", "--dims", "2x2",
             "--algorithms", "ring", "--sizes", "32K",
             "--cache", str(tmp_path / "c.json"),
@@ -475,10 +463,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cache: 0 hits, 1 misses" in out
         assert "across 1 worker" in out
-        snapshot = json.loads(metrics.read_text())
-        assert any(k.startswith("bandwidth|") for k in snapshot["gauges"])
         records = load_manifests(str(manifest))
         assert len(records) == 1
+        snapshot = records[-1]["metrics"]
+        assert any(k.startswith("bandwidth|") for k in snapshot["gauges"])
         assert records[0]["command"] == "sweep"
         assert records[0]["labels"]["dims"] == "2x2"
         assert records[0]["version"] == repro_version()

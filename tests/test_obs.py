@@ -29,8 +29,7 @@ from repro.obs.export import to_chrome_spans, write_chrome_spans
 from repro.obs.overhead import format_overhead, measure_overhead
 from repro.obs.status import format_status, summarize
 from repro.scenario import Scenario
-from repro.serve import PredictionService, RequestLog, make_server
-from repro.serve.service import DEFAULT_LOG_MAX_BYTES
+from repro.serve import PredictionService, make_server
 from repro.sweep.runner import SweepJob, run_job, run_sweep
 
 KiB = 1024
@@ -385,10 +384,7 @@ class TestServeObservation:
 
     @pytest.fixture()
     def live_server(self, tmp_path):
-        log = RequestLog(str(tmp_path / "state" / "requests.jsonl"))
-        service = PredictionService(
-            str(tmp_path / "state"), workers=1, request_log=log
-        )
+        service = PredictionService(str(tmp_path / "state"), workers=1)
         server = make_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -439,52 +435,6 @@ class TestServeObservation:
         status, headers = self._get(base + "/healthz")
         assert status == 200
         assert headers.get("X-Trace-Id") is None
-
-
-class TestRequestLogRotation:
-    @staticmethod
-    def _record(i):
-        return {"endpoint": "/predict", "status": 200, "n": i,
-                "pad": "x" * 80}
-
-    def test_rotation_rolls_to_dot_one(self, tmp_path):
-        path = tmp_path / "requests.jsonl"
-        log = RequestLog(str(path), max_bytes=600)
-        for i in range(20):
-            log.append(self._record(i))
-        log.close()
-        assert log.rotations >= 1
-        assert (tmp_path / "requests.jsonl.1").exists()
-        # no record lost: live file + one rollover hold the recent tail
-        kept = []
-        for name in ("requests.jsonl.1", "requests.jsonl"):
-            with open(tmp_path / name) as fh:
-                kept.extend(json.loads(line)["n"] for line in fh)
-        assert kept == sorted(kept)
-        assert kept[-1] == 19
-
-    def test_oversized_single_record_does_not_rotate_empty_file(self, tmp_path):
-        path = tmp_path / "requests.jsonl"
-        log = RequestLog(str(path), max_bytes=64)
-        log.append({"pad": "y" * 200})
-        log.close()
-        assert log.rotations == 0
-        assert not (tmp_path / "requests.jsonl.1").exists()
-
-    def test_size_resumes_from_existing_file(self, tmp_path):
-        path = tmp_path / "requests.jsonl"
-        first = RequestLog(str(path), max_bytes=600)
-        for i in range(3):
-            first.append(self._record(i))
-        first.close()
-        second = RequestLog(str(path), max_bytes=600)
-        for i in range(3, 20):
-            second.append(self._record(i))
-        second.close()
-        assert second.rotations >= 1
-
-    def test_default_cap_is_sane(self):
-        assert DEFAULT_LOG_MAX_BYTES == 64 * 1024 * 1024
 
 
 class TestPrometheusExposition:

@@ -2,6 +2,10 @@
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -11,10 +15,11 @@ from urllib.parse import quote
 
 import pytest
 
+import repro
+from repro.obs import load_stream, observing
 from repro.scenario import Scenario, parse_sizes
 from repro.serve import (
     PredictionService,
-    RequestLog,
     WorkloadSpec,
     load_trace,
     make_server,
@@ -29,6 +34,8 @@ from repro.sweep import ArtifactStore, PredictionCache
 
 KiB = 1024
 TOPOLOGY = "torus-4x4"
+#: The source root a ``python -m repro`` child process imports from.
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 #: Topology specs with the wrong dimension count for their family.
 MALFORMED_SPECS = (
     "torus-4x/ring/1MiB",
@@ -38,8 +45,8 @@ MALFORMED_SPECS = (
 SIZES = (32 * KiB, 128 * KiB)
 ALGOS = ("ring", "multitree")
 #: Scenarios /predict must refuse with a 400: an override no prediction
-#: reads, a bad override value, a fractional byte count, and a fabric
-#: above the served size (8281 nodes).
+#: reads, a bad override value, a fractional byte count, a non-finite
+#: link mod, and a fabric above the served size (8281 nodes).
 REFUSED_SCENARIOS = (
     "torus-4x4/ring/1MiB@link_bandwidth_bytes_per_s=32e9",
     "torus-4x4/ring/1MiB@message,data_packet_payload_bytes=128",
@@ -49,6 +56,11 @@ REFUSED_SCENARIOS = (
     "torus-4x4/ring/1MiB@data_packet_payload_bytes=0",
     "torus-4x4/ring/1MiB@data_packet_payload_bytes=-16",
     "torus-4x4/ring/1.5",
+    "fattree-4x4@oversub=nan/ring/1MiB",
+    "fattree-4x4@oversub=inf/ring/1MiB",
+    "bigraph-4x8@oversub=nan/ring/1MiB",
+    "bigraph-4x8@oversub=inf/ring/1MiB",
+    "fattree3-2x2x2@uplink=nan/ring/1MiB",
     "torus-91x91/ring/1MiB",
 )
 
@@ -354,9 +366,7 @@ class TestPredictionService:
 @pytest.fixture()
 def live_server(tmp_path):
     """A PredictionService behind a real HTTP server on an ephemeral port."""
-    state = tmp_path / "state"
-    log = RequestLog(str(state / "requests.jsonl"))
-    service = PredictionService(str(state), workers=1, request_log=log)
+    service = PredictionService(str(tmp_path / "state"), workers=1)
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -546,29 +556,72 @@ class TestHTTPEndpoints:
         assert "repro_serve_requests_total" in text
         assert '{endpoint="/healthz",status="200"}' in text
 
-    def test_request_log_is_valid_jsonl(self, live_server):
+    def test_every_request_is_one_http_request_span(self, live_server):
         base, service = live_server
         service.predict(Scenario.parse(self.WARM), block=True)
-        http_get(base + "/predict?scenario=" + quote(self.WARM, safe=""))
-        http_get(base + "/healthz")
-        # Records are appended after the response body is sent; give the
-        # handler threads a moment to finish their bookkeeping.
-        deadline = time.monotonic() + 5
-        while (
-            service.request_log.records_written < 2
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
-        with open(service.request_log.path) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-        assert len(records) >= 2
-        for record in records:
-            assert record["schema"] == 1
-            assert record["endpoint"].startswith("/")
-            assert record["status"] in (200, 202, 400, 404, 422, 503)
-        predicts = [r for r in records if r["endpoint"] == "/predict"]
-        assert predicts and predicts[-1]["source"] == "cache"
-        assert predicts[-1]["scenario"] == self.WARM
+        with observing() as rec:
+            http_get(base + "/predict?scenario=" + quote(self.WARM, safe=""))
+            http_get(base + "/healthz")
+            http_get(base + "/predict?scenario=torus-4x4%2Fring%2F1.5")
+        requests = [r for r in rec.records
+                    if r["kind"] == "span" and r["name"] == "http.request"]
+        assert len(requests) == 3
+        warm, health, refused = (r["attrs"] for r in requests)
+        assert (warm["endpoint"], warm["status"]) == ("/predict", 200)
+        assert (warm["scenario"], warm["source"]) == (self.WARM, "cache")
+        assert health == {"endpoint": "/healthz", "status": 200}
+        assert refused["status"] == 400 and "source" not in refused
+        assert all(r["trace"] for r in requests)
+
+
+class TestServeSignals:
+    """``repro serve`` shuts down cleanly on SIGTERM and SIGINT, so the
+    ``--obs`` stream holds one ``http.request`` span per served request."""
+
+    REQUESTS = 21
+
+    @staticmethod
+    def _spawn(tmp_path, ignore_sigint):
+        stream = tmp_path / "obs.jsonl"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        # Background jobs of a non-interactive shell start with SIGINT
+        # ignored; reproduce that in the child before it execs.
+        preexec = (
+            (lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+            if ignore_sigint else None
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--obs", str(stream), "serve",
+             "--port", "0", "--workers", "1",
+             "--state-dir", str(tmp_path / "state")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, preexec_fn=preexec,
+        )
+        line = proc.stdout.readline()
+        assert "listening on http://" in line, line
+        address = line.split("http://", 1)[1].split()[0]
+        return proc, "http://" + address, stream
+
+    @pytest.mark.parametrize("signum, ignore_sigint", [
+        (signal.SIGTERM, False),
+        (signal.SIGINT, True),
+    ], ids=["SIGTERM", "SIGINT-ignored-at-start"])
+    def test_signal_flushes_every_request_span(
+            self, tmp_path, signum, ignore_sigint):
+        proc, base, stream = self._spawn(tmp_path, ignore_sigint)
+        try:
+            for _ in range(self.REQUESTS):
+                assert http_get(base + "/healthz")[0] == 200
+            proc.send_signal(signum)
+            assert proc.wait(timeout=5) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        spans = [r for r in load_stream(str(stream))
+                 if r["kind"] == "span" and r["name"] == "http.request"]
+        assert len(spans) == self.REQUESTS
 
 
 class TestReplay:
