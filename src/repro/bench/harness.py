@@ -867,9 +867,23 @@ def write_report(report: Dict[str, object], path: str) -> None:
         fh.write("\n")
 
 
+def is_bench_report(payload: object) -> bool:
+    """Does this JSON payload look like a ``BENCH_*.json`` harness report?"""
+    return (
+        isinstance(payload, dict)
+        and "results" in payload
+        and "schema" in payload
+        and isinstance(payload.get("results"), dict)
+    )
+
+
 def load_report(path: str) -> Dict[str, object]:
+    """A ``BENCH_*.json`` report; ``ValueError`` when the file is not one."""
     with open(path) as fh:
-        return json.load(fh)
+        report = json.load(fh)
+    if not is_bench_report(report):
+        raise ValueError("%s is not a bench report" % path)
+    return report
 
 
 def compare_to_baseline(

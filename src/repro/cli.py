@@ -33,6 +33,14 @@ accept the canonical one-line form directly (``--scenario
 torus-4x4/multitree-msg/16MiB``) and run manifests fingerprint runs by
 their scenarios.
 
+Exit contract: :func:`main` is the one input-error boundary.  A command
+that lets a ``ValueError`` or ``OSError`` escape — an unknown model or
+algorithm, a malformed size, scenario or topology, a missing or
+unparseable input file, a port that cannot be bound — exits with status
+1 and the error's message on stderr, never a traceback (``--obs`` still
+closes its stream first).  ``repro serve`` keeps the same contract per
+request: a ``ValueError`` answers 400.
+
 Global options (before the command): ``--manifest PATH`` turns metric
 collection on (it is off by default) and appends a self-describing
 JSON-lines run manifest (config fingerprint, version, git SHA, wall time,
@@ -51,7 +59,7 @@ import os
 import signal
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import obs as _obs
 from .analysis import format_bandwidth_table, format_table1, measure_table1
@@ -73,17 +81,15 @@ from .metrics import (
 )
 from .metrics.report import run_report
 from .ni import build_schedule_tables, simulate_allreduce
-from .scenario import ENGINES, SCENARIO_HELP, Scenario
-from .scenario import parse_size as _parse_size
-from .scenario import parse_sizes as _parse_sizes
+from .scenario import ENGINES, SCENARIO_HELP, Scenario, parse_size, parse_sizes
 from .sweep import SweepStats, jobs_from_scenarios, run_sweep
 from .topology.specs import (
     TOPOLOGY_BUILDERS,
     TOPOLOGY_HELP,
     link_profile_for,
+    parse_topology,
     topology_mods_help,
 )
-from .topology.specs import parse_topology as _parse_topology
 from .topology.profile import link_mods_help
 from .trace import Trace, format_trace_report, write_chrome_trace
 from .training import nonoverlapped_iteration, overlapped_iteration
@@ -92,67 +98,19 @@ from .training import nonoverlapped_iteration, overlapped_iteration
 SIZES_HELP = "comma-separated sizes and/or LO..HI doubling ranges (32K..64M)"
 
 
-def parse_size(text: str) -> int:
-    """Parse a byte size: plain int or K/M/G with optional iB/B suffix."""
-    try:
-        return _parse_size(text)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def parse_sizes(text: str):
-    """Parse a size axis (sizes + ``LO..HI`` ranges), exiting loudly."""
-    try:
-        return _parse_sizes(text)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def parse_topology(kind: str, dims: str):
-    """Build a topology from CLI ``--topology``/``--dims``, exiting loudly."""
-    try:
-        return _parse_topology(kind, dims)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def parse_scenario(text: str) -> Scenario:
-    """Parse a canonical scenario string, exiting loudly on bad input."""
-    try:
-        return Scenario.parse(text)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
 def _combined_spec(topology: str, dims: Optional[str]) -> str:
     """The combined topology spec for split or already-combined CLI args."""
     return "%s-%s" % (topology, dims) if dims else topology
 
 
-def _make_scenario(**kwargs) -> Scenario:
-    """Construct a Scenario from CLI pieces, exiting loudly on bad input."""
-    try:
-        return Scenario(**kwargs)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _resolve_scenario(scenario: Scenario):
-    """Resolve a scenario against the variant registry, exiting on errors."""
-    try:
-        return scenario.resolve()
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scenario:
-        scenarios = [parse_scenario(s) for s in args.scenario]
+        scenarios = [Scenario.parse(s) for s in args.scenario]
     else:
         spec = _combined_spec(args.topology, args.dims)
         sizes = parse_sizes(args.sizes)
         scenarios = [
-            _make_scenario(
+            Scenario(
                 topology=spec, algorithm=algorithm.strip(),
                 data_bytes=size, engine=args.engine,
             )
@@ -182,18 +140,15 @@ def _workload_spec(args: argparse.Namespace):
     """Build a planner WorkloadSpec from plan/replay-style CLI flags."""
     from .serve.planner import WorkloadSpec
 
-    try:
-        return WorkloadSpec(
-            topology=_combined_spec(args.topology, args.dims),
-            sizes=parse_sizes(args.sizes),
-            algorithms=tuple(
-                a.strip() for a in (args.algorithms or "").split(",") if a.strip()
-            ),
-            flow_control=args.flow_control,
-            engine=args.engine,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
+    return WorkloadSpec(
+        topology=_combined_spec(args.topology, args.dims),
+        sizes=parse_sizes(args.sizes),
+        algorithms=tuple(
+            a.strip() for a in (args.algorithms or "").split(",") if a.strip()
+        ),
+        flow_control=args.flow_control,
+        engine=args.engine,
+    )
 
 
 def _open_state(args: argparse.Namespace):
@@ -287,11 +242,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("recorded %d queries to %s" % (written, args.record))
         return 0
     if not args.trace:
-        raise SystemExit("replay needs --trace PATH (or --record PATH)")
-    try:
-        scenarios = load_trace(args.trace)
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
+        raise ValueError("replay needs --trace PATH (or --record PATH)")
+    scenarios = load_trace(args.trace)
     if args.url:
         stats = replay_http(args.url, scenarios * max(1, args.passes))
     else:
@@ -321,6 +273,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # A missing or malformed baseline fails before the minutes-long run.
+    baseline = load_report(args.baseline) if args.baseline else None
     report = run_bench(quick=args.quick, repeat=args.repeat)
     # Speedups are the machine-independent tracked metric; manifests
     # carry them so `repro report --check` can gate on drift.
@@ -329,10 +283,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     output = args.output or default_report_path(report)
     write_report(report, output)
     print("wrote %s" % output)
-    if args.baseline:
-        failures = compare_to_baseline(
-            report, load_report(args.baseline), args.max_regression
-        )
+    if baseline is not None:
+        failures = compare_to_baseline(report, baseline, args.max_regression)
         if failures:
             for failure in failures:
                 print("REGRESSION: %s" % failure, file=sys.stderr)
@@ -369,11 +321,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     scenarios = []
     for algorithm in args.algorithms.split(","):
-        scenario = _make_scenario(
+        scenario = Scenario(
             topology=spec, algorithm=algorithm.strip(), data_bytes=data_bytes
         )
         scenarios.append(scenario)
-        resolved = _resolve_scenario(scenario)
+        resolved = scenario.resolve()
         algorithm, fc = resolved.label, resolved.flow_control
         schedule = build_schedule(resolved.builder, topology)
         if args.overlap:
@@ -396,9 +348,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.scenario:
-        scenario = parse_scenario(args.scenario)
+        scenario = Scenario.parse(args.scenario)
     else:
-        scenario = _make_scenario(
+        scenario = Scenario(
             topology=_combined_spec(args.topology, args.dims),
             algorithm=args.algorithm.strip(),
             data_bytes=parse_size(args.size),
@@ -408,7 +360,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             lockstep=not args.no_lockstep,
         )
     args._scenarios = [scenario]
-    resolved = _resolve_scenario(scenario)
+    resolved = scenario.resolve()
     topology = scenario.build_topology()
     schedule = build_schedule(resolved.builder, topology)
     recorder = Trace()
@@ -450,11 +402,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     from .obs.status import format_status
 
     def render() -> str:
-        try:
-            records = load_stream(args.stream)
-        except OSError as error:
-            raise SystemExit(str(error))
-        return format_status(records, path=args.stream)
+        return format_status(load_stream(args.stream), path=args.stream)
 
     if not args.follow:
         print(render())
@@ -473,19 +421,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "explain":
         from .obs.explain import format_explain
 
-        try:
-            records = load_stream(args.stream)
-        except OSError as error:
-            raise SystemExit(str(error))
+        records = load_stream(args.stream)
         print(format_explain(records, trace=args.trace, limit=args.limit))
         return 0
     if args.obs_command == "export":
         from .obs.export import write_chrome_spans
 
-        try:
-            records = load_stream(args.stream)
-        except OSError as error:
-            raise SystemExit(str(error))
+        records = load_stream(args.stream)
         output = args.output or args.stream + ".perfetto.json"
         write_chrome_spans(records, output)
         print(
@@ -496,10 +438,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "validate":
         failed = False
         for stream in args.streams:
-            try:
-                count, errors = validate_stream(stream)
-            except OSError as error:
-                raise SystemExit(str(error))
+            count, errors = validate_stream(stream)
             if errors:
                 failed = True
                 print("%s: %d records, %d invalid" % (stream, count, len(errors)))
@@ -508,26 +447,25 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             else:
                 print("%s: %d records, all valid" % (stream, count))
         return 1 if failed else 0
-    if args.obs_command == "overhead":
-        from .obs.overhead import format_overhead, measure_overhead
+    # overhead, the one subcommand left
+    from .obs.overhead import format_overhead, measure_overhead
 
-        result = measure_overhead(repeat=args.repeat)
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print(format_overhead(result))
-        if float(result["overhead"]) > args.max_overhead:
-            print(
-                "FAIL: obs overhead %.2f%% above allowed %.2f%%"
-                % (
-                    100.0 * float(result["overhead"]),
-                    100.0 * args.max_overhead,
-                ),
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    raise SystemExit("unknown obs subcommand %r" % (args.obs_command,))
+    result = measure_overhead(repeat=args.repeat)
+    if args.json:
+        print(json.dumps(result, indent=2, sort_keys=True))
+    else:
+        print(format_overhead(result))
+    if float(result["overhead"]) > args.max_overhead:
+        print(
+            "FAIL: obs overhead %.2f%% above allowed %.2f%%"
+            % (
+                100.0 * float(result["overhead"]),
+                100.0 * args.max_overhead,
+            ),
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def _cmd_table1(_args: argparse.Namespace) -> int:
@@ -558,12 +496,12 @@ def _scenario_link_mods(scenario: Scenario):
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    scenarios = [parse_scenario(s) for s in args.specs]
+    scenarios = [Scenario.parse(s) for s in args.specs]
     args._scenarios = scenarios
     if args.json:
         payload = []
         for scenario in scenarios:
-            resolved = _resolve_scenario(scenario)
+            resolved = scenario.resolve()
             mods, supported = _scenario_link_mods(scenario)
             entry = scenario.to_dict()
             entry["canonical"] = str(scenario)
@@ -581,7 +519,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
         return 0
     for scenario in scenarios:
-        resolved = _resolve_scenario(scenario)
+        resolved = scenario.resolve()
         mods, supported = _scenario_link_mods(scenario)
         print("scenario:     %s" % scenario)
         print("fingerprint:  %s" % scenario.fingerprint())
@@ -956,6 +894,15 @@ def _manifest_labels(args: argparse.Namespace) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args, argv)
+    except (OSError, ValueError) as error:
+        # The one input-error boundary: bad outside input exits 1 with
+        # its message, never a traceback (``repro serve`` answers 400).
+        raise SystemExit(str(error))
+
+
+def _run(args: argparse.Namespace, argv: Optional[Sequence[str]]) -> int:
     if not args.manifest and not args.obs:
         return args.func(args)
     from contextlib import ExitStack

@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -190,10 +190,6 @@ class Schedule:
         for op in self.ops:
             sent[op.src] += op.chunk.bytes_of(data_bytes)
         return dict(sent)
-
-    def max_bytes_sent(self, data_bytes: float) -> float:
-        per_node = self.bytes_sent_per_node(data_bytes)
-        return max(per_node.values()) if per_node else 0.0
 
     def total_data_fraction(self) -> Fraction:
         """Total transferred data as a multiple of the gradient size."""

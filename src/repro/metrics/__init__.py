@@ -25,7 +25,6 @@ from .manifest import (
     build_manifest,
     config_fingerprint,
     git_sha,
-    load_manifests,
     repro_version,
 )
 from .registry import (
@@ -52,7 +51,6 @@ __all__ = [
     "collecting",
     "config_fingerprint",
     "git_sha",
-    "load_manifests",
     "metric_key",
     "parse_key",
     "repro_version",

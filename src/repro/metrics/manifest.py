@@ -8,8 +8,9 @@ results — bandwidth gauges, cache hit counters, bench speedups — with
 their topology/algorithm/size labels).
 
 Records append to a ``.jsonl`` file, one JSON object per line, so a file
-accumulates a comparable history of runs; ``repro report`` consumes these
-files and renders drift/regression dashboards across them.
+accumulates a comparable history of runs; ``repro report`` reads these
+files back with :func:`repro.obs.load_stream` and renders drift/regression
+dashboards across them.
 """
 
 from __future__ import annotations
@@ -143,24 +144,3 @@ def append_manifest(path: str, record: Dict[str, object]) -> None:
         fh.write(json.dumps(record, sort_keys=True))
         fh.write("\n")
 
-
-def load_manifests(path: str) -> List[Dict[str, object]]:
-    """All records of one ``.jsonl`` manifest file, in file order.
-
-    Unparseable lines are skipped (a crashed writer can leave a torn final
-    line); records missing the schema field are kept but unversioned
-    callers should treat them warily.
-    """
-    records: List[Dict[str, object]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records

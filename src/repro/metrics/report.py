@@ -12,8 +12,10 @@ harness reports, and renders a markdown dashboard:
   view (bandwidth vs topology at the largest common size);
 * bench speedup comparisons against a committed baseline;
 * a regression list: every tracked metric that drifted down past the
-  threshold.  ``repro report --check`` exits non-zero when this list is
-  non-empty, which is the CI gate.
+  threshold, every ``--bench-baseline`` case with no current speedup, and
+  an input that holds no run and no bench report at all.  ``repro report
+  --check`` exits non-zero when this list is non-empty, which is the CI
+  gate.
 
 Baseline semantics: the *earliest* manifest record is the baseline run and
 the *latest* is the current run (override with ``--baseline-run``); a
@@ -26,10 +28,10 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bench.harness import compare_to_baseline, load_report
+from ..bench.harness import compare_to_baseline, is_bench_report, load_report
+from ..obs import load_stream
 from ..scenario import Scenario
 from ..scenario import format_size as _scenario_size
-from .manifest import load_manifests
 from .registry import parse_key
 
 KiB = 1024
@@ -52,16 +54,6 @@ def format_size(size: int) -> str:
     return "%d B" % size
 
 
-def is_bench_report(payload: object) -> bool:
-    """Does this JSON payload look like a ``BENCH_*.json`` harness report?"""
-    return (
-        isinstance(payload, dict)
-        and "results" in payload
-        and "schema" in payload
-        and isinstance(payload.get("results"), dict)
-    )
-
-
 def classify_inputs(
     paths: Sequence[str],
 ) -> Tuple[List[Dict[str, object]], List[Tuple[str, Dict[str, object]]]]:
@@ -75,7 +67,7 @@ def classify_inputs(
     benches: List[Tuple[str, Dict[str, object]]] = []
     for path in paths:
         if path.endswith(".jsonl"):
-            runs.extend(load_manifests(path))
+            runs.extend(load_stream(path))
             continue
         with open(path) as fh:
             payload = json.load(fh)
@@ -187,10 +179,12 @@ def _md_table(header: List[str], rows: List[List[str]]) -> List[str]:
 
 
 class Regression:
-    """One tracked metric that drifted below its allowed floor."""
+    """One gate failure: a tracked metric that drifted below its allowed
+    floor, or, with no floor, a failure that ``metric`` states whole."""
 
-    def __init__(self, metric: str, current: float, baseline: float,
-                 floor: float, unit: str = "") -> None:
+    def __init__(self, metric: str, current: float = 0.0,
+                 baseline: float = 0.0, floor: Optional[float] = None,
+                 unit: str = "") -> None:
         self.metric = metric
         self.current = current
         self.baseline = baseline
@@ -198,6 +192,8 @@ class Regression:
         self.unit = unit
 
     def __str__(self) -> str:
+        if self.floor is None:
+            return self.metric
         return (
             "%s regressed: %.4g%s < floor %.4g%s (baseline %.4g%s)"
             % (self.metric, self.current, self.unit, self.floor, self.unit,
@@ -378,9 +374,7 @@ def build_report(
             for failure in compare_to_baseline(
                 payload, bench_baseline, max_bench_regression
             ):
-                regressions.append(Regression(
-                    "bench: %s" % failure, 0.0, 0.0, 0.0
-                ))
+                regressions.append(Regression("bench: %s" % failure))
     else:
         for record in reversed(runs):
             speedups = bench_speedups(record)
@@ -388,13 +382,13 @@ def build_report(
                 current_speedups = speedups
                 source = _short_id(record, 0)
                 break
-        if current_speedups and baseline_speedups:
+        # With nothing measured, every baseline case is missing.
+        if baseline_speedups:
             for name, base in sorted(baseline_speedups.items()):
                 cur = current_speedups.get(name)
                 if cur is None:
                     regressions.append(Regression(
-                        "bench.speedup[%s] missing from current run" % name,
-                        0.0, base, base,
+                        "bench.speedup[%s] missing from current run" % name
                     ))
                     continue
                 floor = base * (1.0 - max_bench_regression)
@@ -424,6 +418,10 @@ def build_report(
         lines.append("")
 
     # -- regression summary ------------------------------------------------
+    if not runs and not benches:
+        regressions.append(
+            Regression("no run manifest or bench report to check")
+        )
     lines.append("## Regressions")
     lines.append("")
     if regressions:

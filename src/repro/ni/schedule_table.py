@@ -60,9 +60,6 @@ class ScheduleTable:
     def sort(self) -> None:
         self.entries.sort(key=lambda e: (e.step, e.op.value, e.flow if e.flow is not None else -1))
 
-    def entries_at(self, step: int) -> List[TableEntry]:
-        return [e for e in self.entries if e.step == step]
-
     def storage_bits(self, num_nodes: int, max_children: int = 4, addr_bits: int = 64) -> int:
         """Rough table storage estimate matching §V-A's 3.2 KB for 64 nodes."""
         id_bits = max(1, (num_nodes - 1).bit_length())

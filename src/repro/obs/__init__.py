@@ -29,6 +29,7 @@ from .schema import (
     OBS_RECORD_SCHEMA,
     OBS_SCHEMA_VERSION,
     load_stream,
+    read_jsonl,
     validate_record,
     validate_stream,
 )
@@ -140,6 +141,7 @@ __all__ = [
     "metering",
     "new_id",
     "observing",
+    "read_jsonl",
     "set_obs",
     "span",
     "tracing",

@@ -21,7 +21,8 @@ document are maintained side by side here.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+import warnings
+from typing import Dict, List, Optional, Tuple
 
 #: Bump when the record layout changes incompatibly.
 OBS_SCHEMA_VERSION = 1
@@ -133,24 +134,46 @@ def validate_record(record: object) -> List[str]:
     return errors
 
 
-def load_stream(path: str) -> List[Dict[str, object]]:
-    """All parseable records of one obs ``.jsonl`` stream, in file order.
+def read_jsonl(path: str) -> List[Tuple[int, Optional[Dict[str, object]]]]:
+    """``(line number, record)`` for every non-blank line of a JSONL file.
 
-    Unparseable lines are skipped (a live writer can leave a torn final
-    line); use :func:`validate_stream` when skipping should be an error.
+    ``record`` is the line's JSON object, or ``None`` when the line is not
+    one (torn, corrupt, or a JSON value other than an object).  What a bad
+    line means is the caller's rule.  One pass over the file's bytes; a
+    file that cannot be read raises ``OSError``.
     """
-    records: List[Dict[str, object]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    rows: List[Tuple[int, Optional[Dict[str, object]]]] = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        rows.append((number, record if isinstance(record, dict) else None))
+    return rows
+
+
+def load_stream(path: str) -> List[Dict[str, object]]:
+    """All records of one obs ``.jsonl`` stream or manifest, in file order.
+
+    A bad final line is skipped silently (a live writer may be mid-record);
+    any other bad line is skipped with one ``RuntimeWarning`` counting
+    them.  Use :func:`validate_stream` when skipping should be an error.
+    """
+    rows = read_jsonl(path)
+    if rows and rows[-1][1] is None:
+        rows.pop()  # torn tail of a live stream
+    records = [record for _number, record in rows if record is not None]
+    if len(records) < len(rows):
+        warnings.warn(
+            "%s has %d unparseable line(s); skipped them and kept the other "
+            "%d records" % (path, len(rows) - len(records), len(records)),
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return records
 
 
@@ -158,25 +181,20 @@ def validate_stream(path: str) -> Tuple[int, List[str]]:
     """``(valid record count, errors)`` for one obs stream file.
 
     Every record is checked against :data:`OBS_RECORD_SCHEMA` via
-    :func:`validate_record`.  An unparseable *final* line is tolerated
-    (a live writer may be mid-record); anywhere else it is an error.
+    :func:`validate_record`.  An unparseable final line is tolerated after
+    at least one valid record (a live writer may be mid-record); anywhere
+    else it is an error.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
-    meaningful = [
-        (number, line.strip())
-        for number, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
+    rows = read_jsonl(path)
     count = 0
     errors: List[str] = []
-    for position, (number, line) in enumerate(meaningful):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            if position == len(meaningful) - 1:
+    for position, (number, record) in enumerate(rows):
+        if record is None:
+            if count and position == len(rows) - 1:
                 continue  # torn tail of a live stream
-            errors.append("%s:%d: unparseable line" % (path, number))
+            errors.append(
+                "%s:%d: unparseable line, not a JSON object" % (path, number)
+            )
             continue
         record_errors = validate_record(record)
         if record_errors:

@@ -338,6 +338,10 @@ class Scenario:
         (``fattree-8x8@oversub=4``) never collides with scenario mods —
         only an ``@`` inside the third (size) part introduces mods.
         """
+        if not isinstance(text, str):
+            raise ValueError(
+                "scenario must be a string, got %s" % type(text).__name__
+            )
         parts = text.strip().split("/")
         if len(parts) != 3 or not all(p.strip() for p in parts):
             raise ValueError(

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 from urllib.parse import quote
 
+from ..obs import read_jsonl
 from ..scenario import Scenario
 from .service import PredictionService
 
@@ -65,18 +66,15 @@ def load_trace(path: str) -> List[Scenario]:
     silently measure a shorter trace than the one recorded.
     """
     scenarios: List[Scenario] = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                scenarios.append(Scenario.parse(record["scenario"]))
-            except (ValueError, KeyError, TypeError) as error:
-                raise ValueError(
-                    "bad trace record at %s:%d: %s" % (path, number, error)
-                )
+    for number, record in read_jsonl(path):
+        try:
+            if record is None:
+                raise ValueError("not a JSON object")
+            scenarios.append(Scenario.parse(record.get("scenario")))
+        except ValueError as error:
+            raise ValueError(
+                "bad trace record at %s:%d: %s" % (path, number, error)
+            )
     return scenarios
 
 

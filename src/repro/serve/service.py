@@ -449,10 +449,12 @@ class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, service: PredictionService, address) -> None:
-        super().__init__(address, ServiceHandler)
+        # Before binding: a failed bind calls server_close(), which closes
+        # the telemetry stack.
         self.service = service
         self._telemetry = ExitStack()
         self._telemetry.enter_context(collecting(service.registry))
+        super().__init__(address, ServiceHandler)
 
     def server_close(self) -> None:
         super().server_close()
@@ -468,4 +470,6 @@ def make_server(
     owns shutdown: ``server.shutdown()``, ``server.server_close()``, then
     ``service.close()``.
     """
+    if not 0 <= port <= 65535:
+        raise ValueError("port must be in 0-65535, got %d" % port)
     return ServiceServer(service, (host, port))

@@ -41,18 +41,16 @@ import threading
 import warnings
 from typing import Dict, Optional, Tuple
 
+from ..obs import read_jsonl
+
 __all__ = ["PredictionCache"]
 
 _FIELDS = ("time", "bandwidth", "max_queue_delay")
 
 
-def _entry(line: bytes) -> Optional[Tuple[str, Dict[str, float]]]:
-    """``(key, entry)`` from one journal line, or ``None`` if it is not one."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(record, dict) or not isinstance(record.get("key"), str):
+def _entry(record: Optional[dict]) -> Optional[Tuple[str, Dict[str, float]]]:
+    """``(key, entry)`` from one journal record, or ``None`` if it is not one."""
+    if record is None or not isinstance(record.get("key"), str):
         return None
     entry = {name: record.get(name) for name in _FIELDS}
     if not all(
@@ -83,16 +81,13 @@ class PredictionCache:
         the cache must never take the process down, only cost
         re-simulation."""
         try:
-            with open(path, "rb") as fh:
-                lines = fh.read().splitlines()
+            rows = read_jsonl(path)
         except OSError:
             return {}
         entries: Dict[str, Dict[str, float]] = {}
         skipped = 0
-        for line in lines:
-            if not line.strip():
-                continue
-            parsed = _entry(line)
+        for _number, record in rows:
+            parsed = _entry(record)
             if parsed is None:
                 skipped += 1
             else:

@@ -90,9 +90,6 @@ class BiGraph(Topology):
         start = idx * self.nodes_per_switch
         return list(range(start, start + self.nodes_per_switch))
 
-    def same_switch(self, a: int, b: int) -> bool:
-        return self.switch_of(a) == self.switch_of(b)
-
     # -- routing ------------------------------------------------------------------
 
     def route(self, src: int, dst: int) -> List[LinkKey]:

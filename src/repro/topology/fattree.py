@@ -78,9 +78,6 @@ class FatTree(Topology):
     def leaf_of(self, node: int) -> int:
         return self._leaf_vertex(node // self.nodes_per_leaf)
 
-    def same_leaf(self, a: int, b: int) -> bool:
-        return self.leaf_of(a) == self.leaf_of(b)
-
     def leaf_members(self, leaf_idx: int) -> List[int]:
         start = leaf_idx * self.nodes_per_leaf
         return list(range(start, start + self.nodes_per_leaf))

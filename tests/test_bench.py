@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.cli
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
     BenchResult,
@@ -88,6 +89,24 @@ class TestReportIO:
         path = str(tmp_path / "BENCH_test.json")
         write_report(report, path)
         assert load_report(path) == json.loads(json.dumps(report))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [(None, "No such file"), ("{bad", "Expecting"),
+         ('{"hello": 1}', "is not a bench report")],
+    )
+    def test_bad_baseline_fails_before_the_run(
+        self, tmp_path, monkeypatch, text, message
+    ):
+        def run_bench(**_kwargs):
+            raise AssertionError("the baseline must be read before the run")
+
+        monkeypatch.setattr(repro.cli, "run_bench", run_bench)
+        path = tmp_path / "BENCH_base.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit, match=message):
+            repro.cli.main(["bench", "--quick", "--baseline", str(path)])
 
     def test_default_path_uses_date(self):
         report = {"date": "2026-08-05"}

@@ -1,9 +1,21 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+import os
+import socket
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main, parse_size, parse_topology
+import repro
+from repro.cli import main
+from repro.obs import load_stream
+from repro.scenario import parse_size
 from repro.topology import BiGraph, FatTree, Mesh2D, Ring1D, Torus2D, Torus3D
+from repro.topology.specs import parse_topology
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 class TestParsers:
@@ -31,12 +43,12 @@ class TestParsers:
         assert topo.num_nodes == nodes
 
     def test_unknown_topology_exits(self):
-        with pytest.raises(SystemExit):
-            parse_topology("hypercube", "4x4")
+        with pytest.raises(SystemExit, match="hypercube"):
+            main(["trees", "--topology", "hypercube", "--dims", "4x4"])
 
     def test_bad_dims_exit(self):
         with pytest.raises(SystemExit):
-            parse_topology("torus3d", "4x4")
+            main(["trees", "--topology", "torus3d", "--dims", "4x4"])
 
 
 class TestCommands:
@@ -81,5 +93,87 @@ class TestCommands:
         assert "hidden" in out
 
     def test_unknown_model_exits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit, match="unknown model 'VGG'"):
             main(["train", "--model", "VGG", "--dims", "2x2"])
+
+    def test_input_error_still_closes_the_obs_stream(self, tmp_path):
+        stream = str(tmp_path / "obs.jsonl")
+        with pytest.raises(SystemExit, match="unknown model 'VGG'"):
+            main(["--obs", stream, "train", "--model", "VGG", "--dims", "2x2"])
+        cli, = [r for r in load_stream(stream) if r["name"] == "cli"]
+        assert cli["attrs"]["error"].startswith("ValueError: unknown model")
+
+
+#: Malformed invocations: (argv, files to create, expected message).
+#: ``{port}`` is a port held open by the test, so ``serve`` cannot bind.
+MALFORMED = [
+    pytest.param(
+        ["train", "--model", "VGG", "--dims", "2x2"], {},
+        "unknown model 'VGG'", id="train-unknown-model",
+    ),
+    pytest.param(
+        ["trees", "--priority", "nope"], {},
+        "unknown priority 'nope'", id="trees-unknown-priority",
+    ),
+    pytest.param(
+        ["sweep", "--algorithms", "nope", "--dims", "2x2", "--sizes", "32K"],
+        {}, "unknown algorithm variant 'nope'", id="sweep-unknown-algorithm",
+    ),
+    pytest.param(
+        ["report", "missing.jsonl"], {},
+        "No such file or directory: 'missing.jsonl'", id="report-missing-file",
+    ),
+    pytest.param(
+        ["report", "bad.json"], {"bad.json": "{bad"},
+        "Expecting property name", id="report-bad-json",
+    ),
+    pytest.param(
+        ["obs", "validate", "garbage.jsonl"], {"garbage.jsonl": "garbage\n"},
+        "garbage.jsonl:1: unparseable line", id="obs-validate-garbage",
+    ),
+    pytest.param(
+        ["replay", "--trace", "trace.jsonl"],
+        {"trace.jsonl": '{"scenario": 5}\n'},
+        "bad trace record at trace.jsonl:1", id="replay-non-string-scenario",
+    ),
+    pytest.param(
+        ["report", "--check", "--bench-baseline", "base.json", "empty.jsonl"],
+        {
+            "base.json": json.dumps({
+                "schema": 5, "quick": True,
+                "results": {"simulate": {"speedup": 2.0}},
+            }),
+            "empty.jsonl": "",
+        },
+        "bench.speedup[simulate] missing from current run",
+        id="report-check-nothing-measured",
+    ),
+    pytest.param(
+        ["serve", "--port", "{port}", "--state-dir", "state"], {},
+        "Address already in use", id="serve-held-port",
+    ),
+    pytest.param(
+        ["serve", "--port", "99999", "--state-dir", "state"], {},
+        "port must be in 0-65535", id="serve-port-out-of-range",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,files,message", MALFORMED)
+def test_malformed_invocation_exits_cleanly(tmp_path, argv, files, message):
+    """Bad outside input exits 1 with a message and no traceback."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        port = str(held.getsockname()[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro"]
+            + [arg.replace("{port}", port) for arg in argv],
+            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=5,
+        )
+    assert proc.returncode == 1
+    assert message in proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr

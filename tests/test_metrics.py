@@ -15,7 +15,6 @@ from repro.metrics import (
     build_manifest,
     collecting,
     config_fingerprint,
-    load_manifests,
     metric_key,
     parse_key,
     repro_version,
@@ -29,7 +28,7 @@ from repro.metrics.report import (
 )
 from repro.network import PacketBased
 from repro.network.simulator import Message, NetworkSimulator
-from repro.obs import observing
+from repro.obs import load_stream, observing
 from repro.ni import simulate_allreduce
 from repro.sweep import SweepJob, SweepStats, run_job, run_sweep
 from repro.topology import Ring1D, Torus2D
@@ -348,7 +347,7 @@ class TestManifest:
         path = str(tmp_path / "runs.jsonl")
         append_manifest(path, record)
         append_manifest(path, record)
-        loaded = load_manifests(path)
+        loaded = load_stream(path)
         assert len(loaded) == 2
         assert bandwidth_series(loaded[0]) == {
             ("torus-2x2", "ring", 32768): 7.9e9
@@ -363,7 +362,7 @@ class TestManifest:
     def test_torn_trailing_line_skipped(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         path.write_text('{"run_id": "ok", "timestamp": 1.0}\n{"torn...')
-        assert [r["run_id"] for r in load_manifests(str(path))] == ["ok"]
+        assert [r["run_id"] for r in load_stream(str(path))] == ["ok"]
 
 
 def _manifest_with_bandwidth(run_id, timestamp, bandwidths):
@@ -414,6 +413,18 @@ class TestReport:
         assert len(regressions) == 1
         assert "bench.speedup[simulate]" in regressions[0].metric
 
+    def test_bench_baseline_with_nothing_measured_misses_every_case(self):
+        baseline = {
+            "schema": 1, "quick": True,
+            "results": {"simulate": {"speedup": 2.0},
+                        "serve": {"speedup": 9.0}},
+        }
+        _text, regressions = build_report([], bench_baseline=baseline)
+        assert {str(r) for r in regressions} >= {
+            "bench.speedup[serve] missing from current run",
+            "bench.speedup[simulate] missing from current run",
+        }
+
     def test_classify_inputs_rejects_unknown_json(self, tmp_path):
         bogus = tmp_path / "x.json"
         bogus.write_text('{"hello": 1}')
@@ -463,7 +474,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cache: 0 hits, 1 misses" in out
         assert "across 1 worker" in out
-        records = load_manifests(str(manifest))
+        records = load_stream(str(manifest))
         assert len(records) == 1
         snapshot = records[-1]["metrics"]
         assert any(k.startswith("bandwidth|") for k in snapshot["gauges"])
@@ -483,6 +494,14 @@ class TestCli:
         assert main(["report", path, "--check"]) == 1
         assert "REGRESSION" in capsys.readouterr().err
         assert main(["report", path, "--check", "--threshold", "0.9"]) == 0
+
+    @pytest.mark.parametrize("text", ["", "garbage\n"])
+    def test_report_check_with_no_runs_fails(self, tmp_path, capsys, text):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 0  # report only, no gate
+        assert main(["report", str(path), "--check"]) == 1
+        assert "no run manifest or bench report" in capsys.readouterr().err
 
     def test_report_renders_two_runs(self, tmp_path, capsys):
         path = str(tmp_path / "runs.jsonl")

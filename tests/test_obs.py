@@ -209,6 +209,20 @@ class TestStream:
         assert count == 2
         assert len(errors) == 1 and "unparseable" in errors[0]
 
+    def test_torn_middle_line_skipped_with_a_warning(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text('{"name": "a"}\ngarbage\n[1]\n{"name": "b"}\n{"tor')
+        with pytest.warns(RuntimeWarning, match="2 unparseable line"):
+            records = load_stream(str(path))
+        assert [r["name"] for r in records] == ["a", "b"]
+
+    def test_garbage_only_stream_is_invalid(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text("garbage\n")
+        count, errors = validate_stream(str(path))
+        assert count == 0
+        assert len(errors) == 1 and "unparseable" in errors[0]
+
     def test_observing_restores_previous_recorder(self):
         outer = ObsRecorder()
         previous = obs.set_obs(outer)

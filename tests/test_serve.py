@@ -639,6 +639,16 @@ class TestReplay:
         with pytest.raises(ValueError, match="bad trace record"):
             load_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "line", ['{"scenario": 5}', '{"schema": 1}', "[1]", "not json"]
+    )
+    def test_load_names_the_bad_line(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        first = workload_trace(TOPOLOGY, SIZES, ALGOS)[0]
+        path.write_text(json.dumps({"scenario": str(first)}) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=r"trace\.jsonl:2: "):
+            load_trace(str(path))
+
     def test_workload_trace_is_deterministic(self):
         a = workload_trace(TOPOLOGY, SIZES, ("ring", "multitree"))
         b = workload_trace(TOPOLOGY, SIZES, ("multitree", "ring"))
