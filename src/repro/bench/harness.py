@@ -9,17 +9,17 @@ The benchmarks cover the optimized strata:
   pre-lowered message set;
 * ``end_to_end``   — a Fig. 9-style cold-cache prediction sweep: schedule
   construction plus one simulated all-reduce per data size;
-* ``engine``       — the lockstep step-level engine vs the event engine on
+* ``engine``       — the compiled lockstep engine vs the seed loop on
   the same message set (results are bit-identical; only speed differs);
 * ``scaleout``     — a Fig. 10-style weak-scaling sweep at scale:
-  artifact-warm compiled schedules + lockstep engine vs the cold
-  event-engine/no-artifact pipeline;
+  artifact-warm compiled schedules + lockstep engine vs a cold build
+  and the seed lowering and loop;
 * ``serve``        — request-trace replay through the prediction
-  service (:mod:`repro.serve`): warm-cache QPS vs the cold
-  compile-and-simulate path, with p50/p99 per-query latency;
+  service (:mod:`repro.serve`): warm-cache QPS vs the seed's
+  per-query lowering and loop, with p50/p99 per-query latency;
 * ``batch``        — one-pass batched vectorized evaluation of a
   Fig. 10-style multi-size doubling range (``lockstep-vec``) vs the
-  per-size scalar lockstep engine, artifact-warm on both sides;
+  seed loop once per size on the same compiled schedule;
 * ``scaleout_xl``  — the cluster-scale tier (quick: 2048-node 3D torus,
   full: 8192): streaming CSR compile + vectorized batch as the cold
   reference vs the artifact-warm rerun (lazy shard loads + the same
@@ -28,9 +28,10 @@ The benchmarks cover the optimized strata:
 * ``hetero``       — the heterogeneous-fabric tier: an oversubscribed
   fat-tree (``fattree-8x8@oversub=4``, link profiles of
   :mod:`repro.topology.profile`) through all three engines, with the
-  cross-check enforcing the exactness contract — event, lockstep and
-  lockstep-vec must produce exactly equal (``==``) results on the
-  profiled fabric before any timing happens.
+  cross-check enforcing the exactness contract — the seed loop, event,
+  lockstep and lockstep-vec must produce exactly equal (``==``) results
+  on the profiled fabric before any timing happens; timed against the
+  seed loop.
 
 Each benchmark times the optimized implementation against the seed
 implementation preserved in :mod:`repro.bench.reference` *in the same
@@ -55,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..collectives import build_schedule
 from ..collectives.multitree import build_trees
-from ..network.simulator import NetworkSimulator
+from ..network.simulator import ENGINES, NetworkSimulator
 from ..ni.injector import build_messages, simulate_allreduce
 from ..scenario import Scenario, scenario_set_fingerprint
 from ..sweep.artifacts import ArtifactStore
@@ -151,6 +152,23 @@ def _best_of_values(func: Callable[[], object], repeat: int):
         if elapsed < best:
             best = elapsed
     return best, value
+
+
+def _same_simulation(fast, ref) -> bool:
+    """Do two simulation results agree exactly (finish, timings, busy)?"""
+    return (
+        fast.finish_time == ref.finish_time
+        and fast.timings == ref.timings
+        and fast.link_busy == ref.link_busy
+    )
+
+
+def _seed_schedule(builder: str, topology):
+    """The seed's schedule for ``builder`` where the seed has a builder
+    (MultiTree); the live builder otherwise (ring, 2D-Ring, ...)."""
+    if builder == "multitree":
+        return reference_multitree_schedule(topology)
+    return build_schedule(builder, topology)
 
 
 def bench_construction(dims: Tuple[int, int], repeat: int = 1) -> BenchResult:
@@ -290,16 +308,15 @@ def bench_end_to_end(
 def bench_engine(
     dims: Tuple[int, int], data_bytes: int = 8 * MiB, repeat: int = 3
 ) -> BenchResult:
-    """Time the engines as deployed: compiled + lockstep vs event.
+    """Time the engines as deployed: compiled + lockstep vs the seed loop.
 
     The optimized side is the sweep fast path — a pre-compiled schedule
     feeding the step-level engine's flat arrays (gates and payloads are
     re-derived per run, as every sweep point pays).  The reference side
-    is the event engine on the equivalent pre-lowered message set.  The
-    two produce bit-identical results by construction (the lockstep
-    engine replays the event heap's processing order), so this is a pure
-    speed comparison; the cross-check enforces full equality before any
-    timing.
+    is the frozen seed loop (:func:`~repro.bench.reference.reference_run`)
+    on the equivalent pre-lowered message set, so the ratio moves only
+    when the deployed engine does.  The two produce bit-identical
+    results; the cross-check enforces full equality before any timing.
     """
     from ..collectives import compile_schedule
 
@@ -313,19 +330,13 @@ def bench_engine(
     schedule = build_schedule(resolved.builder, topo)
     messages = build_messages(schedule, data_bytes, fc)
     compiled = compile_schedule(schedule)
-    sim = NetworkSimulator(topo, fc)
     fast = compiled.simulate(data_bytes, fc, engine="lockstep").simulation
-    ref = sim.run(messages)
-    if (
-        fast.finish_time != ref.finish_time
-        or fast.timings != ref.timings
-        or fast.link_busy != ref.link_busy
-    ):
-        raise RuntimeError("lockstep engine diverged from event engine")
+    if not _same_simulation(fast, reference_run(topo, fc, messages)):
+        raise RuntimeError("lockstep engine diverged from the seed loop")
     optimized = _best_of(
         lambda: compiled.simulate(data_bytes, fc, engine="lockstep"), repeat
     )
-    reference = _best_of(lambda: sim.run(messages), repeat)
+    reference = _best_of(lambda: reference_run(topo, fc, messages), repeat)
     return BenchResult(
         name="engine",
         optimized_s=optimized,
@@ -337,7 +348,7 @@ def bench_engine(
             "messages": len(messages),
             "data_bytes": data_bytes,
             "optimized": "compiled schedule + lockstep engine",
-            "reference": "event engine, pre-lowered messages",
+            "reference": "seed loop, pre-lowered messages",
         },
     )
 
@@ -353,10 +364,12 @@ def bench_scaleout(
     The weak-scaling operating point is the paper's fig. 10 axis: payload
     375 KiB x num_nodes (swept over 1/4x, 1/2x, 1x here so each series is
     a small sweep rather than one point).  The reference pipeline is what
-    a cold figure run paid before this layer existed: schedule
-    construction per series, then per size a lowering to a message list
-    (:func:`~repro.ni.injector.build_messages`) played by the event
-    engine (:meth:`~repro.network.simulator.NetworkSimulator.run`).
+    a cold figure run paid in the seed: schedule construction per series,
+    then per size the seed lowering and loop
+    (:func:`~repro.bench.reference.reference_simulate_allreduce`).  The
+    seed has no ring or 2D-Ring builder, so construction is the live
+    builder's; everything after it is frozen, so the ratio moves only
+    when the optimized pipeline does.
     The optimized pipeline is the steady state of the artifact path: load
     the compiled artifact from disk (load time *is* timed) and run the
     lockstep engine per size.  The artifact prewarm (build + compile +
@@ -399,11 +412,10 @@ def bench_scaleout(
 
     def reference_sweep() -> List[float]:
         times: List[float] = []
-        sim = NetworkSimulator(topo, fc)
         for algorithm in algorithms:
-            schedule = build_schedule(algorithm, topo)
+            schedule = _seed_schedule(algorithm, topo)
             times.extend(
-                sim.run(build_messages(schedule, size, fc)).finish_time
+                reference_simulate_allreduce(schedule, size, fc).finish_time
                 for size in sizes
             )
         return times
@@ -412,7 +424,7 @@ def bench_scaleout(
     reference, ref_times = _best_of_values(reference_sweep, repeat)
     if fast_times != ref_times:
         raise RuntimeError(
-            "artifact+lockstep pipeline diverged from reference pipeline"
+            "artifact+lockstep pipeline diverged from the seed pipeline"
         )
     return BenchResult(
         name="scaleout",
@@ -426,7 +438,10 @@ def bench_scaleout(
             "algorithms": list(algorithms),
             "sizes": list(sizes),
             "optimized": "artifact-warm + lockstep engine",
-            "reference": "cold build + event engine",
+            "reference": (
+                "cold build (live builder: the seed has no ring/2D-Ring "
+                "builder) + seed lowering and seed loop per size"
+            ),
         },
     )
 
@@ -442,14 +457,18 @@ def bench_serve(
 
     The trace is one query per (algorithm, size) — the
     :func:`repro.serve.replay.workload_trace` order, so it reproduces
-    from its parameters alone.  The *reference* side replays it once
-    against an empty state with ``block=True``: every query pays
-    artifact compilation amortized over its first hit plus a lockstep
-    simulation — the per-query cost of a cacheless server.  The
+    from its parameters alone.  An untimed replay against an empty state
+    with ``block=True`` warms the cache; its QPS and latencies ride
+    along in ``meta`` as the live cold path.  The *reference* side is
+    the seed's per-query cost of a cacheless server: per query, the
+    seed lowering and loop
+    (:func:`~repro.bench.reference.reference_simulate_allreduce`) on a
+    schedule built once per variant — the seed MultiTree construction,
+    or the live builder where the seed has none (ring).  The
     *optimized* side replays the now-warm trace ``warm_passes`` times
-    and reports per-pass time, so ``speedup`` is exactly the
-    warm-QPS / cold-QPS ratio the serving story claims (target: >= 100x).
-    p50/p99 per-query latencies for both paths ride along in ``meta``.
+    and reports per-pass time, so ``speedup`` is the warm-QPS /
+    seed-QPS ratio.  The cross-check holds every served time ``==`` the
+    seed's.
     """
     from ..serve.replay import replay, workload_trace
     from ..serve.service import PredictionService
@@ -461,12 +480,36 @@ def bench_serve(
     trace = workload_trace(spec, sizes, algorithms)
     state_dir = tempfile.mkdtemp(prefix="repro-bench-serve-")
     service = PredictionService(state_dir, workers=0)
+    topo = parse_topology_spec(spec)
+
+    def seed_replay() -> List[float]:
+        schedules: Dict[str, object] = {}
+        times: List[float] = []
+        for scenario in trace:
+            resolved = scenario.resolve()
+            schedule = schedules.get(resolved.builder)
+            if schedule is None:
+                schedule = schedules[resolved.builder] = _seed_schedule(
+                    resolved.builder, topo
+                )
+            times.append(
+                reference_simulate_allreduce(
+                    schedule, scenario.data_bytes, resolved.flow_control,
+                    scenario.lockstep,
+                ).finish_time
+            )
+        return times
+
     try:
         cold = replay(service, trace, block=True)
         if cold.errors:
             raise RuntimeError(
                 "cold replay hit %d errors; trace is not servable" % cold.errors
             )
+        reference, seed_times = _best_of_values(seed_replay, repeat)
+        served = [service.predict(scenario)[0]["time"] for scenario in trace]
+        if served != seed_times:
+            raise RuntimeError("served predictions diverged from the seed")
 
         def warm_run():
             last = None
@@ -481,8 +524,8 @@ def bench_serve(
                 "should have warmed every key" % (warm.hits, warm.queries)
             )
         optimized = optimized_total / max(1, warm_passes)  # per-pass
-        reference = cold.wall_s
-        cold_qps = cold.queries / reference if reference > 0 else float("inf")
+        cold_qps = cold.qps
+        seed_qps = len(trace) / reference if reference > 0 else float("inf")
         warm_qps = warm.queries / optimized if optimized > 0 else float("inf")
     finally:
         service.close()
@@ -498,14 +541,18 @@ def bench_serve(
             "queries": len(trace),
             "warm_passes": warm_passes,
             "cold_qps": cold_qps,
+            "seed_qps": seed_qps,
             "warm_qps": warm_qps,
-            "qps_ratio": warm_qps / cold_qps if cold_qps > 0 else float("inf"),
+            "qps_ratio": warm_qps / seed_qps if seed_qps > 0 else float("inf"),
             "cold_p50_s": cold.p50_s,
             "cold_p99_s": cold.p99_s,
             "warm_p50_s": warm.p50_s,
             "warm_p99_s": warm.p99_s,
             "optimized": "warm prediction cache, per-pass replay time",
-            "reference": "cold path: compile + lockstep simulate per query",
+            "reference": (
+                "seed lowering and loop per query; seed MultiTree build, "
+                "live ring build (the seed has none), once per variant"
+            ),
         },
     )
 
@@ -527,9 +574,11 @@ def bench_batch(
     side evaluates all ``num_sizes`` payloads in one
     :meth:`~repro.collectives.compiled.CompiledSchedule.simulate_batch`
     call per algorithm (``lockstep-vec``); the reference side runs the
-    scalar lockstep engine once per size.  The cross-check enforces
-    exact ``==`` equality of every predicted time and zero fallbacks —
-    the benchmark must measure the vectorized path, not the ladder.
+    frozen seed loop (:func:`~repro.bench.reference.reference_run`)
+    once per size on messages lowered untimed from that schedule.  The
+    cross-check enforces exact ``==`` equality of every predicted time
+    and zero fallbacks — the benchmark must measure the vectorized
+    path, not the ladder.
     """
     spec = "torus-%dx%d" % dims
     topo = Torus2D(*dims)
@@ -560,18 +609,20 @@ def bench_batch(
             times.extend(point.time for point in batch.points)
         return times, fallbacks
 
-    def reference_sweep() -> List[float]:
-        times: List[float] = []
-        for algorithm in algorithms:
-            compiled = compiled_by_algo[algorithm]
-            times.extend(
-                compiled.simulate(size, fc, engine="lockstep").time
-                for size in sizes
-            )
-        return times
+    lowered = [
+        compiled_by_algo[algorithm].build_messages(size, fc)
+        for algorithm in algorithms
+        for size in sizes
+    ]
 
-    # Untimed warm-up builds the memoized vectorization plan and step
-    # groups, so both timed sides measure steady-state sweep cost.
+    def reference_sweep() -> List[float]:
+        return [
+            reference_run(topo, fc, messages).finish_time
+            for messages in lowered
+        ]
+
+    # Untimed warm-up builds the memoized vectorization plan, so the
+    # optimized side measures steady-state sweep cost.
     fast_times, fallbacks = optimized_sweep()
     ref_times = reference_sweep()
     if fallbacks:
@@ -597,10 +648,10 @@ def bench_batch(
             "algorithms": list(algorithms),
             "sizes": list(sizes),
             "engine": "lockstep-vec",
-            "reference_engine": "lockstep",
+            "reference_engine": "seed",
             "fallbacks": fallbacks,
             "optimized": "one run_batch pass over all sizes",
-            "reference": "scalar lockstep engine per size",
+            "reference": "seed loop per size, pre-lowered messages",
         },
     )
 
@@ -725,15 +776,16 @@ def bench_hetero(
     """Heterogeneous-fabric tier: a profiled fabric through all engines.
 
     The cross-check *is* the exactness contract for link profiles: on the
-    oversubscribed fat-tree the event engine (semantic reference), the
-    scalar lockstep engine and the vectorized engine must produce exactly
-    equal (``==``) finish times, per-message timings and per-link busy
-    totals — heterogeneity flows through per-link bandwidth/latency
-    columns, never through a changed formula, so any drift here is a
-    correctness bug, not noise.  Timing then compares the deployed fast
-    path (compiled schedule + lockstep-vec) against the event engine on
-    the equivalent pre-lowered messages, mirroring ``engine`` but on a
-    fabric whose upper tier runs at a quarter of the edge bandwidth.
+    oversubscribed fat-tree the frozen seed loop (semantic reference) and
+    the event, scalar lockstep and vectorized engines must produce
+    exactly equal (``==``) finish times, per-message timings and
+    per-link busy totals — heterogeneity flows through per-link
+    bandwidth/latency columns, never through a changed formula, so any
+    drift here is a correctness bug, not noise.  Timing then compares
+    the deployed fast path (compiled schedule + lockstep-vec) against
+    the seed loop on the equivalent pre-lowered messages, mirroring
+    ``engine`` but on a fabric whose upper tier runs at a quarter of the
+    edge bandwidth.
     """
     from ..collectives import compile_schedule
 
@@ -747,23 +799,18 @@ def bench_hetero(
     schedule = build_schedule(resolved.builder, topo)
     messages = build_messages(schedule, data_bytes, fc)
     compiled = compile_schedule(schedule)
-    sim = NetworkSimulator(topo, fc)
-    ref = sim.run(messages)
-    for engine in ("lockstep", "lockstep-vec"):
+    ref = reference_run(topo, fc, messages)
+    for engine in ENGINES:
         fast = compiled.simulate(data_bytes, fc, engine=engine).simulation
-        if (
-            fast.finish_time != ref.finish_time
-            or fast.timings != ref.timings
-            or fast.link_busy != ref.link_busy
-        ):
+        if not _same_simulation(fast, ref):
             raise RuntimeError(
-                "%s engine diverged from event engine on %s" % (engine, spec)
+                "%s engine diverged from the seed loop on %s" % (engine, spec)
             )
     optimized = _best_of(
         lambda: compiled.simulate(data_bytes, fc, engine="lockstep-vec"),
         repeat,
     )
-    reference = _best_of(lambda: sim.run(messages), repeat)
+    reference = _best_of(lambda: reference_run(topo, fc, messages), repeat)
     return BenchResult(
         name="hetero",
         optimized_s=optimized,
@@ -777,9 +824,9 @@ def bench_hetero(
             ),
             "messages": len(messages),
             "data_bytes": data_bytes,
-            "engines_cross_checked": ["event", "lockstep", "lockstep-vec"],
+            "engines_cross_checked": ["seed", *ENGINES],
             "optimized": "compiled schedule + lockstep-vec engine",
-            "reference": "event engine, pre-lowered messages",
+            "reference": "seed loop, pre-lowered messages",
         },
     )
 

@@ -66,7 +66,7 @@ class TestBenchmarks:
         result = bench_batch((4, 4), algorithms=("ring",), num_sizes=3)
         assert result.name == "batch"
         assert result.meta["engine"] == "lockstep-vec"
-        assert result.meta["reference_engine"] == "lockstep"
+        assert result.meta["reference_engine"] == "seed"
         assert result.meta["fallbacks"] == 0
         assert len(result.meta["sizes"]) == 3
         assert result.optimized_s > 0 and result.reference_s > 0
