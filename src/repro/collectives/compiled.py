@@ -137,10 +137,9 @@ class CompiledSchedule:
         "dep_val",
         "ser_profile",
         "metadata",
-        "_route_csr",
+        "_engine_cols",
         "_active",
         "_step_bounds",
-        "_dep_struct",
         "_frac_floats",
         "_frac_arr",
         "_vec_plan",
@@ -184,10 +183,9 @@ class CompiledSchedule:
         #: :meth:`step_estimates`.
         self.ser_profile = ser_profile
         self.metadata = dict(metadata) if metadata else {}
-        self._route_csr: Optional[List[int]] = None
+        self._engine_cols = None
         self._active: Optional[Dict[int, int]] = None
         self._step_bounds: Optional[np.ndarray] = None
-        self._dep_struct = None
         self._frac_floats = None
         self._frac_arr = None
         self._vec_plan = None
@@ -367,28 +365,26 @@ class CompiledSchedule:
 
     # -- memoized per-topology structure -----------------------------------
 
-    def _table_route_val(self, table) -> List[int]:
-        """``route_val`` remapped from link-table indices to dense link ids."""
-        route_val = self._route_csr
-        if route_val is None:
-            id_of = table.id_of
-            remap = [id_of[key] for key in self.links]
-            route_val = self._route_csr = [
-                remap[v] for v in _column_list(self.route_val)
-            ]
-        return route_val
-
-    def _dep_structure(self):
-        """The memoized :func:`~repro.network.links.dep_structure` triple
-        of this schedule's dependency CSR, for the scalar engines."""
-        dep_struct = self._dep_struct
-        if dep_struct is None:
+    def _engine_columns(self, table):
+        """The memoized, checked
+        :class:`~repro.network.lockstep_engine.EngineColumns` of this
+        schedule: ``route_val`` remapped from link-table indices to dense
+        link ids, and the dependents graph of the dependency CSR, all
+        int64 arrays."""
+        cols = self._engine_cols
+        if cols is None:
             from ..network.links import dep_structure
+            from ..network.lockstep_engine import engine_columns
 
-            dep_struct = self._dep_struct = dep_structure(
-                self.dep_off, self.dep_val
+            id_of = table.id_of
+            remap = np.array([id_of[key] for key in self.links], dtype=np.int64)
+            cols = self._engine_cols = engine_columns(
+                table,
+                self.route_off,
+                remap[np.asarray(self.route_val, dtype=np.int64)],
+                dep_structure(self.dep_off, self.dep_val),
             )
-        return dep_struct
+        return cols
 
     @property
     def step_bounds(self) -> np.ndarray:
@@ -512,36 +508,31 @@ class CompiledSchedule:
         from ..network.lockstep_engine import link_table, run_arrays
 
         table = link_table(self.topology)
+        n = len(self)
         # Payload scaling and gate lookup vectorize: float64 multiply
         # is IEEE-identical to the scalar product :meth:`build_messages`
         # computes, and spreading the gates over the step ranges copies
         # floats untouched.
-        payloads = (self.frac_array() * data_bytes).tolist()
+        classes, index = self.frac_classes()
         if lockstep:
             gates = self._gates(data_bytes, flow_control)
             bounds = self.step_bounds
             gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
             for step, gate in gates.items():
                 gate_vec[step] = gate
-            gate_arr = np.repeat(gate_vec[1:], np.diff(bounds)).tolist()
-            bounds = bounds.tolist()
+            not_before = np.repeat(gate_vec[1:], np.diff(bounds))
         else:
-            gate_arr = [0.0] * len(payloads)
             bounds = ()
-        # A plain-list view per run: the engines index it per message, and
-        # a memoized copy would pin ~300 KiB per 64-node MultiTree.
-        route_off = _column_list(self.route_off)
+            not_before = np.zeros(n)
         return run_arrays(
             self.topology,
             flow_control,
             engine,
             bounds,
-            payloads,
-            route_off,
-            self._table_route_val(table),
-            self._dep_structure(),
-            gate_arr,
-            [scheduling_overhead] * len(payloads),
+            (classes * data_bytes, index),
+            self._engine_columns(table),
+            not_before,
+            np.full(n, scheduling_overhead, dtype=np.float64),
         )
 
     def simulate_batch(

@@ -15,7 +15,6 @@ through one list-compatible view over its arrays (:class:`LazyTimings`).
 
 from __future__ import annotations
 
-from operator import sub
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,8 +76,8 @@ def link_table(topology: Topology) -> LinkTable:
 
 #: ``(dependents_off, dependents_val, dep_counts)`` — CSR adjacency of
 #: "who waits on message i" plus the per-message unresolved-dependency
-#: counts.  See :func:`dep_structure`.
-DepStructure = Tuple[List[int], List[int], List[int]]
+#: counts, as int64 arrays.  See :func:`dep_structure`.
+DepStructure = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructure:
@@ -90,29 +89,28 @@ def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructur
     lowering, not the payload, so the compiled artifact path memoizes the
     triple across simulations (see
     :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).  The
-    counts list is never mutated by the engines; they copy it per run.
+    counts are never mutated by the engines; they copy them per run.
 
     Built with array ops: a stable sort of the dependency values keeps
     each dependency's waiters in message-index order (a repeated
     dependency keeps both entries), so the triple ``==`` the seed's
     per-entry loop (``bench/reference.py:reference_dep_structure``).
-    ``dependents_val`` is gathered from an object array of the message
-    ids, so like the seed it holds one shared ``int`` per waiting
-    message rather than one per entry — the triple is memoized per
-    schedule, and per-entry ints cost ~1 MiB more on a 64-node
-    switched-fabric MultiTree.
+    All three are int64 arrays, the form the C kernel reads; 8 bytes an
+    entry is also less than a list's pointer plus its ``int``.
     """
-    off = np.asarray(dep_off, dtype=np.intp)
-    val = np.asarray(dep_val, dtype=np.intp)
+    off = np.asarray(dep_off, dtype=np.int64)
+    val = np.asarray(dep_val, dtype=np.int64)
     n = len(off) - 1
     counts = np.diff(off)
-    dd_off = np.zeros(n + 1, dtype=np.intp)
+    dd_off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(val, minlength=n), out=dd_off[1:])
-    owners = np.repeat(np.arange(n, dtype=np.intp), counts)
-    ids = np.empty(n, dtype=object)
-    ids[:] = range(n)
-    dd_val = ids[owners[np.argsort(val, kind="stable")]].tolist()
-    return dd_off.tolist(), dd_val, counts.tolist()
+    owners = np.repeat(np.arange(n, dtype=np.int64), counts)
+    return dd_off, owners[np.argsort(val, kind="stable")], counts
+
+
+def _float_list(column) -> list:
+    """``column`` as a list of Python floats (arrays convert, lists pass)."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 class LazyTimings:
@@ -122,7 +120,9 @@ class LazyTimings:
     million-message scale and most callers (sweeps, benchmarks) only read
     ``finish_time`` — so the arrays are kept as-is and the object list is
     built on first access, then cached.  Equality, iteration, indexing,
-    and ``len`` all behave like a plain list of timings.
+    and ``len`` all behave like a plain list of timings.  The columns may
+    be lists or float64 arrays; every float read out is a Python
+    ``float``.
     """
 
     __slots__ = ("_ready", "_inject", "_deliver", "_ideal", "_list")
@@ -141,9 +141,9 @@ class LazyTimings:
 
             result = self._list = [
                 MessageTiming(r, i, d, l)
-                for r, i, d, l in zip(
+                for r, i, d, l in zip(*map(_float_list, (
                     self._ready, self._inject, self._deliver, self._ideal
-                )
+                )))
             ]
         return result
 
@@ -151,8 +151,13 @@ class LazyTimings:
         return len(self._ready)
 
     def queue_delays(self) -> List[float]:
-        """Per-message ``deliver - ideal_deliver``, without the objects."""
-        return list(map(sub, self._deliver, self._ideal))
+        """Per-message ``deliver - ideal``, without the objects.
+
+        The same IEEE subtract per message, as one float64 pass.
+        """
+        deliver = np.asarray(self._deliver, dtype=np.float64)
+        ideal = np.asarray(self._ideal, dtype=np.float64)
+        return (deliver - ideal).tolist()
 
     def max_queue_delay(self) -> float:
         """``max(t.queue_delay for t in self)`` as one float64 pass.

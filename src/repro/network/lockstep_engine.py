@@ -1,22 +1,23 @@
 """The scalar engine: one loop over the array heap, two processing orders.
 
 The engine runs on flat arrays: routes are ``(route_off, route_val)``
-offset/value lists of dense link ids, and the dependency graph is the
-:func:`~repro.network.links.dep_structure` triple.  Compiled schedules
-(:class:`repro.collectives.compiled.CompiledSchedule`) hold those
-columns already; :meth:`repro.network.simulator.NetworkSimulator.run`
-lowers a :class:`~repro.network.simulator.Message` list to them.
-Beyond avoiding per-hop dictionary lookups, the flat layout matters for
-sustained throughput: a 1024-node lowering holds millions of messages,
-and representing their routes/dependencies as millions of small lists
-makes every cyclic-GC generation scan traverse them all — measured as a
-multi-x slowdown on repeated large simulations.  A handful of flat lists
-of ints is invisible to the collector.
+offset/value columns of dense link ids, and the dependency graph is the
+:func:`~repro.network.links.dep_structure` triple, all int64 arrays
+(:class:`EngineColumns`).  Compiled schedules
+(:class:`repro.collectives.compiled.CompiledSchedule`) memoize those
+columns; :meth:`repro.network.simulator.NetworkSimulator.run` lowers a
+:class:`~repro.network.simulator.Message` list to them.  Beyond avoiding
+per-hop dictionary lookups, the flat layout matters for sustained
+throughput: a 1024-node lowering holds millions of messages, and
+representing their routes/dependencies as millions of small lists makes
+every cyclic-GC generation scan traverse them all — measured as a
+multi-x slowdown on repeated large simulations.  A handful of flat
+arrays is invisible to the collector.
 
 The outcome is fully determined by the order in which messages are
-*processed*: FIFO channel grants follow it.  :func:`run_indexed` has one
-loop — one per-hop grant kernel, one dependency wake, one deadlock
-check — and two processing orders:
+*processed*: FIFO channel grants follow it.  The loop — one per-hop
+grant, one dependency wake, one deadlock check — has two processing
+orders:
 
 * **heap order** (the event engine): a global ``(ready, push_seq)``
   heap pops one message at a time.  It works for any dependency DAG,
@@ -28,6 +29,17 @@ check — and two processing orders:
   numbering (initial pushes in index order, then wake-ups in processing
   order).  Sorting a few rows per step is cheaper than keeping a global
   heap, which is what makes it faster at scale.
+
+**Two implementations, one loop.**  ``_engine.c`` is the loop in C,
+built on first use and loaded by :mod:`repro.network.native`; it
+performs the same IEEE binary64 operations as :func:`run_indexed`, the
+loop in Python, in the same order, so the two are bit-identical.
+:func:`run_arrays` runs the C kernel whenever it has loaded, the run's
+columns passed :func:`~repro.network.native.columns_ok` and no trace
+recorder is passed.  :func:`run_indexed` runs recorded runs (its
+per-hop callbacks feed the recorder), hosts where the build or load
+failed, and columns the kernel must not index; the tests hold the
+kernel ``==`` to it.
 
 **Exact equivalence.**  Step order equals heap order whenever two
 checks hold at every step start: every dependency of the step's rows has
@@ -48,11 +60,21 @@ heap order and counts the decline as
 from __future__ import annotations
 
 import heapq
-from operator import sub
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from .. import obs
 from ..topology.base import Topology
+from . import native
 from .flowcontrol import FlowControl
 from .links import DepStructure, LazyTimings, LinkTable, link_table
 from .simulator import (
@@ -66,7 +88,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
 
 __all__ = [
+    "EngineColumns",
     "LinkTable",
+    "engine_columns",
     "link_table",
     "run_arrays",
     "run_indexed",
@@ -121,10 +145,12 @@ def run_indexed(
     messages: Optional[Sequence[Message]] = None,
     step_bounds: Optional[Sequence[int]] = None,
 ):
-    """The scalar engine over dense link-indexed arrays.
+    """The scalar engine's Python loop over dense link-indexed lists.
 
-    Messages are processed in ``(ready, push_seq)`` order, and FIFO
-    channel grants follow that order — the seed simulator's semantics
+    ``_engine.c`` is this loop in C (see the module docstring); this one
+    runs recorded runs and hosts without a kernel build.  Messages are
+    processed in ``(ready, push_seq)`` order, and FIFO channel grants
+    follow that order — the seed simulator's semantics
     (``bench/reference.py:reference_run``) over CSR link ids and
     payload/dependency arrays, with no per-message objects.  Without
     ``step_bounds`` the order comes from a global heap (the event
@@ -259,17 +285,98 @@ def run_indexed(
                     seq += 1
 
     if processed != n:
-        stuck = [i for i in range(n) if remaining[i] > 0]
-        raise RuntimeError(
-            "dependency deadlock: %d messages never became ready (first: %s)"
-            % (len(stuck), stuck[:5])
-        )
+        _deadlock([i for i in range(n) if remaining[i] > 0])
     return finish, ready, inject, deliver, ideal, busy, total_wire
+
+
+class EngineColumns(NamedTuple):
+    """One run's payload-independent columns, as the kernel reads them.
+
+    Routes are ``(route_off, route_val)`` over dense link ids and
+    ``dep_struct`` is the :func:`~repro.network.links.dep_structure`
+    triple, all int64 arrays.  ``native`` is the
+    :func:`~repro.network.native.columns_ok` verdict: columns that fail
+    it never reach the kernel.  A compiled schedule memoizes its
+    columns, so the check runs once per schedule.
+    """
+
+    route_off: np.ndarray
+    route_val: np.ndarray
+    dep_struct: DepStructure
+    native: bool
+
+
+def engine_columns(table: LinkTable, route_off, route_val,
+                   dep_struct: DepStructure) -> EngineColumns:
+    """Checked :class:`EngineColumns` over ``table``'s links."""
+    route_off = np.ascontiguousarray(route_off, dtype=np.int64)
+    route_val = np.ascontiguousarray(route_val, dtype=np.int64)
+    dd_off, dd_val, _counts = dep_struct
+    return EngineColumns(
+        route_off, route_val, dep_struct,
+        native.columns_ok(table.arrays()[2], route_off, route_val,
+                          dd_off, dd_val),
+    )
+
+
+def _run_kernel(kernel, table: LinkTable, flow_control: FlowControl,
+                payloads, columns: EngineColumns, not_before,
+                receive_overhead, step_bounds):
+    """:func:`run_indexed` on the C kernel; the same return values.
+
+    ``payloads`` is a ``(classes, index)`` pair: wire bytes are computed
+    once per payload class and gathered per message.  The scalars come
+    back as Python floats; the per-message and per-link columns stay
+    float64 arrays.
+    """
+    classes, index = payloads
+    wire = np.array(
+        [flow_control.wire_bytes(payload) for payload in classes.tolist()],
+        dtype=np.float64,
+    )[index]
+    n = len(wire)
+    bandwidth, latency, capacity = table.arrays()
+    dd_off, dd_val, counts = columns.dep_struct
+    remaining = np.array(counts, dtype=np.int64)
+    ready = np.array(not_before, dtype=np.float64)
+    overhead = np.ascontiguousarray(receive_overhead, dtype=np.float64)
+    inject = np.empty(n)
+    deliver = np.empty(n)
+    ideal = np.empty(n)
+    busy = np.zeros(len(capacity))
+    totals = np.zeros(2)
+    bounds = np.ascontiguousarray(step_bounds, dtype=np.int64)
+    ptr = native.pointer
+    processed = kernel(
+        n, len(capacity), ptr(bandwidth), ptr(latency), ptr(capacity),
+        ptr(wire), ptr(columns.route_off), ptr(columns.route_val),
+        ptr(dd_off), ptr(dd_val), ptr(overhead),
+        len(bounds), ptr(bounds) if len(bounds) else None,
+        ptr(remaining), ptr(ready),
+        ptr(inject), ptr(deliver), ptr(ideal), ptr(busy), ptr(totals),
+    )
+    if processed == -1:
+        return None
+    if processed == -2:
+        raise MemoryError("engine kernel could not allocate its state")
+    if processed != n:
+        _deadlock(np.flatnonzero(remaining > 0).tolist())
+    finish, total_wire = totals.tolist()
+    return finish, ready, inject, deliver, ideal, busy, total_wire
+
+
+def _deadlock(stuck: List[int]):
+    raise RuntimeError(
+        "dependency deadlock: %d messages never became ready (first: %s)"
+        % (len(stuck), stuck[:5])
+    )
 
 
 def _result_from_arrays(table: LinkTable, raw) -> SimulationResult:
     finish, ready, inject, deliver, ideal, busy, total_wire = raw
     keys = table.keys
+    if isinstance(busy, np.ndarray):
+        busy = busy.tolist()
     link_busy = {
         keys[li]: busy[li] for li in range(len(keys)) if busy[li] != 0.0
     }
@@ -286,22 +393,29 @@ def run_arrays(
     flow_control: FlowControl,
     engine: str,
     step_bounds: Sequence[int],
-    payloads: Sequence[float],
-    route_off: Sequence[int],
-    route_val: Sequence[int],
-    dep_struct: DepStructure,
-    not_before: Sequence[float],
-    receive_overhead: Sequence[float],
+    payloads: Tuple[np.ndarray, np.ndarray],
+    columns: EngineColumns,
+    not_before: np.ndarray,
+    receive_overhead: np.ndarray,
     recorder: Optional["TraceRecorder"] = None,
     messages: Optional[Sequence[Message]] = None,
 ) -> SimulationResult:
     """The ``event``/``lockstep`` ladder over CSR arrays, with telemetry.
 
-    ``engine="event"`` runs :func:`run_indexed` in heap order, feeding it
-    ``recorder`` and ``messages`` (see there) — the path
+    ``payloads`` is a ``(classes, index)`` pair — the distinct payload
+    sizes and each message's class — and ``columns`` the run's
+    :class:`EngineColumns`; ``not_before`` and ``receive_overhead`` are
+    per-message float64 columns.  The C kernel
+    (:mod:`repro.network.native`) runs every order whenever it has
+    loaded, the columns passed its check and no ``recorder`` is given;
+    otherwise :func:`run_indexed`'s Python loop does, with the same
+    results.
+
+    ``engine="event"`` runs heap order, feeding the Python loop
+    ``recorder`` and ``messages`` (see :func:`run_indexed`) — the path
     :meth:`repro.network.simulator.NetworkSimulator.run` takes.
-    ``engine="lockstep"`` first runs it in step order over the row
-    ranges ``step_bounds`` and, when the step order declines, reruns the
+    ``engine="lockstep"`` first runs step order over the row ranges
+    ``step_bounds`` and, when the step order declines, reruns the
     arrays in heap order.  Only the heap order gets ``recorder``: a
     declined step-order run would otherwise record its hops twice.
     Every run emits one ``sim.run`` span naming the engine that resolved
@@ -312,20 +426,43 @@ def run_arrays(
     """
     table = link_table(topology)
     topology_name = topology.name
+    kernel = None
+    if recorder is None and columns.native:
+        kernel = native.kernel()
+    lists = None
+
+    def run(bounds, recorder=None, messages=None):
+        nonlocal lists
+        if kernel is not None:
+            return _run_kernel(
+                kernel, table, flow_control, payloads, columns,
+                not_before, receive_overhead, bounds,
+            )
+        if lists is None:  # the Python loop indexes plain lists
+            classes, index = payloads
+            lists = (
+                classes[index].tolist(),
+                columns.route_off.tolist(),
+                columns.route_val.tolist(),
+                tuple(part.tolist() for part in columns.dep_struct),
+                np.asarray(not_before).tolist(),
+                np.asarray(receive_overhead).tolist(),
+            )
+        return run_indexed(
+            table, flow_control, *lists, recorder, messages,
+            step_bounds=bounds.tolist() if len(bounds) else None,
+        )
+
     with obs.span(
         "sim.run",
         topology=topology_name,
         engine=engine,
-        messages=len(payloads),
+        messages=len(payloads[1]),
     ) as run_span:
         raw = None
         resolved = "event"
         if engine == "lockstep":
-            raw = run_indexed(
-                table, flow_control, payloads, route_off, route_val,
-                dep_struct, not_before, receive_overhead,
-                step_bounds=step_bounds,
-            )
+            raw = run(np.asarray(step_bounds, dtype=np.int64))
             if raw is None:
                 obs.event(
                     "engine.fallback", engine="lockstep",
@@ -334,18 +471,16 @@ def run_arrays(
             else:
                 resolved = "lockstep"
         if raw is None:
-            raw = run_indexed(
-                table, flow_control, payloads, route_off, route_val,
-                dep_struct, not_before, receive_overhead,
-                recorder, messages,
-            )
+            raw = run(np.empty(0, dtype=np.int64), recorder, messages)
         result = _result_from_arrays(table, raw)
         run_span.set("resolved", resolved)
         run_span.set("finish_time", result.finish_time)
         if obs.metering():
+            classes, index = payloads
             attrs = run_metric_attrs(
                 topology, flow_control,
-                zip(payloads, map(sub, route_off[1:], route_off[:-1])),
+                zip(classes[index].tolist(),
+                    np.diff(columns.route_off).tolist()),
                 result,
             )
             for key, value in attrs.items():

@@ -45,6 +45,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..topology.base import LinkKey, Topology
 from .flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
 from .links import dep_structure, link_table
@@ -215,27 +217,38 @@ class NetworkSimulator:
         are computed (see :mod:`repro.trace`); it never alters the
         simulation — results are bit-identical with and without one.
         """
-        from .lockstep_engine import run_arrays
+        from .lockstep_engine import engine_columns, run_arrays
 
         n = len(messages)
-        id_of = link_table(self.topology).id_of
+        table = link_table(self.topology)
+        id_of = table.id_of
         routes = [msg.route for msg in messages]
         route_val = list(map(id_of.__getitem__, chain.from_iterable(routes)))
         deps = [msg.deps for msg in messages]
         dep_val = list(chain.from_iterable(deps))
         if dep_val and not 0 <= min(dep_val) <= max(dep_val) < n:
             raise ValueError("message dependency index out of range")
+        # Payload classes: wire bytes are computed once per distinct size.
+        classes, index = np.unique(
+            np.array([msg.payload_bytes for msg in messages], dtype=np.float64),
+            return_inverse=True,
+        )
         return run_arrays(
             self.topology,
             self.flow_control,
             "event",
             (),
-            [msg.payload_bytes for msg in messages],
-            [0, *accumulate(map(len, routes))],
-            route_val,
-            dep_structure([0, *accumulate(map(len, deps))], dep_val),
-            [msg.not_before for msg in messages],
-            [msg.receive_overhead for msg in messages],
+            (classes, index.reshape(-1)),
+            engine_columns(
+                table,
+                [0, *accumulate(map(len, routes))],
+                route_val,
+                dep_structure([0, *accumulate(map(len, deps))], dep_val),
+            ),
+            np.array([msg.not_before for msg in messages], dtype=np.float64),
+            np.array(
+                [msg.receive_overhead for msg in messages], dtype=np.float64
+            ),
             recorder=recorder,
             messages=messages,
         )

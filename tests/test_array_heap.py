@@ -274,18 +274,22 @@ class TestDepStructure:
             val.extend(item)
             off.append(len(val))
         expected = reference_dep_structure(off, val)
-        assert dep_structure(off, val) == expected
+        assert _lists(dep_structure(off, val)) == expected
         # Streaming/artifact schedules hold numpy columns.
-        assert dep_structure(
+        assert _lists(dep_structure(
             np.asarray(off, dtype=np.int64), np.asarray(val, dtype=np.int32)
-        ) == expected
+        )) == expected
 
-    def test_returns_plain_int_lists(self):
+    def test_returns_int64_arrays(self):
         triple = dep_structure([0, 0, 1, 3], [0, 1, 1])
-        assert triple == ([0, 1, 3, 3], [1, 2, 2], [0, 1, 2])
+        assert _lists(triple) == ([0, 1, 3, 3], [1, 2, 2], [0, 1, 2])
         for part in triple:
-            assert type(part) is list
-            assert all(type(v) is int for v in part)
+            assert isinstance(part, np.ndarray) and part.dtype == np.int64
+            assert part.flags.c_contiguous
+
+
+def _lists(triple):
+    return tuple(part.tolist() for part in triple)
 
 
 class TestArrayMaxQueueDelay:

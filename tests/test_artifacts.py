@@ -433,8 +433,8 @@ class TestArtifactMemoSharing:
                 compiled.simulate(1 * MiB, engine=engine).simulation,
             )
         # The caller's schedule owns the caches it built...
-        assert hit._vec_plan is not None and hit._dep_struct is not None
-        assert hit._route_csr is not None and hit._step_bounds is not None
+        assert hit._vec_plan is not None and hit._engine_cols is not None
+        assert hit._step_bounds is not None
         # ...and nothing reachable from the memo entry is one of them.
         entry, = store._memo.values()
         assert isinstance(entry, ScheduleColumns)
