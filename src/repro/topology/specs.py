@@ -197,6 +197,9 @@ def parse_topology(kind: str, dims: str, modtext: Optional[str] = None) -> Topol
             # ones; uniform specs keep their exact historical names.
             topology.name = topology.name + profile.suffix()
             topology.link_profile = profile
+        # Shares the structural fingerprint with every other instance
+        # parsed from this spec (see topology_fingerprint).
+        topology.__dict__["_spec_key"] = (kind, dims, profile.canonical())
         sp.set("nodes", topology.num_nodes)
         sp.set("links", len(topology.links))
         return topology

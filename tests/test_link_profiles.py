@@ -153,6 +153,21 @@ class TestTopologyConstruction:
         assert topo.link_profile is not None
         assert topology_fingerprint(topo) != topology_fingerprint(uniform)
 
+    @pytest.mark.parametrize("spec", ["torus-4x4", *HETERO_SPECS])
+    def test_spec_fingerprint_shared_across_parses(self, spec, monkeypatch):
+        """Every instance parsed from one spec reuses the first one's
+        digest, and that digest is the one the links give."""
+        from repro.topology import base
+
+        monkeypatch.setattr(base, "_SPEC_FINGERPRINTS", {})
+        first = topology_fingerprint(parse_topology_spec(spec))
+        again = parse_topology_spec(spec)
+        assert base._SPEC_FINGERPRINTS == {again._spec_key: first}
+        assert topology_fingerprint(again) == first
+        monkeypatch.setattr(base, "_SPEC_FINGERPRINTS", {})
+        del again.__dict__["_fingerprint_cache"]
+        assert topology_fingerprint(again) == first
+
     def test_oversub_thins_the_upper_tier(self):
         topo = parse_topology_spec("fattree-4x4@oversub=4")
         bandwidths = sorted({s.bandwidth for s in topo.links.values()})

@@ -157,6 +157,19 @@ class TestCarrier:
 
 
 class TestStream:
+    @pytest.mark.parametrize("record", [
+        {"kind": "span", "name": "sim.run", "start": 1792513191.289714,
+         "end": 1792513191.3, "attrs": {"resolved": "event", "ops": 480},
+         "trace": "0" * 16, "span": "1" * 16, "parent": None},
+        {"kind": "event", "name": "e", "time": -0.0,
+         "fields": {"z": [1, 2.5, float("inf"), None], "a": {"é": "\n"}}},
+        {"b": True, "a": {}, "c": []},
+    ])
+    def test_line_encoder_equals_sorted_json(self, record):
+        from repro.obs.spans import _encode
+
+        assert _encode(record) == json.dumps(record, sort_keys=True)
+
     def test_stream_flushed_on_close_and_validates(self, tmp_path):
         path = str(tmp_path / "obs.jsonl")
         with observing(stream_path=path) as rec:
