@@ -201,7 +201,7 @@ class CompiledSchedule:
         n/d true division rounds identically to ``float(Fraction(n,
         d))``, so these floats match ChunkRange.bytes_of's memoized
         factor.  Only the message lowering (:meth:`build_messages`)
-        reads it; the engines read :meth:`frac_array`, which never
+        reads it; the engines read :meth:`frac_classes`, which never
         builds a per-op Python list.
         """
         floats = self._frac_floats
@@ -235,7 +235,8 @@ class CompiledSchedule:
     def frac_classes(self):
         """``(unique_fractions, per_op_class_index)`` numpy pair, memoized.
 
-        The class table behind the batched engine's wire-size dedup.
+        The class table behind every engine's wire-size dedup: wire
+        bytes are computed once per class.
         Constant-fraction schedules short-circuit to a single class with
         a zero-stride index column, keeping the per-op axis
         unmaterialized at any scale.

@@ -108,11 +108,6 @@ def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructur
     return dd_off, owners[np.argsort(val, kind="stable")], counts
 
 
-def _float_list(column) -> list:
-    """``column`` as a list of Python floats (arrays convert, lists pass)."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
 class LazyTimings:
     """List-compatible view over the engines' parallel timing arrays.
 
@@ -139,11 +134,14 @@ class LazyTimings:
         if result is None:
             from .simulator import MessageTiming
 
-            result = self._list = [
-                MessageTiming(r, i, d, l)
-                for r, i, d, l in zip(*map(_float_list, (
+            columns = (
+                column.tolist() if isinstance(column, np.ndarray) else column
+                for column in (
                     self._ready, self._inject, self._deliver, self._ideal
-                )))
+                )
+            )
+            result = self._list = [
+                MessageTiming(r, i, d, l) for r, i, d, l in zip(*columns)
             ]
         return result
 

@@ -27,8 +27,9 @@ orders:
   loop walks the steps in gate order and sorts each step's rows by the
   same ``(ready, push_seq)`` key, replaying the heap's push-sequence
   numbering (initial pushes in index order, then wake-ups in processing
-  order).  Sorting a few rows per step is cheaper than keeping a global
-  heap, which is what makes it faster at scale.
+  order).  In the Python loop, sorting a few rows per step is cheaper
+  than keeping a global heap, which makes it faster at scale; on the C
+  kernel the two orders cost about the same.
 
 **Two implementations, one loop.**  ``_engine.c`` is the loop in C,
 built on first use and loaded by :mod:`repro.network.native`; it
@@ -346,14 +347,16 @@ def _run_kernel(kernel, table: LinkTable, flow_control: FlowControl,
     busy = np.zeros(len(capacity))
     totals = np.zeros(2)
     bounds = np.ascontiguousarray(step_bounds, dtype=np.int64)
-    ptr = native.pointer
     processed = kernel(
-        n, len(capacity), ptr(bandwidth), ptr(latency), ptr(capacity),
-        ptr(wire), ptr(columns.route_off), ptr(columns.route_val),
-        ptr(dd_off), ptr(dd_val), ptr(overhead),
-        len(bounds), ptr(bounds) if len(bounds) else None,
-        ptr(remaining), ptr(ready),
-        ptr(inject), ptr(deliver), ptr(ideal), ptr(busy), ptr(totals),
+        n, len(capacity),
+        *(column.ctypes.data for column in (
+            bandwidth, latency, capacity, wire, columns.route_off,
+            columns.route_val, dd_off, dd_val, overhead,
+        )),
+        len(bounds), bounds.ctypes.data if len(bounds) else None,
+        *(column.ctypes.data for column in (
+            remaining, ready, inject, deliver, ideal, busy, totals,
+        )),
     )
     if processed == -1:
         return None

@@ -141,9 +141,9 @@ def kernel():
     if _kernel is _UNSET:
         try:
             _kernel = _load()
-        except (KernelUnavailable, OSError) as error:
+        except Exception as error:  # any failed build or load: Python loop
             _kernel = None
-            reason = str(error)
+            reason = str(error) or type(error).__name__
             obs.event("engine.kernel", status="unavailable", reason=reason)
             warnings.warn(
                 "C engine kernel unavailable (%s); running the Python loop"
@@ -179,8 +179,3 @@ def columns_ok(capacity: np.ndarray, route_off: np.ndarray,
         if len(val) and not (0 <= val.min() and val.max() < bound):
             return False
     return True
-
-
-def pointer(array: np.ndarray) -> int:
-    """The data address ctypes passes for a C-contiguous array."""
-    return array.ctypes.data

@@ -238,7 +238,7 @@ class NetworkSimulator:
             self.flow_control,
             "event",
             (),
-            (classes, index.reshape(-1)),
+            (classes, index),
             engine_columns(
                 table,
                 [0, *accumulate(map(len, routes))],

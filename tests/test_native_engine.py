@@ -139,6 +139,24 @@ class TestCorners:
             total += fast_declines
         assert total > 0
 
+    def test_same_step_dependency_declines(self, kernel):
+        """A hand-built schedule whose row waits on a row of its own
+        step: both step orders decline to heap order, which delays the
+        waiting row until the first is delivered."""
+        topology = Torus2D(4, 4)
+        bandwidth = topology.links[(0, 1)].bandwidth
+        compiled = ScheduleColumns(
+            "hand", 1, [0, 1], [1, 2], [1, 1], [1, 1], [2, 2],
+            [(0, 1), (1, 2)], [0, 1, 2], [0, 1], [0, 0, 1], [0],
+            [(1, bandwidth, 0.5)], {},
+        ).bind(topology)
+        (fast, fast_declines), (slow, slow_declines) = both_paths(
+            compiled, 1 * MiB, "lockstep"
+        )
+        assert_identical(fast, slow)
+        assert fast_declines == slow_declines == 1
+        assert fast.timings[1].ready == fast.timings[0].deliver
+
     def _messages(self):
         route = ((0, 1), (1, 2))
         return [
