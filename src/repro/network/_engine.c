@@ -24,9 +24,17 @@
  * for a declined step order, or -2 when memory runs out.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* Every double operation must round to binary64 as Python's do; a
+ * target that evaluates in wider precision (x87) fails the build, and
+ * the engines keep the Python loop. */
+#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+#error "the engine kernel needs binary64 evaluation (FLT_EVAL_METHOD 0)"
+#endif
 
 typedef struct {
     double ready;
