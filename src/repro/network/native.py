@@ -61,7 +61,7 @@ _ARGTYPES = (
 
 
 class KernelUnavailable(Exception):
-    """The kernel could not be built or loaded; the message says why."""
+    """No compiler, or the compiler failed; the message says why."""
 
 
 def _library_path() -> str:
@@ -87,27 +87,24 @@ def _compiler() -> str:
 
 def _build(path: str) -> None:
     directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    os.close(fd)
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        proc = subprocess.run(
+            [_compiler(), *_FLAGS, "-o", tmp, _SOURCE],
+            capture_output=True, text=True, timeout=120,
         )
-        os.close(fd)
-    except OSError as error:
-        raise KernelUnavailable("cannot write %s: %s" % (directory, error))
-    try:
-        try:
-            proc = subprocess.run(
-                [_compiler(), *_FLAGS, "-o", tmp, _SOURCE],
-                capture_output=True, text=True, timeout=120,
-            )
-        except (OSError, subprocess.SubprocessError) as error:
-            raise KernelUnavailable("compiler failed to run: %s" % error)
         if proc.returncode != 0:
             lines = (proc.stderr or proc.stdout).strip().splitlines()
+            first_error = next(
+                (line for line in lines if "error" in line),
+                lines[0] if lines else "no output",
+            )
             raise KernelUnavailable(
-                "compiler exited %d: %s"
-                % (proc.returncode, lines[0] if lines else "no output")
+                "compiler exited %d: %s" % (proc.returncode, first_error)
             )
         os.replace(tmp, path)
     finally:
@@ -120,11 +117,7 @@ def _load():
     path = _library_path()
     if not os.path.exists(path):
         _build(path)
-    try:
-        library = ctypes.CDLL(path)
-    except OSError as error:
-        raise KernelUnavailable("cannot load %s: %s" % (path, error))
-    function = library.run_indexed
+    function = ctypes.CDLL(path).run_indexed
     function.argtypes = _ARGTYPES
     function.restype = _I64
     return function
