@@ -256,17 +256,26 @@ def test_failed_build_falls_back_once(kernel, monkeypatch):
     assert len(messages) == 1 and "test build" in messages[0]
 
 
-def _spawned_load(prefix):
+def _spawned_load(prefix, results):
     sys.pycache_prefix = prefix
     from repro.network import native as child_native
 
-    return child_native.kernel() is not None, child_native._library_path()
+    results.put((child_native.kernel() is not None,
+                 child_native._library_path()))
 
 
 def test_concurrent_builds_into_one_empty_cache(kernel, tmp_path):
     context = multiprocessing.get_context("spawn")
-    with context.Pool(2) as pool:
-        outcomes = pool.map(_spawned_load, [str(tmp_path)] * 2)
+    results = context.Queue()
+    workers = [
+        context.Process(target=_spawned_load, args=(str(tmp_path), results))
+        for _ in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    outcomes = [results.get(timeout=120) for _ in workers]
+    for worker in workers:
+        worker.join()
     assert [loaded for loaded, _path in outcomes] == [True, True]
     path, = {path for _loaded, path in outcomes}
     assert path.startswith(str(tmp_path))
