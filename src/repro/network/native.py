@@ -31,6 +31,7 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-std=c99")
 
 _UNSET = object()
 _kernel = _UNSET
+_LOCK = threading.Lock()
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -132,18 +134,22 @@ def kernel():
     """
     global _kernel
     if _kernel is _UNSET:
-        try:
-            _kernel = _load()
-        except Exception as error:  # any failed build or load: Python loop
-            _kernel = None
-            reason = str(error) or type(error).__name__
-            obs.event("engine.kernel", status="unavailable", reason=reason)
-            warnings.warn(
-                "C engine kernel unavailable (%s); running the Python loop"
-                % reason,
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        with _LOCK:  # serve threads may ask at once; build and warn once
+            if _kernel is _UNSET:
+                try:
+                    _kernel = _load()
+                except Exception as error:  # any failed build or load
+                    _kernel = None
+                    reason = str(error) or type(error).__name__
+                    obs.event(
+                        "engine.kernel", status="unavailable", reason=reason
+                    )
+                    warnings.warn(
+                        "C engine kernel unavailable (%s); running the "
+                        "Python loop" % reason,
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
     return _kernel
 
 
