@@ -17,7 +17,11 @@ arrays is invisible to the collector.
 The outcome is fully determined by the order in which messages are
 *processed*: FIFO channel grants follow it.  The loop — one per-hop
 grant, one dependency wake, one deadlock check — has two processing
-orders:
+orders.  The grant is one branch for every link capacity: each link
+keeps a list of channel free times, and a hop takes the earliest-free
+channel (the argmin runs only on multi-channel links).  This loop and
+its C twin (below) are the only places the multi-hop grant rule is
+written, besides the frozen seed loop.
 
 * **heap order** (the event engine): a global ``(ready, push_seq)``
   heap pops one message at a time.  It works for any dependency DAG,
@@ -182,8 +186,8 @@ def run_indexed(
     remaining = list(dep_counts)
     ready = list(not_before)
 
-    avail = [0.0] * num_links
-    pools: Dict[int, List[float]] = {}
+    # One FIFO channel list per link, as in ``_engine.c``.
+    chans = [[0.0] * cap for cap in capacity]
     busy = [0.0] * num_links
     inject = [0.0] * n
     deliver = [0.0] * n
@@ -234,21 +238,14 @@ def run_indexed(
                 max_ser = 0.0
                 for k in range(r0, r1):
                     li = route_val[k]
-                    if capacity[li] == 1:
-                        ch = 0
-                        at = avail[li]
-                        ser = wire / bandwidth[li]
-                        grant = head if head >= at else at
-                        avail[li] = grant + ser
-                    else:
-                        pool = pools.get(li)
-                        if pool is None:
-                            pool = pools[li] = [0.0] * capacity[li]
+                    pool = chans[li]
+                    ch = 0
+                    if len(pool) > 1:
                         ch = min(range(len(pool)), key=pool.__getitem__)
-                        at = pool[ch]
-                        ser = wire / bandwidth[li]
-                        grant = head if head >= at else at
-                        pool[ch] = grant + ser
+                    at = pool[ch]
+                    ser = wire / bandwidth[li]
+                    grant = head if head >= at else at
+                    pool[ch] = grant + ser
                     busy[li] += ser
                     if recording:
                         recorder.hop(idx, keys[li], ch, head, grant, ser)

@@ -3,11 +3,17 @@
 The scalar engine loop
 (:func:`repro.network.lockstep_engine.run_indexed`) already walks
 lockstep-gated schedules step by step in its step order over flat CSR
-arrays, but still visits every message (and every hop) in Python.  This
-engine resolves each step's per-link FIFO pass with array operations
-instead, vectorized over the step's messages — and over a trailing
-**size axis**, so one compiled schedule is evaluated for an entire ``LO..HI``
-doubling range of payload sizes in a single pass (:func:`run_batch`).
+arrays, but still visits every message in Python.  This engine resolves
+each step's per-link FIFO pass with array operations instead, vectorized
+over the step's messages — and over a trailing **size axis**, so one
+compiled schedule is evaluated for an entire ``LO..HI`` doubling range of
+payload sizes in a single pass (:func:`run_batch`).
+
+It is a **single-hop** engine: every route must be exactly one link, as
+on the direct networks (torus, mesh, ring).  It exists for such batches
+at cluster scale, where it needs far less memory than the C kernel.
+Multi-hop schedules (switched fabrics) decline as ``multi-hop`` and run
+the scalar ladder, which is faster on them.
 
 Both engines read one step layout.  A compiled schedule stores its ops
 sorted by step, so step ``s`` is the contiguous row range
@@ -15,10 +21,9 @@ sorted by step, so step ``s`` is the contiguous row range
 (:attr:`~repro.collectives.compiled.CompiledSchedule.step_bounds`),
 whatever backs the columns: plain lists from the object compiler, numpy
 arrays from the streaming compiler, lazy shards from an artifact.  One
-:class:`BatchPlan` per schedule resolves each step once: single-hop
-steps as views of one remapped link column, multi-hop steps (switched
-fabrics) as per-hop-position selectors.  :func:`run_plan` walks the
-ranges and wakes dependencies pull-style from the dependency CSR.
+:class:`BatchPlan` per schedule resolves each step once, as a view of
+the one remapped link column.  :func:`run_plan` walks the ranges and
+wakes dependencies pull-style from the dependency CSR.
 
 **Exactness contract.**  The scalar lockstep engine is the oracle: when
 this engine accepts a run, every computed time is produced by the same
@@ -79,17 +84,15 @@ class BatchPlan:
     Built once per schedule (memoized by :func:`_compiled_plan`) over
     its step ranges
     (:attr:`~repro.collectives.compiled.CompiledSchedule.step_bounds`).
-    ``steps`` holds one ``(lo, hi, hops)`` entry per non-empty step,
-    covering rows ``lo:hi``.  When every route of the step is one link
-    (direct networks), ``hops`` is the step's dense link ids as a view of
-    the one remapped route column — no per-step arrays, which keeps an
-    8k-node schedule (134M ops) inside its memory envelope.  Otherwise
-    (switched fabrics) ``hops`` lists ``(sel, li)`` per hop position:
-    the step rows ``sel`` with a hop there and the links they take.
+    ``steps`` holds one ``(lo, hi, links)`` entry per non-empty step,
+    covering rows ``lo:hi``; ``links`` is the step's dense link ids as a
+    view of the one remapped route column — no per-step arrays, which
+    keeps an 8k-node schedule (134M ops) inside its memory envelope.
 
     ``ok`` is False when the schedule cannot run vectorized; ``reason``
     then names the check that failed: a route names a link the topology
-    lacks (``unknown-link``), some step is not link-disjoint
+    lacks (``unknown-link``), a route is not exactly one link
+    (``multi-hop``), some step is not link-disjoint
     (``link-disjointness``) or touches a multi-channel link
     (``multi-channel``), or a dependency does not point to an earlier
     step (``step-overlap``, which the pull-model wake-up of
@@ -102,7 +105,7 @@ class BatchPlan:
         bounds = compiled.step_bounds
         self.ok = False
         self.reason: Optional[str] = None
-        self.steps: List[Tuple[int, int, object]] = []
+        self.steps: List[Tuple[int, int, np.ndarray]] = []
         try:
             remap = np.asarray(
                 [table.id_of[key] for key in compiled.links], dtype=np.intp
@@ -119,16 +122,10 @@ class BatchPlan:
             if lo == hi:
                 continue
             rlen = np.diff(route_off[lo:hi + 1])
-            if (rlen == 1).all():
-                hops = used = link_ids[int(route_off[lo]):int(route_off[hi])]
-            else:
-                starts = route_off[lo:hi]
-                hops = []
-                for h in range(int(rlen.max())):
-                    sel = np.flatnonzero(rlen > h)
-                    hops.append((sel, link_ids[starts[sel] + h]))
-                used = (np.concatenate([li for _sel, li in hops])
-                        if hops else link_ids[:0])
+            if (rlen != 1).any():
+                self.reason = "multi-hop"
+                return
+            used = link_ids[int(route_off[lo]):int(route_off[hi])]
             # Any repeated link within the step means FIFO state interacts
             # within the step, and then processing order matters.
             if len(np.unique(used)) != len(used):
@@ -141,18 +138,15 @@ class BatchPlan:
             if len(dv) and int(dv.max()) >= lo:
                 self.reason = "step-overlap"
                 return
-            self.steps.append((lo, hi, hops))
-        # Total hop count per wire class: the weights of the wire total.
+            self.steps.append((lo, hi, used))
+        # Hop count per wire class, the weights of the wire total: every
+        # route is one hop, so a class weighs its op count.
         uniq, frac_idx = compiled.frac_classes()
         if getattr(frac_idx, "strides", None) == (0,):
-            self.class_hops = np.zeros(len(uniq), dtype=np.float64)
-            self.class_hops[int(frac_idx[0])] = float(
-                route_off[-1] - route_off[0]
-            )
+            self.class_hops = np.zeros(len(uniq), dtype=np.int64)
+            self.class_hops[int(frac_idx[0])] = len(frac_idx)
         else:
-            self.class_hops = np.bincount(
-                frac_idx, weights=np.diff(route_off), minlength=len(uniq)
-            )
+            self.class_hops = np.bincount(frac_idx, minlength=len(uniq))
         self.dep_off = dep_off
         self.dep_val = dep_val
         self.ok = True
@@ -209,7 +203,7 @@ def run_plan(
     else:
         deliver_all = ready  # rows become delivery times once processed
 
-    for lo, hi, hops in plan.steps:
+    for lo, hi, links in plan.steps:
         d0 = int(dep_off[lo])
         d1 = int(dep_off[hi])
         if d1 > d0:
@@ -227,32 +221,12 @@ def run_plan(
         prev_max = rd.max(axis=0)
 
         wire = wire_table[wire_idx[lo:hi]]
-        if isinstance(hops, np.ndarray):  # one link per message
-            ser = wire / bw[hops][:, None]
-            inject = np.maximum(rd, avail[hops])
-            avail[hops] = inject + ser
-            busy[hops] += ser
-            deliver = inject + lat[hops][:, None] + ser
-            ideal = rd + lat[hops][:, None] + ser
-        else:  # per hop position; zero-hop messages deliver at ready
-            head = rd.copy()
-            inject = rd.copy()
-            cur_ser = np.zeros_like(rd)
-            max_ser = np.zeros_like(rd)
-            lat_sum = np.zeros(hi - lo, dtype=np.float64)
-            for h, (sel, li) in enumerate(hops):
-                ser = wire[sel] / bw[li][:, None]
-                grant = np.maximum(head[sel], avail[li])
-                avail[li] = grant + ser
-                busy[li] += ser
-                if h == 0:
-                    inject[sel] = grant
-                head[sel] = grant + lat[li][:, None]
-                lat_sum[sel] += lat[li]
-                max_ser[sel] = np.maximum(max_ser[sel], ser)
-                cur_ser[sel] = ser
-            deliver = head + cur_ser
-            ideal = rd + lat_sum[:, None] + max_ser
+        ser = wire / bw[links][:, None]
+        inject = np.maximum(rd, avail[links])
+        avail[links] = inject + ser
+        busy[links] += ser
+        deliver = inject + lat[links][:, None] + ser
+        ideal = rd + lat[links][:, None] + ser
         finish = np.maximum(finish, deliver.max(axis=0))
         qmax = np.maximum(qmax, (deliver - ideal).max(axis=0))
         if keep_timings:
@@ -342,18 +316,17 @@ class BatchPoint:
     """One size's outcome of a batched evaluation."""
 
     __slots__ = ("data_bytes", "time", "bandwidth", "max_queue_delay",
-                 "engine", "reason")
+                 "reason")
 
-    def __init__(self, data_bytes, time, bandwidth, max_queue_delay, engine,
+    def __init__(self, data_bytes, time, bandwidth, max_queue_delay,
                  reason=None):
         self.data_bytes = data_bytes
         self.time = time
         self.bandwidth = bandwidth
         self.max_queue_delay = max_queue_delay
-        #: ``"lockstep-vec"`` or the scalar engine this size fell back to.
-        self.engine = engine
-        #: The validation gate that declined this size (``None`` when the
-        #: vectorized engine produced the point).
+        #: The validation gate that declined this size and sent it down
+        #: the scalar ladder (``None`` when the vectorized engine
+        #: produced the point).
         self.reason = reason
 
 
@@ -388,8 +361,8 @@ def run_batch(
     vectorized engine carries a trailing size axis through the grant/
     injection/delivery arithmetic instead of re-walking the schedule per
     size.  Sizes the vectorized engine cannot prove exact fall back to
-    the scalar engine ladder individually — each :class:`BatchPoint`
-    records the engine that produced it, the count lands in
+    the scalar engine ladder individually — each such
+    :class:`BatchPoint` records the reason, the count lands in
     ``BatchResult.fallbacks`` and the reasoned ``sim.fallbacks``
     metric, and every returned number is bit-identical to a scalar
     ``simulate(size, engine="lockstep")`` call either way.
@@ -481,7 +454,6 @@ def _run_batch(
                 max_queue_delay=(
                     qmax[j].item() if np.isfinite(qmax[j]) else 0.0
                 ),
-                engine="lockstep-vec",
             )
             if keep_timings:
                 results.append(AllReduceResult(
@@ -511,7 +483,6 @@ def _run_batch(
                 time=outcome.time,
                 bandwidth=outcome.bandwidth,
                 max_queue_delay=outcome.max_queue_delay(),
-                engine="lockstep",
                 reason=reason,
             )
             if keep_timings:

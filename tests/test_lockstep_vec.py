@@ -85,7 +85,7 @@ def compiled_for(make_topo, algorithm, storage="object", artifact_root=None):
 
 def point_row(point):
     return (point.data_bytes, point.time, point.bandwidth,
-            point.max_queue_delay, point.engine, point.reason)
+            point.max_queue_delay, point.reason)
 
 
 def out_of_step_order(compiled):
@@ -143,7 +143,7 @@ class TestBatchedExactness:
         assert batch.sizes == tuple(sizes)
         assert len(batch.points) == len(sizes)
         assert batch.fallbacks == sum(
-            1 for point in batch.points if point.engine != "lockstep-vec"
+            1 for point in batch.points if point.reason is not None
         )
         for size, point, outcome in zip(sizes, batch.points, batch.results):
             scalar = compiled.simulate(size, fc, engine="lockstep")
@@ -228,22 +228,30 @@ class TestBatchedExactness:
 
 class TestFallbackCounting:
     def test_batch_fallbacks_counted_and_exact(self):
-        """dbtree steps are not link-disjoint: the whole batch falls back
-        to the scalar engine, per size, counted — and still exact."""
-        compiled = compiled_for(*CONFIGS[2].values)  # torus-4x4 / dbtree
+        """A declined plan sends the whole batch to the scalar engine, per
+        size, counted under its reason — and still exact."""
         fc = PacketBased()
         sizes = (32 * KiB, 256 * KiB, 2 * MiB)
-        with collecting() as registry:
-            batch = compiled.simulate_batch(sizes, fc)
-        assert batch.fallbacks == len(sizes)
-        assert all(point.engine == "lockstep" for point in batch.points)
-        assert registry.counter_value(
-            "sim.fallbacks", engine="lockstep-vec",
-            reason="link-disjointness", topology=compiled.topology.name,
-        ) == len(sizes)
-        for size, point in zip(sizes, batch.points):
-            scalar = compiled.simulate(size, fc, engine="lockstep")
-            assert point.time == scalar.time
+        for make_topo, algorithm, reason in (
+            # Single-hop, but each step puts two messages on every link.
+            (lambda: Torus2D(2, 2), "2d-ring", "link-disjointness"),
+            # Switched fabric: every route crosses a switch.
+            (lambda: FatTree(4, 4), "multitree", "multi-hop"),
+        ):
+            compiled = compiled_for(make_topo, algorithm)
+            with collecting() as registry:
+                batch = compiled.simulate_batch(sizes, fc)
+            assert batch.fallbacks == len(sizes)
+            assert all(point.reason == reason for point in batch.points)
+            assert registry.counter_value(
+                "sim.fallbacks", engine="lockstep-vec",
+                reason=reason, topology=compiled.topology.name,
+            ) == len(sizes)
+            for size, point in zip(sizes, batch.points):
+                scalar = compiled.simulate(size, fc, engine="lockstep")
+                assert point.time == scalar.time
+                assert point.bandwidth == scalar.bandwidth
+                assert point.max_queue_delay == scalar.max_queue_delay()
 
     def test_non_lockstep_gated_falls_down_ladder(self):
         """An ungated batch declines the vectorized engine, counted with

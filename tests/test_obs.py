@@ -362,9 +362,10 @@ class TestCompileSpans:
 
 class TestFallbackReasons:
     def test_vec_decline_emits_reasoned_event_and_counter(self):
-        # dbtree on torus-2x2 schedules multi-channel steps: the batched
-        # vec engine declines every size with a concrete gate name.
-        job = small_job(algorithm="dbtree")
+        # ring on torus-2x2 runs single-hop over its doubled (two-channel)
+        # links: the batched vec engine declines every size with a
+        # concrete gate name.
+        job = small_job(algorithm="ring")
         registry = MetricsRegistry()
         with collecting(registry):
             with observing() as rec:
@@ -376,9 +377,9 @@ class TestFallbackReasons:
         for event in events:
             fields = event["fields"]
             assert fields["reason"] in (
-                "multi-channel", "link-disjointness", "wire-total",
-                "gate-boundary", "not-lockstep-gated", "unknown-link",
-                "plan",
+                "multi-hop", "multi-channel", "link-disjointness",
+                "wire-total", "gate-boundary", "not-lockstep-gated",
+                "unknown-link", "plan",
             )
             assert event["span"] is not None  # attached under sim.batch
         reasons = set()
@@ -575,7 +576,7 @@ class TestReportEngineMix:
     def _record(self):
         registry = MetricsRegistry()
         with collecting(registry):
-            run_job(small_job(algorithm="dbtree"))
+            run_job(small_job(algorithm="ring"))  # multi-channel, single-hop
         return {
             "run_id": "r1",
             "command": "sweep",
