@@ -91,7 +91,7 @@ def sweep_bandwidth(
     With ``engine="lockstep-vec"``, the cold sizes run in **one** batched
     vectorized pass
     (:meth:`~repro.collectives.compiled.CompiledSchedule.simulate_batch`);
-    sizes the vectorized engine declines fall back to the scalar ladder
+    sizes the vectorized engine declines fall back to the scalar loop
     inside the batch (counted in ``sim.fallbacks``).  Every engine
     returns ``==`` numbers.
     """

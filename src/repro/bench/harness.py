@@ -311,8 +311,10 @@ def bench_engine(
     """Time the engines as deployed: compiled + lockstep vs the seed loop.
 
     The optimized side is the sweep fast path — a pre-compiled schedule
-    feeding the step-level engine's flat arrays (gates and payloads are
-    re-derived per run, as every sweep point pays).  The reference side
+    feeding the scalar loop's flat arrays, in heap order (gates and
+    payloads are re-derived per run, as every sweep point pays).  The
+    ``lockstep`` engine runs that loop, on the C kernel wherever it has
+    loaded.  The reference side
     is the frozen seed loop (:func:`~repro.bench.reference.reference_run`)
     on the equivalent pre-lowered message set, so the ratio moves only
     when the deployed engine does.  The two produce bit-identical
@@ -347,7 +349,7 @@ def bench_engine(
             "topology": topo.name,
             "messages": len(messages),
             "data_bytes": data_bytes,
-            "optimized": "compiled schedule + lockstep engine",
+            "optimized": "compiled schedule + scalar loop (heap order)",
             "reference": "seed loop, pre-lowered messages",
         },
     )

@@ -578,9 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", choices=ENGINES,
         default="event",
-        help="simulation engine (lockstep: step-level fast path; "
-             "lockstep-vec: vectorized batch fast path; both bit-identical, "
-             "falling back down the engine ladder per run if ungated)",
+        help="simulation engine (event and lockstep: the scalar loop in "
+             "heap order; lockstep-vec: vectorized batch fast path, falling "
+             "back to the scalar loop per size it declines; all "
+             "bit-identical)",
     )
     p.add_argument(
         "--artifacts", default=None, metavar="DIR",

@@ -395,17 +395,16 @@ class CompiledSchedule:
         ``Schedule``'s ``(step, src, dst, chunk)`` op order, the streaming
         compiler lexsorts by ``(step, src, dst, root)`` and artifacts
         store the columns as they are — so step ``s`` is the contiguous
-        row range ``step_bounds[s - 1]:step_bounds[s]``.  Every lockstep
-        engine reads this one layout.  A step with no routed ops is an
-        empty range; its zero estimated duration shares a gate with the
-        next step, and the step order of
-        :func:`repro.network.lockstep_engine.run_indexed` skips it.
-        Compiled dependencies always point to a strictly earlier step
+        row range ``step_bounds[s - 1]:step_bounds[s]``.  The step
+        gates (spread over the ranges as each row's ``not_before``) and
+        the vectorized ``lockstep-vec`` engine read this one layout.  A
+        step with no routed ops is an empty range; its zero estimated
+        duration shares a gate with the next step.  Compiled
+        dependencies always point to a strictly earlier step
         (:func:`~repro.ni.injector.dependency_csr` keeps earlier-step
-        deliveries only).
-        The step order still checks it: a step whose rows are not all
-        ready when it starts makes the run decline to the heap order,
-        so a hand-built schedule that breaks the rule stays exact.
+        deliveries only).  ``lockstep-vec`` checks it and declines a
+        hand-built schedule that breaks the rule (``step-overlap``); the
+        scalar loop's heap order plays any dependency DAG.
 
         Raises ``ValueError`` when the ``steps`` column is not
         nondecreasing within ``1..num_steps``: such a schedule has no
@@ -447,18 +446,16 @@ class CompiledSchedule:
         the step gates over :attr:`step_bounds`, so a schedule whose ops
         are not in step order raises ``ValueError``:
 
-        * ``engine="event"`` runs the scalar engine
+        * ``engine="event"`` and ``engine="lockstep"`` (the default
+          here) run the scalar engine
           (:func:`~repro.network.lockstep_engine.run_indexed`) in heap
           order, the event engine's processing order and arithmetic over
-          the CSR arrays;
-        * ``engine="lockstep"`` (the default here) runs the same loop in
-          step order, one row range per step, and reruns the arrays in
-          heap order when the step order declines;
+          the CSR arrays; the lockstep NI reaches it as the gates;
         * ``engine="lockstep-vec"`` runs the numpy engine of
           :mod:`repro.network.lockstep_vec` (a one-column batch over the
-          same ranges) with the ``lockstep`` ladder above as its fallback.
+          same ranges) with the scalar engine as its fallback.
 
-        Both scalar engines emit the spans and metrics of
+        The scalar runs emit the spans and metrics of
         :func:`~repro.network.lockstep_engine.run_arrays`.
         ``lockstep=False`` runs the arrays in heap order with zero gates
         and no ``lockstep.gates`` event, whatever the engine.  A
@@ -505,7 +502,7 @@ class CompiledSchedule:
     def _run_arrays(self, data_bytes, flow_control, scheduling_overhead,
                     engine, lockstep=True):
         """One ``event``/``lockstep`` run over the arrays; ungated (all
-        gates zero, heap order only) unless ``lockstep``."""
+        gates zero) unless ``lockstep``."""
         from ..network.lockstep_engine import link_table, run_arrays
 
         table = link_table(self.topology)
@@ -517,19 +514,16 @@ class CompiledSchedule:
         classes, index = self.frac_classes()
         if lockstep:
             gates = self._gates(data_bytes, flow_control)
-            bounds = self.step_bounds
             gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
             for step, gate in gates.items():
                 gate_vec[step] = gate
-            not_before = np.repeat(gate_vec[1:], np.diff(bounds))
+            not_before = np.repeat(gate_vec[1:], np.diff(self.step_bounds))
         else:
-            bounds = ()
             not_before = np.zeros(n)
         return run_arrays(
             self.topology,
             flow_control,
             engine,
-            bounds,
             (classes * data_bytes, index),
             self._engine_columns(table),
             not_before,

@@ -11,21 +11,19 @@
  *   wake = deliver + overhead[dep], applied only when greater.
  *
  * A multi-channel link grants its first lowest channel, which is what
- * Python's min(range(capacity), key=pool.__getitem__) picks.  Heap
- * order replays heapq's sift operations on (ready, push_seq, idx)
- * keys; step order sorts each step by the same keys and declines
- * (returns -1) where the Python step order yields None.
+ * Python's min(range(capacity), key=pool.__getitem__) picks.  The
+ * processing order replays heapq's sift operations on (ready,
+ * push_seq, idx) keys.
  *
  * Build with -O2 -ffp-contract=off and never with fast-math: a fused
  * multiply-add or a reassociated sum would change the bits.
  *
  * The kernel trusts its columns; repro.network.native checks them
- * before the first run.  Returns the number of processed messages, -1
- * for a declined step order, or -2 when memory runs out.
+ * before the first run.  Returns the number of processed messages, or
+ * -2 when memory runs out.
  */
 
 #include <float.h>
-#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -50,12 +48,6 @@ static int key_lt(const row_key *a, const row_key *b)
     if (a->seq != b->seq)
         return a->seq < b->seq;
     return a->idx < b->idx;
-}
-
-static int key_cmp(const void *pa, const void *pb)
-{
-    const row_key *a = pa, *b = pb;
-    return key_lt(a, b) ? -1 : (key_lt(b, a) ? 1 : 0);
 }
 
 /* heapq._siftdown */
@@ -96,7 +88,7 @@ typedef struct {
     double *chan;
     const double *wire, *overhead;
     const int64_t *route_off, *route_val, *dd_off, *dd_val;
-    int64_t *remaining, *push_seq;
+    int64_t *remaining;
     double *ready, *inject, *deliver, *ideal, *busy;
     row_key *heap;
     int64_t heap_len, seq, processed;
@@ -154,16 +146,11 @@ static void run_message(engine *e, double rd, int64_t idx)
         if (wake > e->ready[dep])
             e->ready[dep] = wake;
         if (--e->remaining[dep] == 0) {
-            if (e->push_seq != NULL) {
-                e->push_seq[dep] = e->seq;
-            } else {
-                row_key *slot = &e->heap[e->heap_len];
-                slot->ready = e->ready[dep];
-                slot->seq = e->seq;
-                slot->idx = dep;
-                sift_down(e->heap, 0, e->heap_len++);
-            }
-            e->seq++;
+            row_key *slot = &e->heap[e->heap_len];
+            slot->ready = e->ready[dep];
+            slot->seq = e->seq++;
+            slot->idx = dep;
+            sift_down(e->heap, 0, e->heap_len++);
         }
     }
 }
@@ -192,44 +179,11 @@ static int64_t heap_order(engine *e, int64_t n)
     return e->processed;
 }
 
-static int64_t step_order(engine *e, int64_t n, int64_t num_bounds,
-                          const int64_t *bounds, row_key *rows)
-{
-    row_key last = {-INFINITY, -1, -1};
-    for (int64_t idx = 0; idx < n; idx++)
-        if (e->remaining[idx] == 0)
-            e->push_seq[idx] = e->seq++;
-    for (int64_t s = 0; s + 1 < num_bounds; s++) {
-        int64_t lo = bounds[s], hi = bounds[s + 1];
-        if (lo == hi)
-            continue;
-        for (int64_t idx = lo; idx < hi; idx++) {
-            /* A row depends on one in its own or a later step: its key
-             * is not final when the step starts. */
-            if (e->remaining[idx] != 0)
-                return -1;
-            rows[idx - lo].ready = e->ready[idx];
-            rows[idx - lo].seq = e->push_seq[idx];
-            rows[idx - lo].idx = idx;
-        }
-        qsort(rows, (size_t)(hi - lo), sizeof(row_key), key_cmp);
-        /* A row of this step is ready before the previous step's last:
-         * the heap would interleave the two steps. */
-        if (key_lt(&rows[0], &last))
-            return -1;
-        last = rows[hi - lo - 1];
-        for (int64_t i = 0; i < hi - lo; i++)
-            run_message(e, rows[i].ready, rows[i].idx);
-    }
-    return e->processed;
-}
-
 int64_t run_indexed(
     int64_t n, int64_t num_links,
     const double *bandwidth, const double *latency, const int64_t *capacity,
     const double *wire, const int64_t *route_off, const int64_t *route_val,
     const int64_t *dd_off, const int64_t *dd_val, const double *overhead,
-    int64_t num_bounds, const int64_t *bounds,
     int64_t *remaining, double *ready,
     double *inject, double *deliver, double *ideal, double *busy,
     double *totals)
@@ -237,10 +191,9 @@ int64_t run_indexed(
     engine e = {0};
     int64_t channels = 0, result = -2;
     int64_t *chan_off = malloc(sizeof(int64_t) * (size_t)(num_links + 1));
-    row_key *keys = malloc(sizeof(row_key) * (size_t)(n + 1));
-    int64_t *push_seq = NULL;
+    row_key *heap = malloc(sizeof(row_key) * (size_t)(n + 1));
 
-    if (chan_off == NULL || keys == NULL)
+    if (chan_off == NULL || heap == NULL)
         goto done;
     for (int64_t li = 0; li < num_links; li++) {
         chan_off[li] = channels;
@@ -249,11 +202,6 @@ int64_t run_indexed(
     e.chan = calloc((size_t)(channels + 1), sizeof(double));
     if (e.chan == NULL)
         goto done;
-    if (num_bounds > 0) {
-        push_seq = malloc(sizeof(int64_t) * (size_t)(n + 1));
-        if (push_seq == NULL)
-            goto done;
-    }
     e.bandwidth = bandwidth;
     e.latency = latency;
     e.capacity = capacity;
@@ -265,24 +213,18 @@ int64_t run_indexed(
     e.dd_off = dd_off;
     e.dd_val = dd_val;
     e.remaining = remaining;
-    e.push_seq = push_seq;
     e.ready = ready;
     e.inject = inject;
     e.deliver = deliver;
     e.ideal = ideal;
     e.busy = busy;
-    if (num_bounds > 0) {
-        result = step_order(&e, n, num_bounds, bounds, keys);
-    } else {
-        e.heap = keys;
-        result = heap_order(&e, n);
-    }
+    e.heap = heap;
+    result = heap_order(&e, n);
     totals[0] = e.finish;
     totals[1] = e.total_wire;
 done:
     free(e.chan);
-    free(push_seq);
-    free(keys);
+    free(heap);
     free(chan_off);
     return result;
 }

@@ -1,6 +1,6 @@
 """Flat-array inputs and outputs shared by every simulation engine.
 
-The event and scalar lockstep engines
+The scalar engine loop behind ``event`` and ``lockstep``
 (:mod:`repro.network.lockstep_engine`) and the vectorized engine
 (:mod:`repro.network.lockstep_vec`) all need the same per-link data —
 bandwidth, latency, channel capacity — in a form cheaper than tuple-keyed
@@ -8,7 +8,7 @@ dictionary lookups: :class:`LinkTable`.  Topologies are immutable once
 built, so :func:`link_table` memoizes the snapshot on the topology
 instance.
 
-The scalar engines also share the dependents graph of a dependency CSR
+The scalar loop also reads the dependents graph of a dependency CSR
 (:func:`dep_structure`), and every engine reports per-message timings
 through one list-compatible view over its arrays (:class:`LazyTimings`).
 """

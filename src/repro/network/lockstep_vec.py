@@ -1,23 +1,23 @@
 """Vectorized lockstep engine: numpy array ops over the step ranges.
 
 The scalar engine loop
-(:func:`repro.network.lockstep_engine.run_indexed`) already walks
-lockstep-gated schedules step by step in its step order over flat CSR
-arrays, but still visits every message in Python.  This engine resolves
-each step's per-link FIFO pass with array operations instead, vectorized
-over the step's messages — and over a trailing **size axis**, so one
-compiled schedule is evaluated for an entire ``LO..HI`` doubling range of
-payload sizes in a single pass (:func:`run_batch`).
+(:func:`repro.network.lockstep_engine.run_indexed`) plays a compiled
+schedule's flat CSR arrays one message at a time, in heap order.  This
+engine resolves each step's per-link FIFO pass with array operations
+instead, vectorized over the step's messages — and over a trailing
+**size axis**, so one compiled schedule is evaluated for an entire
+``LO..HI`` doubling range of payload sizes in a single pass
+(:func:`run_batch`).
 
 It is a **single-hop** engine: every route must be exactly one link, as
 on the direct networks (torus, mesh, ring).  It exists for such batches
 at cluster scale, where it needs far less memory than the C kernel.
 Multi-hop schedules (switched fabrics) decline as ``multi-hop`` and run
-the scalar ladder, which is faster on them.
+the scalar loop, which is faster on them.
 
-Both engines read one step layout.  A compiled schedule stores its ops
-sorted by step, so step ``s`` is the contiguous row range
-``step_bounds[s - 1]:step_bounds[s]``
+This engine and the step gates read one step layout.  A compiled
+schedule stores its ops sorted by step, so step ``s`` is the contiguous
+row range ``step_bounds[s - 1]:step_bounds[s]``
 (:attr:`~repro.collectives.compiled.CompiledSchedule.step_bounds`),
 whatever backs the columns: plain lists from the object compiler, numpy
 arrays from the streaming compiler, lazy shards from an artifact.  One
@@ -25,25 +25,28 @@ arrays from the streaming compiler, lazy shards from an artifact.  One
 the one remapped link column.  :func:`run_plan` walks the ranges and
 wakes dependencies pull-style from the dependency CSR.
 
-**Exactness contract.**  The scalar lockstep engine is the oracle: when
-this engine accepts a run, every computed time is produced by the same
-sequence of IEEE-754 operations and the results are exactly ``==`` —
-bit-identical, not merely close.  That is possible because of three
+**Exactness contract.**  The scalar loop is the oracle: when this engine
+accepts a run, every computed time is produced by the same sequence of
+IEEE-754 operations and the results are exactly ``==`` — bit-identical,
+not merely close.  That is possible because of three
 structural facts, each *verified* (not assumed) per run:
 
 * **Link-disjoint steps.**  When every link carries at most one message
   per step, the per-link FIFO state (``avail``/``busy``) has disjoint
-  read/write sets within the step, so the scalar engine's within-step
+  read/write sets within the step, so the scalar loop's within-step
   processing order cannot influence any computed value and the hop pass
   vectorizes safely.  The check is payload-independent, so the compiled
   path pays it once per schedule (memoized in the :class:`BatchPlan`).
-* **Clean gate boundaries.**  The scalar step order sorts each step by
-  the event heap's ``(ready, push_seq)`` key and declines when a step's
-  earliest message sorts before the previous step's latest.  This engine
-  checks ``min(ready)`` of each step against ``max(ready)`` of the
-  previous one — per size column — and conservatively declines ties too
-  (the scalar engine would consult push sequence numbers; replaying
-  those is exactly the per-message loop being eliminated).
+* **Clean gate boundaries.**  The scalar loop pops its
+  ``(ready, push_seq)`` heap in nondecreasing ``ready`` (a wake-up is
+  never earlier than the delivery that caused it), and a step's rows
+  depend only on earlier steps.  So when every ``ready`` of a step lies
+  strictly above every ``ready`` of the previous step, the heap pops
+  the steps one after another, each as a block.  This engine checks
+  ``min(ready)`` of each step against ``max(ready)`` of the previous
+  one — per size column — and conservatively declines ties (the heap
+  would break them by push sequence numbers; replaying those is exactly
+  the per-message loop being eliminated).
 * **Exact wire totals.**  ``total_wire_bytes`` is a float accumulation
   in processing order.  Both stock flow-control models put an integral
   number of bytes on the wire, and summing nonnegative integers in
@@ -52,15 +55,14 @@ structural facts, each *verified* (not assumed) per run:
   that argument does not hold (non-integral wire sizes, overflow).
 
 When any check fails the engine declines that size: :func:`run_batch`
-runs it on the scalar ladder instead and records the decline with its
+runs it on the scalar loop instead and records the decline with its
 reason (an ``engine.fallback`` event, folded into
 ``sim.fallbacks{engine="lockstep-vec",reason=...}``); results
-are never silently approximate.  Like the scalar lockstep engine, this
-one runs only on compiled schedules; message lists
-(:class:`~repro.network.simulator.Message`) always run on the event
-engine, the array heap.  Multi-channel links (``capacity > 1``) also
-decline: their argmin channel selection is inherently order-dependent,
-and the scalar ladder handles them exactly.
+are never silently approximate.  The engine runs only on compiled
+schedules; message lists (:class:`~repro.network.simulator.Message`)
+always run on the event engine, the array heap.  Multi-channel links
+(``capacity > 1``) also decline: their argmin channel selection is
+inherently order-dependent, and the scalar loop handles them exactly.
 """
 
 from __future__ import annotations
@@ -214,9 +216,9 @@ def run_plan(
             wake = red + overhead[rows][:, None]
             ready[rows] = np.maximum(ready[rows], wake)
         rd = ready[lo:hi]
-        # Gate-boundary verification, per size: the scalar engine declines
-        # when a step's earliest (ready, push_seq) sorts at or before the
-        # previous step's latest; without push sequences, ties decline too.
+        # Gate-boundary verification, per size: the scalar heap pops the
+        # steps as blocks only when each step's readies lie strictly above
+        # the previous step's; ties would need push sequences, so decline.
         valid &= rd.min(axis=0) > prev_max
         prev_max = rd.max(axis=0)
 
@@ -325,7 +327,7 @@ class BatchPoint:
         self.bandwidth = bandwidth
         self.max_queue_delay = max_queue_delay
         #: The validation gate that declined this size and sent it down
-        #: the scalar ladder (``None`` when the vectorized engine
+        #: the scalar loop (``None`` when the vectorized engine
         #: produced the point).
         self.reason = reason
 
@@ -338,7 +340,7 @@ class BatchResult:
     def __init__(self, sizes, points, fallbacks, results=None):
         self.sizes = tuple(sizes)
         self.points = points
-        #: Number of sizes that fell back to the scalar lockstep ladder.
+        #: Number of sizes that fell back to the scalar loop.
         self.fallbacks = fallbacks
         #: Per-size :class:`repro.ni.injector.AllReduceResult` objects
         #: when the batch ran with ``keep_timings`` (else ``None``).

@@ -55,7 +55,6 @@ _ARGTYPES = (
     _PTR, _PTR, _PTR,        # bandwidth, latency, capacity
     _PTR, _PTR, _PTR,        # wire, route_off, route_val
     _PTR, _PTR, _PTR,        # dependents off/val, receive overhead
-    _I64, _PTR,              # step bounds (0, NULL: heap order)
     _PTR, _PTR,              # remaining (in/out), ready (in/out)
     _PTR, _PTR, _PTR, _PTR,  # inject, deliver, ideal, busy (out)
     _PTR,                    # [finish, total_wire] (out)

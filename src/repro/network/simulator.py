@@ -18,12 +18,12 @@ their actual readiness order.
 
 There is one scalar engine loop,
 :func:`repro.network.lockstep_engine.run_indexed`, over flat CSR arrays;
-its heap order (a global ``(ready, push_seq)`` heap) is the event
-engine.  Every schedule is lowered to a compiled schedule
+its one processing order (a global ``(ready, push_seq)`` heap) is the
+event engine, and the ``lockstep`` engine runs the same loop.  Every
+schedule is lowered to a compiled schedule
 (:class:`repro.collectives.compiled.CompiledSchedule`), which hands the
-loop its arrays directly and alone reaches the faster engines —
-``lockstep``, the same loop in step order, and the vectorized
-``lockstep-vec`` — which return ``==`` numbers.
+loop its arrays directly and alone reaches the vectorized
+``lockstep-vec`` engine, which returns ``==`` numbers.
 :meth:`NetworkSimulator.run` plays recorded and hand-made
 :class:`Message` lists: it lowers them to the same arrays and feeds an
 optional trace recorder from its hooks.  The frozen seed loop in
@@ -54,10 +54,13 @@ from .links import dep_structure, link_table
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.events import TraceRecorder
 
-#: Known simulation engines, in fallback-ladder order (most specialized
-#: last).  The engine only chooses what runs: every engine returns ``==``
-#: numbers, so it is no part of a prediction-cache ``point_key``, and a
-#: point cached under one engine is served to all of them.
+#: Known simulation engines.  ``event`` and ``lockstep`` run the same
+#: scalar loop in heap order (``lockstep`` stays a name because saved
+#: scenario strings use it); ``lockstep-vec`` is the vectorized engine,
+#: which falls back to that loop.  The engine only chooses what runs:
+#: every engine returns ``==`` numbers, so it is no part of a
+#: prediction-cache ``point_key``, and a point cached under one engine is
+#: served to all of them.
 ENGINES = ("event", "lockstep", "lockstep-vec")
 
 
@@ -237,7 +240,6 @@ class NetworkSimulator:
             self.topology,
             self.flow_control,
             "event",
-            (),
             (classes, index),
             engine_columns(
                 table,

@@ -54,6 +54,12 @@ from ..topology.specs import parse_topology_spec
 #: Objective direction table for :func:`pareto_frontier`.
 _SENSES = ("min", "max")
 
+#: The ``lockstep=`` query values :meth:`WorkloadSpec.from_query` accepts.
+_SWITCH = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
 
 def pareto_frontier(
     points: Sequence,
@@ -148,8 +154,10 @@ class WorkloadSpec:
         Recognized keys: ``topology`` (required, combined spec),
         ``sizes`` (required, :func:`repro.scenario.parse_sizes` grammar),
         ``algorithms`` (comma list), ``flow_control``, ``engine``,
-        ``lockstep`` (``0``/``false``/``no`` disable).  Unknown keys are
-        rejected so a typo cannot silently widen or narrow a search.
+        ``lockstep`` (``1``/``true``/``yes``/``on`` or
+        ``0``/``false``/``no``/``off``, any case).  Unknown keys and any
+        other ``lockstep`` value are rejected so a typo cannot silently
+        widen or narrow a search.
         """
         known = {
             "topology", "sizes", "algorithms", "flow_control", "engine",
@@ -169,12 +177,17 @@ class WorkloadSpec:
             a.strip() for a in params.get("algorithms", "").split(",") if a.strip()
         )
         lockstep_text = str(params.get("lockstep", "1")).lower()
+        if lockstep_text not in _SWITCH:
+            raise ValueError(
+                "lockstep must be one of %s, not %r"
+                % ("/".join(_SWITCH), params["lockstep"])
+            )
         return cls(
             topology=topology,
             sizes=parse_sizes(sizes_text),
             algorithms=algorithms,
             flow_control=params.get("flow_control") or None,
-            lockstep=lockstep_text not in ("0", "false", "no"),
+            lockstep=_SWITCH[lockstep_text],
             engine=params.get("engine", "lockstep-vec"),
         )
 

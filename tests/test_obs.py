@@ -404,7 +404,9 @@ class TestFallbackReasons:
 
     def test_fallback_without_any_collector_is_noop(self):
         # must not raise
-        obs.event("engine.fallback", engine="lockstep", reason="step-overlap")
+        obs.event(
+            "engine.fallback", engine="lockstep-vec", reason="gate-boundary"
+        )
 
 
 class TestServeObservation:

@@ -128,6 +128,12 @@ class TestWorkloadSpec:
         assert spec.sizes == parse_sizes("32K..256K")
         assert spec.sizes == (32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB)
 
+    def test_from_query_lockstep_off_is_ungated(self):
+        spec = WorkloadSpec.from_query(
+            {"topology": TOPOLOGY, "sizes": "32K", "lockstep": "off"}
+        )
+        assert spec.lockstep is False
+
     def test_from_query_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown plan parameter"):
             WorkloadSpec.from_query(
@@ -536,6 +542,13 @@ class TestHTTPEndpoints:
         base, _service = live_server
         status, payload, _ = http_get(base + "/plan?topology=torus-4x4&oops=1")
         assert status == 400 and "unknown plan parameter" in payload["error"]
+
+    def test_plan_unknown_lockstep_value_400(self, live_server):
+        base, _service = live_server
+        status, payload, _ = http_get(
+            base + "/plan?topology=torus-4x4&sizes=32K&lockstep=maybe"
+        )
+        assert status == 400 and "lockstep must be one of" in payload["error"]
 
     def test_metrics_exposition(self, live_server):
         base, _service = live_server
