@@ -1,16 +1,23 @@
 """Micro-benchmark harness tracking the fast-path performance trajectory.
 
-The benchmarks cover the optimized strata:
+Each case is a setup ending in one call to :func:`_run_case`, the one
+timing loop: it times the case's *seed* callable (the frozen reference of
+:mod:`repro.bench.reference` wherever the seed has the step) and then its
+*live* callable best-of-N *in the same process on the same machine*, so
+the recorded ``speedup`` figures are hardware-independent and comparable
+across runs and hosts.  The last timed outputs of the two sides must be
+``==`` or the case raises instead of reporting a speedup.  Guards beyond
+that equality raise inside a case's callables or setup.
 
 * ``construction`` — MultiTree spanning-tree construction (Algorithm 1);
 * ``construction_switched`` — the same on a switched fat-tree, where
   construction runs the §III-C3 switch search;
-* ``simulate``     — the discrete-event simulator inner loop on a fixed,
-  pre-lowered message set;
+* ``simulate``     — the simulator inner loop on a fixed, pre-lowered
+  message set;
 * ``end_to_end``   — a Fig. 9-style cold-cache prediction sweep: schedule
   construction plus one simulated all-reduce per data size;
-* ``engine``       — the compiled lockstep engine vs the seed loop on
-  the same message set (results are bit-identical; only speed differs);
+* ``engine``       — the compiled scalar loop vs the seed loop on the
+  same message set;
 * ``scaleout``     — a Fig. 10-style weak-scaling sweep at scale:
   artifact-warm compiled schedules + lockstep engine vs a cold build
   and the seed lowering and loop;
@@ -22,24 +29,16 @@ The benchmarks cover the optimized strata:
   seed loop once per size on the same compiled schedule;
 * ``scaleout_xl``  — the cluster-scale tier (quick: 2048-node 3D torus,
   full: 8192): streaming CSR compile + vectorized batch as the cold
-  reference vs the artifact-warm rerun (lazy shard loads + the same
-  batch), reporting wall time *and* peak RSS against the documented
-  memory envelope;
-* ``hetero``       — the heterogeneous-fabric tier: an oversubscribed
-  fat-tree (``fattree-8x8@oversub=4``, link profiles of
-  :mod:`repro.topology.profile`) through all three engines, with the
-  cross-check enforcing the exactness contract — the seed loop, event,
-  lockstep and lockstep-vec must produce exactly equal (``==``) results
-  on the profiled fabric before any timing happens; timed against the
-  seed loop.
+  reference vs the artifact-warm rerun, reporting wall time *and* peak
+  RSS against the documented memory envelope;
+* ``hetero``       — an oversubscribed fat-tree
+  (``fattree-8x8@oversub=4``) on which every engine must equal the seed
+  loop, timed as compiled + lockstep-vec against it.
 
-Each benchmark times the optimized implementation against the seed
-implementation preserved in :mod:`repro.bench.reference` *in the same
-process on the same machine*, so the recorded ``speedup`` figures are
-hardware-independent and comparable across runs and hosts.  Reports are
-written as ``BENCH_<date>.json``; :func:`compare_to_baseline` flags
-regressions against a committed baseline report (CI runs it via
-``repro bench --quick --baseline ...``).
+Reports are written as ``BENCH_<date>.json``; :func:`compare_to_baseline`
+flags regressions against a committed baseline report (CI runs it via
+``repro bench --quick --baseline ...``) by :func:`floor_failures`, the
+floor rule ``repro report`` applies too.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from ..network.simulator import ENGINES, NetworkSimulator
 from ..ni.injector import build_messages, simulate_allreduce
 from ..scenario import Scenario, scenario_set_fingerprint
 from ..sweep.artifacts import ArtifactStore
-from ..topology import Torus2D
 from ..topology.specs import parse_topology_spec
 from .reference import (
     reference_build_trees,
@@ -124,43 +122,57 @@ class BenchResult:
         }
 
 
-def _best_of(func: Callable[[], object], repeat: int) -> float:
-    """Minimum wall-clock over ``repeat`` runs (noise-robust)."""
-    best = float("inf")
-    for _ in range(max(1, repeat)):
-        t0 = time.perf_counter()
-        func()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return best
+def _best_of(func: Callable[[], object], repeat: int) -> Tuple[float, object]:
+    """Minimum wall-clock over ``repeat`` runs, and the last run's value.
 
-
-def _best_of_values(func: Callable[[], object], repeat: int):
-    """Like :func:`_best_of`, but also returns the last run's value.
-
-    Lets expensive benchmarks cross-check optimized vs reference outputs
-    from the timed runs themselves instead of paying an extra untimed
-    pass (the value is deterministic, so any run's output will do).
+    The value is deterministic, so the last run's output stands for every
+    run's in the cross-check.
     """
     best = float("inf")
     value = None
     for _ in range(max(1, repeat)):
         t0 = time.perf_counter()
         value = func()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
+        best = min(best, time.perf_counter() - t0)
     return best, value
 
 
-def _same_simulation(fast, ref) -> bool:
-    """Do two simulation results agree exactly (finish, timings, busy)?"""
-    return (
-        fast.finish_time == ref.finish_time
-        and fast.timings == ref.timings
-        and fast.link_busy == ref.link_busy
-    )
+def _run_case(
+    name: str,
+    live: Callable[[], object],
+    seed: Callable[[], object],
+    meta,
+    repeat: int,
+    same: Optional[Callable[[object, object], bool]] = None,
+    passes: int = 1,
+    between: Optional[Callable[[], None]] = None,
+) -> BenchResult:
+    """Time ``seed`` then ``live`` and check their last outputs agree.
+
+    Agreement is ``same(live_out, seed_out)``, by default ``==``.
+    ``between`` runs untimed after the seed runs; ``optimized_s`` is per
+    one of the ``passes`` a live run makes; ``meta`` is a dict or a
+    function of the result and the live output.
+    """
+    reference, expected = _best_of(seed, repeat)
+    if between is not None:
+        between()
+    optimized, actual = _best_of(live, repeat)
+    if not (same(actual, expected) if same else actual == expected):
+        raise RuntimeError("%s: the live path diverged from the seed" % name)
+    result = BenchResult(name, optimized / passes, reference)
+    result.meta = meta(result, actual) if callable(meta) else meta
+    return result
+
+
+def _store_root(store_dir: Optional[str], prefix: str):
+    """A context yielding ``store_dir``, or a temporary directory that is
+    removed on exit (also when a cross-check raises)."""
+    from contextlib import nullcontext
+
+    if store_dir:
+        return nullcontext(store_dir)
+    return tempfile.TemporaryDirectory(prefix=prefix)
 
 
 def _seed_schedule(builder: str, topology):
@@ -171,51 +183,33 @@ def _seed_schedule(builder: str, topology):
     return build_schedule(builder, topology)
 
 
+def _bench_construction(name: str, spec: str, repeat: int) -> BenchResult:
+    """Live vs seed MultiTree construction on ``spec``; the forests (every
+    edge, step, order and parent link, and ``tot_t``) must be ``==``."""
+    topo = parse_topology_spec(spec)
+    # Untimed warm-up: both builders fill the topology's neighbour memos.
+    _trees, tot_t = build_trees(topo)
+    reference_build_trees(topo)
+    return _run_case(
+        name,
+        live=lambda: build_trees(topo),
+        seed=lambda: reference_build_trees(topo),
+        meta={"topology": spec, "nodes": topo.num_nodes, "tot_t": tot_t},
+        repeat=repeat,
+    )
+
+
 def bench_construction(dims: Tuple[int, int], repeat: int = 1) -> BenchResult:
     """Time MultiTree construction on a ``dims`` torus, both paths."""
-    topo = Torus2D(*dims)
-    # Cross-check once outside the timed region: same step count and the
-    # same number of edges per tree (full equivalence lives in the golden
-    # tests; this guards the benchmark against comparing different work).
-    fast_trees, fast_tot = build_trees(topo)
-    ref_trees, ref_tot = reference_build_trees(topo)
-    if fast_tot != ref_tot or any(
-        f.edges != r.edges for f, r in zip(fast_trees, ref_trees)
-    ):
-        raise RuntimeError("optimized construction diverged from reference")
-    optimized = _best_of(lambda: build_trees(topo), repeat)
-    reference = _best_of(lambda: reference_build_trees(topo), repeat)
-    return BenchResult(
-        name="construction",
-        optimized_s=optimized,
-        reference_s=reference,
-        meta={"topology": topo.name, "nodes": topo.num_nodes, "tot_t": fast_tot},
-    )
+    return _bench_construction("construction", "torus-%dx%d" % dims, repeat)
 
 
 def bench_construction_switched(repeat: int = 1) -> BenchResult:
     """Time MultiTree construction on ``fattree-8x8``, both paths.
 
-    Exercises the §III-C3 switch search.  The forests must be ``==``
-    (every edge, step and route) before anything is timed.
+    Exercises the §III-C3 switch search.
     """
-    spec = "fattree-8x8"
-    topo = parse_topology_spec(spec)
-    fast_trees, fast_tot = build_trees(topo)
-    ref_trees, ref_tot = reference_build_trees(topo)
-    if fast_tot != ref_tot or any(
-        f.edges != r.edges or f.order != r.order
-        for f, r in zip(fast_trees, ref_trees)
-    ):
-        raise RuntimeError("optimized switched construction diverged from reference")
-    optimized = _best_of(lambda: build_trees(topo), repeat)
-    reference = _best_of(lambda: reference_build_trees(topo), repeat)
-    return BenchResult(
-        name="construction_switched",
-        optimized_s=optimized,
-        reference_s=reference,
-        meta={"topology": spec, "nodes": topo.num_nodes, "tot_t": fast_tot},
-    )
+    return _bench_construction("construction_switched", "fattree-8x8", repeat)
 
 
 def bench_simulate(
@@ -232,16 +226,10 @@ def bench_simulate(
     schedule = build_schedule(resolved.builder, topo)
     messages = build_messages(schedule, data_bytes, fc)
     sim = NetworkSimulator(topo, fc)
-    fast = sim.run(messages)
-    ref = reference_run(topo, fc, messages)
-    if fast.finish_time != ref.finish_time:
-        raise RuntimeError("optimized simulator diverged from reference")
-    optimized = _best_of(lambda: sim.run(messages), repeat)
-    reference = _best_of(lambda: reference_run(topo, fc, messages), repeat)
-    return BenchResult(
-        name="simulate",
-        optimized_s=optimized,
-        reference_s=reference,
+    return _run_case(
+        "simulate",
+        live=lambda: sim.run(messages),
+        seed=lambda: reference_run(topo, fc, messages),
         meta={
             "scenario": str(scenario),
             "fingerprint": scenario.fingerprint(topo),
@@ -249,6 +237,7 @@ def bench_simulate(
             "messages": len(messages),
             "data_bytes": data_bytes,
         },
+        repeat=repeat,
     )
 
 
@@ -287,14 +276,14 @@ def bench_end_to_end(
             for size in sizes
         ]
 
-    if optimized_sweep() != reference_sweep():
-        raise RuntimeError("optimized predict pipeline diverged from reference")
-    optimized = _best_of(optimized_sweep, repeat)
-    reference = _best_of(reference_sweep, repeat)
-    return BenchResult(
-        name="end_to_end",
-        optimized_s=optimized,
-        reference_s=reference,
+    # Untimed warm-up: both pipelines fill the topology's memos, which
+    # outlive the schedules each timed run rebuilds.
+    optimized_sweep()
+    reference_sweep()
+    return _run_case(
+        "end_to_end",
+        live=optimized_sweep,
+        seed=reference_sweep,
         meta={
             "scenarios": [str(s) for s in scenarios],
             "fingerprint": scenario_set_fingerprint(scenarios),
@@ -302,6 +291,7 @@ def bench_end_to_end(
             "sizes": list(sizes),
             "algorithm": "multitree",
         },
+        repeat=repeat,
     )
 
 
@@ -318,7 +308,7 @@ def bench_engine(
     is the frozen seed loop (:func:`~repro.bench.reference.reference_run`)
     on the equivalent pre-lowered message set, so the ratio moves only
     when the deployed engine does.  The two produce bit-identical
-    results; the cross-check enforces full equality before any timing.
+    results: the timed runs' simulation results must be ``==``.
     """
     from ..collectives import compile_schedule
 
@@ -332,17 +322,12 @@ def bench_engine(
     schedule = build_schedule(resolved.builder, topo)
     messages = build_messages(schedule, data_bytes, fc)
     compiled = compile_schedule(schedule)
-    fast = compiled.simulate(data_bytes, fc, engine="lockstep").simulation
-    if not _same_simulation(fast, reference_run(topo, fc, messages)):
-        raise RuntimeError("lockstep engine diverged from the seed loop")
-    optimized = _best_of(
-        lambda: compiled.simulate(data_bytes, fc, engine="lockstep"), repeat
-    )
-    reference = _best_of(lambda: reference_run(topo, fc, messages), repeat)
-    return BenchResult(
-        name="engine",
-        optimized_s=optimized,
-        reference_s=reference,
+    return _run_case(
+        "engine",
+        live=lambda: compiled.simulate(
+            data_bytes, fc, engine="lockstep"
+        ).simulation,
+        seed=lambda: reference_run(topo, fc, messages),
         meta={
             "scenario": str(scenario),
             "fingerprint": scenario.fingerprint(topo),
@@ -352,6 +337,7 @@ def bench_engine(
             "optimized": "compiled schedule + scalar loop (heap order)",
             "reference": "seed loop, pre-lowered messages",
         },
+        repeat=repeat,
     )
 
 
@@ -379,7 +365,7 @@ def bench_scaleout(
     as a warm store amortizes it across figure runs.
     """
     spec = "torus-%dx%d" % dims
-    topo = Torus2D(*dims)
+    topo = parse_topology_spec(spec)
     base = 375 * topo.num_nodes * KiB
     sizes = (base // 4, base // 2, base)
     scenarios = [
@@ -391,10 +377,16 @@ def bench_scaleout(
         for size in sizes
     ]
     fc = scenarios[0].resolve().flow_control
-    root = store_dir or tempfile.mkdtemp(prefix="repro-bench-artifacts-")
-    prewarm = ArtifactStore(root)
-    for algorithm in algorithms:
-        prewarm.get_or_compile(topo, algorithm)
+
+    def reference_sweep() -> List[float]:
+        times: List[float] = []
+        for algorithm in algorithms:
+            schedule = _seed_schedule(algorithm, topo)
+            times.extend(
+                reference_simulate_allreduce(schedule, size, fc).finish_time
+                for size in sizes
+            )
+        return times
 
     def optimized_sweep() -> List[float]:
         store = ArtifactStore(root)
@@ -412,40 +404,29 @@ def bench_scaleout(
             )
         return times
 
-    def reference_sweep() -> List[float]:
-        times: List[float] = []
+    with _store_root(store_dir, "repro-bench-artifacts-") as root:
+        prewarm = ArtifactStore(root)
         for algorithm in algorithms:
-            schedule = _seed_schedule(algorithm, topo)
-            times.extend(
-                reference_simulate_allreduce(schedule, size, fc).finish_time
-                for size in sizes
-            )
-        return times
-
-    optimized, fast_times = _best_of_values(optimized_sweep, repeat)
-    reference, ref_times = _best_of_values(reference_sweep, repeat)
-    if fast_times != ref_times:
-        raise RuntimeError(
-            "artifact+lockstep pipeline diverged from the seed pipeline"
+            prewarm.get_or_compile(topo, algorithm)
+        return _run_case(
+            "scaleout",
+            live=optimized_sweep,
+            seed=reference_sweep,
+            meta={
+                "scenarios": [str(s) for s in scenarios],
+                "fingerprint": scenario_set_fingerprint(scenarios),
+                "topology": topo.name,
+                "nodes": topo.num_nodes,
+                "algorithms": list(algorithms),
+                "sizes": list(sizes),
+                "optimized": "artifact-warm + lockstep engine",
+                "reference": (
+                    "cold build (live builder: the seed has no ring/2D-Ring "
+                    "builder) + seed lowering and seed loop per size"
+                ),
+            },
+            repeat=repeat,
         )
-    return BenchResult(
-        name="scaleout",
-        optimized_s=optimized,
-        reference_s=reference,
-        meta={
-            "scenarios": [str(s) for s in scenarios],
-            "fingerprint": scenario_set_fingerprint(scenarios),
-            "topology": topo.name,
-            "nodes": topo.num_nodes,
-            "algorithms": list(algorithms),
-            "sizes": list(sizes),
-            "optimized": "artifact-warm + lockstep engine",
-            "reference": (
-                "cold build (live builder: the seed has no ring/2D-Ring "
-                "builder) + seed lowering and seed loop per size"
-            ),
-        },
-    )
 
 
 def bench_serve(
@@ -460,8 +441,9 @@ def bench_serve(
     The trace is one query per (algorithm, size) — the
     :func:`repro.serve.replay.workload_trace` order, so it reproduces
     from its parameters alone.  An untimed replay against an empty state
-    with ``block=True`` warms the cache; its QPS and latencies ride
-    along in ``meta`` as the live cold path.  The *reference* side is
+    (a temporary directory, removed before returning) with ``block=True``
+    warms the cache; its QPS and latencies ride along in ``meta`` as the
+    live cold path.  The *reference* side is
     the seed's per-query cost of a cacheless server: per query, the
     seed lowering and loop
     (:func:`~repro.bench.reference.reference_simulate_allreduce`) on a
@@ -469,8 +451,8 @@ def bench_serve(
     or the live builder where the seed has none (ring).  The
     *optimized* side replays the now-warm trace ``warm_passes`` times
     and reports per-pass time, so ``speedup`` is the warm-QPS /
-    seed-QPS ratio.  The cross-check holds every served time ``==`` the
-    seed's.
+    seed-QPS ratio; every warm query must hit the cache.  The
+    cross-check holds every served time ``==`` the seed's.
     """
     from ..serve.replay import replay, workload_trace
     from ..serve.service import PredictionService
@@ -479,9 +461,8 @@ def bench_serve(
     sizes = tuple(sizes) if sizes is not None else tuple(
         32 * KiB << i for i in range(6)  # 32K .. 1M
     )
+    passes = max(1, warm_passes)
     trace = workload_trace(spec, sizes, algorithms)
-    state_dir = tempfile.mkdtemp(prefix="repro-bench-serve-")
-    service = PredictionService(state_dir, workers=0)
     topo = parse_topology_spec(spec)
 
     def seed_replay() -> List[float]:
@@ -502,50 +483,30 @@ def bench_serve(
             )
         return times
 
-    try:
-        cold = replay(service, trace, block=True)
-        if cold.errors:
-            raise RuntimeError(
-                "cold replay hit %d errors; trace is not servable" % cold.errors
-            )
-        reference, seed_times = _best_of_values(seed_replay, repeat)
-        served = [service.predict(scenario)[0]["time"] for scenario in trace]
-        if served != seed_times:
-            raise RuntimeError("served predictions diverged from the seed")
-
-        def warm_run():
-            last = None
-            for _ in range(max(1, warm_passes)):
-                last = replay(service, trace)
-            return last
-
-        optimized_total, warm = _best_of_values(warm_run, repeat)
+    def warm_run():
+        for _ in range(passes):
+            warm = replay(service, trace)
         if warm.hits != warm.queries:
             raise RuntimeError(
                 "warm replay missed the cache (%d/%d hits) — the cold pass "
                 "should have warmed every key" % (warm.hits, warm.queries)
             )
-        optimized = optimized_total / max(1, warm_passes)  # per-pass
-        cold_qps = cold.qps
-        seed_qps = len(trace) / reference if reference > 0 else float("inf")
-        warm_qps = warm.queries / optimized if optimized > 0 else float("inf")
-    finally:
-        service.close()
-    return BenchResult(
-        name="serve",
-        optimized_s=optimized,
-        reference_s=reference,
-        meta={
+        return warm
+
+    def meta(result: BenchResult, warm) -> Dict[str, object]:
+        seed_qps = len(trace) / result.reference_s
+        warm_qps = warm.queries / result.optimized_s
+        return {
             "benchmark": "bench_serve",
             "scenarios": [str(s) for s in trace],
             "fingerprint": scenario_set_fingerprint(trace),
             "topology": spec,
             "queries": len(trace),
             "warm_passes": warm_passes,
-            "cold_qps": cold_qps,
+            "cold_qps": cold.qps,
             "seed_qps": seed_qps,
             "warm_qps": warm_qps,
-            "qps_ratio": warm_qps / seed_qps if seed_qps > 0 else float("inf"),
+            "qps_ratio": warm_qps / seed_qps,
             "cold_p50_s": cold.p50_s,
             "cold_p99_s": cold.p99_s,
             "warm_p50_s": warm.p50_s,
@@ -555,8 +516,30 @@ def bench_serve(
                 "seed lowering and loop per query; seed MultiTree build, "
                 "live ring build (the seed has none), once per variant"
             ),
-        },
-    )
+        }
+
+    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as state:
+        service = PredictionService(state, workers=0)
+        try:
+            cold = replay(service, trace, block=True)
+            if cold.errors:
+                raise RuntimeError(
+                    "cold replay hit %d errors; trace is not servable"
+                    % cold.errors
+                )
+            # The cached answers every warm query hits.
+            served = [service.predict(query)[0]["time"] for query in trace]
+            return _run_case(
+                "serve",
+                live=warm_run,
+                seed=seed_replay,
+                same=lambda _warm, seed_times: served == seed_times,
+                meta=meta,
+                repeat=repeat,
+                passes=passes,
+            )
+        finally:
+            service.close()
 
 
 def bench_batch(
@@ -583,7 +566,7 @@ def bench_batch(
     path, not the ladder.
     """
     spec = "torus-%dx%d" % dims
-    topo = Torus2D(*dims)
+    topo = parse_topology_spec(spec)
     base = 375 * topo.num_nodes * KiB
     sizes = tuple(base >> (num_sizes - 1 - i) for i in range(num_sizes))
     scenarios = [
@@ -595,27 +578,19 @@ def bench_batch(
         for size in sizes
     ]
     fc = scenarios[0].resolve().flow_control
-    root = store_dir or tempfile.mkdtemp(prefix="repro-bench-artifacts-")
-    store = ArtifactStore(root)
-    compiled_by_algo = {
-        algorithm: store.get_or_compile(topo, algorithm)
-        for algorithm in algorithms
-    }
 
-    def optimized_sweep():
+    def optimized_sweep() -> List[float]:
         times: List[float] = []
-        fallbacks = 0
         for algorithm in algorithms:
             batch = compiled_by_algo[algorithm].simulate_batch(sizes, fc)
-            fallbacks += batch.fallbacks
+            if batch.fallbacks:
+                raise RuntimeError(
+                    "vectorized engine fell back %d times; the batch "
+                    "benchmark must measure the vectorized path"
+                    % batch.fallbacks
+                )
             times.extend(point.time for point in batch.points)
-        return times, fallbacks
-
-    lowered = [
-        compiled_by_algo[algorithm].build_messages(size, fc)
-        for algorithm in algorithms
-        for size in sizes
-    ]
+        return times
 
     def reference_sweep() -> List[float]:
         return [
@@ -623,39 +598,40 @@ def bench_batch(
             for messages in lowered
         ]
 
-    # Untimed warm-up builds the memoized vectorization plan, so the
-    # optimized side measures steady-state sweep cost.
-    fast_times, fallbacks = optimized_sweep()
-    ref_times = reference_sweep()
-    if fallbacks:
-        raise RuntimeError(
-            "vectorized engine fell back %d times; the batch benchmark "
-            "must measure the vectorized path" % fallbacks
+    with _store_root(store_dir, "repro-bench-artifacts-") as root:
+        store = ArtifactStore(root)
+        compiled_by_algo = {
+            algorithm: store.get_or_compile(topo, algorithm)
+            for algorithm in algorithms
+        }
+        lowered = [
+            compiled_by_algo[algorithm].build_messages(size, fc)
+            for algorithm in algorithms
+            for size in sizes
+        ]
+
+        # Untimed warm-up builds the memoized vectorization plan, so the
+        # optimized side measures steady-state sweep cost.
+        optimized_sweep()
+        return _run_case(
+            "batch",
+            live=optimized_sweep,
+            seed=reference_sweep,
+            meta={
+                "scenarios": [str(s) for s in scenarios],
+                "fingerprint": scenario_set_fingerprint(scenarios),
+                "topology": topo.name,
+                "nodes": topo.num_nodes,
+                "algorithms": list(algorithms),
+                "sizes": list(sizes),
+                "engine": "lockstep-vec",
+                "reference_engine": "seed",
+                "fallbacks": 0,
+                "optimized": "one run_batch pass over all sizes",
+                "reference": "seed loop per size, pre-lowered messages",
+            },
+            repeat=repeat,
         )
-    if fast_times != ref_times:
-        raise RuntimeError(
-            "batched vectorized engine diverged from scalar lockstep"
-        )
-    optimized = _best_of(optimized_sweep, repeat)
-    reference = _best_of(reference_sweep, repeat)
-    return BenchResult(
-        name="batch",
-        optimized_s=optimized,
-        reference_s=reference,
-        meta={
-            "scenarios": [str(s) for s in scenarios],
-            "fingerprint": scenario_set_fingerprint(scenarios),
-            "topology": topo.name,
-            "nodes": topo.num_nodes,
-            "algorithms": list(algorithms),
-            "sizes": list(sizes),
-            "engine": "lockstep-vec",
-            "reference_engine": "seed",
-            "fallbacks": fallbacks,
-            "optimized": "one run_batch pass over all sizes",
-            "reference": "seed loop per size, pre-lowered messages",
-        },
-    )
 
 
 def bench_scaleout_xl(
@@ -670,7 +646,8 @@ def bench_scaleout_xl(
     The *reference* is what the first run at a new scale always pays:
     MultiTree construction + streaming CSR compilation
     (:func:`repro.collectives.streaming.compile_multitree`) followed by
-    one vectorized batch over the size axis.  The *optimized* side is
+    one vectorized batch over the size axis.  Its compiled schedule is
+    persisted untimed.  The *optimized* side is
     every run after it: load the sharded artifact (columns stay lazy —
     the benchmark asserts the dependency shard has not been materialized
     by the load itself) and run the same batch.  Both sides must agree
@@ -701,22 +678,22 @@ def bench_scaleout_xl(
         for size in sizes
     ]
     fc = scenarios[0].resolve().flow_control
-    root = store_dir or tempfile.mkdtemp(prefix="repro-bench-scaleout-xl-")
-    store = ArtifactStore(root)
+    cold: Dict[str, object] = {}  # the last cold compile, until persisted
 
-    def cold_pipeline():
-        compiled = compile_multitree(topo)
+    def batch_times(compiled, side: str) -> List[float]:
         batch = run_batch(compiled, sizes, fc)
-        return compiled, [p.time for p in batch.points], batch.fallbacks
+        if batch.fallbacks:
+            raise RuntimeError(
+                "scaleout_xl must stay on the vectorized path (%s side fell "
+                "back %d times)" % (side, batch.fallbacks)
+            )
+        return [p.time for p in batch.points]
 
-    reference, (compiled, ref_times, ref_fallbacks) = _best_of_values(
-        lambda: cold_pipeline(), repeat
-    )
-    store.put(compiled)
-    num_ops = len(compiled)
-    del compiled  # the warm side must not lean on the cold side's columns
+    def cold_pipeline() -> List[float]:
+        cold["compiled"] = compile_multitree(topo)
+        return batch_times(cold["compiled"], "cold")
 
-    def warm_pipeline():
+    def warm_pipeline() -> List[float]:
         # A fresh store per run: a memo hit would hand back the columns
         # an earlier run already loaded and skip the shard-load path
         # under test.
@@ -734,40 +711,37 @@ def bench_scaleout_xl(
                 "artifact-warm load materialized dep_val eagerly "
                 "(loaded=%r)" % lazy
             )
-        batch = run_batch(warmed, sizes, fc)
-        return [p.time for p in batch.points], batch.fallbacks
+        return batch_times(warmed, "warm")
 
-    optimized, (fast_times, fast_fallbacks) = _best_of_values(
-        warm_pipeline, repeat
-    )
-    if ref_fallbacks or fast_fallbacks:
-        raise RuntimeError(
-            "scaleout_xl must stay on the vectorized path (fallbacks: "
-            "cold=%d warm=%d)" % (ref_fallbacks, fast_fallbacks)
+    def persist() -> None:
+        # Popped, so the warm side cannot lean on the cold columns.
+        compiled = cold.pop("compiled")
+        ArtifactStore(root).put(compiled)
+        cold["ops"] = len(compiled)
+
+    with _store_root(store_dir, "repro-bench-scaleout-xl-") as root:
+        return _run_case(
+            "scaleout_xl",
+            live=warm_pipeline,
+            seed=cold_pipeline,
+            between=persist,
+            meta=lambda _result, _times: {
+                "scenarios": [str(s) for s in scenarios],
+                "fingerprint": scenario_set_fingerprint(scenarios),
+                "topology": topo.name,
+                "nodes": topo.num_nodes,
+                "ops": cold["ops"],
+                "sizes": list(sizes),
+                "engine": "lockstep-vec",
+                "peak_rss_mib": (
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+                ),
+                "rss_envelope_mib": rss_envelope_mib,
+                "optimized": "artifact-warm lazy shard load + one batch pass",
+                "reference": "streaming CSR compile + one batch pass",
+            },
+            repeat=repeat,
         )
-    if fast_times != ref_times:
-        raise RuntimeError(
-            "artifact-warm rerun diverged from the streaming-compile run"
-        )
-    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return BenchResult(
-        name="scaleout_xl",
-        optimized_s=optimized,
-        reference_s=reference,
-        meta={
-            "scenarios": [str(s) for s in scenarios],
-            "fingerprint": scenario_set_fingerprint(scenarios),
-            "topology": topo.name,
-            "nodes": topo.num_nodes,
-            "ops": num_ops,
-            "sizes": list(sizes),
-            "engine": "lockstep-vec",
-            "peak_rss_mib": peak_rss_mib,
-            "rss_envelope_mib": rss_envelope_mib,
-            "optimized": "artifact-warm lazy shard load + one batch pass",
-            "reference": "streaming CSR compile + one batch pass",
-        },
-    )
 
 
 def bench_hetero(
@@ -783,7 +757,8 @@ def bench_hetero(
     exactly equal (``==``) finish times, per-message timings and
     per-link busy totals — heterogeneity flows through per-link
     bandwidth/latency columns, never through a changed formula, so any
-    drift here is a correctness bug, not noise.  Timing then compares
+    drift here is a correctness bug, not noise.  Every engine is checked
+    untimed against the seed loop; timing then compares
     the deployed fast path (compiled schedule + lockstep-vec) against
     the seed loop on the equivalent pre-lowered messages, mirroring
     ``engine`` but on a fabric whose upper tier runs at a quarter of the
@@ -803,20 +778,16 @@ def bench_hetero(
     compiled = compile_schedule(schedule)
     ref = reference_run(topo, fc, messages)
     for engine in ENGINES:
-        fast = compiled.simulate(data_bytes, fc, engine=engine).simulation
-        if not _same_simulation(fast, ref):
+        if compiled.simulate(data_bytes, fc, engine=engine).simulation != ref:
             raise RuntimeError(
                 "%s engine diverged from the seed loop on %s" % (engine, spec)
             )
-    optimized = _best_of(
-        lambda: compiled.simulate(data_bytes, fc, engine="lockstep-vec"),
-        repeat,
-    )
-    reference = _best_of(lambda: reference_run(topo, fc, messages), repeat)
-    return BenchResult(
-        name="hetero",
-        optimized_s=optimized,
-        reference_s=reference,
+    return _run_case(
+        "hetero",
+        live=lambda: compiled.simulate(
+            data_bytes, fc, engine="lockstep-vec"
+        ).simulation,
+        seed=lambda: reference_run(topo, fc, messages),
         meta={
             "scenario": str(scenario),
             "fingerprint": scenario.fingerprint(topo),
@@ -830,6 +801,7 @@ def bench_hetero(
             "optimized": "compiled schedule + lockstep-vec engine",
             "reference": "seed loop, pre-lowered messages",
         },
+        repeat=repeat,
     )
 
 
@@ -935,6 +907,27 @@ def load_report(path: str) -> Dict[str, object]:
     return report
 
 
+def floor_failures(
+    current: Dict[str, float],
+    baseline: Dict[str, float],
+    max_regression: float,
+) -> List[Tuple[str, Optional[float], float, float]]:
+    """The speedup floor rule, shared by ``repro bench`` and ``repro report``.
+
+    A baseline case fails when ``current`` lacks it or its speedup is below
+    ``baseline × (1 − max_regression)``.  Returns ``(name, speedup,
+    baseline, floor)`` per failing case in ``baseline`` order; ``speedup``
+    is ``None`` for a missing case.
+    """
+    failures = []
+    for name, base in baseline.items():
+        floor = base * (1.0 - max_regression)
+        speedup = current.get(name)
+        if speedup is None or speedup < floor:
+            failures.append((name, speedup, base, floor))
+    return failures
+
+
 def compare_to_baseline(
     report: Dict[str, object],
     baseline: Dict[str, object],
@@ -949,7 +942,6 @@ def compare_to_baseline(
     baseline's (e.g. 0.25 allows a 3.0x baseline to degrade to 2.4x).
     Returns a list of human-readable failures (empty = pass).
     """
-    failures: List[str] = []
     if report.get("schema") != baseline.get("schema"):
         return [
             "schema mismatch: current %s vs baseline %s"
@@ -960,22 +952,15 @@ def compare_to_baseline(
             "mode mismatch: current quick=%s vs baseline quick=%s"
             % (report.get("quick"), baseline.get("quick"))
         ]
-    for name, base_entry in baseline["results"].items():
-        entry = report["results"].get(name)
-        if entry is None:
-            failures.append("benchmark %r missing from current report" % name)
-            continue
-        floor = base_entry["speedup"] * (1.0 - max_regression)
-        if entry["speedup"] < floor:
-            failures.append(
-                "%s regressed: speedup %.2fx < floor %.2fx "
-                "(baseline %.2fx, max regression %d%%)"
-                % (
-                    name,
-                    entry["speedup"],
-                    floor,
-                    base_entry["speedup"],
-                    round(max_regression * 100),
-                )
-            )
-    return failures
+    return [
+        "benchmark %r missing from current report" % name
+        if speedup is None
+        else "%s regressed: speedup %.2fx < floor %.2fx "
+        "(baseline %.2fx, max regression %d%%)"
+        % (name, speedup, floor, base, round(max_regression * 100))
+        for name, speedup, base, floor in floor_failures(
+            {n: e["speedup"] for n, e in report["results"].items()},
+            {n: e["speedup"] for n, e in baseline["results"].items()},
+            max_regression,
+        )
+    ]

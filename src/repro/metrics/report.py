@@ -20,7 +20,9 @@ harness reports, and renders a markdown dashboard:
 Baseline semantics: the *earliest* manifest record is the baseline run and
 the *latest* is the current run (override with ``--baseline-run``); a
 bandwidth point regresses when ``current < baseline * (1 - threshold)``.
-Bench speedups use the same floor rule against ``--bench-baseline``.
+Bench speedups gate against ``--bench-baseline`` with
+:func:`repro.bench.harness.floor_failures`, the one floor rule
+``repro bench --baseline`` applies too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bench.harness import compare_to_baseline, is_bench_report, load_report
+from ..bench.harness import (
+    compare_to_baseline,
+    floor_failures,
+    is_bench_report,
+    load_report,
+)
 from ..obs import load_stream
 from ..scenario import Scenario
 from ..scenario import format_size as _scenario_size
@@ -383,19 +390,16 @@ def build_report(
                 source = _short_id(record, 0)
                 break
         # With nothing measured, every baseline case is missing.
-        if baseline_speedups:
-            for name, base in sorted(baseline_speedups.items()):
-                cur = current_speedups.get(name)
-                if cur is None:
-                    regressions.append(Regression(
-                        "bench.speedup[%s] missing from current run" % name
-                    ))
-                    continue
-                floor = base * (1.0 - max_bench_regression)
-                if cur < floor:
-                    regressions.append(Regression(
-                        "bench.speedup[%s]" % name, cur, base, floor, unit="x"
-                    ))
+        for name, cur, base, floor in sorted(floor_failures(
+            current_speedups, baseline_speedups, max_bench_regression
+        )):
+            regressions.append(
+                Regression("bench.speedup[%s] missing from current run" % name)
+                if cur is None
+                else Regression(
+                    "bench.speedup[%s]" % name, cur, base, floor, unit="x"
+                )
+            )
     if current_speedups:
         for name in sorted(current_speedups):
             cur = current_speedups[name]

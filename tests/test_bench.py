@@ -1,10 +1,13 @@
 """repro.bench: harness structure, report I/O, and baseline comparison."""
 
 import json
+import os
+import tempfile
 
 import pytest
 
 import repro.cli
+from repro.bench import harness
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
     BenchResult,
@@ -20,10 +23,36 @@ from repro.bench.harness import (
     FIG9_SIZES,
     bench_batch,
     bench_construction_switched,
+    bench_engine,
+    bench_hetero,
+    bench_scaleout,
+    bench_scaleout_xl,
+    bench_serve,
     format_report,
 )
 
 KiB = 1024
+BASELINE = os.path.join(
+    os.path.dirname(__file__), "..", "benchmarks", "BENCH_baseline.json"
+)
+
+#: Every case at its smallest shape (each runs in well under a second,
+#: except the fixed fattree-8x8 of ``construction_switched``).
+SMALL_CASES = {
+    "construction": lambda: bench_construction((4, 4)),
+    "construction_switched": lambda: bench_construction_switched(),
+    "simulate": lambda: bench_simulate((4, 4), 256 * KiB, repeat=1),
+    "end_to_end": lambda: bench_end_to_end((4, 4), FIG9_SIZES[:2]),
+    "engine": lambda: bench_engine((4, 4), 256 * KiB, repeat=1),
+    "scaleout": lambda: bench_scaleout((4, 4), ("ring",)),
+    "serve": lambda: bench_serve(
+        (4, 4), ("ring",), sizes=(32 * KiB, 64 * KiB), warm_passes=1,
+        repeat=1,
+    ),
+    "batch": lambda: bench_batch((4, 4), ("ring",), num_sizes=3),
+    "scaleout_xl": lambda: bench_scaleout_xl("torus3d-4x4x4"),
+    "hetero": lambda: bench_hetero("fattree-4x4@oversub=4", 256 * KiB, 1),
+}
 
 
 def _tiny_report():
@@ -45,8 +74,9 @@ def _tiny_report():
 
 class TestBenchmarks:
     def test_report_shape_and_cross_checks(self):
-        # Each bench_* verifies optimized == reference before timing; a
-        # divergence raises instead of producing a bogus speedup.
+        # Each bench_* checks that the timed runs' optimized and reference
+        # outputs are ==; a divergence raises instead of producing a bogus
+        # speedup.
         report = _tiny_report()
         assert set(report["results"]) == {"construction", "simulate", "end_to_end"}
         for entry in report["results"].values():
@@ -61,8 +91,8 @@ class TestBenchmarks:
             assert name in text
 
     def test_bench_batch_cross_checks_and_records_engine(self):
-        # The batch benchmark enforces zero fallbacks and exact equality
-        # against the scalar engine before timing anything.
+        # The batch benchmark enforces zero fallbacks on every run and
+        # exact equality against the seed loop.
         result = bench_batch((4, 4), algorithms=("ring",), num_sizes=3)
         assert result.name == "batch"
         assert result.meta["engine"] == "lockstep-vec"
@@ -73,7 +103,7 @@ class TestBenchmarks:
 
 
     def test_bench_construction_switched_cross_checks(self):
-        # The forests are compared with == before either side is timed.
+        # The forests of the timed runs are compared with ==.
         result = bench_construction_switched(repeat=1)
         assert result.name == "construction_switched"
         assert result.meta == {"topology": "fattree-8x8", "nodes": 64, "tot_t": 63}
@@ -81,6 +111,47 @@ class TestBenchmarks:
         assert "construction_switched" in format_report(
             {"results": {result.name: result.to_dict()}}
         )
+
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CASES))
+    def test_every_case_runs_and_keeps_its_meta_keys(self, name):
+        # Each case passes its cross-check and reports exactly the meta
+        # keys of its committed baseline entry, so old reports compare.
+        with open(BASELINE) as fh:
+            baseline = json.load(fh)["results"]
+        result = SMALL_CASES[name]()
+        assert result.name == name
+        assert result.optimized_s > 0 and result.reference_s > 0
+        assert set(result.meta) == set(baseline[name]["meta"])
+
+    def test_cases_remove_their_temporary_stores(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for name in ("scaleout", "serve", "batch", "scaleout_xl"):
+            SMALL_CASES[name]()
+        # Also when a check raises: on 2x2x2 lockstep-vec falls back.
+        with pytest.raises(RuntimeError, match="vectorized path"):
+            bench_scaleout_xl("torus3d-2x2x2")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_perturbed_live_side_fails_the_check(self):
+        seed = [1.0, 2.0]
+        with pytest.raises(RuntimeError, match="probe"):
+            harness._run_case(
+                "probe", live=lambda: [1.0, 2.0 + 1e-12], seed=lambda: seed,
+                meta={}, repeat=2,
+            )
+
+    def test_a_perturbed_forest_fails_the_construction_case(self, monkeypatch):
+        build_trees = harness.build_trees
+
+        def perturbed(topology):
+            trees, tot_t = build_trees(topology)
+            trees[-1].order.reverse()
+            return trees, tot_t
+
+        monkeypatch.setattr(harness, "build_trees", perturbed)
+        with pytest.raises(RuntimeError, match="construction"):
+            bench_construction((4, 4))
 
 
 class TestReportIO:
