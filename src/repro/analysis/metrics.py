@@ -88,12 +88,14 @@ def sweep_bandwidth(
     :meth:`repro.scenario.Scenario.cache_key`) — required when the points
     carry SystemConfig overrides, which the schedule alone cannot know.
 
-    With ``engine="lockstep-vec"``, the cold sizes run in **one** batched
-    vectorized pass
-    (:meth:`~repro.collectives.compiled.CompiledSchedule.simulate_batch`);
-    sizes the vectorized engine declines fall back to the scalar loop
-    inside the batch (counted in ``sim.fallbacks``).  Every engine
-    returns ``==`` numbers.
+    The cold sizes run as one ladder,
+    :meth:`~repro.collectives.compiled.CompiledSchedule.simulate_batch`
+    with ``engine``: one call into the engine kernel for the whole
+    ladder, or — for ``engine="lockstep-vec"`` on a schedule of at least
+    :data:`~repro.network.lockstep_vec.MIN_OPS_PER_STEP` ops per step,
+    where the numpy step loop wins — one vectorized pass whose declined
+    sizes fall back to the scalar loop (counted in ``sim.fallbacks``).
+    Every engine returns ``==`` numbers.
     """
     if cache is not None and keys is None:
         keys = [
@@ -110,22 +112,16 @@ def sweep_bandwidth(
     cold = [index for index, entry in enumerate(entries) if entry is None]
     if cold and isinstance(schedule, Schedule):
         schedule = lower_schedule(schedule)
-    if cold and engine == "lockstep-vec":
+    fresh = []
+    if cold:
         batch = schedule.simulate_batch(
-            [sizes[index] for index in cold], flow_control, lockstep
+            [sizes[index] for index in cold], flow_control, lockstep,
+            engine=engine,
         )
         fresh = [
             (point.time, point.bandwidth, point.max_queue_delay)
             for point in batch.points
         ]
-    else:
-        fresh = []
-        for index in cold:
-            result = schedule.simulate(sizes[index], flow_control, lockstep,
-                                       engine=engine)
-            fresh.append(
-                (result.time, result.bandwidth, result.max_queue_delay())
-            )
     for index, (time, bandwidth, max_queue_delay) in zip(cold, fresh):
         entries[index] = {
             "time": time,

@@ -563,7 +563,8 @@ def bench_batch(
     once per size on messages lowered untimed from that schedule.  The
     cross-check enforces exact ``==`` equality of every predicted time
     and zero fallbacks — the benchmark must measure the vectorized
-    path, not the ladder.
+    path, which ``lockstep-vec`` selects on these dense schedules (1024
+    ops per step on a 2D-Ring torus), not the scalar fallbacks.
     """
     spec = "torus-%dx%d" % dims
     topo = parse_topology_spec(spec)
@@ -582,7 +583,9 @@ def bench_batch(
     def optimized_sweep() -> List[float]:
         times: List[float] = []
         for algorithm in algorithms:
-            batch = compiled_by_algo[algorithm].simulate_batch(sizes, fc)
+            batch = compiled_by_algo[algorithm].simulate_batch(
+                sizes, fc, engine="lockstep-vec"
+            )
             if batch.fallbacks:
                 raise RuntimeError(
                     "vectorized engine fell back %d times; the batch "
@@ -655,6 +658,12 @@ def bench_scaleout_xl(
     scale a silent scalar fallback is a multi-GiB, multi-minute
     regression, which is precisely what the gate is for.
 
+    Both sides time the deployed selection,
+    :meth:`~repro.collectives.compiled.CompiledSchedule.simulate_batch`
+    with ``engine="lockstep-vec"``, which must pick the numpy engine at
+    this density (the case raises if the schedule's vectorization plan
+    was never built).
+
     The size axis sits at the paper's Fig. 10 weak-scaling operating
     point (375 KiB x num_nodes, halving downward), large enough that the
     per-size wire math stays on the vectorized path.  ``meta`` records
@@ -665,7 +674,6 @@ def bench_scaleout_xl(
     import resource
 
     from ..collectives.streaming import compile_multitree
-    from ..network.lockstep_vec import run_batch
 
     topo = parse_topology_spec(spec)
     base = 375 * topo.num_nodes * KiB
@@ -681,7 +689,12 @@ def bench_scaleout_xl(
     cold: Dict[str, object] = {}  # the last cold compile, until persisted
 
     def batch_times(compiled, side: str) -> List[float]:
-        batch = run_batch(compiled, sizes, fc)
+        batch = compiled.simulate_batch(sizes, fc, engine="lockstep-vec")
+        if compiled._vec_plan is None:
+            raise RuntimeError(
+                "scaleout_xl must stay on the vectorized path (%s side ran "
+                "the kernel ladder)" % side
+            )
         if batch.fallbacks:
             raise RuntimeError(
                 "scaleout_xl must stay on the vectorized path (%s side fell "

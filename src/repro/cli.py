@@ -579,8 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=ENGINES,
         default="event",
         help="simulation engine (event and lockstep: the scalar loop in "
-             "heap order; lockstep-vec: vectorized batch fast path, falling "
-             "back to the scalar loop per size it declines; all "
+             "heap order, every size of a series in one C kernel call; "
+             "lockstep-vec: the same, except on schedules of at least 700 "
+             "ops per step, where a vectorized numpy pass runs the series "
+             "and falls back to the scalar loop per size it declines; all "
              "bit-identical)",
     )
     p.add_argument(
@@ -612,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=ENGINES,
         default="lockstep-vec",
         help="simulation engine for cold points (default lockstep-vec: "
-             "batched vectorized evaluation of each size bucket)",
+             "each size bucket in one kernel ladder call, or one "
+             "vectorized pass from 700 ops per step)",
     )
     p.add_argument(
         "--state-dir", default=".repro", metavar="DIR",

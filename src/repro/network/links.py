@@ -96,11 +96,14 @@ def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructur
     dependency keeps both entries), so the triple ``==`` the seed's
     per-entry loop (``bench/reference.py:reference_dep_structure``).
     All three are int64 arrays, the form the C kernel reads; 8 bytes an
-    entry is also less than a list's pointer plus its ``int``.
+    entry is also less than a list's pointer plus its ``int``.  A
+    dependency id outside ``0..n-1`` raises ``IndexError``.
     """
     off = np.asarray(dep_off, dtype=np.int64)
     val = np.asarray(dep_val, dtype=np.int64)
     n = len(off) - 1
+    if len(val) and not (0 <= val.min() and val.max() < n):
+        raise IndexError("dependency id out of range")
     counts = np.diff(off)
     dd_off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(val, minlength=n), out=dd_off[1:])

@@ -15,6 +15,15 @@ at cluster scale, where it needs far less memory than the C kernel.
 Multi-hop schedules (switched fabrics) decline as ``multi-hop`` and run
 the scalar loop, which is faster on them.
 
+**When it runs.**  ``lockstep-vec`` selects this engine only for
+schedules of at least :data:`MIN_OPS_PER_STEP` ops per lockstep step
+(:meth:`~repro.collectives.compiled.CompiledSchedule.simulate_batch` and
+``simulate``); sparser schedules run the engine kernel's size ladder,
+one C call per series, which is faster there.  On the quick
+``scaleout_xl`` schedule (8.4M ops, 12,258 per step, 375 and 750 MiB)
+this engine took 4.9–5.3 s at a 398 MiB process peak and the kernel
+ladder 6.2–6.5 s at 875 MiB (artifact-warm, 2-vCPU shared host).
+
 This engine and the step gates read one step layout.  A compiled
 schedule stores its ops sorted by step, so step ``s`` is the contiguous
 row range ``step_bounds[s - 1]:step_bounds[s]``
@@ -78,6 +87,15 @@ from .simulator import SimulationResult
 #: Largest float64 integer range where ``a + b`` is exact for nonnegative
 #: integer-valued operands — the bound for order-independent wire totals.
 _MAX_EXACT = float(2 ** 53)
+
+#: Ops per lockstep step from which a lockstep-gated ``lockstep-vec``
+#: run takes this engine; sparser schedules run the engine kernel's size
+#: ladder.  This engine pays a fixed numpy cost per step and the kernel a
+#: cost per message, so the crossover is a density: on 4-size ladders
+#: MultiTree ties the kernel at 490-560 ops per step and wins from 739
+#: up (0.52x at 3042), ring still loses at 1024 (1.10x) and 2D-Ring
+#: ties at 1024 and wins at 4096 (0.66x).
+MIN_OPS_PER_STEP = 700
 
 
 class BatchPlan:

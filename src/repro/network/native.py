@@ -16,9 +16,11 @@ event and one :class:`RuntimeWarning` name the reason, once per
 process.  A C compiler makes the engines faster; correct results never
 need one.
 
-The kernel trusts its columns, so :func:`columns_ok` checks them
-first; columns that fail it run on the Python loop, which raises the
-error the bad index deserves.
+The library exports two entries (:class:`Kernel`): ``run_indexed``
+runs one simulation and ``run_ladder`` a whole size ladder over one
+set of columns.  The kernel trusts its columns, so :func:`columns_ok`
+checks them first; columns that fail it run on the Python loop, which
+raises the error the bad index deserves.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import sysconfig
 import tempfile
 import threading
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,27 @@ _ARGTYPES = (
     _PTR, _PTR, _PTR, _PTR,  # inject, deliver, ideal, busy (out)
     _PTR,                    # [finish, total_wire] (out)
 )
+#: ``run_ladder``'s C signature, argument by argument.
+_LADDER_ARGTYPES = (
+    _I64, _I64, _I64,        # n, num_links, num_sizes
+    _PTR, _PTR, _PTR,        # bandwidth, latency, capacity
+    _PTR, _PTR,              # route_off, route_val
+    _PTR, _PTR,              # the schedule's dependency off/val
+    _PTR, _I64, _PTR, _I64,  # wire[size][class], classes, class ids, stride
+    _PTR, _I64, _PTR,        # gates[size][step] or NULL, steps, step bounds
+    _PTR,                    # receive overhead (one value)
+    _PTR,                    # [size][finish, total_wire, max queue delay]
+    _PTR, _PTR, _PTR, _PTR,  # ready, inject, deliver, ideal [size][msg]
+    _PTR,                    # busy [size][link]; the five NULL when lean
+    _PTR,                    # [stuck count, first five stuck ids] (out)
+)
+
+
+class Kernel(NamedTuple):
+    """The two loaded C entries of ``_engine.c``."""
+
+    run_indexed: object
+    run_ladder: object
 
 
 class KernelUnavailable(Exception):
@@ -118,14 +142,17 @@ def _load():
     path = _library_path()
     if not os.path.exists(path):
         _build(path)
-    function = ctypes.CDLL(path).run_indexed
-    function.argtypes = _ARGTYPES
-    function.restype = _I64
-    return function
+    library = ctypes.CDLL(path)
+    for name, argtypes in (("run_indexed", _ARGTYPES),
+                           ("run_ladder", _LADDER_ARGTYPES)):
+        function = getattr(library, name)
+        function.argtypes = argtypes
+        function.restype = _I64
+    return Kernel(library.run_indexed, library.run_ladder)
 
 
 def kernel():
-    """The loaded ``run_indexed`` C function, or ``None``.
+    """The loaded :class:`Kernel`, or ``None``.
 
     Built and loaded on the first call; ``None`` when that failed, after
     one ``engine.kernel`` event and one :class:`RuntimeWarning` naming
@@ -160,8 +187,11 @@ def columns_ok(capacity: np.ndarray, route_off: np.ndarray,
     Every link needs at least one channel (``capacity``, the link
     table's column).  Both offset columns must start at ``>= 0``, never
     decrease and end at their value column's length; every route id
-    must name a link (``0 <= id < len(capacity)``) and every dependent a
-    message (``0 <= id < n``, ``n = len(route_off) - 1``).
+    must name a link (``0 <= id < len(capacity)``) and every message id
+    of ``(dd_off, dd_val)`` a message (``0 <= id < n``, ``n =
+    len(route_off) - 1``).  That CSR is the dependents graph
+    ``run_indexed`` reads or the schedule's own dependency CSR that
+    ``run_ladder`` reads; both hold message ids.
     """
     n = len(route_off) - 1
     if n < 0 or len(dd_off) != n + 1:

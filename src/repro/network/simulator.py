@@ -22,8 +22,9 @@ its one processing order (a global ``(ready, push_seq)`` heap) is the
 event engine, and the ``lockstep`` engine runs the same loop.  Every
 schedule is lowered to a compiled schedule
 (:class:`repro.collectives.compiled.CompiledSchedule`), which hands the
-loop its arrays directly and alone reaches the vectorized
-``lockstep-vec`` engine, which returns ``==`` numbers.
+loop its arrays directly, runs a whole size ladder in one kernel call
+and alone reaches the vectorized ``lockstep-vec`` engine, which returns
+``==`` numbers.
 :meth:`NetworkSimulator.run` plays recorded and hand-made
 :class:`Message` lists: it lowers them to the same arrays and feeds an
 optional trace recorder from its hooks.  The frozen seed loop in
@@ -56,8 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Known simulation engines.  ``event`` and ``lockstep`` run the same
 #: scalar loop in heap order (``lockstep`` stays a name because saved
-#: scenario strings use it); ``lockstep-vec`` is the vectorized engine,
-#: which falls back to that loop.  The engine only chooses what runs:
+#: scenario strings use it); ``lockstep-vec`` runs the vectorized engine,
+#: which falls back to that loop, on schedules of at least
+#: ``lockstep_vec.MIN_OPS_PER_STEP`` ops per step and the loop on all
+#: others.  The engine only chooses what runs:
 #: every engine returns ``==`` numbers, so it is no part of a
 #: prediction-cache ``point_key``, and a point cached under one engine is
 #: served to all of them.

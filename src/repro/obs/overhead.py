@@ -2,8 +2,8 @@
 
 Observation must be cheap enough to leave on: the acceptance gate for
 this subsystem is <3% overhead on the quick-suite-shaped workload below
-(a batched lockstep-vec sweep series plus an event-engine series — the
-same span-emitting paths the quick bench exercises).  The measurement
+(a lockstep-vec sweep series plus an event-engine series — the same
+span-emitting paths the quick bench exercises).  The measurement
 alternates obs-off / obs-on runs and takes the best of each side, the
 same noise discipline as :mod:`repro.bench.harness`; the obs side
 streams to a real file so flush I/O is part of the measured cost, not
@@ -31,10 +31,12 @@ _KiB = 1024
 def _make_workload():
     """A quick-suite-shaped span-emitting workload, closed over warm state.
 
-    One lockstep-vec series (batched simulation: ``sim.batch`` spans,
-    per-size fallback events) and one event-engine series (``sim.run`` +
-    engine-rung spans), both through :func:`repro.sweep.runner.run_job`
-    (``sweep.job`` spans) — the layers the quick bench times.
+    One lockstep-vec series and one event-engine series, both through
+    :func:`repro.sweep.runner.run_job` (``sweep.job`` spans).  Both run
+    the kernel's size ladder, one call and one ``sim.run`` span per size
+    while observed: a 16-node MultiTree is far below the density where
+    lockstep-vec takes its numpy engine, so the series emits no
+    ``sim.batch`` span and no fallback event.
     """
     from ..sweep.runner import SweepJob, run_job
 

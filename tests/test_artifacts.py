@@ -420,7 +420,7 @@ class TestArtifactMemoSharing:
 
         from repro.collectives import CompiledSchedule
         from repro.collectives.compiled import ScheduleColumns
-        from repro.network.lockstep_vec import BatchPlan
+        from repro.network.lockstep_vec import BatchPlan, run_batch
         from repro.network.simulator import ENGINES
         from repro.topology.base import Topology
 
@@ -432,8 +432,11 @@ class TestArtifactMemoSharing:
                 hit.simulate(1 * MiB, engine=engine).simulation,
                 compiled.simulate(1 * MiB, engine=engine).simulation,
             )
+        hit.simulate_batch((1 * MiB, 2 * MiB))
+        run_batch(hit, (1 * MiB,))  # too sparse for lockstep-vec to pick
         # The caller's schedule owns the caches it built...
         assert hit._vec_plan is not None and hit._engine_cols is not None
+        assert hit._ladder_cols is not None
         assert hit._step_bounds is not None
         # ...and nothing reachable from the memo entry is one of them.
         entry, = store._memo.values()

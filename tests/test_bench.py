@@ -50,7 +50,9 @@ SMALL_CASES = {
         repeat=1,
     ),
     "batch": lambda: bench_batch((4, 4), ("ring",), num_sizes=3),
-    "scaleout_xl": lambda: bench_scaleout_xl("torus3d-4x4x4"),
+    # The smallest 3D torus whose MultiTree is dense enough (739 ops per
+    # step) for lockstep-vec to select the numpy engine.
+    "scaleout_xl": lambda: bench_scaleout_xl("torus3d-4x4x8"),
     "hetero": lambda: bench_hetero("fattree-4x4@oversub=4", 256 * KiB, 1),
 }
 
@@ -128,7 +130,8 @@ class TestBenchmarks:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         for name in ("scaleout", "serve", "batch", "scaleout_xl"):
             SMALL_CASES[name]()
-        # Also when a check raises: on 2x2x2 lockstep-vec falls back.
+        # Also when a check raises: on 2x2x2 lockstep-vec runs the kernel
+        # ladder, not the vectorized path.
         with pytest.raises(RuntimeError, match="vectorized path"):
             bench_scaleout_xl("torus3d-2x2x2")
         assert os.listdir(tmp_path) == []

@@ -21,6 +21,7 @@ from repro.collectives import build_schedule, compile_schedule
 from repro.network import EnergyModel, PacketBased
 from repro.network.energy import link_energy_scales
 from repro.network.links import LinkTable, link_table
+from repro.network.lockstep_vec import run_batch
 from repro.network.simulator import NetworkSimulator
 from repro.ni.injector import build_messages, simulate_allreduce
 from repro.scenario import Scenario
@@ -292,7 +293,7 @@ class TestEngineExactness:
             data_bytes=1 * MiB,
         ).resolve().flow_control
         compiled = compile_schedule(build_schedule("multitree", topo))
-        batch = compiled.simulate_batch((512 * 1024, 1 * MiB), fc)
+        batch = run_batch(compiled, (512 * 1024, 1 * MiB), fc)
         reasons = [point.reason for point in batch.points]
         # A declined size is a counted fallback that names its gate.
         assert batch.fallbacks == sum(reason is not None for reason in reasons)

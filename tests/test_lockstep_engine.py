@@ -22,6 +22,7 @@ from repro.collectives.compiled import CompiledSchedule
 from repro.metrics import collecting
 from repro.network import Message, NetworkSimulator, PacketBased
 from repro.network.lockstep_engine import LinkTable, link_table
+from repro.network.lockstep_vec import run_batch
 from repro.network.simulator import ENGINES
 from repro.ni.injector import build_messages, simulate_allreduce
 from repro.scenario import Scenario
@@ -217,7 +218,12 @@ class TestFallback:
             event = skewed.simulate(size, engine="event")
             for engine in ("lockstep", "lockstep-vec"):
                 with collecting() as registry:
-                    fast = skewed.simulate(size, engine=engine)
+                    if engine == "lockstep-vec":
+                        fast = run_batch(
+                            skewed, (size,), keep_timings=True
+                        ).results[0]
+                    else:
+                        fast = skewed.simulate(size, engine=engine)
                 assert_identical(fast.simulation, event.simulation)
                 assert registry.counter_value(
                     "sim.fallbacks", engine=engine,

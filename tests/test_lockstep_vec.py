@@ -7,6 +7,9 @@ that fall back inside a batch).  Fallbacks must always be counted in
 metrics, never silent.  The size-axis grammar guards
 (:func:`repro.scenario.parse_sizes`) are exercised through both CLI
 entry points that share it (``repro sweep`` and ``repro plan``).
+``lockstep-vec`` selects this engine only on dense schedules, so the
+tests reach it through :func:`run_batch` directly; ``TestSelection`` pins
+the choice.
 """
 
 from itertools import accumulate
@@ -14,6 +17,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import sweep_bandwidth
 from repro.bench.reference import reference_run, reference_simulate_allreduce
 from repro.cli import main
 from repro.collectives import (
@@ -23,7 +27,7 @@ from repro.collectives import (
 )
 from repro.collectives.compiled import CompiledSchedule
 from repro.metrics import collecting
-from repro.network import PacketBased
+from repro.network import PacketBased, lockstep_vec
 from repro.network.lockstep_vec import run_batch
 from repro.ni.injector import build_messages, simulate_allreduce
 from repro.sweep import ArtifactStore, PredictionCache
@@ -133,9 +137,9 @@ class TestBatchedExactness:
         compiled = compiled_for(make_topo, algorithm, storage, artifact_root)
         fc = PacketBased()
         sizes = [base << step for step in range(ladder)]
-        batch = compiled.simulate_batch(sizes, fc, keep_timings=True)
+        batch = run_batch(compiled, sizes, fc, keep_timings=True)
         if storage != "object":
-            twin = compiled_for(make_topo, algorithm).simulate_batch(sizes, fc)
+            twin = run_batch(compiled_for(make_topo, algorithm), sizes, fc)
             assert batch.fallbacks == twin.fallbacks
             assert list(map(point_row, batch.points)) == list(
                 map(point_row, twin.points)
@@ -157,12 +161,13 @@ class TestBatchedExactness:
     def test_single_size_batch_matches_simulate(
         self, make_topo, algorithm, storage, artifact_root
     ):
-        """engine="lockstep-vec" through CompiledSchedule.simulate is the
-        one-column batch and equals the scalar engine exactly."""
+        """A one-column batch equals the scalar engine exactly."""
         compiled = compiled_for(make_topo, algorithm, storage, artifact_root)
         fc = PacketBased()
         for size in (32 * KiB, 2 * MiB):
-            vec = compiled.simulate(size, fc, engine="lockstep-vec")
+            vec = run_batch(
+                compiled, (size,), fc, keep_timings=True
+            ).results[0]
             scalar = compiled.simulate(size, fc, engine="lockstep")
             assert vec.time == scalar.time
             assert_identical(vec.simulation, scalar.simulation)
@@ -175,16 +180,17 @@ class TestBatchedExactness:
         compiled = compile_algorithm("multitree", Mesh2D(8, 8))
         fc = PacketBased()
         sizes = (8 * MiB, 32 * MiB)
-        batch = compiled.simulate_batch(sizes, fc, keep_timings=True)
+        batch = run_batch(compiled, sizes, fc, keep_timings=True)
         assert batch.fallbacks == 0
         for size, outcome in zip(sizes, batch.results):
             scalar = compiled.simulate(size, fc, engine="lockstep")
             assert_identical(outcome.simulation, scalar.simulation)
 
     def test_raw_message_engine_equals_event(self):
-        """simulate_allreduce(engine="lockstep-vec") runs the vectorized
-        engine on the compiled arrays (not a fallback), bit-identical to
-        the frozen seed loop on the raw messages."""
+        """simulate_allreduce(engine="lockstep-vec") on a schedule below
+        ``MIN_OPS_PER_STEP`` runs the kernel on the compiled arrays (counted as
+        ``event``), bit-identical to the frozen seed loop on the raw
+        messages."""
         topo = Torus2D(4, 4)
         fc = PacketBased()
         schedule = build_schedule("ring", topo)
@@ -193,7 +199,7 @@ class TestBatchedExactness:
                 schedule, 10 * MiB, fc, engine="lockstep-vec"
             )
         assert registry.counter_value(
-            "sim.engine_runs", engine="lockstep-vec", topology=topo.name
+            "sim.engine_runs", engine="event", topology=topo.name
         ) == 1
         messages = build_messages(schedule, 10 * MiB, fc)
         assert_identical(vec.simulation, reference_run(topo, fc, messages))
@@ -240,7 +246,7 @@ class TestFallbackCounting:
         ):
             compiled = compiled_for(make_topo, algorithm)
             with collecting() as registry:
-                batch = compiled.simulate_batch(sizes, fc)
+                batch = run_batch(compiled, sizes, fc)
             assert batch.fallbacks == len(sizes)
             assert all(point.reason == reason for point in batch.points)
             assert registry.counter_value(
@@ -262,8 +268,8 @@ class TestFallbackCounting:
         schedule = build_schedule("multitree", topo)
         compiled = compile_schedule(schedule)
         with collecting() as registry:
-            batch = compiled.simulate_batch(
-                (1 * MiB,), fc, lockstep=False, keep_timings=True
+            batch = run_batch(
+                compiled, (1 * MiB,), fc, lockstep=False, keep_timings=True
             )
         assert registry.counter_value(
             "sim.fallbacks", engine="lockstep-vec",
@@ -282,7 +288,7 @@ class TestFallbackCounting:
         fc = PacketBased()
         compiled = compile_schedule(build_schedule("ring", topo))
         with collecting() as registry:
-            compiled.simulate(10 * MiB, fc, engine="lockstep-vec")
+            run_batch(compiled, (10 * MiB,), fc, keep_timings=True)
         assert registry.counter_value(
             "sim.engine_runs", engine="lockstep-vec", topology=topo.name
         ) == 1
@@ -313,11 +319,74 @@ class TestFallbackCounting:
                                        "engine=lockstep"))]
 
 
+class TestSelection:
+    """``lockstep-vec`` runs the numpy engine only on schedules with at
+    least ``MIN_OPS_PER_STEP`` ops per step; sparser ones run the kernel
+    ladder."""
+
+    SIZES = (32 * KiB, 1 * MiB, 8 * MiB)
+
+    def _fresh(self):
+        return compile_schedule(build_schedule("multitree", Torus2D(4, 4)))
+
+    def test_small_series_runs_the_ladder(self):
+        compiled = self._fresh()
+        fc = PacketBased()
+        with collecting() as registry:
+            sweep = sweep_bandwidth(compiled, self.SIZES, fc,
+                                    engine="lockstep-vec")
+            batch = compiled.simulate_batch(self.SIZES, fc,
+                                            engine="lockstep-vec")
+        assert compiled._vec_plan is None
+        assert batch.fallbacks == 0
+        assert [point.reason for point in batch.points] == [None] * 3
+        assert registry.counter_value(
+            "sim.engine_runs", engine="event", topology="torus-4x4"
+        ) == 2 * len(self.SIZES)
+        assert not [key for key in registry.snapshot()["counters"]
+                    if "lockstep-vec" in key]
+        assert [p.time for p in sweep.points] == [
+            compiled.simulate(size, fc).time for size in self.SIZES
+        ]
+
+    def test_patched_constant_sends_the_series_to_run_batch(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(lockstep_vec, "MIN_OPS_PER_STEP", 0)
+        compiled = self._fresh()
+        fc = PacketBased()
+        with collecting() as registry:
+            batch = compiled.simulate_batch(self.SIZES, fc,
+                                            engine="lockstep-vec")
+        assert compiled._vec_plan is not None
+        # 32 KiB declines the numpy engine's gate-boundary check.
+        assert batch.points[0].reason == "gate-boundary"
+        assert registry.counter_value(
+            "sim.engine_runs", engine="lockstep-vec", topology="torus-4x4"
+        ) == len(self.SIZES) - 1
+        scalar = compiled.simulate_batch(self.SIZES, fc)
+        assert list(map(point_row, batch.points))[1:] == list(
+            map(point_row, scalar.points)
+        )[1:]
+
+    def test_threshold_is_ops_per_step(self, monkeypatch):
+        compiled = self._fresh()
+        density = len(compiled) // compiled.num_steps
+        monkeypatch.setattr(lockstep_vec, "MIN_OPS_PER_STEP", density)
+        assert compiled._runs_vec("lockstep-vec")
+        assert not compiled._runs_vec("lockstep")
+        monkeypatch.setattr(lockstep_vec, "MIN_OPS_PER_STEP", density + 1)
+        assert not compiled._runs_vec("lockstep-vec")
+        compiled.simulate(1 * MiB, PacketBased(), engine="lockstep-vec")
+        assert compiled._vec_plan is None
+
+
 class TestSweepBatching:
     def test_batched_sweep_fills_cache_in_one_simulation(self, tmp_path):
-        """A lockstep-vec sweep series runs ONE batched simulation for all
-        its cold sizes and fills the prediction cache; the repeat run is
-        fully warm."""
+        """A lockstep-vec sweep series below ``MIN_OPS_PER_STEP`` runs all its
+        cold sizes on the kernel ladder (counted as ``event``, with no
+        fallback) and fills the prediction cache; the repeat run is fully
+        warm."""
         cache_path = str(tmp_path / "cache.json")
         sizes = (32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB)
         job = SweepJob(
@@ -329,15 +398,17 @@ class TestSweepBatching:
             sweeps = run_sweep([job], cache_path=cache_path, stats=stats)
         assert stats.cache_misses == len(sizes)
         assert registry.counter_value(
-            "sim.engine_runs", engine="lockstep-vec", topology="torus-4x4"
+            "sim.engine_runs", engine="event", topology="torus-4x4"
         ) == len(sizes)
+        assert not [key for key in registry.snapshot()["counters"]
+                    if key.startswith("sim.fallbacks|")]
         # Warm rerun: served entirely from the cache, nothing simulated.
         with collecting() as registry:
             stats2 = SweepStats()
             warm = run_sweep([job], cache_path=cache_path, stats=stats2)
         assert stats2.cache_hits == len(sizes)
         assert registry.counter_value(
-            "sim.engine_runs", engine="lockstep-vec", topology="torus-4x4"
+            "sim.engine_runs", engine="event", topology="torus-4x4"
         ) == 0
         assert [p.bandwidth for p in warm[0].points] == [
             p.bandwidth for p in sweeps[0].points

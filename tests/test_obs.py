@@ -14,6 +14,7 @@ from repro import obs
 from repro.metrics.export import to_prometheus
 from repro.metrics.registry import MetricsRegistry, collecting, parse_key
 from repro.metrics.report import build_report, engine_mix
+from repro.network import lockstep_vec
 from repro.obs import (
     NULL_SPAN,
     ObsRecorder,
@@ -360,8 +361,17 @@ class TestCompileSpans:
         }
 
 
+@pytest.fixture()
+def vec_at_any_size(monkeypatch):
+    """Send every lockstep-vec run to the numpy engine, whose declines
+    these tests observe."""
+    monkeypatch.setattr(lockstep_vec, "MIN_OPS_PER_STEP", 0)
+
+
 class TestFallbackReasons:
-    def test_vec_decline_emits_reasoned_event_and_counter(self):
+    def test_vec_decline_emits_reasoned_event_and_counter(
+        self, vec_at_any_size
+    ):
         # ring on torus-2x2 runs single-hop over its doubled (two-channel)
         # links: the batched vec engine declines every size with a
         # concrete gate name.
@@ -585,7 +595,7 @@ class TestReportEngineMix:
             "metrics": registry.snapshot(),
         }
 
-    def test_engine_mix_extracts_reasoned_counters(self):
+    def test_engine_mix_extracts_reasoned_counters(self, vec_at_any_size):
         runs, fallbacks = engine_mix(self._record())
         # Every point is counted under the rung that produced it, the
         # scalar reruns of declined sizes included.
@@ -595,7 +605,7 @@ class TestReportEngineMix:
             for engine, reason, _topo in fallbacks
         )
 
-    def test_report_renders_engine_mix_section(self):
+    def test_report_renders_engine_mix_section(self, vec_at_any_size):
         text, _regressions = build_report([self._record()])
         assert "## Engine mix (latest run)" in text
         assert "multi-channel" in text
