@@ -26,6 +26,7 @@ from .harness import (
 from .reference import (
     reference_all_reduce,
     reference_build_messages,
+    reference_build_schedule,
     reference_build_trees,
     reference_compile_schedule,
     reference_dep_structure,
@@ -54,6 +55,7 @@ __all__ = [
     "load_report",
     "reference_all_reduce",
     "reference_build_messages",
+    "reference_build_schedule",
     "reference_build_trees",
     "reference_compile_schedule",
     "reference_dep_structure",

@@ -17,6 +17,9 @@ shipped before the fast-path overhaul:
   :func:`reference_simulate_allreduce` — the uncached schedule-lowering
   pipeline that re-derived dependencies, routes, and gate times on every
   call;
+* :func:`reference_build_schedule` — the per-op ``CommOp`` loops of
+  the ring, 2D-Ring, hierarchical and double-binary-tree builders,
+  which now emit integer op tables;
 * :func:`reference_compile_schedule` — the object compiler that lowered a
   ``Schedule`` to its CSR columns with per-op ``Fraction`` arithmetic, a
   per-unit dependency scan and a per-op serialization-profile loop;
@@ -34,17 +37,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..collectives import ALGORITHMS
+from ..collectives.compiled import CompiledSchedule
+from ..collectives.dbtree import double_binary_trees
+from ..collectives.hierarchical import _node_groups
 from ..collectives.multitree import (
     TREE_PRIORITIES,
     SpanningTree,
     trees_to_schedule,
 )
-from ..collectives.compiled import CompiledSchedule
-from ..collectives.schedule import OpKind, Schedule
+from ..collectives.schedule import ChunkRange, CommOp, OpKind, Schedule
 from ..network.flowcontrol import DEFAULT_FLOW_CONTROL, FlowControl
 from ..network.simulator import (
     Message,
@@ -58,6 +65,8 @@ from ..topology.base import (
     LinkKey,
     Topology,
 )
+from ..topology.grid import Grid2D
+from ..topology.rings import ring_order
 
 
 # -- construction (seed build_trees) ---------------------------------------------
@@ -467,6 +476,192 @@ def reference_compile_schedule(schedule: Schedule) -> CompiledSchedule:
         ],
         metadata=schedule.metadata,
     )
+
+
+# -- schedule builders (seed object op loops) ----------------------------------
+
+
+def _reference_ring_ops(
+    members: Sequence[int],
+    base_lo: Fraction,
+    part_fraction: Fraction,
+    first_step: int,
+    flow_base: int,
+    ops: List[CommOp],
+) -> int:
+    """Seed ring rule: append a ring all-reduce of ``part_fraction``.
+
+    The part is split into ``len(members)`` chunks; reduce-scatter then
+    all-gather rotate them around the ring.  Returns the number of steps
+    used (``2 * (len(members) - 1)``).
+    """
+    n = len(members)
+    chunk_size = part_fraction / n
+    chunks = [
+        ChunkRange(base_lo + index * chunk_size,
+                   base_lo + (index + 1) * chunk_size)
+        for index in range(n)
+    ]
+    for t in range(1, n):
+        for p in range(n):
+            chunk = (p - t + 1) % n
+            ops.append(
+                CommOp(
+                    kind=OpKind.REDUCE,
+                    src=members[p],
+                    dst=members[(p + 1) % n],
+                    chunk=chunks[chunk],
+                    step=first_step + t - 1,
+                    flow=flow_base + chunk,
+                )
+            )
+    for t in range(1, n):
+        for p in range(n):
+            chunk = (p - t + 2) % n
+            ops.append(
+                CommOp(
+                    kind=OpKind.GATHER,
+                    src=members[p],
+                    dst=members[(p + 1) % n],
+                    chunk=chunks[chunk],
+                    step=first_step + n - 1 + t - 1,
+                    flow=flow_base + chunk,
+                )
+            )
+    return 2 * (n - 1)
+
+
+def _reference_ring(topology: Topology, order: Optional[Sequence[int]] = None) -> Schedule:
+    members = list(order) if order is not None else ring_order(topology)
+    if sorted(members) != list(topology.nodes):
+        raise ValueError("ring order must be a permutation of all nodes")
+    ops: List[CommOp] = []
+    _reference_ring_ops(members, Fraction(0), Fraction(1), 1, 0, ops)
+    return Schedule(topology, ops, "ring", {"order": members})
+
+
+def _reference_ring2d(topology: Grid2D) -> Schedule:
+    if not isinstance(topology, Grid2D):
+        raise ValueError("2D-Ring is dedicated to 2D Torus/Mesh networks (Table I)")
+    width, height = topology.width, topology.height
+    quarter = Fraction(1, 4)
+    ops: List[CommOp] = []
+    flow_base = 0
+    for part_idx, (first_dim, forward) in enumerate(
+        [("x", True), ("x", False), ("y", True), ("y", False)]
+    ):
+        base_lo = part_idx * quarter
+        phases = ("x", "y") if first_dim == "x" else ("y", "x")
+        step = 1
+        for dim in phases:
+            if dim == "x":
+                lines = [topology.row_members(y) for y in range(height)]
+            else:
+                lines = [topology.col_members(x) for x in range(width)]
+            used = 0
+            for line in lines:
+                members = list(line) if forward else list(reversed(line))
+                used = _reference_ring_ops(
+                    members, base_lo, quarter, step, flow_base, ops
+                )
+            step += used
+            flow_base += max(width, height)
+    return Schedule(topology, ops, "2d-ring",
+                    {"width": width, "height": height, "parts": 4})
+
+
+def _reference_hierarchical(topology: Topology) -> Schedule:
+    groups = _node_groups(topology)
+    sizes = {len(g) for g in groups}
+    if len(sizes) != 1:
+        raise ValueError("switch groups must be equal-sized")
+    group_size = sizes.pop()
+    if group_size < 2 or len(groups) < 2:
+        raise ValueError("need at least 2 groups of at least 2 nodes")
+    ops: List[CommOp] = []
+    whole = Fraction(1)
+    step = 1
+    used = 0
+    for group in groups:
+        used = _reference_ring_ops(group, Fraction(0), whole, step, 0, ops)
+    step += used
+    flow_base = group_size
+    for position in range(group_size):
+        members = [group[position] for group in groups]
+        _reference_ring_ops(members, Fraction(0), whole, step, flow_base, ops)
+        flow_base += len(groups)
+    return Schedule(topology, ops, "hierarchical",
+                    {"groups": len(groups), "group_size": group_size})
+
+
+def _reference_dbtree(topology: Topology, num_blocks: Optional[int] = None) -> Schedule:
+    n = topology.num_nodes
+    blocks = num_blocks if num_blocks is not None else max(2, n // 2)
+    if blocks < 1:
+        raise ValueError("num_blocks must be >= 1")
+    trees = double_binary_trees(n)
+    ops: List[CommOp] = []
+    reduce_span = 0
+    plans = []
+    for tree in trees:
+        heights = {node: tree.height_of(node) for node in tree.nodes()}
+        depths = {node: tree.depth_of(node) for node in tree.nodes()}
+        plans.append((tree, heights, depths))
+        local_last = blocks + max(heights.values())
+        reduce_span = max(reduce_span, 2 * local_last)
+    half = Fraction(1, 2)
+    for tree_idx, (tree, heights, depths) in enumerate(plans):
+        base_lo = tree_idx * half
+        for block in range(blocks):
+            lo = base_lo + Fraction(block, blocks) * half
+            hi = base_lo + Fraction(block + 1, blocks) * half
+            chunk = ChunkRange(lo, hi)
+            for child, parent in tree.parent.items():
+                local = block + heights[child] + 1
+                ops.append(
+                    CommOp(
+                        kind=OpKind.REDUCE,
+                        src=child,
+                        dst=parent,
+                        chunk=chunk,
+                        step=2 * local - 1 + tree_idx,
+                        flow=tree_idx,
+                    )
+                )
+                local_gather = block + depths[child]
+                ops.append(
+                    CommOp(
+                        kind=OpKind.GATHER,
+                        src=parent,
+                        dst=child,
+                        chunk=chunk,
+                        step=reduce_span + 2 * local_gather - 1 + tree_idx,
+                        flow=tree_idx,
+                    )
+                )
+    return Schedule(topology, ops, "dbtree",
+                    {"num_blocks": blocks, "roots": [t.root for t in trees]})
+
+
+_REFERENCE_BUILDERS = {
+    "ring": _reference_ring,
+    "2d-ring": _reference_ring2d,
+    "hierarchical": _reference_hierarchical,
+    "dbtree": _reference_dbtree,
+}
+
+
+def reference_build_schedule(algorithm: str, topology: Topology, **kwargs) -> Schedule:
+    """Seed builder: the per-op ``CommOp`` loops of the Θ(n²) baselines.
+
+    Ring, 2D-Ring, hierarchical and double binary tree build their
+    object op lists here the way the seed builders did; every other
+    algorithm is still object-built live and runs its live builder.
+    The compile-equivalence battery pins the column-backed builders'
+    ``ops`` and compiled forms ``==`` to these.
+    """
+    builder = _REFERENCE_BUILDERS.get(algorithm) or ALGORITHMS[algorithm]
+    return builder(topology, **kwargs)
 
 
 # -- numeric execution (seed Communicator.all_reduce inner loop) -----------------

@@ -68,7 +68,7 @@ def build_schedule(algorithm: str, topology: Topology, **kwargs) -> Schedule:
     ) as sp:
         schedule = builder(topology, **kwargs)
         sp.set("steps", schedule.num_steps)
-        sp.set("ops", len(schedule.ops))
+        sp.set("ops", schedule.num_ops)
     return schedule
 
 
@@ -79,7 +79,9 @@ def compile_algorithm(algorithm: str, topology: Topology) -> CompiledSchedule:
     (:func:`~repro.collectives.streaming.compile_multitree`), skipping
     the ``Schedule`` → ``CommOp`` detour; the result is ``==`` to
     ``compile_schedule(build_schedule("multitree", topology))``.  Every
-    other algorithm compiles its schedule IR.  Both routes feed the same
+    other algorithm compiles its schedule; ring, 2D-Ring, hierarchical
+    and dbtree build column-backed ones (:meth:`Schedule.from_columns`),
+    so neither route creates a ``CommOp``.  Both routes feed the same
     ``schedule.*`` metrics: the streaming compile's ``schedule.compile``
     span folds like a ``schedule.build`` span.
     """

@@ -19,11 +19,12 @@ mirrors them when ``n`` is odd, making the two leaf sets complementary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..topology.base import Topology
-from .schedule import ChunkRange, CommOp, OpKind, Schedule
+from .schedule import Schedule
 
 
 @dataclass
@@ -119,6 +120,10 @@ def dbtree_allreduce(
     block ``j`` to its parent at local reduce step ``j + h + 1``; the
     broadcast mirrors with depth.  Tree 0 communicates on odd global steps
     and tree 1 on even steps.
+
+    The schedule is column-backed: each tree's edges are expanded over
+    (block, edge) with numpy, at granularity ``2 * num_blocks`` (block
+    ``j`` of tree ``k`` is unit ``k * num_blocks + j``), and flow ``k``.
     """
     n = topology.num_nodes
     blocks = num_blocks if num_blocks is not None else max(2, n // 2)
@@ -126,49 +131,43 @@ def dbtree_allreduce(
         raise ValueError("num_blocks must be >= 1")
     trees = double_binary_trees(n)
 
-    ops: List[CommOp] = []
     reduce_span = 0
     plans = []
-    for tree_idx, tree in enumerate(trees):
+    for tree in trees:
         heights = {node: tree.height_of(node) for node in tree.nodes()}
         depths = {node: tree.depth_of(node) for node in tree.nodes()}
         plans.append((tree, heights, depths))
         local_last = blocks + max(heights.values())  # last local reduce step
         reduce_span = max(reduce_span, 2 * local_last)
 
-    half = Fraction(1, 2)
+    tables = []
+    block = np.arange(blocks)[:, None, None]
+    phase = np.arange(2)
     for tree_idx, (tree, heights, depths) in enumerate(plans):
-        base_lo = tree_idx * half
-        for block in range(blocks):
-            lo = base_lo + Fraction(block, blocks) * half
-            hi = base_lo + Fraction(block + 1, blocks) * half
-            chunk = ChunkRange(lo, hi)
-            for child, parent in tree.parent.items():
-                local = block + heights[child] + 1
-                ops.append(
-                    CommOp(
-                        kind=OpKind.REDUCE,
-                        src=child,
-                        dst=parent,
-                        chunk=chunk,
-                        step=2 * local - 1 + tree_idx,
-                        flow=tree_idx,
-                    )
-                )
-                local_gather = block + depths[child]
-                ops.append(
-                    CommOp(
-                        kind=OpKind.GATHER,
-                        src=parent,
-                        dst=child,
-                        chunk=chunk,
-                        step=reduce_span + 2 * local_gather - 1 + tree_idx,
-                        flow=tree_idx,
-                    )
-                )
-    return Schedule(
-        topology=topology,
-        ops=ops,
+        child = np.fromiter(tree.parent.keys(), dtype=np.int64)
+        parent = np.fromiter(tree.parent.values(), dtype=np.int64)
+        height = np.array([heights[c] for c in child.tolist()], dtype=np.int64)
+        depth = np.array([depths[c] for c in child.tolist()], dtype=np.int64)
+        # Per (block, edge): the reduce op (child -> parent), then the
+        # broadcast op (parent -> child) of the same block.
+        edge = np.stack((child, parent), axis=1)[None]
+        table = np.empty((7, blocks, len(child), 2), dtype=np.int64)
+        table[0] = edge
+        table[1] = edge[..., ::-1]
+        table[2] = np.where(
+            phase == 0,
+            2 * (block + height[:, None] + 1) - 1,
+            reduce_span + 2 * (block + depth[:, None]) - 1,
+        ) + tree_idx
+        table[3] = phase
+        table[4] = tree_idx
+        table[5] = tree_idx * blocks + block
+        table[6] = table[5] + 1
+        tables.append(table.reshape(7, -1))
+    return Schedule.from_columns(
+        topology,
+        np.concatenate(tables, axis=1),
+        2 * blocks,
         algorithm="dbtree",
         metadata={"num_blocks": blocks, "roots": [t.root for t in trees]},
     )

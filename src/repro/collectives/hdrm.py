@@ -57,7 +57,7 @@ def hdrm_rank_mapping(topology: BiGraph) -> List[int]:
 def hdrm_allreduce(topology: BiGraph) -> Schedule:
     """Build the HDRM schedule for a BiGraph network."""
     if not isinstance(topology, BiGraph):
-        raise TypeError("HDRM is dedicated to the BiGraph topology (Table I)")
+        raise ValueError("HDRM is dedicated to the BiGraph topology (Table I)")
     if not is_power_of_two(topology.num_nodes):
         raise ValueError("HDRM requires a power-of-two node count")
     schedule = halving_doubling_allreduce(

@@ -13,13 +13,15 @@ plot.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Sequence
+import math
+from typing import List
+
+import numpy as np
 
 from ..topology.base import Topology
 from ..topology.bigraph import BiGraph
 from ..topology.fattree import FatTree
-from .ring2d import _ring_allreduce_ops
+from .ring import ring_rotation
 from .schedule import Schedule
 
 
@@ -31,39 +33,46 @@ def _node_groups(topology: Topology) -> List[List[int]]:
             topology.switch_members(topology.num_nodes + i)
             for i in range(topology.num_switches)
         ]
-    raise TypeError(
+    raise ValueError(
         "hierarchical all-reduce needs a switch-grouped topology "
         "(FatTree or BiGraph), got %s" % topology.name
     )
 
 
 def hierarchical_allreduce(topology: Topology) -> Schedule:
-    """Two-level ring all-reduce: within switch groups, then across them."""
+    """Two-level ring all-reduce: within switch groups, then across them.
+
+    Both phases all-reduce the whole gradient with one
+    :func:`~repro.collectives.ring.ring_rotation` each: over the group
+    matrix (flows from 0), then over its transpose (position ``p``'s
+    ring starts at flow ``group_size + p * groups``).  The schedule is
+    column-backed.
+    """
     groups = _node_groups(topology)
     sizes = {len(g) for g in groups}
     if len(sizes) != 1:
         raise ValueError("switch groups must be equal-sized")
     group_size = sizes.pop()
-    if group_size < 2 or len(groups) < 2:
+    num_groups = len(groups)
+    if group_size < 2 or num_groups < 2:
         raise ValueError("need at least 2 groups of at least 2 nodes")
 
-    ops: List = []
-    whole = Fraction(1)
+    grain = math.lcm(group_size, num_groups)
+    members = np.array(groups)
     # Phase 1: ring all-reduce of the full gradient inside every group.
-    step = 1
-    used = 0
-    for group in groups:
-        used = _ring_allreduce_ops(group, Fraction(0), whole, step, 0, ops)
-    step += used
+    inside = ring_rotation(members, 1, 0, 0, grain // group_size)
     # Phase 2: ring all-reduce across groups (same position in each group).
-    flow_base = group_size
-    for position in range(group_size):
-        members = [group[position] for group in groups]
-        _ring_allreduce_ops(members, Fraction(0), whole, step, flow_base, ops)
-        flow_base += len(groups)
-    return Schedule(
-        topology=topology,
-        ops=ops,
+    across = ring_rotation(
+        members.T,
+        1 + 2 * (group_size - 1),
+        group_size + num_groups * np.arange(group_size),
+        0,
+        grain // num_groups,
+    )
+    return Schedule.from_columns(
+        topology,
+        np.concatenate((inside, across), axis=1),
+        grain,
         algorithm="hierarchical",
-        metadata={"groups": len(groups), "group_size": group_size},
+        metadata={"groups": num_groups, "group_size": group_size},
     )

@@ -23,96 +23,53 @@ Mesh.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Sequence
+import math
+
+import numpy as np
 
 from ..topology.grid import Grid2D
-from .schedule import ChunkRange, CommOp, OpKind, Schedule
-
-
-def _ring_allreduce_ops(
-    members: Sequence[int],
-    base_lo: Fraction,
-    part_fraction: Fraction,
-    first_step: int,
-    flow_base: int,
-    ops: List[CommOp],
-) -> int:
-    """Append a ring all-reduce of ``part_fraction`` data over ``members``.
-
-    The part is split into ``len(members)`` chunks; reduce-scatter then
-    all-gather rotate them around the ring.  Returns the number of steps
-    used (``2 * (len(members) - 1)``).
-    """
-    n = len(members)
-    chunk_size = part_fraction / n
-    chunks = [
-        ChunkRange(base_lo + index * chunk_size,
-                   base_lo + (index + 1) * chunk_size)
-        for index in range(n)
-    ]
-
-    for t in range(1, n):
-        for p in range(n):
-            chunk = (p - t + 1) % n
-            ops.append(
-                CommOp(
-                    kind=OpKind.REDUCE,
-                    src=members[p],
-                    dst=members[(p + 1) % n],
-                    chunk=chunks[chunk],
-                    step=first_step + t - 1,
-                    flow=flow_base + chunk,
-                )
-            )
-    for t in range(1, n):
-        for p in range(n):
-            chunk = (p - t + 2) % n
-            ops.append(
-                CommOp(
-                    kind=OpKind.GATHER,
-                    src=members[p],
-                    dst=members[(p + 1) % n],
-                    chunk=chunks[chunk],
-                    step=first_step + n - 1 + t - 1,
-                    flow=flow_base + chunk,
-                )
-            )
-    return 2 * (n - 1)
+from .ring import ring_rotation
+from .schedule import Schedule
 
 
 def ring2d_allreduce(topology: Grid2D) -> Schedule:
-    """Build the four-part concurrent 2D-Ring schedule for a Torus/Mesh."""
-    if not isinstance(topology, Grid2D):
-        raise TypeError("2D-Ring is dedicated to 2D Torus/Mesh networks (Table I)")
-    width, height = topology.width, topology.height
-    quarter = Fraction(1, 4)
+    """Build the four-part concurrent 2D-Ring schedule for a Torus/Mesh.
 
-    ops: List[CommOp] = []
+    Part ``k`` owns the gradient quarter ``[k/4, (k+1)/4)``.  Each of its
+    two phases runs one :func:`~repro.collectives.ring.ring_rotation`
+    over every row (or column) of the grid at once, so the schedule is
+    column-backed at granularity ``4 * lcm(width, height)``.  Flow ids
+    advance by ``max(width, height)`` per (part, phase).
+    """
+    if not isinstance(topology, Grid2D):
+        raise ValueError("2D-Ring is dedicated to 2D Torus/Mesh networks (Table I)")
+    width, height = topology.width, topology.height
+    grain = 4 * math.lcm(width, height)
+    lines = {
+        "x": np.array([topology.row_members(y) for y in range(height)]),
+        "y": np.array([topology.col_members(x) for x in range(width)]),
+    }
+
+    tables = []
     flow_base = 0
     # part = (first dimension, ring direction): four concurrent streams.
     for part_idx, (first_dim, forward) in enumerate(
         [("x", True), ("x", False), ("y", True), ("y", False)]
     ):
-        base_lo = part_idx * quarter
         phases = ("x", "y") if first_dim == "x" else ("y", "x")
         step = 1
         for dim in phases:
-            if dim == "x":
-                lines = [topology.row_members(y) for y in range(height)]
-            else:
-                lines = [topology.col_members(x) for x in range(width)]
-            used = 0
-            for line in lines:
-                members = list(line) if forward else list(reversed(line))
-                used = _ring_allreduce_ops(
-                    members, base_lo, quarter, step, flow_base, ops
-                )
-            step += used
+            members = lines[dim] if forward else lines[dim][:, ::-1]
+            n = members.shape[1]
+            tables.append(ring_rotation(
+                members, step, flow_base, part_idx * grain // 4, grain // (4 * n)
+            ))
+            step += 2 * (n - 1)
             flow_base += max(width, height)
-    return Schedule(
-        topology=topology,
-        ops=ops,
+    return Schedule.from_columns(
+        topology,
+        np.concatenate(tables, axis=1),
+        grain,
         algorithm="2d-ring",
         metadata={"width": width, "height": height, "parts": 4},
     )

@@ -65,17 +65,18 @@ def dependency_csr(schedule: Schedule) -> Tuple[np.ndarray, np.ndarray]:
     row_step = cols.steps[row_op]
     grain = cols.granularity
     rows = len(row_op)
-    # Dense ranks of the delivery keys (to each op's dst) and the request
-    # keys (from each op's src), then deliveries ordered by (rank, step):
+    # Ranks of the delivery keys (to each op's dst) and the request keys
+    # (from each op's src), then deliveries ordered by (rank, step):
     # each request's matches are one contiguous run of its key's
-    # earlier-step deliveries, empty when nothing reaches its key.
-    _, rank = np.unique(
-        np.concatenate((cols.dsts[row_op] * grain + row_unit,
-                        cols.srcs[row_op] * grain + row_unit)),
-        return_inverse=True,
-    )
+    # earlier-step deliveries, empty when nothing reaches its key.  The
+    # keys are their own ranks unless packing them with the step could
+    # overflow; then they are ranked densely.
+    rank = np.concatenate((cols.dsts[row_op] * grain + row_unit,
+                           cols.srcs[row_op] * grain + row_unit))
     del row_unit
     span = int(cols.steps.max()) + 1 if count else 1
+    if rows and (int(rank.max()) + 1) * span >= 2 ** 63:
+        _, rank = np.unique(rank, return_inverse=True)
     packed = rank * span
     del rank
     packed[:rows] += row_step

@@ -38,7 +38,9 @@ def _ser_profile(schedule: Schedule):
 
     The bottleneck bandwidth is taken once per distinct route
     (:meth:`Schedule.route_table`) and the fraction once per distinct
-    chunk, so deduplication runs over integer class columns.
+    chunk, so deduplication runs over integer class columns.  Steps and
+    fractions come from :meth:`Schedule.op_columns`, never from
+    ``schedule.ops``.
     """
     profile = schedule.__dict__.get("_ser_profile")
     if profile is None:
@@ -71,10 +73,15 @@ def _ser_profile(schedule: Schedule):
         )
         key = cols.steps[routed] * (len(pair_class) + 1) + pair_class
         _, first = np.unique(key, return_index=True)
-        ops = schedule.ops
+        picked = np.sort(routed[first])
+        chunk = cols.chunk[picked]
+        # num / den of Python ints rounds as float(Fraction(num, den)).
         profile = [
-            (ops[i].step, bottleneck[index[i]], float(ops[i].chunk.fraction))
-            for i in np.sort(routed[first]).tolist()
+            (step, bottleneck[route], num / den)
+            for step, route, num, den in zip(
+                cols.steps[picked].tolist(), index[picked].tolist(),
+                cols.frac_num[chunk].tolist(), cols.frac_den[chunk].tolist(),
+            )
         ]
         schedule.__dict__["_ser_profile"] = profile
     return profile

@@ -50,6 +50,17 @@ class TestParsers:
         with pytest.raises(SystemExit):
             main(["trees", "--topology", "torus3d", "--dims", "4x4"])
 
+    @pytest.mark.parametrize("scenario,message", [
+        ("torus-4x4/hdrm/1MiB", "HDRM is dedicated to the BiGraph"),
+        ("fattree-4x4/2d-ring/1MiB", "2D-Ring is dedicated to 2D Torus/Mesh"),
+        ("torus-4x4/hierarchical/1MiB", "needs a switch-grouped topology"),
+    ])
+    def test_incompatible_fabric_exits_cleanly(self, scenario, message):
+        # A variant that cannot run on the fabric is bad input: one
+        # message through the ValueError boundary, not a traceback.
+        with pytest.raises(SystemExit, match=message):
+            main(["sweep", "--scenario", scenario])
+
 
 class TestCommands:
     def test_list(self, capsys):

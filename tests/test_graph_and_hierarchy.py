@@ -98,7 +98,7 @@ class TestHierarchical:
         verify_allreduce(hierarchical_allreduce(topo))
 
     def test_requires_grouped_topology(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             hierarchical_allreduce(Torus2D(4, 4))
 
     def test_far_fewer_steps_than_flat_ring(self):

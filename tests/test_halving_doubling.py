@@ -67,7 +67,7 @@ class TestHalvingDoubling:
 
 class TestHDRM:
     def test_requires_bigraph(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             hdrm_allreduce(Torus2D(4, 4))
 
     @pytest.mark.parametrize("spl,nps", [(2, 4), (2, 8), (2, 16)])

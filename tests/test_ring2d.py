@@ -17,7 +17,7 @@ def test_correct_on_grids(topo):
 
 
 def test_requires_grid_topology():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         ring2d_allreduce(FatTree(4, 4))
 
 

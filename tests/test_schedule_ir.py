@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.collectives import build_schedule
@@ -116,3 +117,33 @@ class TestScheduleQueries:
     def test_route_of_uses_topology(self, ring16):
         op = ring16.ops[0]
         assert ring16.route_of(op) == ring16.topology.route(op.src, op.dst)
+
+
+class TestColumnBacked:
+    # Rows: src, dst, step, kind, flow, lo, hi at granularity 8.
+    TABLE = np.array([
+        [1, 0, 2, 1, 0, 4, 8],
+        [2, 3, 1, 0, 1, 4, 8],
+        [0, 1, 1, 0, 0, 0, 4],
+    ]).T
+
+    def test_sorts_rows_and_reduces_granularity(self):
+        topo = Torus2D(2, 2)
+        schedule = Schedule.from_columns(topo, self.TABLE, 8, "toy", {})
+        assert (schedule.num_ops, schedule.num_steps) == (3, 2)
+        assert schedule.granularity == 2
+        half, whole = Fraction(1, 2), Fraction(1)
+        assert schedule.ops == [
+            CommOp(OpKind.REDUCE, 0, 1, ChunkRange(Fraction(0), half), 1, 0),
+            CommOp(OpKind.REDUCE, 2, 3, ChunkRange(half, whole), 1, 1),
+            CommOp(OpKind.GATHER, 1, 0, ChunkRange(half, whole), 2, 0),
+        ]
+        # One ChunkRange object per distinct chunk.
+        assert schedule.ops[1].chunk is schedule.ops[2].chunk
+
+    @pytest.mark.parametrize("row,value", [(1, 1), (2, 0), (5, 8), (6, 9)])
+    def test_rejects_invalid_rows(self, row, value):
+        table = self.TABLE.copy()
+        table[row, 0] = value
+        with pytest.raises(ValueError, match="invalid op table"):
+            Schedule.from_columns(Torus2D(2, 2), table, 8, "toy", {})
