@@ -87,7 +87,7 @@ from .topology.specs import (
     TOPOLOGY_BUILDERS,
     TOPOLOGY_HELP,
     link_profile_for,
-    parse_topology,
+    parse_topology_spec,
     topology_mods_help,
 )
 from .topology.profile import link_mods_help
@@ -98,9 +98,18 @@ from .training import nonoverlapped_iteration, overlapped_iteration
 SIZES_HELP = "comma-separated sizes and/or LO..HI doubling ranges (32K..64M)"
 
 
-def _combined_spec(topology: str, dims: Optional[str]) -> str:
-    """The combined topology spec for split or already-combined CLI args."""
-    return "%s-%s" % (topology, dims) if dims else topology
+def _combined_spec(
+    topology: str, dims: Optional[str], default_dims: Optional[str] = None
+) -> str:
+    """The combined topology spec for split or already-combined CLI args.
+
+    ``default_dims`` applies only when ``--dims`` is not given and
+    ``topology`` carries no ``-DIMS`` part of its own.
+    """
+    kind, at, mods = topology.partition("@")
+    if not dims and "-" not in kind:
+        dims = default_dims
+    return "%s-%s%s%s" % (kind, dims, at, mods) if dims else topology
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -294,7 +303,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
-    topology = parse_topology(args.topology, args.dims)
+    topology = parse_topology_spec(_combined_spec(args.topology, args.dims, "2x2"))
     trees, tot_t = build_trees(topology, priority=args.priority)
     print("%s: %d trees built in %d time steps" % (topology.name, len(trees), tot_t))
     for tree in trees[: args.limit]:
@@ -311,8 +320,8 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    topology = parse_topology(args.topology, args.dims)
-    spec = _combined_spec(args.topology, args.dims)
+    spec = _combined_spec(args.topology, args.dims, "8x8")
+    topology = parse_topology_spec(spec)
     model = get_model(args.model)
     data_bytes = max(1, int(model.gradient_bytes))
     print(
@@ -764,8 +773,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("trees", help="print MultiTree construction (Fig. 3/5)")
-    p.add_argument("--topology", default="mesh")
-    p.add_argument("--dims", default="2x2")
+    p.add_argument(
+        "--topology", default="mesh",
+        help="combined form (fattree-4x4) or kind alone with --dims",
+    )
+    p.add_argument(
+        "--dims", default=None,
+        help="default 2x2 when --topology has no -DIMS part",
+    )
     p.add_argument("--priority", default="root-id")
     p.add_argument("--limit", type=int, default=4, help="trees/tables to print")
     p.add_argument("--tables", action="store_true", help="also print NI tables")
@@ -774,8 +789,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="one training iteration (Fig. 11 rows)")
     p.add_argument("--model", default="ResNet50")
-    p.add_argument("--topology", default="torus")
-    p.add_argument("--dims", default="8x8")
+    p.add_argument(
+        "--topology", default="torus",
+        help="combined form (torus-8x8) or kind alone with --dims",
+    )
+    p.add_argument(
+        "--dims", default=None,
+        help="default 8x8 when --topology has no -DIMS part",
+    )
     p.add_argument("--algorithms", default="ring,2d-ring,multitree,multitree-msg")
     p.add_argument("--overlap", action="store_true", help="layer-wise all-reduce")
     p.set_defaults(func=_cmd_train)

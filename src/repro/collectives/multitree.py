@@ -211,6 +211,19 @@ def build_forest(
       probe.  Every allocation spends one parent uplink, so once every
       node's uplinks are spent the step ends (the switched analogue of
       the direct path's capacity budget).
+    * Some of that deadness is permanent: at a bounded rung a start
+      switch's search can only eject to nodes attached within the
+      rung's reach (``limit - 2`` across-hops, capacity ignored), so
+      once every such node has joined a tree the switch is dead for
+      that tree and rung for the rest of the build (the switched
+      counterpart of the direct path's dead mask).  A per-(tree, rung)
+      count of non-members in each start switch's reach finds these
+      switches; they seed every step's dead tables, and the bounded
+      rungs walk a live-parent list in tree order instead of the whole
+      snapshot, dropping a parent once every uplink's start switch is
+      dead.  A capacity-limited search reaches a subset of the
+      structural reach, so a dropped parent would have failed its
+      probe, and the turn's shared search resumes to the same answer.
 
     Runs inside a ``multitree.build`` span carrying the step and turn
     counts, plus the allocator's probe calls where construction probes
@@ -267,12 +280,56 @@ def _grow_forest(
     stalls = probes = 0
     roots = range(n)
 
-    direct = not switched and (
-        topology.allocation_graph().route_limits() == (None,)
-    )
+    # The allocator advertises which route-length limits are worth
+    # probing: (2, 3, None) on switch-based networks — the same-switch /
+    # one-inter-switch-hop / unbounded ladder of §III-C3 ("check close
+    # neighbors first").
+    limits = topology.allocation_graph().route_limits()
+    num_limits = len(limits)
+    direct = not switched and limits == (None,)
     if switched:
         uplinks = topology.switch_tables().uplinks
         num_vertices = topology.num_vertices
+        # A start switch whose structural reach at a bounded rung holds no
+        # non-member can never eject a child for that tree at that rung
+        # again — membership only grows, so unlike a failed search this
+        # deadness outlives the step.  Per (tree, rung): the non-member
+        # count of every start switch's reach; ``gone``, set for each
+        # switch that count has zeroed and for each node whose uplinks
+        # all lead to such switches; and the parents not gone, in tree order
+        # (``live``; compacted at step start once a switch has died,
+        # flagged in ``stale``).
+        reach_size, holders = _start_switch_reach(topology, limits)
+        attached: Dict[int, List[int]] = {}
+        for node in roots:
+            for _key, start in uplinks[node]:
+                attached.setdefault(start, []).append(node)
+        left = [
+            [None if size is None else list(size) for size in reach_size]
+            for _ in roots
+        ]
+        gone = [
+            [None if size is None else bytearray(num_vertices)
+             for size in reach_size]
+            for _ in roots
+        ]
+        live: List[List[List[int]]] = [
+            [[] for _ in range(num_limits)] for _ in roots
+        ]
+        stale = [bytearray(num_limits) for _ in roots]
+        seen = [0] * n  # addition-order entries already sorted into ``live``
+
+        def bury(rung_gone: bytearray, start: int) -> None:
+            rung_gone[start] = 1
+            for node in attached[start]:
+                if all(rung_gone[s] for _key, s in uplinks[node]):
+                    rung_gone[node] = 1
+
+        for root in roots:
+            for li, start in holders[root]:
+                left[root][li][start] -= 1
+                if not left[root][li][start]:
+                    bury(gone[root][li], start)
     if direct:
         # Array-backed adjacency for the direct fast path: the
         # preference-ordered neighbor/link-id lists of every node,
@@ -441,18 +498,43 @@ def _grow_forest(
             turn = alloc.turn
             spent = alloc.spent
             capacity = alloc.capacity
-            # The allocator advertises which route-length limits are worth
-            # probing: (2, 3, None) on switch-based networks — the
-            # same-switch / one-inter-switch-hop / unbounded ladder of
-            # §III-C3 ("check close neighbors first").
-            limits = alloc.route_limits()
-            num_limits = len(limits)
             # Exhausted-prefix cursor per (tree, limit); see the docstring.
             cursors = [[0] * num_limits for _ in roots]
-            # Dead start switches per (tree, limit); see the docstring.
-            dead = [
-                [bytearray(num_vertices) for _ in limits] for _ in roots
-            ] if switched else None
+            # The sequence each (tree, limit) walks and its length this
+            # step; switched trees walk their live-parent lists at the
+            # bounded rungs and the whole snapshot only unbounded.
+            walks: List[List[Tuple[Sequence[int], int]]] = []
+            # Dead start switches per (tree, limit), seeded with the
+            # membership-dead ones; see the docstring.
+            dead: List[List[bytearray]] = []
+            for root in roots:
+                order = orders[root]
+                snapshot = (order, snap_len[root])
+                if not switched or counts[root] == n:
+                    walks.append([snapshot] * num_limits)
+                    dead.append([])
+                    continue
+                fresh = order[seen[root]:snap_len[root]]
+                seen[root] = snap_len[root]
+                rungs = []
+                rung_deads = []
+                for li in range(num_limits):
+                    rung_gone = gone[root][li]
+                    if rung_gone is None:
+                        rungs.append(snapshot)
+                        rung_deads.append(bytearray(num_vertices))
+                        continue
+                    parents = live[root][li]
+                    if stale[root][li]:
+                        stale[root][li] = 0
+                        parents = live[root][li] = [
+                            p for p in parents if not rung_gone[p]
+                        ]
+                    parents.extend([p for p in fresh if not rung_gone[p]])
+                    rungs.append((parents, len(parents)))
+                    rung_deads.append(bytearray(rung_gone))
+                walks.append(rungs)
+                dead.append(rung_deads)
             progress = True
             while progress:
                 progress = False
@@ -472,16 +554,16 @@ def _grow_forest(
                     # successful call, so it may share search state
                     # across the ladder's rungs.
                     probe = turn(member[root])
-                    order = orders[root]
-                    bound = snap_len[root]
+                    walk = walks[root]
                     cur = cursors[root]
                     found = None
                     for li in range(num_limits):
                         limit = limits[li]
+                        parents, bound = walk[li]
                         i = cur[li]
                         rung_dead = dead[root][li] if switched else None
                         while i < bound:  # line 9
-                            parent = order[i]
+                            parent = parents[i]
                             # A parent with every uplink spent fails any
                             # probe, and so does one whose live uplinks all
                             # lead to switches already dead at this rung:
@@ -516,6 +598,15 @@ def _grow_forest(
                             complete_trees += 1
                         version += 1
                         progress = True
+                        if switched:
+                            tree_left = left[root]
+                            for li, start in holders[child]:
+                                rung_left = tree_left[li]
+                                rung_left[start] -= 1
+                                if not rung_left[start]:
+                                    bury(gone[root][li], start)
+                                    dead[root][li][start] = 1
+                                    stale[root][li] = 1
                         if alloc.unspent == 0:
                             # Every allocation spends a parent uplink and
                             # none is left: no tree can connect another
@@ -529,6 +620,48 @@ def _grow_forest(
             raise RuntimeError("MultiTree construction did not converge")
     forest.tot_t = step
     return forest, forest.num_edges() + stalls, None if direct else probes
+
+
+def _start_switch_reach(
+    topology: Topology, limits: Sequence[Optional[int]]
+) -> Tuple[List[Optional[List[int]]], List[List[Tuple[int, int]]]]:
+    """Structural reach of every start switch at each bounded rung.
+
+    A route limit of ``L`` links ejects only from switches within
+    ``L - 2`` across-hops of the start switch (see
+    :class:`~repro.topology.base.IndirectAllocationGraph`); ignoring
+    capacity, the compute nodes attached to those switches are every
+    child such a search could ever find.  Returns ``reach_size[li][v]``,
+    the reach's node count for start switch ``v`` at rung ``li`` (zero
+    for other vertices; ``None`` in place of the unbounded rung's list),
+    and ``holders[node]``, the ``(li, start)`` pairs whose reach holds
+    ``node``.
+    """
+    n = topology.num_nodes
+    uplinks, down, across = topology.switch_tables()
+    starts = sorted({start for node in range(n) for _key, start in uplinks[node]})
+    reach_size: List[Optional[List[int]]] = [None] * len(limits)
+    holders: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for li, limit in enumerate(limits):
+        if limit is None:
+            continue
+        reach_size[li] = [0] * topology.num_vertices
+        for start in starts:
+            visited = {start}
+            level = [start]
+            for _hop in range(limit - 2):
+                nxt = []
+                for switch in level:
+                    for _key, other in across[switch]:
+                        if other not in visited:
+                            visited.add(other)
+                            nxt.append(other)
+                level = nxt
+            reach = {node for switch in visited for _key, node in down[switch]}
+            reach_size[li][start] = len(reach)
+            for node in reach:
+                holders[node].append((li, start))
+    return reach_size, holders
 
 
 def build_trees(

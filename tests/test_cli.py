@@ -87,6 +87,31 @@ class TestCommands:
         assert "Accelerator 0" in out
         assert "Reduce" in out
 
+    @pytest.mark.parametrize("topology_args, name", [
+        (["--topology", "fattree-4x4"], "fattree-16n"),
+        (["--topology", "fattree-4x4@oversub=2"], "fattree-16n@oversub=2"),
+        (["--topology", "fattree", "--dims", "4x4"], "fattree-16n"),
+    ])
+    def test_trees_topology_forms(self, capsys, topology_args, name):
+        assert main(["trees", "--limit", "1"] + topology_args) == 0
+        out = capsys.readouterr().out
+        assert "%s: 16 trees built in 15 time steps" % name in out
+
+    def test_trees_default_dims(self, capsys):
+        assert main(["trees", "--limit", "1"]) == 0
+        assert "mesh-2x2: 4 trees built" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("topology_args, name", [
+        (["--topology", "fattree-4x4"], "fattree-16n"),
+        (["--topology", "fattree-4x4@oversub=2"], "fattree-16n@oversub=2"),
+        (["--topology", "fattree", "--dims", "4x4"], "fattree-16n"),
+    ])
+    def test_train_topology_forms(self, capsys, topology_args, name):
+        assert main([
+            "train", "--model", "NCF", "--algorithms", "multitree",
+        ] + topology_args) == 0
+        assert "NCF on %s (" % name in capsys.readouterr().out
+
     def test_train_nonoverlap(self, capsys):
         assert main([
             "train", "--model", "GoogLeNet", "--topology", "torus",

@@ -357,7 +357,7 @@ class TestCompileSpans:
         assert build["parent"] == spans["schedule.compile"]["span"]
         assert build["attrs"] == {
             "topology": "fattree-16n", "priority": "root-id",
-            "steps": 15, "turns": 240, "probes": 528,
+            "steps": 15, "turns": 240, "probes": 240,
         }
 
 

@@ -6,7 +6,7 @@ import repro.topology.base as base
 from repro import obs
 from repro.bench import reference_build_trees
 from repro.collectives import build_trees
-from repro.collectives.multitree import build_forest
+from repro.collectives.multitree import _start_switch_reach, build_forest
 from repro.topology import BiGraph, FatTree
 from repro.topology.base import IndirectAllocationGraph, Topology
 
@@ -302,12 +302,66 @@ class TestTurnSharing:
         # per incomplete tree; here every turn connects a child.
         assert attrs["turns"] == forest.num_edges() == 16 * 15
 
-    def test_construction_counts_on_fattree_8x8(self):
+    @staticmethod
+    def build_attrs(topology):
         with obs.observing() as rec:
-            build_forest(FatTree(8, 8), "root-id")
+            build_forest(topology, "root-id")
         (span,) = [r for r in rec.records if r["name"] == "multitree.build"]
-        attrs = span["attrs"]
+        return span["attrs"]
+
+    def test_construction_counts_on_fattree_8x8(self):
+        attrs = self.build_attrs(FatTree(8, 8))
         assert attrs["topology"] == "fattree-64n"
         assert attrs["steps"] == 63
-        assert attrs["turns"] == 4032  # one per tree edge: none fails
-        assert attrs["probes"] <= 12544
+        # One turn per tree edge (none fails) and one probe per turn:
+        # no parent on a membership-dead start switch is ever probed.
+        assert attrs["probes"] == attrs["turns"] == 4032
+
+    def test_construction_counts_on_bigraph_4x8(self):
+        attrs = self.build_attrs(BiGraph(4, 8))
+        assert attrs["topology"] == "bigraph-64n"
+        assert attrs["steps"] == 63
+        assert attrs["probes"] == attrs["turns"] == 4032
+
+
+class TestMembershipDeadSwitches:
+    """A start switch whose structural reach at a bounded rung holds no
+    non-member is skipped for the rest of the build.  Exact, because a
+    capacity-limited search only reaches a subset of that reach."""
+
+    def test_reach_grows_with_the_rung_on_bigraph(self):
+        bg = BiGraph(2, 4)
+        sizes, holders = _start_switch_reach(bg, (2, 3, None))
+        start = bg.switch_of(0)
+        lower = bg.switch_of(8)
+        assert bg.layer_of(8) == 1
+        assert sizes[0][start] == 4  # its own nodes
+        assert sizes[1][start] == 12  # plus the other layer's 8
+        assert sizes[2] is None  # the unbounded rung is not tracked
+        assert (0, start) in holders[0] and (1, start) in holders[0]
+        assert (1, start) in holders[8] and (0, start) not in holders[8]
+        assert (0, lower) in holders[8]
+
+    def test_rung_two_dead_switch_still_connects_at_rung_three(self):
+        bg = BiGraph(2, 4)
+        start = bg.switch_of(0)
+        joined = bytearray(bg.num_nodes)
+        for node in bg.switch_members(start):  # its whole rung-2 reach
+            joined[node] = 1
+        probe = bg.allocation_graph().turn(joined)
+        assert probe(0, 2) is None
+        found = probe(0, 3)
+        assert found is not None
+        assert len(found.route) == 3 and bg.layer_of(found.child) == 1
+
+    def test_dead_first_uplink_connects_through_second(self):
+        S1, S2 = DualHomed.S1, DualHomed.S2
+        topo = DualHomed()
+        sizes, _holders = _start_switch_reach(topo, (2, 3, None))
+        assert sizes[0][S1] == sizes[0][S2] == 2  # {0, 1} and {0, 2}
+        # Nodes 0 and 1 joined: S1 is membership-dead at rung 2, S2 not.
+        dead = bytearray(topo.num_vertices)
+        dead[S1] = 1
+        probe = topo.allocation_graph().turn(bytearray([1, 1, 0, 0]))
+        found = probe(0, 2, dead)
+        assert found.route == [(0, S2), (S2, 2)]
